@@ -5,8 +5,10 @@ pinned here, not configurable.
 
 import json
 import math
+import re
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,26 +209,34 @@ def test_criterion_7_statistics_unit_checks():
         assert hi - mean == pytest.approx(1.96 * values.std(ddof=1) / 10.0, abs=1e-12)
 
 
+CRITERION_8_CONFIG = {
+    "dataset": {
+        "synthetic": {
+            "class_counts": [40, 20], "dim": 3, "class_mean_separation": 2.0,
+            "noise_std": 1.0, "label_flip_prob": 0.1, "seed": 6,
+        }
+    },
+    "model": {"hidden_dims": [4]},
+    "split": {"n_repeats": 8, "base_seed": 5},
+    "arms": [
+        {"name": "ce", "loss_kind": "cross_entropy", "batch_size": 8,
+         "max_epochs": 3},
+        {"name": "auc", "loss_kind": "auc_binary", "batch_size": 16,
+         "max_epochs": 3},
+    ],
+}
+
+GOLDEN_CRITERION_8 = Path(__file__).parent / "golden" / "criterion8_manifest.json"
+
+
+def _without_duration(manifest_text):
+    return re.sub(r'\n  "duration_seconds": [^\n]*', "", manifest_text)
+
+
 def test_criterion_8_parallel_determinism(tmp_path):
     with criterion(8, "worker count does not change manifest bytes"):
-        config = {
-            "dataset": {
-                "synthetic": {
-                    "class_counts": [40, 20], "dim": 3, "class_mean_separation": 2.0,
-                    "noise_std": 1.0, "label_flip_prob": 0.1, "seed": 6,
-                }
-            },
-            "model": {"hidden_dims": [4]},
-            "split": {"n_repeats": 8, "base_seed": 5},
-            "arms": [
-                {"name": "ce", "loss_kind": "cross_entropy", "batch_size": 8,
-                 "max_epochs": 3},
-                {"name": "auc", "loss_kind": "auc_binary", "batch_size": 16,
-                 "max_epochs": 3},
-            ],
-        }
         cfg_path = tmp_path / "determinism.json"
-        cfg_path.write_text(json.dumps(config))
+        cfg_path.write_text(json.dumps(CRITERION_8_CONFIG))
         manifests = []
         for jobs in ("1", "1", "4"):
             out_path = tmp_path / f"manifest_{len(manifests)}.json"
@@ -237,6 +247,22 @@ def test_criterion_8_parallel_determinism(tmp_path):
             del doc["duration_seconds"]
             manifests.append(json.dumps(doc, sort_keys=False).encode())
         assert manifests[0] == manifests[1] == manifests[2]
+
+
+def test_criterion_8_golden_manifest(tmp_path):
+    with criterion(8, "a --jobs 1 manifest matches the committed golden bytes"):
+        # The golden file was written by the CLI; only the wall-clock
+        # duration may differ between runs.
+        cfg_path = tmp_path / "golden.json"
+        out_path = tmp_path / "golden_manifest.json"
+        cfg_path.write_text(json.dumps(CRITERION_8_CONFIG))
+        code = main(["compare", "--config", str(cfg_path), "--out", str(out_path),
+                     "--jobs", "1"])
+        assert code == 0
+        fresh = _without_duration(out_path.read_text(encoding="utf-8"))
+        golden = _without_duration(GOLDEN_CRITERION_8.read_text(encoding="utf-8"))
+        assert "duration_seconds" not in fresh and "duration_seconds" not in golden
+        assert fresh == golden
 
 
 def test_criterion_9_sampler_guarantee():
