@@ -20,6 +20,7 @@ from .errors import (
     DegenerateVarianceError,
     EmptyClassError,
     EmptyFileError,
+    FieldError,
     InfeasibleBatchError,
     MissingColumnError,
     NonFiniteError,
@@ -57,6 +58,7 @@ from .network import (
     MLPModel,
     TrainConfig,
     TrainHistory,
+    evaluate_auroc,
     forward,
     init_model,
     stratified_batches,
@@ -77,14 +79,14 @@ from .harness import (
     t_test,
     trial_seeds,
 )
-from .data import Dataset, SyntheticSpec, generate_synthetic, load_csv, save_csv
+from .data import Dataset, SyntheticSpec, generate_synthetic, load_csv, load_scores_csv, save_csv
 
 __all__ = [
     "__version__",
     # errors
     "RanklossError", "EmptyClassError", "InfeasibleBatchError", "TooSmallError",
     "NonFiniteError", "DegenerateVarianceError", "TrialError", "CsvError",
-    "MissingColumnError", "NonNumericCellError", "EmptyFileError", "ConfigError",
+    "MissingColumnError", "NonNumericCellError", "EmptyFileError", "ConfigError", "FieldError",
     # metrics
     "PredictionBatch", "AurocValue", "MacroAuroc", "heaviside", "auroc_pairwise",
     "auroc_rank_scores", "auroc_rank", "auroc_multiclass_ovr", "monotone_check",
@@ -94,11 +96,11 @@ __all__ = [
     "cross_entropy_loss", "loss_function", "finite_diff_check",
     # network
     "MLPModel", "TrainConfig", "TrainHistory", "init_model", "forward",
-    "stratified_batches", "train",
+    "stratified_batches", "evaluate_auroc", "train",
     # harness
     "SplitSpec", "ArmConfig", "ExperimentConfig", "TrialSeeds", "ArmResult",
     "Comparison", "AggregateReport", "trial_seeds", "monte_carlo_split",
     "run_trial", "run_experiment", "mean_ci", "t_test",
     # data
-    "Dataset", "SyntheticSpec", "generate_synthetic", "load_csv", "save_csv",
+    "Dataset", "SyntheticSpec", "generate_synthetic", "load_csv", "load_scores_csv", "save_csv",
 ]

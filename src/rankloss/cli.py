@@ -15,235 +15,145 @@ overrides the config seed; the --seed flag overrides both.
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import json
 import os
 import sys
 import time
+import typing
+from dataclasses import MISSING
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .data import SyntheticSpec, generate_synthetic, load_csv, save_csv
-from .errors import ConfigError, CsvError, RanklossError, TrialError
+from .data import SyntheticSpec, generate_synthetic, load_csv, load_scores_csv, save_csv
+from .errors import ConfigError, CsvError, EmptyClassError, FieldError, RanklossError, TrialError
 from .harness import ArmConfig, ExperimentConfig, SplitSpec, run_experiment
-from .losses import LOSS_KINDS, SurrogateParams
+from .losses import SurrogateParams
 from .metrics import PredictionBatch, auroc_multiclass_ovr, auroc_rank_scores
 
 __all__ = ["main", "entrypoint"]
 
-_MISSING = object()
+def _rows(cls, prefix="", **types):
+    """Schema rows for fields of ``cls``, keyed ``prefix + field``, with its defaults."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    return tuple((prefix + name, kind, defaults[name]) for name, kind in types.items())
 
 
-def _field(obj, key, pointer, kinds, default=_MISSING):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{pointer}: expected an object", pointer=pointer)
-    if key not in obj:
-        if default is _MISSING:
-            raise ConfigError(f"{pointer}/{key}: required field is missing", pointer=f"{pointer}/{key}")
-        return default
-    value = obj[key]
-    if kinds is bool:
-        ok = isinstance(value, bool)
-    elif kinds is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    elif kinds is float:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if ok:
-            value = float(value)
-    elif kinds is str:
-        ok = isinstance(value, str)
-    elif kinds is list:
-        ok = isinstance(value, list)
-    elif kinds is dict:
-        ok = isinstance(value, dict)
-    else:  # pragma: no cover
-        raise AssertionError(kinds)
+# The `compare`/`gen` input schema: per JSON object, (key, type, default)
+# rows in echo order. Defaults are read off the dataclasses the values feed,
+# so each is stated once; MISSING marks a required key. The manifest's
+# `config` echo is the parsed rows themselves, which makes it a valid input
+# that reproduces the run.
+_SYNTHETIC = _rows(
+    SyntheticSpec, class_counts=list[int], dim=int, class_mean_separation=float,
+    noise_std=float, label_flip_prob=float, seed=int,
+)
+_CSV = (("path", str, MISSING), ("label_column", str, MISSING))
+_MODEL = _rows(ExperimentConfig, hidden_dims=list[int])
+_SPLIT = _rows(SplitSpec, ratios=list[float], stratified=bool, n_repeats=int, base_seed=int)
+_ARM = _rows(
+    ArmConfig, name=str, loss_kind=str, batch_size=int, learning_rate=float, max_epochs=int,
+) + _rows(SurrogateParams, "surrogate_", k=float, L=float, x0=float)
+_DATASET = (("synthetic", dict, None), ("csv", dict, None))
+_COMPARE = (("dataset", dict, MISSING), ("model", dict, {}), ("split", dict, {}),
+            ("arms", list, MISSING))
+
+
+def _typed(value, kind, pointer):
+    if typing.get_origin(kind) is list:
+        items = _typed(value, list, pointer)
+        (item_kind,) = typing.get_args(kind)
+        return [_typed(v, item_kind, f"{pointer}/{i}") for i, v in enumerate(items)]
+    # bool is an int subclass, but JSON true is not a number.
+    if isinstance(value, bool) != (kind is bool):
+        ok = False
+    elif kind is float:
+        ok = isinstance(value, (int, float))
+        value = float(value) if ok else value
+    else:
+        ok = isinstance(value, kind)
     if not ok:
         raise ConfigError(
-            f"{pointer}/{key}: expected {kinds.__name__}, got {type(value).__name__}",
-            pointer=f"{pointer}/{key}",
+            f"{pointer}: expected {kind.__name__}, got {type(value).__name__}", pointer=pointer
         )
     return value
 
 
-def _int_list(obj, key, pointer, default=_MISSING):
-    values = _field(obj, key, pointer, list, default)
-    if values is default and default is not _MISSING:
-        return values
-    for i, v in enumerate(values):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ConfigError(
-                f"{pointer}/{key}/{i}: expected int, got {type(v).__name__}",
-                pointer=f"{pointer}/{key}/{i}",
-            )
-    return values
-
-
-def _known_keys(obj, known, pointer):
+def _parse(obj, pointer, rows) -> dict:
+    """Type-check a JSON object against its schema rows and fill in defaults."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{pointer or '/'}: expected an object", pointer=pointer or "/")
+    known = {key for key, _, _ in rows}
     for key in obj:
         if key not in known:
             raise ConfigError(f"{pointer}/{key}: unknown field", pointer=f"{pointer}/{key}")
+    values = {}
+    for key, kind, default in rows:
+        if key in obj:
+            values[key] = _typed(obj[key], kind, f"{pointer}/{key}")
+        elif default is MISSING:
+            raise ConfigError(
+                f"{pointer}/{key}: required field is missing", pointer=f"{pointer}/{key}"
+            )
+        else:
+            values[key] = default
+    return values
 
 
-def _parse_synthetic(obj, pointer) -> SyntheticSpec:
-    _known_keys(
-        obj,
-        {"class_counts", "dim", "class_mean_separation", "noise_std", "label_flip_prob", "seed"},
-        pointer,
-    )
+def _checked(pointer_of, build):
+    """Call ``build``; report a dataclass ``FieldError`` at its field's JSON pointer."""
     try:
-        return SyntheticSpec(
-            class_counts=tuple(_int_list(obj, "class_counts", pointer)),
-            dim=_field(obj, "dim", pointer, int),
-            class_mean_separation=_field(obj, "class_mean_separation", pointer, float),
-            noise_std=_field(obj, "noise_std", pointer, float),
-            label_flip_prob=_field(obj, "label_flip_prob", pointer, float, 0.0),
-            seed=_field(obj, "seed", pointer, int, 0),
-        )
-    except ValueError as exc:
+        return build()
+    except FieldError as exc:
+        pointer = pointer_of(exc.field)
         raise ConfigError(f"{pointer}: {exc}", pointer=pointer) from exc
 
 
-def _parse_arm(obj, pointer) -> ArmConfig:
-    _known_keys(
-        obj,
-        {"name", "loss_kind", "batch_size", "learning_rate", "max_epochs",
-         "surrogate_k", "surrogate_L", "surrogate_x0"},
-        pointer,
-    )
-    loss_kind = _field(obj, "loss_kind", pointer, str)
-    if loss_kind not in LOSS_KINDS:
-        raise ConfigError(
-            f"{pointer}/loss_kind: must be one of {list(LOSS_KINDS)}, got {loss_kind!r}",
-            pointer=f"{pointer}/loss_kind",
-        )
-    try:
-        surrogate = SurrogateParams(
-            k=_field(obj, "surrogate_k", pointer, float, 20.0),
-            L=_field(obj, "surrogate_L", pointer, float, 1.0),
-            x0=_field(obj, "surrogate_x0", pointer, float, 0.0),
-        )
-        return ArmConfig(
-            name=_field(obj, "name", pointer, str),
-            loss_kind=loss_kind,
-            batch_size=_field(obj, "batch_size", pointer, int),
-            learning_rate=_field(obj, "learning_rate", pointer, float, 0.1),
-            max_epochs=_field(obj, "max_epochs", pointer, int, 40),
-            surrogate=surrogate,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{pointer}: {exc}", pointer=pointer) from exc
+def _build_arm(values, pointer) -> ArmConfig:
+    fields = dict(values)
+    params = {name: fields.pop(f"surrogate_{name}") for name in ("k", "L", "x0")}
+    surrogate = _checked(lambda f: f"{pointer}/surrogate_{f}", lambda: SurrogateParams(**params))
+    return _checked(lambda f: f"{pointer}/{f}", lambda: ArmConfig(**fields, surrogate=surrogate))
 
 
 def _parse_compare_config(doc, seed_override):
-    if not isinstance(doc, dict):
-        raise ConfigError("/: top level must be an object", pointer="/")
-    _known_keys(doc, {"dataset", "model", "split", "arms"}, "")
-
-    dataset_obj = _field(doc, "dataset", "", dict)
-    _known_keys(dataset_obj, {"synthetic", "csv"}, "/dataset")
-    if ("synthetic" in dataset_obj) == ("csv" in dataset_obj):
+    """Validate a `compare` document: (resolved config echo, synthetic spec or
+    None for a CSV source, experiment)."""
+    top = _parse(doc, "", _COMPARE)
+    sources = _parse(top["dataset"], "/dataset", _DATASET)
+    if (sources["synthetic"] is None) == (sources["csv"] is None):
         raise ConfigError(
-            "/dataset: exactly one of 'synthetic' or 'csv' is required",
-            pointer="/dataset",
+            "/dataset: exactly one of 'synthetic' or 'csv' is required", pointer="/dataset"
         )
-
-    split_obj = _field(doc, "split", "", dict, {})
-    _known_keys(split_obj, {"ratios", "stratified", "n_repeats", "base_seed"}, "/split")
-    ratios = _field(split_obj, "ratios", "/split", list, [0.6, 0.2, 0.2])
-    for i, r in enumerate(ratios):
-        if not isinstance(r, (int, float)) or isinstance(r, bool):
-            raise ConfigError(
-                f"/split/ratios/{i}: expected number", pointer=f"/split/ratios/{i}"
-            )
-    base_seed = _field(split_obj, "base_seed", "/split", int, 0)
+    split = _parse(top["split"], "/split", _SPLIT)
     if seed_override is not None:
-        base_seed = seed_override
-    try:
-        split = SplitSpec(
-            ratios=tuple(float(r) for r in ratios),
-            stratified=_field(split_obj, "stratified", "/split", bool, True),
-            n_repeats=_field(split_obj, "n_repeats", "/split", int, 100),
-            base_seed=base_seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"/split: {exc}", pointer="/split") from exc
-
-    model_obj = _field(doc, "model", "", dict, {})
-    _known_keys(model_obj, {"hidden_dims"}, "/model")
-    hidden_dims = tuple(_int_list(model_obj, "hidden_dims", "/model", [16]))
-    if len(hidden_dims) > 2:
-        raise ConfigError(
-            f"/model/hidden_dims: at most 2 hidden layers are supported, got {len(hidden_dims)}",
-            pointer="/model/hidden_dims",
-        )
-
-    arm_list = _field(doc, "arms", "", list)
-    if len(arm_list) < 2:
+        split["base_seed"] = seed_override
+    model = _parse(top["model"], "/model", _MODEL)
+    if len(top["arms"]) < 2:
         raise ConfigError("/arms: at least two arms are required", pointer="/arms")
-    arms = tuple(_parse_arm(a, f"/arms/{i}") for i, a in enumerate(arm_list))
+    arms = [_parse(a, f"/arms/{i}", _ARM) for i, a in enumerate(top["arms"])]
 
-    if "synthetic" in dataset_obj:
-        synthetic = _parse_synthetic(dataset_obj["synthetic"], "/dataset/synthetic")
-        csv_source = None
+    split_spec = _checked(lambda f: f"/split/{f}", lambda: SplitSpec(**split))
+    arm_configs = tuple(_build_arm(a, f"/arms/{i}") for i, a in enumerate(arms))
+    if sources["synthetic"] is not None:
+        synthetic = _parse(sources["synthetic"], "/dataset/synthetic", _SYNTHETIC)
+        spec = _checked(lambda f: f"/dataset/synthetic/{f}", lambda: SyntheticSpec(**synthetic))
+        dataset = {"synthetic": synthetic}
     else:
-        csv_obj = dataset_obj["csv"]
-        _known_keys(csv_obj, {"path", "label_column"}, "/dataset/csv")
-        synthetic = None
-        csv_source = (
-            _field(csv_obj, "path", "/dataset/csv", str),
-            _field(csv_obj, "label_column", "/dataset/csv", str),
-        )
-
-    try:
-        experiment = ExperimentConfig(arms=arms, split=split, hidden_dims=hidden_dims)
-    except ValueError as exc:
-        raise ConfigError(f"/: {exc}", pointer="/") from exc
-    return synthetic, csv_source, experiment
+        spec = None
+        dataset = {"csv": _parse(sources["csv"], "/dataset/csv", _CSV)}
+    experiment = _checked(
+        _experiment_pointer,
+        lambda: ExperimentConfig(arm_configs, split_spec, model["hidden_dims"]),
+    )
+    config = {"dataset": dataset, "model": model, "split": split, "arms": arms}
+    return config, spec, experiment
 
 
-def _resolved_config(synthetic, csv_source, experiment: ExperimentConfig) -> dict:
-    # Same shape as the input config with every default materialized, so the
-    # echoed document can be fed straight back to `compare` and reproduce
-    # the report byte for byte.
-    if synthetic is not None:
-        dataset = {
-            "synthetic": {
-                "class_counts": list(synthetic.class_counts),
-                "dim": synthetic.dim,
-                "class_mean_separation": synthetic.class_mean_separation,
-                "noise_std": synthetic.noise_std,
-                "label_flip_prob": synthetic.label_flip_prob,
-                "seed": synthetic.seed,
-            }
-        }
-    else:
-        dataset = {"csv": {"path": csv_source[0], "label_column": csv_source[1]}}
-    return {
-        "dataset": dataset,
-        "model": {"hidden_dims": list(experiment.hidden_dims)},
-        "split": {
-            "ratios": list(experiment.split.ratios),
-            "stratified": experiment.split.stratified,
-            "n_repeats": experiment.split.n_repeats,
-            "base_seed": experiment.split.base_seed,
-        },
-        "arms": [
-            {
-                "name": a.name,
-                "loss_kind": a.loss_kind,
-                "batch_size": a.batch_size,
-                "learning_rate": a.learning_rate,
-                "max_epochs": a.max_epochs,
-                "surrogate_k": a.surrogate.k,
-                "surrogate_L": a.surrogate.L,
-                "surrogate_x0": a.surrogate.x0,
-            }
-            for a in experiment.arms
-        ],
-    }
+def _experiment_pointer(field: str) -> str:
+    return "/model/hidden_dims" if field == "hidden_dims" else f"/{field}"
 
 
 def _env_seed() -> int | None:
@@ -251,78 +161,34 @@ def _env_seed() -> int | None:
     if raw is None:
         return None
     try:
-        seed = int(raw)
+        return int(raw)
     except ValueError:
         raise ConfigError(
             f"RANKLOSS_SEED: expected an integer, got {raw!r}", pointer="RANKLOSS_SEED"
         ) from None
-    if seed < 0:
-        raise ConfigError("RANKLOSS_SEED: seed must be nonnegative", pointer="RANKLOSS_SEED")
-    return seed
-
-
-def _read_metric_csv(path, label_column):
-    """Score columns (in file order) plus an integer class-index label column."""
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvError(f"{path}: file is empty") from None
-        if label_column not in header:
-            raise CsvError(f"{path}: no column named {label_column!r} (columns: {header})")
-        label_pos = header.index(label_column)
-        score_names = [name for i, name in enumerate(header) if i != label_pos]
-        if not score_names:
-            raise CsvError(f"{path}: no score columns besides the label")
-        scores = []
-        labels = []
-        for row_no, row in enumerate(reader):
-            if len(row) != len(header):
-                raise CsvError(
-                    f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
-                )
-            values = []
-            for col_pos, name in enumerate(header):
-                cell = row[col_pos]
-                if col_pos == label_pos:
-                    try:
-                        labels.append(int(cell))
-                    except ValueError:
-                        raise CsvError(
-                            f"{path}: row {row_no}, column {name!r}: label {cell!r} "
-                            "is not an integer class index"
-                        ) from None
-                    continue
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise CsvError(
-                        f"{path}: row {row_no}, column {name!r}: cannot parse "
-                        f"{cell!r} as a number"
-                    ) from None
-            scores.append(values)
-    if not scores:
-        raise CsvError(f"{path}: header only, no data rows")
-    return np.asarray(scores, dtype=np.float64), np.asarray(labels, dtype=np.int64), score_names
 
 
 def _cmd_metric(args) -> int:
-    scores, labels, score_names = _read_metric_csv(args.input, args.label_col)
+    scores, labels = load_scores_csv(args.input, args.label_col)
+    if not args.multiclass:
+        if scores.shape[1] != 1:
+            raise CsvError(
+                f"{args.input}: binary mode needs exactly one score column, got "
+                f"{scores.shape[1]}; pass --multiclass for one column per class"
+            )
+        if not np.all((labels == 0) | (labels == 1)):
+            raise CsvError(f"{args.input}: binary mode needs labels in {{0, 1}}")
+    try:
+        if args.multiclass:
+            result = auroc_multiclass_ovr(PredictionBatch(scores, labels), lenient=True)
+        else:
+            col = scores[:, 0]
+            result = auroc_rank_scores(col[labels == 1], col[labels == 0])
+    except (ValueError, EmptyClassError) as exc:
+        # Labels outside the score columns, fewer than 2 of them, or no
+        # class with both positives and negatives.
+        raise CsvError(f"{args.input}: {exc}") from exc
     if args.multiclass:
-        n_classes = scores.shape[1]
-        if n_classes < 2:
-            raise CsvError(
-                f"{args.input}: multiclass mode needs at least 2 score columns, "
-                f"got {len(score_names)}"
-            )
-        if labels.min() < 0 or labels.max() >= n_classes:
-            raise CsvError(
-                f"{args.input}: labels must lie in [0, {n_classes}) to index the "
-                f"{n_classes} score columns"
-            )
-        result = auroc_multiclass_ovr(PredictionBatch(scores, labels), lenient=True)
         payload = {
             "auroc": result.value,
             "per_class": [
@@ -336,15 +202,6 @@ def _cmd_metric(args) -> int:
             ],
         }
     else:
-        if scores.shape[1] != 1:
-            raise CsvError(
-                f"{args.input}: binary mode needs exactly one score column, got "
-                f"{len(score_names)}; pass --multiclass for one column per class"
-            )
-        col = scores[:, 0]
-        if not np.all((labels == 0) | (labels == 1)):
-            raise CsvError(f"{args.input}: binary mode needs labels in {{0, 1}}")
-        result = auroc_rank_scores(col[labels == 1], col[labels == 0])
         payload = {"auroc": result.value, "n_pos": result.n_pos, "n_neg": result.n_neg}
     print(json.dumps(payload, indent=2))
     return 0
@@ -374,19 +231,26 @@ def _cmd_compare(args) -> int:
         raise ConfigError(f"/: config is not valid JSON: {exc}", pointer="/") from exc
 
     seed_override = args.seed if args.seed is not None else _env_seed()
-    synthetic, csv_source, experiment = _parse_compare_config(doc, seed_override)
+    config, synthetic, experiment = _parse_compare_config(doc, seed_override)
     if synthetic is not None:
         dataset = generate_synthetic(synthetic)
     else:
-        dataset = load_csv(csv_source[0], csv_source[1])
+        source = config["dataset"]["csv"]
+        try:
+            dataset = load_csv(source["path"], source["label_column"])
+        except (OSError, CsvError, ValueError) as exc:
+            raise ConfigError(f"/dataset/csv: {exc}", pointer="/dataset/csv") from exc
 
     start = time.perf_counter()
-    report = run_experiment(dataset, experiment, jobs=args.jobs)
+    # Arms the dataset's class count rules out are rejected before any trial.
+    report = _checked(
+        _experiment_pointer, lambda: run_experiment(dataset, experiment, jobs=args.jobs)
+    )
     duration = time.perf_counter() - start
 
     manifest = {
         "version": __version__,
-        "config": _resolved_config(synthetic, csv_source, experiment),
+        "config": config,
         **report.to_dict(),
         "duration_seconds": duration,
     }
@@ -402,20 +266,11 @@ def _cmd_gen(args) -> int:
         doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"/: spec is not valid JSON: {exc}", pointer="/") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("/: top level must be an object", pointer="/")
-    spec = _parse_synthetic(doc, "")
+    values = _parse(doc, "", _SYNTHETIC)
     env_seed = _env_seed()
     if env_seed is not None:
-        spec = SyntheticSpec(
-            class_counts=spec.class_counts,
-            dim=spec.dim,
-            class_mean_separation=spec.class_mean_separation,
-            noise_std=spec.noise_std,
-            label_flip_prob=spec.label_flip_prob,
-            seed=env_seed,
-        )
-    dataset = generate_synthetic(spec)
+        values["seed"] = env_seed
+    dataset = generate_synthetic(_checked(lambda f: f"/{f}", lambda: SyntheticSpec(**values)))
     save_csv(dataset, args.out)
     print(f"wrote {dataset.n_samples} samples x {dataset.n_features} features to {args.out}")
     return 0
@@ -456,9 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is not None and args.seed < 0:
-        print("error: --seed must be nonnegative", file=sys.stderr)
-        return 2
     if getattr(args, "jobs", 1) < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return 2

@@ -17,20 +17,21 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyFileError, MissingColumnError, NonNumericCellError
+from .errors import EmptyFileError, FieldError, MissingColumnError, NonNumericCellError
 
 __all__ = [
     "Dataset",
     "SyntheticSpec",
     "generate_synthetic",
     "load_csv",
+    "load_scores_csv",
     "save_csv",
 ]
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix, class-index labels, and where they came from.
+    """Feature matrix, class-index labels, and optional class names.
 
     Every class index in [0, n_classes) must actually occur; class counts
     are retrievable via ``class_counts``.
@@ -40,7 +41,6 @@ class Dataset:
     labels: np.ndarray
     n_classes: int
     class_names: Optional[tuple[str, ...]] = None
-    provenance: str = "unknown"
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=np.float64)
@@ -103,24 +103,29 @@ class SyntheticSpec:
     def __post_init__(self):
         counts = tuple(int(c) for c in self.class_counts)
         if len(counts) < 2:
-            raise ValueError(f"need at least 2 classes, got counts {counts}")
+            raise FieldError("class_counts", f"need at least 2 classes, got counts {counts}")
         if any(c < 1 for c in counts):
-            raise ValueError(f"class counts must be positive, got {counts}")
+            raise FieldError("class_counts", f"class counts must be positive, got {counts}")
         if self.dim < len(counts):
-            raise ValueError(
+            raise FieldError(
+                "dim",
                 f"dim must be at least the class count ({len(counts)}) for "
-                f"equidistant mean placement, got {self.dim}"
+                f"equidistant mean placement, got {self.dim}",
             )
         if self.class_mean_separation < 0:
-            raise ValueError(f"separation must be nonnegative, got {self.class_mean_separation}")
+            raise FieldError(
+                "class_mean_separation",
+                f"separation must be nonnegative, got {self.class_mean_separation}",
+            )
         if not self.noise_std > 0:
-            raise ValueError(f"noise_std must be positive, got {self.noise_std}")
+            raise FieldError("noise_std", f"noise_std must be positive, got {self.noise_std}")
         if not 0.0 <= self.label_flip_prob < 0.5:
-            raise ValueError(
-                f"label_flip_prob must lie in [0, 0.5), got {self.label_flip_prob}"
+            raise FieldError(
+                "label_flip_prob",
+                f"label_flip_prob must lie in [0, 0.5), got {self.label_flip_prob}",
             )
         if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+            raise FieldError("seed", f"seed must be nonnegative, got {self.seed}")
         object.__setattr__(self, "class_counts", counts)
 
     @property
@@ -164,18 +169,16 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         features=features,
         labels=labels,
         n_classes=n_classes,
-        class_names=None,
-        provenance=f"synthetic(seed={spec.seed})",
     )
 
 
-def load_csv(path, label_column: str) -> Dataset:
-    """Load a header-first CSV; every non-label column is a numeric feature.
+def _read_rows(path, label_column: str) -> tuple[np.ndarray, list[str]]:
+    """The one CSV row reader: a finite float matrix of every non-label
+    column (in file order) plus the raw label cells.
 
-    Label values map to class indices by first appearance, recorded in
-    ``class_names``. Any missing or non-numeric feature cell aborts the load
-    with a ``NonNumericCellError`` naming the 0-based data row and the
-    column.
+    A short or long row, an empty label cell, and a missing, non-numeric or
+    non-finite value cell raise ``NonNumericCellError`` naming the 0-based
+    data row and the column.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -189,12 +192,11 @@ def load_csv(path, label_column: str) -> Dataset:
                 f"{path}: no column named {label_column!r} (columns: {header})"
             )
         label_pos = header.index(label_column)
-        feature_names = [name for i, name in enumerate(header) if i != label_pos]
-        if not feature_names:
-            raise MissingColumnError(f"{path}: no feature columns besides the label")
+        if len(header) < 2:
+            raise MissingColumnError(f"{path}: no value columns besides the label")
 
         rows = []
-        label_values = []
+        label_cells = []
         for row_no, row in enumerate(reader):
             if len(row) != len(header):
                 short = min(len(row), len(header))
@@ -215,7 +217,7 @@ def load_csv(path, label_column: str) -> Dataset:
                             row=row_no,
                             column=name,
                         )
-                    label_values.append(cell)
+                    label_cells.append(cell)
                     continue
                 try:
                     v = float(cell)
@@ -232,21 +234,48 @@ def load_csv(path, label_column: str) -> Dataset:
             rows.append(values)
     if not rows:
         raise EmptyFileError(f"{path}: header only, no data rows")
+    return np.asarray(rows, dtype=np.float64), label_cells
 
+
+def load_csv(path, label_column: str) -> Dataset:
+    """Load a header-first CSV; every non-label column is a numeric feature.
+
+    Label values map to class indices by first appearance, recorded in
+    ``class_names``. Any missing or non-numeric feature cell aborts the load
+    with a ``NonNumericCellError`` naming the 0-based data row and the
+    column.
+    """
+    features, label_cells = _read_rows(path, label_column)
     name_to_index: dict[str, int] = {}
-    labels = []
-    for value in label_values:
-        if value not in name_to_index:
-            name_to_index[value] = len(name_to_index)
-        labels.append(name_to_index[value])
-    class_names = tuple(name_to_index)
+    labels = [name_to_index.setdefault(cell, len(name_to_index)) for cell in label_cells]
     return Dataset(
-        features=np.asarray(rows, dtype=np.float64),
+        features=features,
         labels=np.asarray(labels, dtype=np.int64),
-        n_classes=len(class_names),
-        class_names=class_names,
-        provenance=f"csv:{path}",
+        n_classes=len(name_to_index),
+        class_names=tuple(name_to_index),
     )
+
+
+def load_scores_csv(path, label_column: str) -> tuple[np.ndarray, np.ndarray]:
+    """Load a score CSV: every non-label column is a score, in file order,
+    and each label cell is an integer class index.
+
+    Reads through the same row reader as ``load_csv``, so malformed cells
+    raise ``NonNumericCellError`` naming the row and column.
+    """
+    scores, label_cells = _read_rows(path, label_column)
+    labels = []
+    for row_no, cell in enumerate(label_cells):
+        try:
+            labels.append(int(cell))
+        except ValueError:
+            raise NonNumericCellError(
+                f"{path}: row {row_no}, column {label_column!r}: label {cell!r} "
+                "is not an integer class index",
+                row=row_no,
+                column=label_column,
+            ) from None
+    return scores, np.asarray(labels, dtype=np.int64)
 
 
 def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:

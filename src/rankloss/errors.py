@@ -35,7 +35,12 @@ class TooSmallError(RanklossError):
 
 
 class NonFiniteError(RanklossError):
-    """Model weights became NaN or infinite during training."""
+    """Logits or a loss value became NaN or infinite during training.
+
+    ``epoch`` and ``batch`` locate the step when one applies: a
+    validation pass has an epoch but no batch, and an evaluation outside
+    training has neither.
+    """
 
     def __init__(self, message: str, epoch: int | None = None, batch: int | None = None):
         super().__init__(message)
@@ -87,6 +92,22 @@ class NonNumericCellError(CsvError):
 
 class EmptyFileError(CsvError):
     """The file has no header or no data rows."""
+
+
+class FieldError(ValueError):
+    """A configuration dataclass holds an invalid value.
+
+    ``field`` names the offending field as a '/'-separated path relative to
+    the dataclass that raised (``"batch_size"``, ``"arms/1/loss_kind"``), so
+    a caller that knows where the values came from can point at them.
+    """
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+    def __reduce__(self):
+        return (type(self), (self.field, self.args[0]))
 
 
 class ConfigError(RanklossError):

@@ -14,16 +14,15 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.special import stdtr
 
 from .data import Dataset
-from .errors import DegenerateVarianceError, RanklossError, TooSmallError, TrialError
-from .losses import DEFAULT_SURROGATE, LOSS_KINDS, SurrogateParams, softmax
-from .metrics import PredictionBatch, auroc_multiclass_ovr, auroc_rank
-from .network import TrainConfig, forward, init_model, train
+from .errors import DegenerateVarianceError, FieldError, RanklossError, TooSmallError, TrialError
+from .losses import SurrogateParams
+from .network import TrainConfig, evaluate_auroc, init_model, train
 
 __all__ = [
     "SplitSpec",
@@ -56,40 +55,48 @@ class SplitSpec:
     def __post_init__(self):
         ratios = tuple(float(r) for r in self.ratios)
         if len(ratios) != 3:
-            raise ValueError(f"ratios must be (train, val, test), got {ratios}")
+            raise FieldError("ratios", f"ratios must be (train, val, test), got {ratios}")
         if any(r <= 0 for r in ratios):
-            raise ValueError(f"ratios must be positive, got {ratios}")
+            raise FieldError("ratios", f"ratios must be positive, got {ratios}")
         if abs(sum(ratios) - 1.0) > 1e-9:
-            raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
+            raise FieldError("ratios", f"ratios must sum to 1, got {sum(ratios)}")
         if self.n_repeats < 1:
-            raise ValueError(f"n_repeats must be at least 1, got {self.n_repeats}")
+            raise FieldError("n_repeats", f"n_repeats must be at least 1, got {self.n_repeats}")
         if self.base_seed < 0:
-            raise ValueError(f"base_seed must be nonnegative, got {self.base_seed}")
+            raise FieldError("base_seed", f"base_seed must be nonnegative, got {self.base_seed}")
         object.__setattr__(self, "ratios", ratios)
 
 
 @dataclass(frozen=True)
 class ArmConfig:
-    """One experiment arm: a named loss/batch-size/optimizer setting."""
+    """One experiment arm: a named loss/batch-size/optimizer setting.
+
+    Defaults and value rules are ``TrainConfig``'s: the arm is checked by
+    building the training config it stands for.
+    """
 
     name: str
     loss_kind: str
     batch_size: int
-    learning_rate: float = 0.1
-    max_epochs: int = 40
-    surrogate: SurrogateParams = DEFAULT_SURROGATE
+    learning_rate: float = TrainConfig.learning_rate
+    max_epochs: int = TrainConfig.max_epochs
+    surrogate: SurrogateParams = TrainConfig.surrogate
 
     def __post_init__(self):
         if not self.name:
-            raise ValueError("arm name must be non-empty")
-        if self.loss_kind not in LOSS_KINDS:
-            raise ValueError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
-        if self.batch_size < 2:
-            raise ValueError(f"batch_size must be at least 2, got {self.batch_size}")
-        if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be nonnegative, got {self.learning_rate}")
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be at least 1, got {self.max_epochs}")
+            raise FieldError("name", "arm name must be non-empty")
+        self.train_config(seed=0)
+
+    def train_config(self, seed: int) -> TrainConfig:
+        """The arm's training hyperparameters with batch shuffling seeded by ``seed``."""
+        return TrainConfig(
+            batch_size=self.batch_size,
+            loss_kind=self.loss_kind,
+            max_epochs=self.max_epochs,
+            learning_rate=self.learning_rate,
+            surrogate=self.surrogate,
+            seed=seed,
+        )
 
 
 @dataclass(frozen=True)
@@ -103,17 +110,36 @@ class ExperimentConfig:
     def __post_init__(self):
         arms = tuple(self.arms)
         if not arms:
-            raise ValueError("at least one arm is required")
+            raise FieldError("arms", "at least one arm is required")
         names = [a.name for a in arms]
         if len(set(names)) != len(names):
-            raise ValueError(f"arm names must be unique, got {names}")
+            raise FieldError("arms", f"arm names must be unique, got {names}")
         hidden = tuple(int(d) for d in self.hidden_dims)
         if len(hidden) > 2:
-            raise ValueError(f"at most 2 hidden layers are supported, got {hidden}")
+            raise FieldError("hidden_dims", f"at most 2 hidden layers are supported, got {hidden}")
         if any(d < 1 for d in hidden):
-            raise ValueError(f"hidden dims must be positive, got {hidden}")
+            raise FieldError("hidden_dims", f"hidden dims must be positive, got {hidden}")
         object.__setattr__(self, "arms", arms)
         object.__setattr__(self, "hidden_dims", hidden)
+
+    def check_classes(self, n_classes: int) -> None:
+        """Reject arms that cannot train on a dataset with ``n_classes`` classes.
+
+        Raises ``FieldError`` whose field is ``arms/<index>/<field>``.
+        """
+        for i, arm in enumerate(self.arms):
+            if arm.loss_kind == "auc_binary" and n_classes != 2:
+                raise FieldError(
+                    f"arms/{i}/loss_kind",
+                    f"arm {arm.name!r} uses the binary ranking loss but the dataset "
+                    f"has {n_classes} classes",
+                )
+            if arm.batch_size < n_classes:
+                raise FieldError(
+                    f"arms/{i}/batch_size",
+                    f"arm {arm.name!r}: batch_size {arm.batch_size} cannot hold one "
+                    f"sample of each of {n_classes} classes",
+                )
 
 
 @dataclass(frozen=True)
@@ -176,14 +202,6 @@ def monte_carlo_split(
     return np.sort(train_idx), np.sort(val_idx), np.sort(test_idx)
 
 
-def _test_auroc(model, features, labels, n_classes: int) -> float:
-    probs = softmax(forward(model, features))
-    batch = PredictionBatch(probs, labels, probabilities=True)
-    if n_classes == 2:
-        return auroc_rank(batch, positive_class=1).value
-    return auroc_multiclass_ovr(batch).value
-
-
 def run_trial(dataset: Dataset, config: ExperimentConfig, trial: int) -> list[float]:
     """Run one trial: split once, train every arm on it, return test AUROCs.
 
@@ -200,30 +218,16 @@ def run_trial(dataset: Dataset, config: ExperimentConfig, trial: int) -> list[fl
         model0 = init_model(dims, seeds.init)
         results = []
         for arm in config.arms:
-            train_cfg = TrainConfig(
-                batch_size=arm.batch_size,
-                loss_kind=arm.loss_kind,
-                max_epochs=arm.max_epochs,
-                learning_rate=arm.learning_rate,
-                surrogate=arm.surrogate,
-                shuffle_each_epoch=True,
-                seed=seeds.shuffle,
-            )
             trained, _ = train(
                 model0,
                 dataset.features[train_idx],
                 dataset.labels[train_idx],
                 dataset.features[val_idx],
                 dataset.labels[val_idx],
-                train_cfg,
+                arm.train_config(seeds.shuffle),
             )
             results.append(
-                _test_auroc(
-                    trained,
-                    dataset.features[test_idx],
-                    dataset.labels[test_idx],
-                    dataset.n_classes,
-                )
+                evaluate_auroc(trained, dataset.features[test_idx], dataset.labels[test_idx])
             )
         return results
     except RanklossError as exc:
@@ -325,15 +329,6 @@ class AggregateReport:
         }
 
 
-def _validate_arms(dataset: Dataset, config: ExperimentConfig) -> None:
-    for arm in config.arms:
-        if arm.loss_kind == "auc_binary" and dataset.n_classes != 2:
-            raise ValueError(
-                f"arm {arm.name!r} uses the binary ranking loss but the dataset "
-                f"has {dataset.n_classes} classes"
-            )
-
-
 def run_experiment(
     dataset: Dataset,
     config: ExperimentConfig,
@@ -342,9 +337,11 @@ def run_experiment(
     """Run all trials, then aggregate per-arm statistics and arm comparisons.
 
     With jobs > 1 trials run in worker processes; results are collected in
-    trial order, so the report does not depend on the worker count.
+    trial order, so the report does not depend on the worker count. Arms
+    that cannot train on the dataset's classes raise ``FieldError`` (a
+    ``ValueError``) before any trial runs.
     """
-    _validate_arms(dataset, config)
+    config.check_classes(dataset.n_classes)
     n_repeats = config.split.n_repeats
     trials = range(n_repeats)
     if jobs > 1 and n_repeats > 1:

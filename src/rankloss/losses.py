@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import EmptyClassError
+from .errors import EmptyClassError, FieldError
 from .metrics import PredictionBatch
 
 __all__ = [
@@ -65,11 +65,11 @@ class SurrogateParams:
         for name in ("k", "L", "x0"):
             v = getattr(self, name)
             if not np.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
+                raise FieldError(name, f"{name} must be finite, got {v}")
         if self.k <= 0:
-            raise ValueError(f"growth rate k must be positive, got {self.k}")
+            raise FieldError("k", f"growth rate k must be positive, got {self.k}")
         if self.L <= 0:
-            raise ValueError(f"supremum L must be positive, got {self.L}")
+            raise FieldError("L", f"supremum L must be positive, got {self.L}")
 
 
 DEFAULT_SURROGATE = SurrogateParams()
@@ -77,16 +77,15 @@ DEFAULT_SURROGATE = SurrogateParams()
 
 @dataclass(frozen=True)
 class LossOutput:
-    """Scalar loss value plus, when requested, d(value)/d(logit) per entry."""
+    """Scalar loss value plus, when requested, d(value)/d(logit) per entry.
+
+    Not validated: finite logits can still overflow to an infinite value
+    (cross entropy of logits about 1e308 apart), and ``train`` checks every
+    value it steps on.
+    """
 
     value: float
     grad: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise ValueError(f"loss value must be finite, got {self.value}")
-        if self.grad is not None and not np.all(np.isfinite(self.grad)):
-            raise ValueError("gradient contains non-finite entries")
 
 
 def _stable_sigmoid(t: np.ndarray) -> np.ndarray:
@@ -198,35 +197,25 @@ def multiclass_auc_loss(
     batch: PredictionBatch,
     params: SurrogateParams = DEFAULT_SURROGATE,
     want_grad: bool = False,
-    lenient: bool = False,
 ) -> LossOutput:
     """One-vs-rest extension of the surrogate AUROC loss.
 
     For each class c, the class-c softmax column of class-c samples is
     compared pairwise against the same column of all other samples; the loss
     is 1 minus the macro average of the per-class pairwise logistic means.
-
-    Strict mode (default) raises ``EmptyClassError`` naming the first class
-    with no samples. Lenient mode skips classes without both positives and
-    negatives and renormalizes the macro mean over those that remain.
+    Raises ``EmptyClassError`` naming the first class with no samples.
     """
     _require_logits(batch, "multiclass_auc_loss")
-    counts = batch.class_counts()
-    n = batch.n_samples
-    if not lenient:
-        missing = np.flatnonzero(counts == 0)
-        if missing.size:
-            c = int(missing[0])
-            raise EmptyClassError(f"batch has no samples of class {c}", class_index=c)
-    usable = [c for c in range(batch.n_classes) if 0 < counts[c] < n]
-    if not usable:
-        raise EmptyClassError("no class has both positives and negatives", class_index=None)
+    missing = np.flatnonzero(batch.class_counts() == 0)
+    if missing.size:
+        c = int(missing[0])
+        raise EmptyClassError(f"batch has no samples of class {c}", class_index=c)
 
     probs = softmax(batch.scores)
-    n_terms = len(usable)
+    n_terms = batch.n_classes
     term_sum = 0.0
     g_s = np.zeros_like(probs) if want_grad else None
-    for c in usable:
+    for c in range(n_terms):
         col = probs[:, c]
         pos_mask = batch.labels == c
         diffs = col[pos_mask][:, None] - col[~pos_mask][None, :]

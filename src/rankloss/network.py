@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InfeasibleBatchError, NonFiniteError
+from .errors import FieldError, InfeasibleBatchError, NonFiniteError
 from .losses import LOSS_KINDS, SurrogateParams, DEFAULT_SURROGATE, loss_function, softmax
 from .metrics import PredictionBatch, auroc_multiclass_ovr, auroc_rank
 
@@ -29,13 +29,14 @@ __all__ = [
     "init_model",
     "forward",
     "stratified_batches",
+    "evaluate_auroc",
     "train",
 ]
 
 
 @dataclass
 class MLPModel:
-    """Weights and biases of a feed-forward net, plus its init seed.
+    """Weights and biases of a feed-forward net.
 
     ``layer_dims`` runs input -> hidden... -> n_classes. Mutated only by the
     training run that owns it; copies are cheap via ``copy()``.
@@ -44,8 +45,6 @@ class MLPModel:
     layer_dims: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    activation: str = "relu"
-    rng_seed: int = 0
 
     @property
     def n_classes(self) -> int:
@@ -60,8 +59,6 @@ class MLPModel:
             layer_dims=self.layer_dims,
             weights=[w.copy() for w in self.weights],
             biases=[b.copy() for b in self.biases],
-            activation=self.activation,
-            rng_seed=self.rng_seed,
         )
 
 
@@ -78,21 +75,24 @@ class TrainConfig:
     max_epochs: int = 40
     learning_rate: float = 0.1
     surrogate: SurrogateParams = DEFAULT_SURROGATE
-    shuffle_each_epoch: bool = True
     seed: int = 0
 
     def __post_init__(self):
         if self.batch_size < 2:
-            raise ValueError(f"batch_size must be at least 2, got {self.batch_size}")
+            raise FieldError("batch_size", f"batch_size must be at least 2, got {self.batch_size}")
         if self.loss_kind not in LOSS_KINDS:
-            raise ValueError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
+            raise FieldError(
+                "loss_kind", f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}"
+            )
         if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be at least 1, got {self.max_epochs}")
+            raise FieldError("max_epochs", f"max_epochs must be at least 1, got {self.max_epochs}")
         # 0 is allowed so a no-op run can serve as an untrained control arm.
         if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be nonnegative, got {self.learning_rate}")
+            raise FieldError(
+                "learning_rate", f"learning_rate must be nonnegative, got {self.learning_rate}"
+            )
         if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+            raise FieldError("seed", f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def init_model(layer_dims: Sequence[int], seed: int) -> MLPModel:
         bound = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return MLPModel(layer_dims=dims, weights=weights, biases=biases, rng_seed=int(seed))
+    return MLPModel(layer_dims=dims, weights=weights, biases=biases)
 
 
 def _check_features(model: MLPModel, features: np.ndarray) -> np.ndarray:
@@ -217,9 +217,25 @@ def stratified_batches(labels, batch_size: int, seed: int, epoch: int) -> list[n
     return [rng.permutation(np.concatenate(parts)) for parts in members]
 
 
-def _validation_auroc(model: MLPModel, val_x: np.ndarray, val_y: np.ndarray) -> float:
-    probs = softmax(forward(model, val_x))
-    batch = PredictionBatch(probs, val_y, probabilities=True)
+def _require_finite(values, what: str, epoch: int | None = None, batch: int | None = None):
+    if not np.isfinite(values).all():
+        where = "" if epoch is None else f" at epoch {epoch}"
+        where += "" if batch is None else f", batch {batch}"
+        raise NonFiniteError(f"{what} became non-finite{where}", epoch=epoch, batch=batch)
+
+
+def evaluate_auroc(
+    model: MLPModel, features: np.ndarray, labels: np.ndarray, epoch: int | None = None
+) -> float:
+    """Exact AUROC of the model's softmax scores on one partition.
+
+    Binary AUROC of the last class for 2-class models, macro one-vs-rest
+    otherwise. Non-finite logits raise ``NonFiniteError``; ``epoch`` only
+    labels that error.
+    """
+    logits = forward(model, features)
+    _require_finite(logits, "evaluation logits", epoch)
+    batch = PredictionBatch(softmax(logits), labels, probabilities=True)
     if model.n_classes == 2:
         return auroc_rank(batch, positive_class=1).value
     return auroc_multiclass_ovr(batch).value
@@ -239,6 +255,11 @@ def train(
     each epoch the validation AUROC (binary for 2-class models, macro
     one-vs-rest otherwise) is recorded, and the returned model is the weight
     snapshot with the highest validation AUROC (earliest epoch on ties).
+
+    Every forward pass and loss value is checked: the first non-finite one
+    raises ``NonFiniteError`` naming the epoch and, within an epoch, the
+    batch. A step that makes a weight non-finite is caught by the next
+    forward pass, batch or validation, whose logits it poisons.
     """
     train_x = _check_features(model, np.asarray(train_x, dtype=np.float64))
     val_x = _check_features(model, np.asarray(val_x, dtype=np.float64))
@@ -251,7 +272,10 @@ def train(
 
     loss_fn = loss_function(config.loss_kind, config.surrogate)
     work = model.copy()
-    initial_loss = loss_fn(PredictionBatch(forward(work, train_x), train_y), False).value
+    logits = forward(work, train_x)
+    _require_finite(logits, "initial logits")
+    initial_loss = loss_fn(PredictionBatch(logits, train_y), False).value
+    _require_finite(initial_loss, "initial loss")
 
     train_losses: list[float] = []
     val_aurocs: list[float] = []
@@ -260,33 +284,20 @@ def train(
     best_model = work.copy()
 
     for epoch in range(config.max_epochs):
-        shuffle_epoch = epoch if config.shuffle_each_epoch else 0
-        batches = stratified_batches(train_y, config.batch_size, config.seed, shuffle_epoch)
+        batches = stratified_batches(train_y, config.batch_size, config.seed, epoch)
         epoch_losses = []
         for batch_no, batch_idx in enumerate(batches):
             logits, inputs, pre_acts = _forward_cached(work, train_x[batch_idx])
-            if not np.all(np.isfinite(logits)):
-                raise NonFiniteError(
-                    f"logits became non-finite at epoch {epoch}, batch {batch_no}",
-                    epoch=epoch,
-                    batch=batch_no,
-                )
+            _require_finite(logits, "logits", epoch, batch_no)
             out = loss_fn(PredictionBatch(logits, train_y[batch_idx]), True)
+            _require_finite(out.value, "loss", epoch, batch_no)
             grads_w, grads_b = _backprop(work, inputs, pre_acts, out.grad)
             for w, b, gw, gb in zip(work.weights, work.biases, grads_w, grads_b):
                 w -= config.learning_rate * gw
                 b -= config.learning_rate * gb
-            if not all(
-                np.all(np.isfinite(arr)) for arr in (*work.weights, *work.biases)
-            ):
-                raise NonFiniteError(
-                    f"weights became non-finite at epoch {epoch}, batch {batch_no}",
-                    epoch=epoch,
-                    batch=batch_no,
-                )
             epoch_losses.append(out.value)
         train_losses.append(float(np.mean(epoch_losses)))
-        val_auroc = _validation_auroc(work, val_x, val_y)
+        val_auroc = evaluate_auroc(work, val_x, val_y, epoch)
         val_aurocs.append(val_auroc)
         if val_auroc > best_auroc:
             best_auroc = val_auroc

@@ -240,6 +240,19 @@ class TestCompareCommand:
         _, via_flag = run_compare(tmp_path, config, extra_args=["--seed", "4"], name="envflag")
         assert json.loads(via_flag.read_text())["config"]["split"]["base_seed"] == 4
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("learning_rate", [1e200, 1e20])
+    def test_diverging_arm_exits_3_with_trial(self, tmp_path, capsys, learning_rate):
+        # 1e20 keeps every step's logits finite and overflows only in the
+        # validation pass; 1e200 overflows within the first epoch's batches.
+        config = small_compare_config(tmp_path, base_seed=0)
+        config["arms"][0]["learning_rate"] = learning_rate
+        code, _ = run_compare(tmp_path, config, name="diverge")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "trial 0" in err and "NonFiniteError" in err
+
     def test_jobs_validation(self, tmp_path, capsys):
         config = small_compare_config(tmp_path)
         code, _ = run_compare(tmp_path, config, extra_args=["--jobs", "0"], name="jobs")
@@ -297,3 +310,71 @@ class TestCompareCommand:
         assert all(len(a["ci"]) == 2 for a in manifest["arms"])
         assert len(manifest["comparisons"]) == 1
         assert 0.0 <= manifest["comparisons"][0]["p"] <= 1.0
+
+
+def _three_class_compare(tmp_path, batch_sizes=(8, 8), kinds=("cross_entropy", "cross_entropy")):
+    config = small_compare_config(tmp_path)
+    config["dataset"]["synthetic"]["class_counts"] = [20, 20, 20]
+    for arm, batch_size, kind in zip(config["arms"], batch_sizes, kinds):
+        arm["batch_size"], arm["loss_kind"] = batch_size, kind
+    return config
+
+
+def _compare_argv(config):
+    def argv(tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config(tmp_path)))
+        return ["compare", "--config", str(cfg_path), "--out", str(tmp_path / "m.json")]
+    return argv
+
+
+def _one_class_csv_config(tmp_path):
+    data_path = tmp_path / "one_class.csv"
+    data_path.write_text("f0,label\n" + "".join(f"{i}.5,a\n" for i in range(10)))
+    config = small_compare_config(tmp_path)
+    config["dataset"] = {"csv": {"path": str(data_path), "label_column": "label"}}
+    return config
+
+
+def _metric_argv(text, *flags):
+    def argv(tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text(text)
+        return ["metric", "--input", str(path), "--label-col", "target", *flags]
+    return argv
+
+
+# (argv builder, exit code, message fragment): malformed input is reported
+# with exit 2 before any trial runs, never as a traceback.
+MALFORMED_INPUTS = {
+    "binary_loss_on_3_classes": (
+        _compare_argv(lambda p: _three_class_compare(p, kinds=("cross_entropy", "auc_binary"))),
+        2, "/arms/1/loss_kind",
+    ),
+    "one_class_csv_dataset": (_compare_argv(_one_class_csv_config), 2, "/dataset/csv"),
+    "batch_smaller_than_class_count": (
+        _compare_argv(lambda p: _three_class_compare(p, batch_sizes=(2, 8))),
+        2, "/arms/0/batch_size",
+    ),
+    "negative_seed_flag": (
+        lambda p: [*_compare_argv(small_compare_config)(p), "--seed", "-1"],
+        2, "/split/base_seed",
+    ),
+    "nan_score": (_metric_argv("score,target\n0.1,0\nnan,1\n"), 2, "row 1, column 'score'"),
+    "inf_score": (_metric_argv("score,target\n-inf,0\n0.3,1\n"), 2, "row 0, column 'score'"),
+    "binary_labels_one_class": (
+        _metric_argv("score,target\n0.1,1\n0.4,1\n"), 2, "no negative samples",
+    ),
+    "multiclass_no_usable_class": (
+        _metric_argv("s0,s1,target\n0.1,0.9,0\n0.4,0.6,0\n", "--multiclass"),
+        2, "no class has both positives and negatives",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exit_codes(case, tmp_path, capsys):
+    build_argv, expected_code, fragment = MALFORMED_INPUTS[case]
+    code = main(build_argv(tmp_path))  # returns; an exception fails the case
+    assert code == expected_code
+    assert fragment in capsys.readouterr().err

@@ -189,9 +189,9 @@ class TestTrain:
         first_max = history.val_auroc.index(max(history.val_auroc))
         assert history.best_epoch == first_max
         # The returned snapshot reproduces the recorded best validation AUROC.
-        from rankloss.network import _validation_auroc
+        from rankloss.network import evaluate_auroc
 
-        assert _validation_auroc(trained, va_x, va_y) == history.best_val_auroc
+        assert evaluate_auroc(trained, va_x, va_y) == history.best_val_auroc
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_divergence_reports_position(self):
@@ -203,6 +203,35 @@ class TestTrain:
         with pytest.raises(NonFiniteError) as err:
             train(model, 1e3 * tr_x, tr_y, 1e3 * va_x, va_y, cfg)
         assert err.value.epoch is not None and err.value.batch is not None
+
+    @staticmethod
+    def _one_input_model():
+        return MLPModel(layer_dims=(1, 2), weights=[np.zeros((1, 2))], biases=[np.zeros(2)])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_divergence_in_only_batch_caught_by_validation_pass(self):
+        # One batch per epoch: the step that overflows the weights is the
+        # epoch's last, so the validation pass sees the poisoned logits.
+        x = np.full((4, 1), 1e10)
+        y = np.array([0, 0, 0, 1])
+        cfg = TrainConfig(batch_size=4, loss_kind="cross_entropy", max_epochs=3,
+                          learning_rate=1e300)
+        with pytest.raises(NonFiniteError) as err:
+            train(self._one_input_model(), x, y, x, y, cfg)
+        assert (err.value.epoch, err.value.batch) == (0, None)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_infinite_loss_from_finite_logits(self):
+        # The first step moves the logits to about +-1.25e308: finite, but
+        # their gap overflows, so the class-1 sample's cross entropy is inf.
+        x = np.full((4, 1), 2.0)
+        y = np.array([0, 0, 0, 1])
+        cfg = TrainConfig(batch_size=4, loss_kind="cross_entropy", max_epochs=3,
+                          learning_rate=1e308)
+        with pytest.raises(NonFiniteError) as err:
+            train(self._one_input_model(), x, y, x, y, cfg)
+        assert (err.value.epoch, err.value.batch) == (1, 0)
+        assert "loss" in str(err.value)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
