@@ -36,6 +36,7 @@ from .metrics import (
     auroc_multiclass_ovr,
     auroc_pairwise,
     auroc_rank,
+    auroc_rank_rows,
     auroc_rank_scores,
     heaviside,
     monotone_check,
@@ -53,16 +54,21 @@ from .losses import (
     loss_function,
     multiclass_auc_loss,
     softmax,
+    stacked_loss,
 )
 from .network import (
     MLPModel,
+    MLPStack,
+    StackedTraining,
     TrainConfig,
     TrainHistory,
     evaluate_auroc,
+    evaluate_auroc_stacked,
     forward,
     init_model,
     stratified_batches,
     train,
+    train_stacked,
 )
 from .harness import (
     AggregateReport,
@@ -77,6 +83,7 @@ from .harness import (
     run_experiment,
     run_trial,
     t_test,
+    trial_blocks,
     trial_seeds,
 )
 from .data import Dataset, SyntheticSpec, generate_synthetic, load_csv, load_scores_csv, save_csv
@@ -89,18 +96,20 @@ __all__ = [
     "MissingColumnError", "NonNumericCellError", "EmptyFileError", "ConfigError", "FieldError",
     # metrics
     "PredictionBatch", "AurocValue", "MacroAuroc", "heaviside", "auroc_pairwise",
-    "auroc_rank_scores", "auroc_rank", "auroc_multiclass_ovr", "monotone_check",
+    "auroc_rank_scores", "auroc_rank", "auroc_rank_rows", "auroc_multiclass_ovr",
+    "monotone_check",
     # losses
     "SurrogateParams", "DEFAULT_SURROGATE", "LossOutput", "GradCheckReport",
     "LOSS_KINDS", "logistic", "softmax", "binary_auc_loss", "multiclass_auc_loss",
-    "cross_entropy_loss", "loss_function", "finite_diff_check",
+    "cross_entropy_loss", "loss_function", "finite_diff_check", "stacked_loss",
     # network
     "MLPModel", "TrainConfig", "TrainHistory", "init_model", "forward",
-    "stratified_batches", "evaluate_auroc", "train",
+    "stratified_batches", "evaluate_auroc", "train", "MLPStack", "StackedTraining",
+    "train_stacked", "evaluate_auroc_stacked",
     # harness
     "SplitSpec", "ArmConfig", "ExperimentConfig", "TrialSeeds", "ArmResult",
     "Comparison", "AggregateReport", "trial_seeds", "monte_carlo_split",
-    "run_trial", "run_experiment", "mean_ci", "t_test",
+    "run_trial", "trial_blocks", "run_experiment", "mean_ci", "t_test",
     # data
     "Dataset", "SyntheticSpec", "generate_synthetic", "load_csv", "load_scores_csv", "save_csv",
 ]

@@ -7,8 +7,9 @@ Subcommands:
   gen     -- emit a synthetic dataset as CSV
 
 Exit codes: 0 success, 2 malformed input or config (the message carries a
-JSON-pointer-style path to the bad field), 3 runtime failure (the message
-carries the trial index when one applies). RANKLOSS_SEED in the environment
+JSON-pointer-style path to the bad field) or a file that cannot be read or
+written, 3 runtime failure (the message carries the trial index when one
+applies). RANKLOSS_SEED in the environment
 overrides the config seed; the --seed flag overrides both.
 """
 
@@ -227,7 +228,7 @@ def _summary_table(manifest: dict) -> str:
 def _cmd_compare(args) -> int:
     try:
         doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"/: config is not valid JSON: {exc}", pointer="/") from exc
 
     seed_override = args.seed if args.seed is not None else _env_seed()
@@ -264,7 +265,7 @@ def _cmd_compare(args) -> int:
 def _cmd_gen(args) -> int:
     try:
         doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"/: spec is not valid JSON: {exc}", pointer="/") from exc
     values = _parse(doc, "", _SYNTHETIC)
     env_seed = _env_seed()
@@ -316,7 +317,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ConfigError, CsvError, FileNotFoundError) as exc:
+    except (ConfigError, CsvError, OSError) as exc:
+        # OSError: an input that is missing or a directory, an unwritable --out.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TrialError as exc:

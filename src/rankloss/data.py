@@ -10,6 +10,7 @@ outlier regime that motivates large-batch ranking losses.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyFileError, FieldError, MissingColumnError, NonNumericCellError
+from .errors import CsvError, EmptyFileError, FieldError, MissingColumnError, NonNumericCellError
 
 __all__ = [
     "Dataset",
@@ -178,60 +179,63 @@ def _read_rows(path, label_column: str) -> tuple[np.ndarray, list[str]]:
 
     A short or long row, an empty label cell, and a missing, non-numeric or
     non-finite value cell raise ``NonNumericCellError`` naming the 0-based
-    data row and the column.
+    data row and the column; a file that is not UTF-8 raises ``CsvError``.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFileError(f"{path}: file is empty") from None
-        if label_column not in header:
-            raise MissingColumnError(
-                f"{path}: no column named {label_column!r} (columns: {header})"
-            )
-        label_pos = header.index(label_column)
-        if len(header) < 2:
-            raise MissingColumnError(f"{path}: no value columns besides the label")
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CsvError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyFileError(f"{path}: file is empty") from None
+    if label_column not in header:
+        raise MissingColumnError(
+            f"{path}: no column named {label_column!r} (columns: {header})"
+        )
+    label_pos = header.index(label_column)
+    if len(header) < 2:
+        raise MissingColumnError(f"{path}: no value columns besides the label")
 
-        rows = []
-        label_cells = []
-        for row_no, row in enumerate(reader):
-            if len(row) != len(header):
-                short = min(len(row), len(header))
-                name = header[short] if short < len(header) else header[-1]
-                raise NonNumericCellError(
-                    f"{path}: row {row_no} has {len(row)} cells, expected "
-                    f"{len(header)} (first affected column {name!r})",
-                    row=row_no,
-                    column=name,
-                )
-            values = []
-            for col_pos, name in enumerate(header):
-                cell = row[col_pos]
-                if col_pos == label_pos:
-                    if cell == "":
-                        raise NonNumericCellError(
-                            f"{path}: row {row_no}, column {name!r}: empty label cell",
-                            row=row_no,
-                            column=name,
-                        )
-                    label_cells.append(cell)
-                    continue
-                try:
-                    v = float(cell)
-                except ValueError:
-                    v = math.nan
-                if not math.isfinite(v):
+    rows = []
+    label_cells = []
+    for row_no, row in enumerate(reader):
+        if len(row) != len(header):
+            short = min(len(row), len(header))
+            name = header[short] if short < len(header) else header[-1]
+            raise NonNumericCellError(
+                f"{path}: row {row_no} has {len(row)} cells, expected "
+                f"{len(header)} (first affected column {name!r})",
+                row=row_no,
+                column=name,
+            )
+        values = []
+        for col_pos, name in enumerate(header):
+            cell = row[col_pos]
+            if col_pos == label_pos:
+                if cell == "":
                     raise NonNumericCellError(
-                        f"{path}: row {row_no}, column {name!r}: "
-                        f"cannot parse {cell!r} as a finite number",
+                        f"{path}: row {row_no}, column {name!r}: empty label cell",
                         row=row_no,
                         column=name,
                     )
-                values.append(v)
-            rows.append(values)
+                label_cells.append(cell)
+                continue
+            try:
+                v = float(cell)
+            except ValueError:
+                v = math.nan
+            if not math.isfinite(v):
+                raise NonNumericCellError(
+                    f"{path}: row {row_no}, column {name!r}: "
+                    f"cannot parse {cell!r} as a finite number",
+                    row=row_no,
+                    column=name,
+                )
+            values.append(v)
+        rows.append(values)
     if not rows:
         raise EmptyFileError(f"{path}: header only, no data rows")
     return np.asarray(rows, dtype=np.float64), label_cells

@@ -3,14 +3,21 @@ confidence intervals, and a two-sample t-test.
 
 Each trial draws one 60/20/20 (by default) train/validation/test split,
 trains every arm on that split from a shared model initialization, and
-records each arm's test AUROC. Trials are embarrassingly parallel; all
-randomness derives from (base_seed, trial), so the aggregate report is
-byte-identical regardless of worker count.
+records each arm's test AUROC. All randomness derives from (base_seed,
+trial), so the aggregate report is byte-identical regardless of worker
+count.
+
+Stratified splits give every trial the same per-class counts, so an arm's
+trials train together in the trial-batched engine (``train_stacked``),
+whose results equal the per-trial ``train`` bit for bit. Unstratified
+splits leave the counts ragged and run trial by trial (``run_trial``).
+Workers take contiguous blocks of trials.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
@@ -22,7 +29,15 @@ from scipy.special import stdtr
 from .data import Dataset
 from .errors import DegenerateVarianceError, FieldError, RanklossError, TooSmallError, TrialError
 from .losses import SurrogateParams
-from .network import TrainConfig, evaluate_auroc, init_model, train
+from .network import (
+    MLPStack,
+    TrainConfig,
+    evaluate_auroc,
+    evaluate_auroc_stacked,
+    init_model,
+    train,
+    train_stacked,
+)
 
 __all__ = [
     "SplitSpec",
@@ -35,12 +50,17 @@ __all__ = [
     "trial_seeds",
     "monte_carlo_split",
     "run_trial",
+    "trial_blocks",
     "run_experiment",
     "mean_ci",
     "t_test",
 ]
 
 Z_95 = 1.96
+
+STACKED_VALUES = 1 << 22
+"""Most values (samples x widest layer, per trial) one engine call stacks;
+more trials run in further calls, so memory stays bounded on large data."""
 
 
 @dataclass(frozen=True)
@@ -167,10 +187,10 @@ def monte_carlo_split(
     Sizes follow floor(ratio * n) for train and validation with the
     remainder as test; stratified mode applies that rule inside each class
     and merges, raising ``TooSmallError`` if any partition would receive no
-    samples of some class.
+    samples of some class. Fewer than 5 samples raise ``TooSmallError`` too.
     """
     if n < 5:
-        raise ValueError(f"need at least 5 samples to split, got {n}")
+        raise TooSmallError(f"need at least 5 samples to split, got {n}")
     rng = np.random.default_rng(trial_seeds(spec.base_seed, trial).split)
     r_train, r_val, _ = spec.ratios
 
@@ -231,7 +251,75 @@ def run_trial(dataset: Dataset, config: ExperimentConfig, trial: int) -> list[fl
             )
         return results
     except RanklossError as exc:
-        raise TrialError(f"trial {trial}: {type(exc).__name__}: {exc}", trial=trial) from exc
+        raise _trial_error(trial, exc) from exc
+
+
+def _trial_error(trial: int, exc: RanklossError) -> TrialError:
+    return TrialError(f"trial {trial}: {type(exc).__name__}: {exc}", trial=trial)
+
+
+def _run_stacked(dataset: Dataset, config: ExperimentConfig, trials: range) -> np.ndarray:
+    """Test AUROCs (len(trials), n_arms) of stratified trials, each arm's
+    trials trained together by the engine.
+
+    Raises the ``TrialError`` that running ``run_trial`` over the trials in
+    order would raise first: the smallest failing trial, and within it the
+    split or else the first failing arm in config order.
+    """
+    splits, split_error = [], None
+    for trial in trials:
+        try:
+            splits.append(monte_carlo_split(dataset.n_samples, dataset.labels, config.split, trial))
+        except RanklossError as exc:
+            split_error = (trial, exc)
+            break
+    x, y = dataset.features, dataset.labels
+    dims = (dataset.n_features, *config.hidden_dims, dataset.n_classes)
+    per_call = max(1, STACKED_VALUES // (dataset.n_samples * max(dims)))
+    results = np.empty((len(splits), len(config.arms)))
+    for lo in range(0, len(splits), per_call):
+        block = trials[lo : lo + per_call]
+        train_idx, val_idx, test_idx = (np.stack(p) for p in zip(*splits[lo : lo + per_call]))
+        seeds = [trial_seeds(config.split.base_seed, t) for t in block]
+        start = MLPStack.of([init_model(dims, s.init) for s in seeds])
+        first_error = [None] * len(block)  # per trial, in arm order
+        for j, arm in enumerate(config.arms):
+            run = train_stacked(start, x[train_idx], y[train_idx], x[val_idx], y[val_idx],
+                                [arm.train_config(s.shuffle) for s in seeds])
+            aurocs, test_errors = evaluate_auroc_stacked(run.model, x[test_idx], y[test_idx])
+            results[lo : lo + len(block), j] = aurocs
+            for i, error in enumerate(run.errors):
+                if first_error[i] is None:
+                    first_error[i] = error if error is not None else test_errors[i]
+        for trial, error in zip(block, first_error):
+            if error is not None:
+                raise _trial_error(trial, error) from error
+    if split_error is not None:
+        raise _trial_error(*split_error) from split_error[1]
+    return results
+
+
+def _run_block(dataset: Dataset, config: ExperimentConfig, trials: range) -> np.ndarray:
+    if config.split.stratified:
+        return _run_stacked(dataset, config, trials)
+    return np.array([run_trial(dataset, config, t) for t in trials])
+
+
+def trial_blocks(n_repeats: int, jobs: int, n_cpus: int) -> list[range]:
+    """Contiguous blocks of trial indices, one per worker.
+
+    There are min(jobs, n_repeats, n_cpus) workers, at least one; block
+    sizes differ by at most one.
+    """
+    workers = max(1, min(jobs, n_repeats, n_cpus))
+    bounds = [n_repeats * i // workers for i in range(workers + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _cpu_count() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def mean_ci(values) -> tuple[float, float, float]:
@@ -336,21 +424,22 @@ def run_experiment(
 ) -> AggregateReport:
     """Run all trials, then aggregate per-arm statistics and arm comparisons.
 
-    With jobs > 1 trials run in worker processes; results are collected in
-    trial order, so the report does not depend on the worker count. Arms
-    that cannot train on the dataset's classes raise ``FieldError`` (a
-    ``ValueError``) before any trial runs.
+    Trials run in ``trial_blocks(n_repeats, jobs, <usable CPUs>)``, one
+    worker process per block when there is more than one; results are
+    collected in trial order, so the report does not depend on the worker
+    count. Arms that cannot train on the dataset's classes raise
+    ``FieldError`` (a ``ValueError``) before any trial runs.
     """
     config.check_classes(dataset.n_classes)
     n_repeats = config.split.n_repeats
-    trials = range(n_repeats)
-    if jobs > 1 and n_repeats > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, n_repeats)) as pool:
-            rows = list(pool.map(run_trial, repeat(dataset), repeat(config), trials))
+    blocks = trial_blocks(n_repeats, jobs, _cpu_count())
+    if len(blocks) > 1:
+        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+            parts = list(pool.map(_run_block, repeat(dataset), repeat(config), blocks))
     else:
-        rows = [run_trial(dataset, config, t) for t in trials]
+        parts = [_run_block(dataset, config, blocks[0])]
 
-    matrix = np.asarray(rows, dtype=np.float64)  # (n_repeats, n_arms)
+    matrix = np.concatenate(parts)  # (n_repeats, n_arms)
     arm_results = []
     for j, arm in enumerate(config.arms):
         aurocs = tuple(float(v) for v in matrix[:, j])
@@ -373,7 +462,7 @@ def run_experiment(
             t, p = None, None
         comparisons.append(Comparison(reference.name, other.name, t, p))
 
-    seeds = tuple(trial_seeds(config.split.base_seed, t) for t in trials)
+    seeds = tuple(trial_seeds(config.split.base_seed, t) for t in range(n_repeats))
     return AggregateReport(
         arms=tuple(arm_results),
         comparisons=tuple(comparisons),

@@ -44,6 +44,8 @@ __all__ = [
     "cross_entropy_loss",
     "loss_function",
     "finite_diff_check",
+    "STACKED_PAIR_LIMIT",
+    "stacked_loss",
 ]
 
 LOSS_KINDS = ("cross_entropy", "auc_binary", "auc_multiclass")
@@ -88,22 +90,27 @@ class LossOutput:
     grad: Optional[np.ndarray] = None
 
 
-def _stable_sigmoid(t: np.ndarray) -> np.ndarray:
-    # Branch on sign so exp never sees a large positive argument; large
-    # negative arguments underflow to 0 on the correct side.
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+def _sigmoid(t: np.ndarray, want_slope: bool = False):
+    """The logistic sigmoid of ``t`` and, when asked, its slope.
 
-
-def _sigmoid_slope(t: np.ndarray) -> np.ndarray:
-    # d/dt sigmoid(t) = u / (1 + u)^2 with u = exp(-|t|); symmetric in t and
-    # free of the cancellation that f (L - f) suffers once f saturates.
-    u = np.exp(-np.abs(t))
-    return u / (1.0 + u) ** 2
+    With u = exp(-|t|) and d = 1 + u, the sigmoid is 1/d for t >= 0 and u/d
+    below, so exp never sees a large positive argument and large |t|
+    underflows to the correct side. The slope u / d**2 is symmetric in t and
+    free of the cancellation that f (1 - f) suffers once f saturates. Works
+    in place: three temporaries of t's shape, and ``t`` is left intact.
+    """
+    u = np.abs(t)
+    np.negative(u, out=u)
+    np.exp(u, out=u)
+    d = u + 1.0
+    # The numerator is 1 where t >= 0 and u below; u <= 1, so a maximum
+    # against the sign mask picks it without a masked (slow) ufunc loop.
+    sig = np.maximum(u, t >= 0)
+    sig /= d
+    if not want_slope:
+        return sig, None
+    np.multiply(d, d, out=d)
+    return sig, np.divide(u, d, out=u)
 
 
 def logistic(x, params: SurrogateParams = DEFAULT_SURROGATE):
@@ -117,7 +124,7 @@ def logistic(x, params: SurrogateParams = DEFAULT_SURROGATE):
     if not np.all(np.isfinite(arr)):
         raise ValueError("logistic requires finite input")
     t = params.k * (arr - params.x0)
-    out = params.L * _stable_sigmoid(np.atleast_1d(t))
+    out = params.L * _sigmoid(np.atleast_1d(t))[0]
     return float(out[0]) if scalar else out.reshape(np.shape(x))
 
 
@@ -135,10 +142,39 @@ def softmax(logits) -> np.ndarray:
         arr = arr[None, :]
     if arr.ndim != 2:
         raise ValueError(f"softmax expects a vector or matrix, got shape {arr.shape}")
-    shifted = arr - arr.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=1, keepdims=True)
+    probs = _softmax_rows(arr)
     return probs[0] if one_dim else probs
+
+
+def _softmax_rows(arr: np.ndarray) -> np.ndarray:
+    # Softmax along the last axis, unchecked; shared by the checked entry
+    # point and the stacked kernels so both round the same way.
+    e = np.exp(arr - _last_axis_max(arr))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _last_axis_max(arr: np.ndarray) -> np.ndarray:
+    # max(axis=-1, keepdims=True): a max reduction over a short last axis
+    # runs one inner loop per row, a running np.maximum over the columns
+    # runs one per column. The maximum is the same either way.
+    out = arr[..., 0].copy()
+    for c in range(1, arr.shape[-1]):
+        np.maximum(out, arr[..., c], out=out)
+    return out[..., None]
+
+
+def _pair_logistic(diffs: np.ndarray, params: SurrogateParams, want_slope: bool):
+    """L f(x) over an array of pair score differences x and, when asked, its
+    derivative k L f'(x). Overwrites ``diffs``."""
+    t = diffs
+    if params.x0:  # x - 0.0 is x bit for bit, so the default skips a pass
+        t -= params.x0
+    t *= params.k
+    terms, slope = _sigmoid(t, want_slope)
+    terms *= params.L
+    if want_slope:
+        slope *= params.k * params.L
+    return terms, slope
 
 
 def _require_logits(batch: PredictionBatch, name: str) -> None:
@@ -175,12 +211,11 @@ def binary_auc_loss(
     probs = softmax(batch.scores)
     p = probs[:, -1]
     diffs = p[pos_mask][:, None] - p[~pos_mask][None, :]
-    t = params.k * (diffs - params.x0)
-    value = 1.0 - float((params.L * _stable_sigmoid(t)).mean())
+    terms, slope = _pair_logistic(diffs, params, want_grad)
+    value = 1.0 - float(terms.mean())
 
     grad = None
     if want_grad:
-        slope = params.k * params.L * _sigmoid_slope(t)
         n_pairs = n_pos * n_neg
         # d(value)/d(p_i): positives collect -slope over their pairs,
         # negatives +slope.
@@ -219,11 +254,10 @@ def multiclass_auc_loss(
         col = probs[:, c]
         pos_mask = batch.labels == c
         diffs = col[pos_mask][:, None] - col[~pos_mask][None, :]
-        t = params.k * (diffs - params.x0)
-        term_sum += float((params.L * _stable_sigmoid(t)).mean())
+        terms, slope = _pair_logistic(diffs, params, want_grad)
+        term_sum += float(terms.mean())
         if want_grad:
-            slope = params.k * params.L * _sigmoid_slope(t)
-            denom = diffs.size * n_terms
+            denom = terms.size * n_terms
             g_s[pos_mask, c] += -slope.sum(axis=1) / denom
             g_s[~pos_mask, c] += slope.sum(axis=0) / denom
     value = 1.0 - term_sum / n_terms
@@ -256,6 +290,173 @@ def cross_entropy_loss(batch: PredictionBatch, want_grad: bool = False) -> LossO
         grad[np.arange(n), batch.labels] -= 1.0
         grad /= n
     return LossOutput(value=value, grad=grad)
+
+
+# ---------------------------------------------------------------- stacked kernels
+#
+# The same three losses for T padded batches at once, as the trial-batched
+# training engine needs them. Logits are (T, P, n_classes) and labels (T, P),
+# where label -1 marks a padding row. Row t reproduces the per-batch function
+# on trial t's real rows: the gradient bit for bit, with padding rows at 0.
+# The value is the same mean, summed in another order, so it can differ from
+# the per-batch value by float64 rounding; training only checks that it is
+# finite.
+
+STACKED_PAIR_LIMIT = 1 << 20
+"""Most padded (positive, negative) pairs one stacked pairwise call holds.
+
+Trials beyond it run in further calls, so a block of large batches keeps
+the pairwise temporaries of a single batch."""
+
+
+def stacked_loss(
+    kind: str,
+    logits: np.ndarray,
+    labels: np.ndarray,
+    params: SurrogateParams = DEFAULT_SURROGATE,
+    want_grad: bool = False,
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Loss values (T,) and, when asked, d(value)/d(logits) for T padded batches.
+
+    Every trial's batch must hold at least one sample of each class the loss
+    ranks; ``EmptyClassError`` names the first trial that does not.
+    """
+    z = np.asarray(logits, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    if z.ndim != 3 or y.shape != z.shape[:2]:
+        raise ValueError(f"expected (T, P, C) logits and (T, P) labels, got {z.shape}, {y.shape}")
+    if kind == "cross_entropy":
+        return _stacked_cross_entropy(z, y, want_grad)
+    if kind == "auc_binary" and z.shape[2] != 2:
+        raise ValueError(f"binary_auc_loss requires 2 classes, got {z.shape[2]}")
+    if kind not in LOSS_KINDS:
+        raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
+    n_trials, rows, _ = z.shape
+    values = np.empty(n_trials)
+    grad = np.empty_like(z) if want_grad else None
+    # n_pos * n_neg <= (rows / 2)**2 bounds every class's pair block.
+    step = max(1, STACKED_PAIR_LIMIT // max(1, rows * rows // 4))
+    for lo in range(0, n_trials, step):
+        part = slice(lo, lo + step)
+        values[part], g = _stacked_auc(kind, z[part], y[part], params, want_grad)
+        if want_grad:
+            grad[part] = g
+    return values, grad
+
+
+def _stacked_cross_entropy(z, y, want_grad):
+    valid = y >= 0
+    n = valid.sum(axis=1)
+    zmax = _last_axis_max(z)
+    lse = zmax + np.log(np.exp(z - zmax).sum(axis=2, keepdims=True))
+    log_probs = z - lse
+    hit = y[:, :, None] == np.arange(z.shape[2])
+    value = -(np.where(hit, log_probs, 0.0).sum(axis=(1, 2)) / n)
+    grad = None
+    if want_grad:
+        grad = np.exp(log_probs)
+        grad -= hit
+        grad /= n[:, None, None]
+        grad *= valid[:, :, None]
+    return value, grad
+
+
+def _stacked_auc(kind, z, y, params, want_grad):
+    probs = _softmax_rows(z)
+    if kind == "auc_binary":
+        mean, g_p, n_pairs = _pair_terms(probs[:, :, -1], y, 1, params, want_grad)
+        if not want_grad:
+            return 1.0 - mean, None
+        g_p /= n_pairs[:, None]
+        jac = probs[:, :, 0] * probs[:, :, 1]
+        return 1.0 - mean, np.stack([-g_p * jac, g_p * jac], axis=2)
+
+    n_terms = z.shape[2]
+    term_sum = np.zeros(z.shape[0])
+    g_s = np.zeros_like(probs) if want_grad else None
+    for c in range(n_terms):
+        mean, g, n_pairs = _pair_terms(probs[:, :, c], y, c, params, want_grad)
+        term_sum += mean
+        if want_grad:
+            g /= (n_pairs * n_terms)[:, None]
+            g_s[:, :, c] = g
+    value = 1.0 - term_sum / n_terms
+    if not want_grad:
+        return value, None
+    inner = (g_s * probs).sum(axis=2, keepdims=True)
+    return value, probs * (g_s - inner)
+
+
+def _pair_terms(scores, y, c, params, want_grad):
+    """Class-c positives against every other real row, for each trial.
+
+    Returns the mean surrogate term over each trial's pairs, the signed
+    slope sums per row (minus the row sum for a positive, the column sum for
+    a negative, 0 for padding; None without ``want_grad``) and the pair
+    counts. Positives and negatives are gathered, in batch order, into
+    (T, w_pos) and (T, w_neg) blocks whose padding holds -inf and +inf: a
+    padded pair then has difference -inf, whose term and slope are exactly 0.
+    """
+    n_trials, rows = scores.shape
+    is_pos = y == c
+    pos_at, n_pos = _gather_order(is_pos, rows)
+    neg_at, n_neg = _gather_order((y >= 0) & ~is_pos, rows + 1)
+    empty = np.flatnonzero((n_pos == 0) | (n_neg == 0))
+    if empty.size:
+        t = int(empty[0])
+        which = "no" if n_pos[t] == 0 else "only"
+        raise EmptyClassError(f"trial {t}: batch has {which} samples of class {c}", class_index=c)
+    padded = np.empty((n_trials, rows + 2))
+    padded[:, :rows] = scores
+    padded[:, rows] = -np.inf
+    padded[:, rows + 1] = np.inf
+    trial = np.arange(n_trials)[:, None]
+    diffs = padded[trial, pos_at][:, :, None] - padded[trial, neg_at][:, None, :]
+    terms, slope = _pair_logistic(diffs, params, want_grad)
+    n_pairs = n_pos * n_neg
+    mean = terms.reshape(n_trials, -1).sum(axis=1) / n_pairs
+    if not want_grad:
+        return mean, None, n_pairs
+    row_sums, col_sums = _block_sums(slope, n_pos, n_neg)
+    g = np.zeros((n_trials, rows + 2))
+    g[trial, pos_at] = -row_sums
+    g[trial, neg_at] = col_sums
+    return mean, g[:, :rows], n_pairs
+
+
+def _gather_order(mask, pad_slot):
+    """Positions of each trial's True entries in order, padded with ``pad_slot``
+    to the widest trial, plus the per-trial counts."""
+    counts = mask.sum(axis=1)
+    width = int(counts.max())
+    order = np.argsort(~mask, axis=1, kind="stable")[:, :width]
+    return np.where(np.arange(width) < counts[:, None], order, pad_slot), counts
+
+
+def _block_sums(x, n_rows, n_cols):
+    """Row and column sums of each trial's leading (n_rows[t], n_cols[t]) block,
+    rounded as NumPy rounds them for a lone block of that shape.
+
+    NumPy sums a contiguous row pairwise, in an order set by its length, so
+    row sums run per group of trials with equal ``n_cols`` over exactly
+    that many columns. Column sums add row by row, where zero padding rows
+    change nothing, except in a one-column block, which NumPy sums pairwise
+    too; those trials are summed per group of equal ``n_rows``.
+    """
+    width = x.shape[2]
+    if (n_cols == width).all():
+        row_sums = x.sum(axis=2)
+    else:
+        row_sums = np.empty(x.shape[:2])
+        for c in np.unique(n_cols).tolist():
+            group = n_cols == c
+            row_sums[group] = x[group, :, :c].sum(axis=2)
+    col_sums = x.sum(axis=1)
+    single = n_cols == 1
+    for r in np.unique(n_rows[single]).tolist():
+        group = single & (n_rows == r)
+        col_sums[group, 0] = x[group, :r, 0].sum(axis=1)
+    return row_sums, col_sums
 
 
 LossFn = Callable[[PredictionBatch, bool], LossOutput]

@@ -36,6 +36,7 @@ __all__ = [
     "auroc_pairwise",
     "auroc_rank_scores",
     "auroc_rank",
+    "auroc_rank_rows",
     "auroc_multiclass_ovr",
     "monotone_check",
 ]
@@ -156,12 +157,13 @@ def _auc_from_win_sum(win_sum: float, n_pos: int, n_neg: int) -> float:
     # fl((m-s)/m) by one ulp), so both sides are derived from one division:
     # big = 1 - q rounds once, and small = 1 - big is exact because big lies
     # in [0.5, 1], making the pair closed under 1 - x.
-    n_pairs = float(n_pos) * float(n_neg)
+    # Scalars or equal-shape arrays, one AUROC per entry.
+    n_pairs = np.multiply(n_pos, n_neg, dtype=np.float64)
     loss_sum = n_pairs - win_sum  # exact: both are half-integer-valued floats
-    q = min(win_sum, loss_sum) / n_pairs
+    q = np.minimum(win_sum, loss_sum) / n_pairs
     big = 1.0 - q
     small = 1.0 - big
-    return small if win_sum <= loss_sum else big
+    return np.where(win_sum <= loss_sum, small, big)
 
 
 def auroc_pairwise(pos_scores, neg_scores) -> AurocValue:
@@ -178,7 +180,7 @@ def auroc_pairwise(pos_scores, neg_scores) -> AurocValue:
         raise EmptyClassError("no negative samples: AUROC is undefined", class_index=0)
     diffs = pos[:, None] - neg[None, :]
     win_sum = float(np.heaviside(diffs, 0.5).sum())
-    value = _auc_from_win_sum(win_sum, pos.size, neg.size)
+    value = float(_auc_from_win_sum(win_sum, pos.size, neg.size))
     return AurocValue(value=value, n_pos=pos.size, n_neg=neg.size)
 
 
@@ -197,8 +199,29 @@ def auroc_rank_scores(pos_scores, neg_scores) -> AurocValue:
     ranks = rankdata(np.concatenate([pos, neg]), method="average")
     pos_rank_sum = float(ranks[: pos.size].sum())
     win_sum = pos_rank_sum - pos.size * (pos.size + 1) / 2.0
-    value = _auc_from_win_sum(win_sum, pos.size, neg.size)
+    value = float(_auc_from_win_sum(win_sum, pos.size, neg.size))
     return AurocValue(value=value, n_pos=pos.size, n_neg=neg.size)
+
+
+def auroc_rank_rows(scores, positives) -> np.ndarray:
+    """``auroc_rank_scores`` for every row of a score matrix at once.
+
+    Row t's AUROC ranks its entries flagged in ``positives`` against the
+    rest; it equals, bit for bit, the 1-D route on that row's split, because
+    midranks are half-integers whose sums are exact in any order. Raises
+    ``EmptyClassError`` if a row has no positives or no negatives.
+    """
+    x = np.asarray(scores, dtype=np.float64)
+    pos = np.asarray(positives, dtype=bool)
+    if x.ndim != 2 or pos.shape != x.shape:
+        raise ValueError(f"expected equal-shape 2-D scores and flags, got {x.shape}, {pos.shape}")
+    n_pos = pos.sum(axis=1)
+    n_neg = x.shape[1] - n_pos
+    if not (n_pos.all() and n_neg.all()):
+        raise EmptyClassError("a row has no positive or no negative samples: AUROC is undefined")
+    ranks = rankdata(x, method="average", axis=1)
+    win_sum = np.where(pos, ranks, 0.0).sum(axis=1) - n_pos * (n_pos + 1) / 2.0
+    return _auc_from_win_sum(win_sum, n_pos, n_neg)
 
 
 def auroc_rank(batch: PredictionBatch, positive_class: int) -> AurocValue:

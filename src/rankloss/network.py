@@ -13,14 +13,22 @@ satisfiable; emitted batches then run larger than requested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import FieldError, InfeasibleBatchError, NonFiniteError
-from .losses import LOSS_KINDS, SurrogateParams, DEFAULT_SURROGATE, loss_function, softmax
-from .metrics import PredictionBatch, auroc_multiclass_ovr, auroc_rank
+from .errors import FieldError, InfeasibleBatchError, NonFiniteError, RanklossError
+from .losses import (
+    DEFAULT_SURROGATE,
+    LOSS_KINDS,
+    SurrogateParams,
+    _softmax_rows,
+    loss_function,
+    softmax,
+    stacked_loss,
+)
+from .metrics import PredictionBatch, auroc_multiclass_ovr, auroc_rank, auroc_rank_rows
 
 __all__ = [
     "MLPModel",
@@ -31,6 +39,10 @@ __all__ = [
     "stratified_batches",
     "evaluate_auroc",
     "train",
+    "MLPStack",
+    "StackedTraining",
+    "train_stacked",
+    "evaluate_auroc_stacked",
 ]
 
 
@@ -151,30 +163,48 @@ def forward(model: MLPModel, features: np.ndarray) -> np.ndarray:
     return a
 
 
-def _forward_cached(model: MLPModel, x: np.ndarray):
+def _forward_cached(model: MLPModel | MLPStack, x: np.ndarray):
     # Returns logits plus per-layer inputs and pre-activations for backprop.
+    # Serves an MLPStack too, whose arrays carry a leading model axis.
     inputs = []
     pre_acts = []
     a = x
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         inputs.append(a)
-        z = a @ w + b
+        z = a @ w + b[..., None, :]
         pre_acts.append(z)
         a = np.maximum(z, 0.0) if i < last else z
     return a, inputs, pre_acts
 
 
-def _backprop(model: MLPModel, inputs, pre_acts, grad_logits):
+def _backprop(model: MLPModel | MLPStack, inputs, pre_acts, grad_logits):
     grads_w = [None] * len(model.weights)
     grads_b = [None] * len(model.biases)
     delta = grad_logits
     for layer in range(len(model.weights) - 1, -1, -1):
-        grads_w[layer] = inputs[layer].T @ delta
-        grads_b[layer] = delta.sum(axis=0)
+        grads_w[layer] = np.swapaxes(inputs[layer], -1, -2) @ delta
+        grads_b[layer] = delta.sum(axis=-2)
         if layer > 0:
-            delta = (delta @ model.weights[layer].T) * (pre_acts[layer - 1] > 0.0)
+            weights_t = np.swapaxes(model.weights[layer], -1, -2)
+            delta = (delta @ weights_t) * (pre_acts[layer - 1] > 0.0)
     return grads_w, grads_b
+
+
+def _batch_count(class_counts: np.ndarray, batch_size: int) -> int:
+    return min(max(1, int(class_counts.sum()) // batch_size), int(class_counts.min()))
+
+
+class _LabelGroups:
+    """Training labels grouped by class, done once for a training run's epochs."""
+
+    def __init__(self, labels):
+        y = np.asarray(labels)
+        if y.ndim != 1 or y.size == 0:
+            raise ValueError("labels must be a non-empty 1-D array")
+        self.n = y.size
+        self.members = [np.flatnonzero(y == c) for c in np.unique(y)]
+        self.counts = np.array([m.size for m in self.members])
 
 
 def stratified_batches(labels, batch_size: int, seed: int, epoch: int) -> list[np.ndarray]:
@@ -185,43 +215,62 @@ def stratified_batches(labels, batch_size: int, seed: int, epoch: int) -> list[n
     index set and every batch holds at least one sample of every class. The
     batch count is floor(n / batch_size), clamped to the smallest class
     count (a remainder that cannot form a full batch is absorbed by the
-    others).
+    others). ``labels`` may also be this module's ``_LabelGroups`` of the
+    labels, which a caller sampling many epochs builds once.
     """
-    y = np.asarray(labels)
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError("labels must be a non-empty 1-D array")
+    groups = labels if isinstance(labels, _LabelGroups) else _LabelGroups(labels)
     if seed < 0 or epoch < 0:
         raise ValueError("seed and epoch must be nonnegative")
-    classes, counts = np.unique(y, return_counts=True)
-    if classes.size < 2:
+    n_classes = len(groups.members)
+    if n_classes < 2:
         raise InfeasibleBatchError(
             "cannot form class-balanced batches from a single class"
         )
-    if batch_size < classes.size:
+    if batch_size < n_classes:
         raise InfeasibleBatchError(
             f"batch_size {batch_size} cannot hold one sample of each of "
-            f"{classes.size} classes"
+            f"{n_classes} classes"
         )
-    n = y.size
-    n_batches = max(1, n // batch_size)
-    n_batches = min(n_batches, int(counts.min()))
+    n_batches = _batch_count(groups.counts, batch_size)
 
     rng = np.random.default_rng([int(seed), int(epoch)])
-    members: list[list[np.ndarray]] = [[] for _ in range(n_batches)]
-    for c in classes:
-        idx = rng.permutation(np.flatnonzero(y == c))
-        chunks = np.array_split(idx, n_batches)
-        placement = rng.permutation(n_batches)
-        for b, chunk in zip(placement, chunks):
-            members[b].append(chunk)
-    return [rng.permutation(np.concatenate(parts)) for parts in members]
+    shuffled = []
+    placement = np.empty((n_classes, n_batches), dtype=np.intp)
+    for c, members in enumerate(groups.members):
+        shuffled.append(rng.permutation(members))
+        placement[c] = rng.permutation(n_batches)
+    # Class c is cut into chunks as np.array_split cuts it (the first
+    # m % n_batches one longer), and chunk j joins batch placement[c, j].
+    # Each batch lists its classes in order, laid out batch after batch.
+    q, r = np.divmod(groups.counts, n_batches)
+    chunk = q[:, None] + (np.arange(n_batches) < r[:, None])
+    cls = np.arange(n_classes)[:, None]
+    rows = np.empty_like(chunk)  # rows[c, b]: how many rows class c gives batch b
+    rows[cls, placement] = chunk
+    sizes = rows.sum(axis=0)
+    ends = np.cumsum(sizes)
+    slot = ends - sizes + np.cumsum(rows, axis=0) - rows  # where class c starts in batch b
+    dest = slot[cls, placement].ravel()  # where chunk j of class c goes
+    chunk = chunk.ravel()
+    out = np.empty(groups.n, dtype=np.intp)
+    out[np.repeat(dest - (np.cumsum(chunk) - chunk), chunk) + np.arange(groups.n)] = (
+        np.concatenate(shuffled)
+    )
+    batches = [out[a:b] for a, b in zip((0, *ends[:-1].tolist()), ends.tolist())]
+    for batch in batches:
+        rng.shuffle(batch)
+    return batches
+
+
+def _non_finite(what: str, epoch: int | None = None, batch: int | None = None) -> NonFiniteError:
+    where = "" if epoch is None else f" at epoch {epoch}"
+    where += "" if batch is None else f", batch {batch}"
+    return NonFiniteError(f"{what} became non-finite{where}", epoch=epoch, batch=batch)
 
 
 def _require_finite(values, what: str, epoch: int | None = None, batch: int | None = None):
     if not np.isfinite(values).all():
-        where = "" if epoch is None else f" at epoch {epoch}"
-        where += "" if batch is None else f", batch {batch}"
-        raise NonFiniteError(f"{what} became non-finite{where}", epoch=epoch, batch=batch)
+        raise _non_finite(what, epoch, batch)
 
 
 def evaluate_auroc(
@@ -283,8 +332,9 @@ def train(
     best_auroc = -np.inf
     best_model = work.copy()
 
+    groups = _LabelGroups(train_y)
     for epoch in range(config.max_epochs):
-        batches = stratified_batches(train_y, config.batch_size, config.seed, epoch)
+        batches = stratified_batches(groups, config.batch_size, config.seed, epoch)
         epoch_losses = []
         for batch_no, batch_idx in enumerate(batches):
             logits, inputs, pre_acts = _forward_cached(work, train_x[batch_idx])
@@ -311,3 +361,316 @@ def train(
         initial_loss=initial_loss,
     )
     return best_model, history
+
+
+# ---------------------------------------------------------------- trial-batched engine
+#
+# Trains T models at once, each bit for bit as ``train`` would, for the
+# Monte Carlo harness: an SGD step takes microseconds of arithmetic, so
+# stacking the trials on a leading axis replaces T dispatches per step by
+# a few. Every trial must have the same per-class training counts
+# (stratified splits do). Then every trial gets the same batch count each
+# epoch, and a batch holds floor or ceil(m_c / n_batches) rows of class c.
+#
+# BLAS rounding can depend on a matrix's row count, so each layer runs per
+# group of trials whose batches have equal size, on exactly those rows:
+# every matmul has the shape the per-trial run gives it. The loss runs once
+# per step on the batches padded to P = sum_c ceil(m_c / n_batches) rows, a
+# width fixed by the class counts, and its kernels sum over each trial's
+# real rows and pairs only. Either way a trial's arithmetic does not depend
+# on which other trials share its block.
+
+
+@dataclass
+class MLPStack:
+    """T feed-forward nets of one shape, stacked for trial-batched training.
+
+    ``weights[i]`` is (T, fan_in, fan_out) and ``biases[i]`` (T, fan_out),
+    so one batched matmul runs layer i of every model.
+    """
+
+    layer_dims: tuple[int, ...]
+    weights: list[np.ndarray]
+    biases: list[np.ndarray]
+
+    @classmethod
+    def of(cls, models: Sequence[MLPModel]) -> "MLPStack":
+        dims = models[0].layer_dims
+        if any(m.layer_dims != dims for m in models):
+            raise ValueError("stacked models must share their layer dims")
+        layers = range(len(dims) - 1)
+        return cls(
+            layer_dims=dims,
+            weights=[np.stack([m.weights[i] for m in models]) for i in layers],
+            biases=[np.stack([m.biases[i] for m in models]) for i in layers],
+        )
+
+    @property
+    def n_models(self) -> int:
+        return self.weights[0].shape[0]
+
+    @property
+    def n_classes(self) -> int:
+        return self.layer_dims[-1]
+
+    def model(self, t: int) -> MLPModel:
+        """A copy of model t."""
+        return MLPModel(
+            layer_dims=self.layer_dims,
+            weights=[w[t].copy() for w in self.weights],
+            biases=[b[t].copy() for b in self.biases],
+        )
+
+    def take(self, keep) -> "MLPStack":
+        """A copy holding the models a boolean mask or index array selects."""
+        return MLPStack(
+            layer_dims=self.layer_dims,
+            weights=[w[keep] for w in self.weights],
+            biases=[b[keep] for b in self.biases],
+        )
+
+    def copy(self) -> "MLPStack":
+        return self.take(np.arange(self.n_models))
+
+    def view(self, lo: int, hi: int) -> "MLPStack":
+        """Models lo..hi-1, sharing this stack's arrays."""
+        return MLPStack(
+            layer_dims=self.layer_dims,
+            weights=[w[lo:hi] for w in self.weights],
+            biases=[b[lo:hi] for b in self.biases],
+        )
+
+
+@dataclass(frozen=True)
+class StackedTraining:
+    """Outcome of ``train_stacked``.
+
+    ``model`` holds each trial's best-validation checkpoint; ``errors[t]``
+    is the error ``train`` would have raised for trial t, or None. A failed
+    trial's entry in ``model`` keeps its initial weights.
+    """
+
+    model: MLPStack
+    errors: tuple[Optional[RanklossError], ...]
+
+
+def _nonfinite_rows(values: np.ndarray) -> np.ndarray:
+    return ~np.isfinite(values).reshape(values.shape[0], -1).all(axis=1)
+
+
+def _check_stacked(model: MLPStack, features, labels, what: str):
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    if x.ndim != 3 or x.shape[0] != model.n_models or x.shape[2] != model.layer_dims[0]:
+        raise ValueError(
+            f"{what} features must be ({model.n_models}, rows, {model.layer_dims[0]}), "
+            f"got {x.shape}"
+        )
+    if y.shape != x.shape[:2]:
+        raise ValueError(f"{what} labels must have shape {x.shape[:2]}, got {y.shape}")
+    if y.size == 0:
+        raise ValueError(f"{what} partitions must be non-empty")
+    if y.min() < 0 or y.max() >= model.n_classes:
+        raise ValueError(f"{what} labels must lie in [0, {model.n_classes})")
+    return x, y
+
+
+def evaluate_auroc_stacked(
+    model: MLPStack, features, labels, epoch: int | None = None
+) -> tuple[np.ndarray, tuple[Optional[NonFiniteError], ...]]:
+    """``evaluate_auroc`` of model t on ``features[t]``, ``labels[t]``, for every t.
+
+    Returns the AUROCs, equal to the per-model values bit for bit, and per
+    model the ``NonFiniteError`` that ``evaluate_auroc`` would raise, or
+    None; a failed model's AUROC is NaN.
+    """
+    x, y = _check_stacked(model, features, labels, "evaluation")
+    logits = _forward_cached(model, x)[0]
+    bad = _nonfinite_rows(logits)
+    values = np.full(model.n_models, np.nan)
+    if not bad.all():
+        ok = ~bad
+        probs, y = _softmax_rows(logits[ok]), y[ok]
+        if model.n_classes == 2:
+            values[ok] = auroc_rank_rows(probs[:, :, 1], y == 1)
+        else:
+            per_class = [auroc_rank_rows(probs[:, :, c], y == c) for c in range(model.n_classes)]
+            values[ok] = np.mean(np.stack(per_class, axis=1), axis=1)
+    return values, tuple(_non_finite("evaluation logits", epoch) if b else None for b in bad)
+
+
+class _LiveTrials:
+    """Per-trial state of a stacked run, for the trials that have not failed.
+
+    ``fail`` records an error for the trials a mask flags and drops them, so
+    no non-finite value of a failed trial reaches the others' arithmetic.
+    """
+
+    _PER_TRIAL = ("ids", "seeds", "train_x", "train_y", "val_x", "val_y", "best_auroc",
+                  "batch_x", "batch_y", "batch_sizes")
+
+    def __init__(self, model, train_x, train_y, val_x, val_y, seeds, errors):
+        self.ids = np.arange(model.n_models)
+        self.seeds = np.asarray(seeds)
+        self.groups = [_LabelGroups(y) for y in train_y]
+        self.train_x, self.train_y, self.val_x, self.val_y = train_x, train_y, val_x, val_y
+        self.work = model.copy()
+        self.best = model.copy()
+        self.best_auroc = np.full(model.n_models, -np.inf)
+        self.batch_x = self.batch_y = self.batch_sizes = None
+        self.errors = errors
+
+    @property
+    def n(self) -> int:
+        return self.ids.size
+
+    def fail(self, bad: np.ndarray, what: str, epoch=None, batch=None) -> None:
+        for i in np.flatnonzero(bad):
+            self.errors[self.ids[i]] = _non_finite(what, epoch, batch)
+        self.drop(bad)
+
+    def drop(self, bad: np.ndarray) -> None:
+        if not bad.any():
+            return
+        keep = ~bad
+        for name in self._PER_TRIAL:
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, value[keep])
+        self.groups = [g for g, k in zip(self.groups, keep) if k]
+        self.work = self.work.take(keep)
+        self.best = self.best.take(keep)
+
+    def sample(self, batch_size: int, epoch: int, rows: int) -> None:
+        """Draw the epoch's batches of every trial, padded to ``rows`` rows:
+        ``batch_x`` (T, n_batches, rows, n_features), ``batch_y`` with -1 on
+        padding, and ``batch_sizes`` (T, n_batches) the real row counts."""
+        batches, failed = [], np.zeros(self.n, dtype=bool)
+        for i, (groups, seed) in enumerate(zip(self.groups, self.seeds.tolist())):
+            try:
+                batches.append(stratified_batches(groups, batch_size, seed, epoch))
+            except RanklossError as exc:
+                self.errors[self.ids[i]] = exc
+                failed[i] = True
+        self.drop(failed)
+        if not batches:
+            return
+        sizes = np.array([[b.size for b in trial] for trial in batches])
+        flat = np.stack([np.concatenate(trial) for trial in batches])
+        n_trials, n_batches = sizes.shape
+        # Entry k of trial t's back-to-back batches lands in row k - start
+        # of its batch b, at flat position ((t * n_batches) + b) * rows + row.
+        starts = np.cumsum(sizes, axis=1) - sizes + flat.shape[1] * np.arange(n_trials)[:, None]
+        base = np.arange(n_trials * n_batches) * rows - starts.ravel()
+        index = np.zeros((n_trials, n_batches, rows), dtype=np.intp)
+        index.reshape(-1)[np.repeat(base, sizes.ravel()) + np.arange(flat.size)] = flat.ravel()
+        trial = np.arange(n_trials)[:, None, None]
+        self.batch_x = self.train_x[trial, index]
+        self.batch_y = np.where(np.arange(rows) < sizes[:, :, None], self.train_y[trial, index], -1)
+        self.batch_sizes = sizes
+
+
+def _step(live: _LiveTrials, config: TrainConfig, epoch: int, batch: int) -> None:
+    """One SGD step of every live trial at one batch position.
+
+    Trials are ordered by batch size, and each layer runs per run of equal
+    sizes on exactly the real rows. A trial whose logits or loss value are
+    non-finite is failed and the step recomputed without it.
+    """
+    while True:
+        if not live.n:
+            return
+        sizes = live.batch_sizes[:, batch]
+        order = np.argsort(sizes, kind="stable")
+        ordered = sizes[order]
+        cuts = [0, *(np.flatnonzero(np.diff(ordered)) + 1).tolist(), live.n]
+        runs = [(lo, hi, int(ordered[lo])) for lo, hi in zip(cuts, cuts[1:])]
+        work = live.work.take(order)
+        x = live.batch_x[order, batch]
+        logits = np.zeros(x.shape[:2] + (work.n_classes,))
+        caches = []
+        for lo, hi, size in runs:
+            part = work.view(lo, hi)
+            out, inputs, pre_acts = _forward_cached(part, x[lo:hi, :size])
+            logits[lo:hi, :size] = out
+            caches.append((lo, hi, size, part, inputs, pre_acts))
+        bad, what = _nonfinite_rows(logits), "logits"
+        if not bad.any():
+            values, grad = stacked_loss(
+                config.loss_kind, logits, live.batch_y[order, batch], config.surrogate, True
+            )
+            bad, what = ~np.isfinite(values), "loss"
+            if not bad.any():
+                break
+        unordered = np.empty_like(bad)
+        unordered[order] = bad
+        live.fail(unordered, what, epoch, batch)
+    for lo, hi, size, part, inputs, pre_acts in caches:
+        grads_w, grads_b = _backprop(part, inputs, pre_acts, grad[lo:hi, :size])
+        for w, b, gw, gb in zip(part.weights, part.biases, grads_w, grads_b):
+            w -= config.learning_rate * gw
+            b -= config.learning_rate * gb
+    for kept, updated in zip(live.work.weights + live.work.biases, work.weights + work.biases):
+        kept[order] = updated
+
+
+def train_stacked(
+    model: MLPStack,
+    train_x: np.ndarray,
+    train_y: np.ndarray,
+    val_x: np.ndarray,
+    val_y: np.ndarray,
+    configs: Sequence[TrainConfig],
+) -> StackedTraining:
+    """Train every model of the stack at once, model t exactly as
+    ``train(model.model(t), train_x[t], train_y[t], val_x[t], val_y[t], configs[t])``.
+
+    Arrays carry the trial on their leading axis. The configs must agree in
+    everything but the seed, and every trial must have the same per-class
+    training counts. The returned checkpoints equal ``train``'s bit for bit.
+    Where ``train`` would raise, the trial's error is recorded instead and
+    the other trials train on; it is the same error type with the same
+    message, epoch and batch. No ``TrainHistory`` is kept.
+    """
+    config = configs[0]
+    if len(configs) != model.n_models or any(
+        replace(c, seed=config.seed) != config for c in configs
+    ):
+        raise ValueError("need one TrainConfig per model, equal in everything but the seed")
+    train_x, train_y = _check_stacked(model, train_x, train_y, "training")
+    val_x, val_y = _check_stacked(model, val_x, val_y, "validation")
+    counts = np.stack([np.bincount(y, minlength=model.n_classes) for y in train_y])
+    if (counts != counts[0]).any():
+        raise ValueError("stacked trials must share their per-class training counts")
+    present = counts[0][counts[0] > 0]
+    rows = int(np.sum(-(-present // _batch_count(present, config.batch_size))))
+
+    errors: list[Optional[RanklossError]] = [None] * model.n_models
+    live = _LiveTrials(model, train_x, train_y, val_x, val_y, [c.seed for c in configs], errors)
+    logits = _forward_cached(live.work, live.train_x)[0]
+    bad = _nonfinite_rows(logits)
+    live.fail(bad, "initial logits")
+    if live.n:
+        values, _ = stacked_loss(config.loss_kind, logits[~bad], live.train_y, config.surrogate)
+        live.fail(~np.isfinite(values), "initial loss")
+
+    for epoch in range(config.max_epochs):
+        if live.n:
+            live.sample(config.batch_size, epoch, rows)
+        for batch in range(live.batch_sizes.shape[1] if live.n else 0):
+            _step(live, config, epoch, batch)
+        if not live.n:
+            break
+        aurocs, val_errors = evaluate_auroc_stacked(live.work, live.val_x, live.val_y, epoch)
+        bad = np.array([e is not None for e in val_errors])
+        live.fail(bad, "evaluation logits", epoch)
+        improved = aurocs[~bad] > live.best_auroc
+        for kept, current in zip(live.best.weights + live.best.biases,
+                                 live.work.weights + live.work.biases):
+            np.copyto(kept, current, where=improved.reshape((-1,) + (1,) * (kept.ndim - 1)))
+        live.best_auroc = np.where(improved, aurocs[~bad], live.best_auroc)
+
+    best = model.copy()
+    for kept, out in zip(live.best.weights + live.best.biases, best.weights + best.biases):
+        out[live.ids] = kept
+    return StackedTraining(model=best, errors=tuple(errors))

@@ -339,13 +339,27 @@ def _one_class_csv_config(tmp_path):
 def _metric_argv(text, *flags):
     def argv(tmp_path):
         path = tmp_path / "scores.csv"
-        path.write_text(text)
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
         return ["metric", "--input", str(path), "--label-col", "target", *flags]
     return argv
 
 
-# (argv builder, exit code, message fragment): malformed input is reported
-# with exit 2 before any trial runs, never as a traceback.
+def _four_sample_config(tmp_path):
+    config = small_compare_config(tmp_path)
+    config["dataset"]["synthetic"]["class_counts"] = [2, 2]
+    return config
+
+
+def _directory_config_argv(tmp_path):
+    return ["compare", "--config", str(tmp_path), "--out", str(tmp_path / "m.json")]
+
+
+# (argv builder, exit code, message fragment): malformed input exits 2
+# before any trial runs, a runtime failure exits 3 naming the trial; neither
+# ends in a traceback.
 MALFORMED_INPUTS = {
     "binary_loss_on_3_classes": (
         _compare_argv(lambda p: _three_class_compare(p, kinds=("cross_entropy", "auc_binary"))),
@@ -369,6 +383,11 @@ MALFORMED_INPUTS = {
         _metric_argv("s0,s1,target\n0.1,0.9,0\n0.4,0.6,0\n", "--multiclass"),
         2, "no class has both positives and negatives",
     ),
+    "dataset_under_5_samples": (_compare_argv(_four_sample_config), 3, "trial 0"),
+    "non_utf8_metric_csv": (
+        _metric_argv(b"\xff\xfescore,target\n0.1,0\n0.4,1\n"), 2, "scores.csv: not UTF-8",
+    ),
+    "config_is_directory": (_directory_config_argv, 2, "Is a directory"),
 }
 
 

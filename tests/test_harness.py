@@ -18,6 +18,7 @@ from rankloss import (
     run_experiment,
     run_trial,
     t_test,
+    trial_blocks,
     trial_seeds,
 )
 
@@ -353,3 +354,82 @@ class TestRunExperiment:
                 lo, hi = report.arms[0].ci
                 widths[repeats].append(hi - lo)
         assert np.mean(widths[100]) < np.mean(widths[25])
+
+
+class TestTrialBlocks:
+    def test_one_block_at_one_job(self):
+        assert trial_blocks(10, jobs=1, n_cpus=8) == [range(0, 10)]
+
+    def test_clamped_to_cpus_and_repeats(self):
+        assert trial_blocks(10, jobs=4, n_cpus=2) == [range(0, 5), range(5, 10)]
+        assert trial_blocks(3, jobs=8, n_cpus=16) == [range(0, 1), range(1, 2), range(2, 3)]
+        assert trial_blocks(5, jobs=3, n_cpus=0) == [range(0, 5)]
+
+    def test_contiguous_balanced_cover(self):
+        for n_repeats in (1, 7, 100):
+            for jobs in (1, 2, 3, 7, 200):
+                blocks = trial_blocks(n_repeats, jobs, n_cpus=64)
+                assert len(blocks) == min(jobs, n_repeats, 64)
+                assert [t for b in blocks for t in b] == list(range(n_repeats))
+                sizes = [len(b) for b in blocks]
+                assert max(sizes) - min(sizes) <= 1
+
+
+class TestTrialBatching:
+    def test_block_invariance(self):
+        # A trial's result does not depend on which trials share its block.
+        ds = tiny_dataset(counts=(30, 20, 25), sep=1.5, flip=0.1)
+        arms = (ArmConfig("ce", "cross_entropy", 8, max_epochs=3),
+                ArmConfig("auc", "auc_multiclass", 16, max_epochs=3))
+        short = run_experiment(ds, tiny_experiment(arms, n_repeats=3))
+        long = run_experiment(ds, tiny_experiment(arms, n_repeats=7))
+        for a, b in zip(short.arms, long.arms):
+            assert a.aurocs == b.aurocs[:3]
+
+    def test_matches_run_trial(self):
+        ds = tiny_dataset(counts=(30, 20, 25), sep=1.5, flip=0.1)
+        arms = (ArmConfig("ce", "cross_entropy", 8, max_epochs=3),
+                ArmConfig("auc", "auc_multiclass", 16, max_epochs=3))
+        config = tiny_experiment(arms, n_repeats=4)
+        report = run_experiment(ds, config)
+        for t in range(4):
+            assert run_trial(ds, config, t) == [arm.aurocs[t] for arm in report.arms]
+
+    def test_memory_bound_splits_engine_calls(self, monkeypatch):
+        import rankloss.harness
+
+        ds = tiny_dataset(counts=(30, 20))
+        arms = (ArmConfig("ce", "cross_entropy", 8, max_epochs=2),
+                ArmConfig("auc", "auc_binary", 8, max_epochs=2))
+        config = tiny_experiment(arms, n_repeats=5)
+        whole = run_experiment(ds, config)
+        monkeypatch.setattr(rankloss.harness, "STACKED_VALUES", 1)  # one trial per call
+        assert run_experiment(ds, config).to_dict() == whole.to_dict()
+
+    def test_unstratified_falls_back_to_run_trial(self):
+        ds = tiny_dataset(counts=(30, 20))
+        arms = (ArmConfig("ce", "cross_entropy", 8, max_epochs=2),
+                ArmConfig("auc", "auc_binary", 8, max_epochs=2))
+        config = ExperimentConfig(arms=arms, split=SplitSpec(stratified=False, n_repeats=3),
+                                  hidden_dims=(4,))
+        report = run_experiment(ds, config)
+        for t in range(3):
+            assert run_trial(ds, config, t) == [arm.aurocs[t] for arm in report.arms]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_error_names_first_trial_and_arm(self, jobs):
+        # Arm 1 diverges in every trial, so the serial path's first error is
+        # trial 0's arm 1; the batched engine reports that same error.
+        ds = tiny_dataset(counts=(30, 20))
+        arms = (ArmConfig("ok", "cross_entropy", 8, max_epochs=2),
+                ArmConfig("diverges", "cross_entropy", 8, max_epochs=2, learning_rate=1e200))
+        config = tiny_experiment(arms, n_repeats=4)
+        with pytest.raises(TrialError) as serial:
+            run_trial(ds, config, 0)
+        with pytest.raises(TrialError) as batched:
+            run_experiment(ds, config, jobs=jobs)
+        assert batched.value.trial == 0
+        assert str(batched.value) == str(serial.value)
+        assert "NonFiniteError" in str(batched.value)

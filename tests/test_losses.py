@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit
 
 from rankloss import (
+    LOSS_KINDS,
     EmptyClassError,
     PredictionBatch,
     SurrogateParams,
@@ -16,6 +20,7 @@ from rankloss import (
     multiclass_auc_loss,
     softmax,
 )
+from rankloss.losses import _sigmoid, stacked_loss
 
 from conftest import random_batch
 
@@ -251,3 +256,81 @@ class TestFiniteDiffCheck:
 def test_loss_function_rejects_unknown_kind():
     with pytest.raises(ValueError):
         loss_function("hinge")
+
+
+class TestSigmoid:
+    # Where exp is exact (exp(0) = 1, exp(-800) underflows to 0) the in-place
+    # form must equal the textbook 1 / (1 + exp(-t)) (scipy's expit) exactly,
+    # with slope sigma(t) sigma(-t); elsewhere to a few ulps.
+    EXTREMES = [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300]
+
+    def test_extremes_exact(self):
+        t = np.array(self.EXTREMES)
+        sig, slope = _sigmoid(t, want_slope=True)
+        assert sig.tolist() == expit(t).tolist() == [0.5, 0.5, 1.0, 0.0, 0.5, 0.5]
+        assert slope.tolist() == (expit(t) * expit(-t)).tolist() == [0.25, 0.25, 0.0, 0.0, 0.25, 0.25]
+
+    def test_matches_expit(self):
+        t = np.random.default_rng(0).normal(scale=30.0, size=2000)
+        sig, slope = _sigmoid(t, want_slope=True)
+        assert np.allclose(sig, expit(t), rtol=1e-14, atol=0.0)
+        assert np.allclose(slope, expit(t) * expit(-t), rtol=1e-14, atol=0.0)
+
+    def test_input_untouched_and_value_only(self):
+        t = np.array([-3.0, 0.0, 2.5])
+        before = t.copy()
+        sig, slope = _sigmoid(t)
+        assert slope is None and np.array_equal(t, before)
+        assert np.array_equal(sig, _sigmoid(t, want_slope=True)[0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_stacked_loss_matches_per_batch(data):
+    # Random labels, batch sizes and padding rows anywhere in the block: each
+    # trial's real rows, taken in order, are one per-batch call. The gradient
+    # is bit-identical; the value is the same mean summed in another order.
+    n_classes = data.draw(st.integers(2, 4))
+    kind = data.draw(st.sampled_from([k for k in LOSS_KINDS if k != "auc_binary" or n_classes == 2]))
+    n_trials = data.draw(st.integers(1, 4))
+    rows = data.draw(st.integers(n_classes, 40))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    logits = data.draw(st.sampled_from([0.1, 1.0, 30.0])) * rng.normal(size=(n_trials, rows, n_classes))
+    labels = np.full((n_trials, rows), -1)
+    for t in range(n_trials):
+        size = int(rng.integers(n_classes, rows + 1))
+        y = rng.integers(0, n_classes, size=size)
+        y[:n_classes] = np.arange(n_classes)
+        rng.shuffle(y)
+        labels[t, np.sort(rng.choice(rows, size=size, replace=False))] = y
+    params = SurrogateParams(k=data.draw(st.sampled_from([1.0, 20.0, 500.0])))
+
+    values, grad = stacked_loss(kind, logits, labels, params, want_grad=True)
+    value_only, no_grad = stacked_loss(kind, logits, labels, params)
+    assert no_grad is None and np.array_equal(values, value_only)
+    per_batch = loss_function(kind, params)
+    for t in range(n_trials):
+        real = labels[t] >= 0
+        out = per_batch(PredictionBatch(logits[t, real], labels[t, real]), True)
+        assert abs(values[t] - out.value) <= 1e-12
+        assert np.array_equal(grad[t, real], out.grad)
+        assert np.all(grad[t, ~real] == 0.0)
+
+
+def test_stacked_loss_pair_limit_only_chunks(monkeypatch):
+    import rankloss.losses
+
+    rng = np.random.default_rng(3)
+    logits = rng.normal(size=(5, 12, 3))
+    labels = np.tile(np.arange(12) % 3, (5, 1))
+    labels[2, 10:] = -1
+    whole = stacked_loss("auc_multiclass", logits, labels, want_grad=True)
+    monkeypatch.setattr(rankloss.losses, "STACKED_PAIR_LIMIT", 1)  # one trial per call
+    chunked = stacked_loss("auc_multiclass", logits, labels, want_grad=True)
+    assert all(np.array_equal(a, b) for a, b in zip(whole, chunked))
+
+
+def test_stacked_loss_names_trial_missing_a_class():
+    labels = np.array([[0, 1, 1, -1], [1, 1, 1, 1]])
+    with pytest.raises(EmptyClassError, match="trial 1"):
+        stacked_loss("auc_binary", np.zeros((2, 4, 2)), labels)

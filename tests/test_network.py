@@ -4,16 +4,21 @@ import pytest
 from rankloss import (
     InfeasibleBatchError,
     MLPModel,
+    MLPStack,
     NonFiniteError,
     SplitSpec,
     SyntheticSpec,
     TrainConfig,
+    evaluate_auroc,
+    evaluate_auroc_stacked,
     forward,
     generate_synthetic,
     init_model,
     monte_carlo_split,
     stratified_batches,
     train,
+    train_stacked,
+    trial_seeds,
 )
 
 
@@ -129,6 +134,44 @@ class TestStratifiedBatches:
         batches = stratified_batches(labels, batch_size=64, seed=0, epoch=0)
         assert len(batches) == 1 and batches[0].size == 10
 
+    def test_pinned_batches(self):
+        # The (seed, epoch) stream is part of every manifest: these batches
+        # come from the np.array_split form of the sampler (_reference_batches).
+        labels = np.array([0, 1, 2, 0, 0, 1, 2, 2, 0, 1, 0, 2, 0, 0, 1, 2, 0, 2, 1, 0])
+        batches = stratified_batches(labels, 6, seed=11, epoch=3)
+        assert [b.tolist() for b in batches] == [
+            [7, 13, 10, 4, 5, 17],
+            [2, 14, 6, 19, 9, 0, 3],
+            [12, 16, 18, 1, 11, 15, 8],
+        ]
+
+    def test_matches_array_split_reference(self):
+        rng = np.random.default_rng(4)
+        for _ in range(40):
+            n_classes = int(rng.integers(2, 5))
+            labels = rng.integers(0, n_classes, size=int(rng.integers(3 * n_classes, 150)))
+            labels[:n_classes] = np.arange(n_classes)
+            for batch_size in (n_classes, 8, 64):
+                for seed, epoch in ((0, 0), (7, 3)):
+                    got = stratified_batches(labels, batch_size, seed, epoch)
+                    want = _reference_batches(labels, batch_size, seed, epoch)
+                    assert len(got) == len(want)
+                    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def _reference_batches(labels, batch_size, seed, epoch):
+    """The sampler as first written: regroup, np.array_split, permutation."""
+    classes, counts = np.unique(labels, return_counts=True)
+    n_batches = min(max(1, labels.size // batch_size), int(counts.min()))
+    rng = np.random.default_rng([seed, epoch])
+    members = [[] for _ in range(n_batches)]
+    for c in classes:
+        idx = rng.permutation(np.flatnonzero(labels == c))
+        placement = rng.permutation(n_batches)
+        for b, chunk in zip(placement, np.array_split(idx, n_batches)):
+            members[b].append(chunk)
+    return [rng.permutation(np.concatenate(parts)) for parts in members]
+
 
 class TestTrain:
     def test_separable_reaches_high_auroc(self):
@@ -242,3 +285,69 @@ class TestTrain:
             TrainConfig(batch_size=8, loss_kind="cross_entropy", max_epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=8, loss_kind="cross_entropy", learning_rate=-0.1)
+
+
+def stacked_trials(counts, hidden, n_trials, dim=4, base_seed=0, flip=0.1):
+    """A dataset, its first ``n_trials`` stratified splits, and their initial models."""
+    ds = generate_synthetic(SyntheticSpec(class_counts=counts, dim=dim, class_mean_separation=1.5,
+                                          noise_std=1.0, label_flip_prob=flip, seed=3))
+    spec = SplitSpec(base_seed=base_seed)
+    splits = [monte_carlo_split(ds.n_samples, ds.labels, spec, t) for t in range(n_trials)]
+    seeds = [trial_seeds(base_seed, t) for t in range(n_trials)]
+    models = [init_model((dim, *hidden, len(counts)), s.init) for s in seeds]
+    tr, va, te = (np.stack(part) for part in zip(*splits))
+    return ds, tr, va, te, seeds, models
+
+
+class TestTrainStacked:
+    @pytest.mark.parametrize("kind, counts", [
+        ("cross_entropy", (30, 20, 25)),
+        ("auc_binary", (40, 25)),
+        ("auc_multiclass", (30, 20, 25)),
+    ])
+    @pytest.mark.parametrize("hidden", [(), (4,), (4, 3)])
+    def test_matches_per_trial_train(self, kind, counts, hidden):
+        # Batch size 8 splits these counts unevenly, so the trials' batches
+        # differ in size and in per-class counts from batch to batch.
+        ds, tr, va, te, seeds, models = stacked_trials(counts, hidden, n_trials=5)
+        x, y = ds.features, ds.labels
+        configs = [TrainConfig(batch_size=8, loss_kind=kind, max_epochs=6, seed=s.shuffle)
+                   for s in seeds]
+        run = train_stacked(MLPStack.of(models), x[tr], y[tr], x[va], y[va], configs)
+        aurocs, errors = evaluate_auroc_stacked(run.model, x[te], y[te])
+        assert run.errors == (None,) * 5 and errors == (None,) * 5
+        for t in range(5):
+            trained, _ = train(models[t], x[tr[t]], y[tr[t]], x[va[t]], y[va[t]], configs[t])
+            assert aurocs[t] == evaluate_auroc(trained, x[te[t]], y[te[t]])
+            stacked = run.model.model(t)
+            for a, b in zip(trained.weights + trained.biases, stacked.weights + stacked.biases):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_failed_trial_is_isolated(self):
+        # Trial 1 starts with weights that overflow its logits: it records
+        # the error train raises, and the others train as if it were absent.
+        ds, tr, va, te, seeds, models = stacked_trials((30, 20), (4,), n_trials=3)
+        x, y = ds.features, ds.labels
+        models[1].weights[0][:] = 1e308
+        configs = [TrainConfig(batch_size=8, loss_kind="auc_binary", max_epochs=3, seed=s.shuffle)
+                   for s in seeds]
+        run = train_stacked(MLPStack.of(models), x[tr], y[tr], x[va], y[va], configs)
+        with pytest.raises(NonFiniteError) as expected:
+            train(models[1], x[tr[1]], y[tr[1]], x[va[1]], y[va[1]], configs[1])
+        assert type(run.errors[1]) is NonFiniteError
+        assert str(run.errors[1]) == str(expected.value) == "initial logits became non-finite"
+        assert run.errors[0] is None and run.errors[2] is None
+        for t in (0, 2):
+            trained, _ = train(models[t], x[tr[t]], y[tr[t]], x[va[t]], y[va[t]], configs[t])
+            assert np.array_equal(trained.weights[0], run.model.weights[0][t])
+
+    def test_rejects_unequal_class_counts(self):
+        ds, tr, va, _, seeds, models = stacked_trials((30, 20), (4,), n_trials=2)
+        x, y = ds.features, ds.labels
+        configs = [TrainConfig(batch_size=8, loss_kind="cross_entropy", seed=s.shuffle) for s in seeds]
+        labels = y[tr].copy()
+        labels[1, 0] = 1 - labels[1, 0]
+        with pytest.raises(ValueError, match="per-class"):
+            train_stacked(MLPStack.of(models), x[tr], labels, x[va], y[va], configs)
