@@ -24,7 +24,6 @@ from itertools import repeat
 from typing import Optional
 
 import numpy as np
-from scipy.special import stdtr
 
 from .data import Dataset
 from .errors import DegenerateVarianceError, FieldError, RanklossError, TooSmallError, TrialError
@@ -359,6 +358,8 @@ def t_test(a, b) -> tuple[float, float]:
             )
         return (math.inf if diff > 0 else -math.inf), 0.0
     t = diff / math.sqrt(pooled * (1.0 / n_a + 1.0 / n_b))
+    from scipy.special import stdtr  # here, not at the top: its import takes ~0.4 s
+
     p = 2.0 * float(stdtr(df, -abs(t)))
     return t, p
 

@@ -7,6 +7,7 @@ from rankloss import (
     auroc_multiclass_ovr,
     auroc_pairwise,
     auroc_rank,
+    auroc_rank_rows,
     auroc_rank_scores,
     heaviside,
     monotone_check,
@@ -82,6 +83,28 @@ class TestRankEquivalence:
 
 
 class TestCrossLibrary:
+    def test_midranks_match_scipy_rankdata(self):
+        from scipy.stats import rankdata
+
+        from rankloss.metrics import _midranks
+
+        rng = np.random.default_rng(5)
+        for seed in range(300):
+            n = int(rng.integers(1, 60))
+            shape = (n,) if seed % 2 else (int(rng.integers(1, 5)), n)
+            x = np.round(rng.normal(size=shape), seed % 3)  # heavy ties
+            x[x == 0] = rng.choice([0.0, -0.0], size=int((x == 0).sum()))
+            assert np.array_equal(_midranks(x), rankdata(x, method="average", axis=-1))
+
+    def test_rank_rows_match_rank_scores(self):
+        rng = np.random.default_rng(6)
+        scores = np.round(rng.normal(size=(20, 40)), 1)
+        positives = rng.random(size=(20, 40)) < 0.4
+        positives[:, :2] = [True, False]
+        got = auroc_rank_rows(scores, positives)
+        for row, flags, value in zip(scores, positives, got):
+            assert value == auroc_rank_scores(row[flags], row[~flags]).value
+
     def test_matches_sklearn_binary(self):
         sk = pytest.importorskip("sklearn.metrics")
         for seed in range(20):
