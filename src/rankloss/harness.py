@@ -226,8 +226,10 @@ def run_trial(dataset: Dataset, config: ExperimentConfig, trial: int) -> list[fl
 
     All arms share the split and the model initialization seed, so arm
     differences are down to the training configuration alone. Errors are
-    re-raised as ``TrialError`` carrying the trial index.
+    re-raised as ``TrialError`` carrying the trial index, and naming the arm
+    when one was training or being evaluated.
     """
+    arm_name = None
     try:
         train_idx, val_idx, test_idx = monte_carlo_split(
             dataset.n_samples, dataset.labels, config.split, trial
@@ -237,6 +239,7 @@ def run_trial(dataset: Dataset, config: ExperimentConfig, trial: int) -> list[fl
         model0 = init_model(dims, seeds.init)
         results = []
         for arm in config.arms:
+            arm_name = arm.name
             trained, _ = train(
                 model0,
                 dataset.features[train_idx],
@@ -250,11 +253,12 @@ def run_trial(dataset: Dataset, config: ExperimentConfig, trial: int) -> list[fl
             )
         return results
     except RanklossError as exc:
-        raise _trial_error(trial, exc) from exc
+        raise _trial_error(trial, exc, arm_name) from exc
 
 
-def _trial_error(trial: int, exc: RanklossError) -> TrialError:
-    return TrialError(f"trial {trial}: {type(exc).__name__}: {exc}", trial=trial)
+def _trial_error(trial: int, exc: RanklossError, arm_name: str | None = None) -> TrialError:
+    where = f"trial {trial}" if arm_name is None else f"trial {trial}, arm {arm_name}"
+    return TrialError(f"{where}: {type(exc).__name__}: {exc}", trial=trial)
 
 
 def _run_stacked(dataset: Dataset, config: ExperimentConfig, trials: range) -> np.ndarray:
@@ -281,18 +285,20 @@ def _run_stacked(dataset: Dataset, config: ExperimentConfig, trials: range) -> n
         train_idx, val_idx, test_idx = (np.stack(p) for p in zip(*splits[lo : lo + per_call]))
         seeds = [trial_seeds(config.split.base_seed, t) for t in block]
         start = MLPStack.of([init_model(dims, s.init) for s in seeds])
-        first_error = [None] * len(block)  # per trial, in arm order
+        first_error = [None] * len(block)  # per trial: (arm name, error), in arm order
         for j, arm in enumerate(config.arms):
             run = train_stacked(start, x[train_idx], y[train_idx], x[val_idx], y[val_idx],
                                 [arm.train_config(s.shuffle) for s in seeds])
             aurocs, test_errors = evaluate_auroc_stacked(run.model, x[test_idx], y[test_idx])
             results[lo : lo + len(block), j] = aurocs
             for i, error in enumerate(run.errors):
-                if first_error[i] is None:
-                    first_error[i] = error if error is not None else test_errors[i]
-        for trial, error in zip(block, first_error):
-            if error is not None:
-                raise _trial_error(trial, error) from error
+                error = error if error is not None else test_errors[i]
+                if first_error[i] is None and error is not None:
+                    first_error[i] = (arm.name, error)
+        for trial, failed in zip(block, first_error):
+            if failed is not None:
+                arm_name, error = failed
+                raise _trial_error(trial, error, arm_name) from error
     if split_error is not None:
         raise _trial_error(*split_error) from split_error[1]
     return results

@@ -23,6 +23,7 @@ the value to exactly 0.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -44,7 +45,7 @@ __all__ = [
     "cross_entropy_loss",
     "loss_function",
     "finite_diff_check",
-    "STACKED_PAIR_LIMIT",
+    "PAIR_BLOCK",
     "stacked_loss",
 ]
 
@@ -171,7 +172,8 @@ def _pair_logistic(diffs: np.ndarray, params: SurrogateParams, want_slope: bool)
         t -= params.x0
     t *= params.k
     terms, slope = _sigmoid(t, want_slope)
-    terms *= params.L
+    if params.L != 1.0:  # x * 1.0 is x bit for bit too
+        terms *= params.L
     if want_slope:
         slope *= params.k * params.L
     return terms, slope
@@ -302,11 +304,13 @@ def cross_entropy_loss(batch: PredictionBatch, want_grad: bool = False) -> LossO
 # the per-batch value by float64 rounding; training only checks that it is
 # finite.
 
-STACKED_PAIR_LIMIT = 1 << 20
-"""Most padded (positive, negative) pairs one stacked pairwise call holds.
+PAIR_BLOCK = 1 << 15
+"""Padded (positive, negative) pairs the pairwise kernel handles at a time.
 
-Trials beyond it run in further calls, so a block of large batches keeps
-the pairwise temporaries of a single batch."""
+``_pair_terms`` walks each class's pairs in blocks of whole trials, or of
+positive rows of one trial, that hold at most this many pairs (or one row,
+if a row is longer). Its temporaries then stay cache-sized however large
+the batches or the block of trials, and blocking changes no result bit."""
 
 
 def stacked_loss(
@@ -331,17 +335,7 @@ def stacked_loss(
         raise ValueError(f"binary_auc_loss requires 2 classes, got {z.shape[2]}")
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
-    n_trials, rows, _ = z.shape
-    values = np.empty(n_trials)
-    grad = np.empty_like(z) if want_grad else None
-    # n_pos * n_neg <= (rows / 2)**2 bounds every class's pair block.
-    step = max(1, STACKED_PAIR_LIMIT // max(1, rows * rows // 4))
-    for lo in range(0, n_trials, step):
-        part = slice(lo, lo + step)
-        values[part], g = _stacked_auc(kind, z[part], y[part], params, want_grad)
-        if want_grad:
-            grad[part] = g
-    return values, grad
+    return _stacked_auc(kind, z, y, params, want_grad)
 
 
 def _stacked_cross_entropy(z, y, want_grad):
@@ -396,6 +390,15 @@ def _pair_terms(scores, y, c, params, want_grad):
     counts. Positives and negatives are gathered, in batch order, into
     (T, w_pos) and (T, w_neg) blocks whose padding holds -inf and +inf: a
     padded pair then has difference -inf, whose term and slope are exactly 0.
+
+    The (T, w_pos, w_neg) pair grid is walked in blocks of ``PAIR_BLOCK``
+    pairs. Slope sums round as NumPy rounds them for one lone batch. NumPy
+    sums a contiguous row pairwise, in an order set by its length, so each
+    row is summed over exactly its trial's n_neg columns, per group of
+    trials with equal n_neg. Columns add row by row, so a block's first row
+    takes the running column sums before its rows are added. A one-column
+    batch NumPy sums pairwise too: such a trial's column is summed at the
+    end from its row sums, each of which is its one slope.
     """
     n_trials, rows = scores.shape
     is_pos = y == c
@@ -411,13 +414,38 @@ def _pair_terms(scores, y, c, params, want_grad):
     padded[:, rows] = -np.inf
     padded[:, rows + 1] = np.inf
     trial = np.arange(n_trials)[:, None]
-    diffs = padded[trial, pos_at][:, :, None] - padded[trial, neg_at][:, None, :]
-    terms, slope = _pair_logistic(diffs, params, want_grad)
+    pos = padded[trial, pos_at][:, :, None]
+    neg = padded[trial, neg_at][:, None, :]
+    w_pos, w_neg = pos.shape[1], neg.shape[2]
+    block_rows = min(w_pos, max(1, PAIR_BLOCK // w_neg))
+    block_trials = max(1, PAIR_BLOCK // (w_pos * w_neg))
+    widths = np.unique(n_neg).tolist()
+    term_sums = np.zeros(n_trials)
+    row_sums = np.empty((n_trials, w_pos))
+    col_sums = np.zeros((n_trials, w_neg))
+    for t0, r0 in itertools.product(range(0, n_trials, block_trials), range(0, w_pos, block_rows)):
+        ts, rs = slice(t0, t0 + block_trials), slice(r0, r0 + block_rows)
+        terms, slope = _pair_logistic(pos[ts, rs] - neg[ts], params, want_grad)
+        term_sums[ts] += terms.reshape(len(terms), -1).sum(axis=1)
+        if not want_grad:
+            continue
+        for width in widths:
+            group = n_neg[ts] == width
+            if group.all():
+                row_sums[ts, rs] = slope[:, :, :width].sum(axis=2)
+                break
+            if group.any():
+                row_sums[ts, rs][group] = slope[group, :, :width].sum(axis=2)
+        slope[:, 0] += col_sums[ts]
+        np.add.reduce(slope, axis=1, out=col_sums[ts])
     n_pairs = n_pos * n_neg
-    mean = terms.reshape(n_trials, -1).sum(axis=1) / n_pairs
+    mean = term_sums / n_pairs
     if not want_grad:
         return mean, None, n_pairs
-    row_sums, col_sums = _block_sums(slope, n_pos, n_neg)
+    single = n_neg == 1
+    for r in np.unique(n_pos[single]).tolist():
+        group = single & (n_pos == r)
+        col_sums[group, 0] = row_sums[group, :r].sum(axis=1)
     g = np.zeros((n_trials, rows + 2))
     g[trial, pos_at] = -row_sums
     g[trial, neg_at] = col_sums
@@ -431,32 +459,6 @@ def _gather_order(mask, pad_slot):
     width = int(counts.max())
     order = np.argsort(~mask, axis=1, kind="stable")[:, :width]
     return np.where(np.arange(width) < counts[:, None], order, pad_slot), counts
-
-
-def _block_sums(x, n_rows, n_cols):
-    """Row and column sums of each trial's leading (n_rows[t], n_cols[t]) block,
-    rounded as NumPy rounds them for a lone block of that shape.
-
-    NumPy sums a contiguous row pairwise, in an order set by its length, so
-    row sums run per group of trials with equal ``n_cols`` over exactly
-    that many columns. Column sums add row by row, where zero padding rows
-    change nothing, except in a one-column block, which NumPy sums pairwise
-    too; those trials are summed per group of equal ``n_rows``.
-    """
-    width = x.shape[2]
-    if (n_cols == width).all():
-        row_sums = x.sum(axis=2)
-    else:
-        row_sums = np.empty(x.shape[:2])
-        for c in np.unique(n_cols).tolist():
-            group = n_cols == c
-            row_sums[group] = x[group, :, :c].sum(axis=2)
-    col_sums = x.sum(axis=1)
-    single = n_cols == 1
-    for r in np.unique(n_rows[single]).tolist():
-        group = single & (n_rows == r)
-        col_sums[group, 0] = x[group, :r, 0].sum(axis=1)
-    return row_sums, col_sums
 
 
 LossFn = Callable[[PredictionBatch, bool], LossOutput]

@@ -433,3 +433,17 @@ class TestTrialBatching:
         assert batched.value.trial == 0
         assert str(batched.value) == str(serial.value)
         assert "NonFiniteError" in str(batched.value)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("stratified", [True, False])
+    def test_error_names_the_arm(self, stratified):
+        # Stratified trials run in the engine, unstratified ones through
+        # run_trial; both name the failing arm after the trial.
+        ds = tiny_dataset(counts=(30, 20))
+        arms = (ArmConfig("ok", "cross_entropy", 8, max_epochs=2),
+                ArmConfig("diverges", "cross_entropy", 8, max_epochs=2, learning_rate=1e200))
+        config = ExperimentConfig(arms=arms, split=SplitSpec(stratified=stratified, n_repeats=3),
+                                  hidden_dims=(4,))
+        with pytest.raises(TrialError, match=r"^trial 0, arm diverges: NonFiniteError: "):
+            run_experiment(ds, config)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from rankloss import (
     multiclass_auc_loss,
     softmax,
 )
-from rankloss.losses import _sigmoid, stacked_loss
+import rankloss.losses
+from rankloss.losses import PAIR_BLOCK, _sigmoid, stacked_loss
 
 from conftest import random_batch
 
@@ -287,26 +289,35 @@ class TestSigmoid:
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_stacked_loss_matches_per_batch(data):
-    # Random labels, batch sizes and padding rows anywhere in the block: each
-    # trial's real rows, taken in order, are one per-batch call. The gradient
-    # is bit-identical; the value is the same mean summed in another order.
+    # Random labels, batch sizes, padding rows anywhere in the block and
+    # pair block sizes: each trial's real rows, taken in order, are one
+    # per-batch call. The gradient is bit-identical; the value is the same
+    # mean summed in another order.
     n_classes = data.draw(st.integers(2, 4))
     kind = data.draw(st.sampled_from([k for k in LOSS_KINDS if k != "auc_binary" or n_classes == 2]))
     n_trials = data.draw(st.integers(1, 4))
     rows = data.draw(st.integers(n_classes, 40))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     logits = data.draw(st.sampled_from([0.1, 1.0, 30.0])) * rng.normal(size=(n_trials, rows, n_classes))
+    # With two classes, optionally one lone sample of a class: a one-column
+    # pair grid, whose column NumPy sums pairwise.
+    lone = data.draw(st.sampled_from([None, 0, 1])) if n_classes == 2 else None
     labels = np.full((n_trials, rows), -1)
     for t in range(n_trials):
         size = int(rng.integers(n_classes, rows + 1))
         y = rng.integers(0, n_classes, size=size)
+        if lone is not None:
+            y[:] = 1 - lone
         y[:n_classes] = np.arange(n_classes)
         rng.shuffle(y)
         labels[t, np.sort(rng.choice(rows, size=size, replace=False))] = y
     params = SurrogateParams(k=data.draw(st.sampled_from([1.0, 20.0, 500.0])))
+    block = data.draw(st.sampled_from([1, 7, 40, PAIR_BLOCK]))
 
-    values, grad = stacked_loss(kind, logits, labels, params, want_grad=True)
-    value_only, no_grad = stacked_loss(kind, logits, labels, params)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rankloss.losses, "PAIR_BLOCK", block)
+        values, grad = stacked_loss(kind, logits, labels, params, want_grad=True)
+        value_only, no_grad = stacked_loss(kind, logits, labels, params)
     assert no_grad is None and np.array_equal(values, value_only)
     per_batch = loss_function(kind, params)
     for t in range(n_trials):
@@ -318,16 +329,32 @@ def test_stacked_loss_matches_per_batch(data):
 
 
 def test_stacked_loss_pair_limit_only_chunks(monkeypatch):
-    import rankloss.losses
-
+    # Blocks of one positive row each, of one trial, give the same bits as
+    # one block holding every trial.
     rng = np.random.default_rng(3)
     logits = rng.normal(size=(5, 12, 3))
     labels = np.tile(np.arange(12) % 3, (5, 1))
     labels[2, 10:] = -1
     whole = stacked_loss("auc_multiclass", logits, labels, want_grad=True)
-    monkeypatch.setattr(rankloss.losses, "STACKED_PAIR_LIMIT", 1)  # one trial per call
+    monkeypatch.setattr(rankloss.losses, "PAIR_BLOCK", 1)
     chunked = stacked_loss("auc_multiclass", logits, labels, want_grad=True)
     assert all(np.array_equal(a, b) for a, b in zip(whole, chunked))
+
+
+@pytest.mark.parametrize("kind", ["auc_binary", "auc_multiclass"])
+def test_stacked_loss_temporaries_bounded(kind):
+    # A full batch of 2400 rows has 600 x 1800 pairs per class (8.6 MB of
+    # float64 each); the blocked kernel never holds more than a few blocks.
+    rng = np.random.default_rng(0)
+    logits = rng.normal(size=(1, 2400, 2))
+    labels = (np.arange(2400) % 4 == 0).astype(np.int64)[None, :]
+    tracemalloc.start()
+    try:
+        stacked_loss(kind, logits, labels, want_grad=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_stacked_loss_names_trial_missing_a_class():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rankloss import (
     EmptyClassError,
@@ -11,6 +13,7 @@ from rankloss import (
     auroc_rank_scores,
     heaviside,
     monotone_check,
+    stratified_batches,
 )
 
 from conftest import pairwise_oracle, random_batch, random_pos_neg
@@ -136,6 +139,38 @@ class TestComplementSymmetry:
             w = auroc_pairwise(neg, pos).value
             assert w == 1.0 - v
             assert v == 1.0 - w
+
+
+class TestProperties:
+    scores = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40)
+    # A handful of levels, so most pairs tie.
+    quantized = st.lists(st.integers(-3, 3).map(lambda q: q / 4), min_size=1, max_size=40)
+
+    @settings(deadline=None)
+    @given(scores, scores)
+    def test_rank_swap_complement(self, pos, neg):
+        assert auroc_rank_scores(pos, neg).value == 1.0 - auroc_rank_scores(neg, pos).value
+
+    @settings(deadline=None)
+    @given(quantized, quantized)
+    def test_rank_equals_pairwise_on_ties(self, pos, neg):
+        assert auroc_rank_scores(pos, neg).value == auroc_pairwise(pos, neg).value
+
+    @settings(deadline=None)
+    @given(
+        st.lists(st.integers(0, 4), min_size=2, max_size=200).filter(lambda y: len(set(y)) >= 2),
+        st.integers(1, 64),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 50),
+    )
+    def test_sampler_batches_hold_every_class(self, labels, batch_size, seed, epoch):
+        y = np.array(labels)
+        classes = np.unique(y)
+        assume(batch_size >= classes.size)  # else InfeasibleBatchError
+        batches = stratified_batches(y, batch_size, seed, epoch)
+        assert np.array_equal(np.sort(np.concatenate(batches)), np.arange(y.size))
+        for batch in batches:
+            assert np.array_equal(np.unique(y[batch]), classes)
 
 
 class TestBounds:
