@@ -38,8 +38,6 @@ from .metrics import (
     auroc_rank,
     auroc_rank_rows,
     auroc_rank_scores,
-    heaviside,
-    monotone_check,
 )
 from .losses import (
     DEFAULT_SURROGATE,
@@ -95,9 +93,8 @@ __all__ = [
     "NonFiniteError", "DegenerateVarianceError", "TrialError", "CsvError",
     "MissingColumnError", "NonNumericCellError", "EmptyFileError", "ConfigError", "FieldError",
     # metrics
-    "PredictionBatch", "AurocValue", "MacroAuroc", "heaviside", "auroc_pairwise",
+    "PredictionBatch", "AurocValue", "MacroAuroc", "auroc_pairwise",
     "auroc_rank_scores", "auroc_rank", "auroc_rank_rows", "auroc_multiclass_ovr",
-    "monotone_check",
     # losses
     "SurrogateParams", "DEFAULT_SURROGATE", "LossOutput", "GradCheckReport",
     "LOSS_KINDS", "logistic", "softmax", "binary_auc_loss", "multiclass_auc_loss",

@@ -234,7 +234,9 @@ def _cmd_compare(args) -> int:
     seed_override = args.seed if args.seed is not None else _env_seed()
     config, synthetic, experiment = _parse_compare_config(doc, seed_override)
     if synthetic is not None:
-        dataset = generate_synthetic(synthetic)
+        dataset = _checked(
+            lambda f: f"/dataset/synthetic/{f}", lambda: generate_synthetic(synthetic)
+        )
     else:
         source = config["dataset"]["csv"]
         try:
@@ -271,7 +273,7 @@ def _cmd_gen(args) -> int:
     env_seed = _env_seed()
     if env_seed is not None:
         values["seed"] = env_seed
-    dataset = generate_synthetic(_checked(lambda f: f"/{f}", lambda: SyntheticSpec(**values)))
+    dataset = _checked(lambda f: f"/{f}", lambda: generate_synthetic(SyntheticSpec(**values)))
     save_csv(dataset, args.out)
     print(f"wrote {dataset.n_samples} samples x {dataset.n_features} features to {args.out}")
     return 0

@@ -143,7 +143,8 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 
     Rows are ordered by class (all of class 0, then class 1, ...); labels
     are flipped after feature generation, so a flipped sample keeps the
-    feature distribution of its original class.
+    feature distribution of its original class. Flips that leave a class
+    with no samples raise ``FieldError`` for ``label_flip_prob``.
     """
     rng = np.random.default_rng(spec.seed)
     n_classes = spec.n_classes
@@ -166,6 +167,13 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         offsets = rng.integers(1, n_classes, size=int(flip.sum()))
         labels = labels.copy()
         labels[flip] = (labels[flip] + offsets) % n_classes
+    emptied = np.flatnonzero(np.bincount(labels, minlength=n_classes) == 0)
+    if emptied.size:
+        raise FieldError(
+            "label_flip_prob",
+            f"label flips (probability {spec.label_flip_prob}, seed {spec.seed}) "
+            f"left class {int(emptied[0])} with no samples",
+        )
     return Dataset(
         features=features,
         labels=labels,

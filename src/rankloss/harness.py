@@ -185,35 +185,36 @@ def monte_carlo_split(
 
     Sizes follow floor(ratio * n) for train and validation with the
     remainder as test; stratified mode applies that rule inside each class
-    and merges, raising ``TooSmallError`` if any partition would receive no
-    samples of some class. Fewer than 5 samples raise ``TooSmallError`` too.
+    and merges. ``TooSmallError`` is raised if any partition would receive
+    no samples (of some class, when stratified), or for fewer than 5 samples.
     """
     if n < 5:
         raise TooSmallError(f"need at least 5 samples to split, got {n}")
     rng = np.random.default_rng(trial_seeds(spec.base_seed, trial).split)
     r_train, r_val, _ = spec.ratios
 
-    def cut(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def cut(indices: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         m = indices.size
         n_train = int(math.floor(r_train * m))
         n_val = int(math.floor(r_val * m))
-        return indices[:n_train], indices[n_train : n_train + n_val], indices[n_train + n_val :]
+        chunks = indices[:n_train], indices[n_train : n_train + n_val], indices[n_train + n_val :]
+        for name, chunk in zip(("train", "validation", "test"), chunks):
+            if chunk.size == 0:
+                raise TooSmallError(
+                    f"{what}the {name} partition would receive no samples ({m} to split)"
+                )
+        return chunks
 
     if not spec.stratified:
-        train_idx, val_idx, test_idx = cut(rng.permutation(n))
+        train_idx, val_idx, test_idx = cut(rng.permutation(n), "")
     else:
         y = np.asarray(labels)
         if y.shape != (n,):
             raise ValueError(f"labels must have shape ({n},), got {y.shape}")
         parts: list[list[np.ndarray]] = [[], [], []]
         for c in np.unique(y):
-            tr, va, te = cut(rng.permutation(np.flatnonzero(y == c)))
-            for name, part, chunk in zip(("train", "validation", "test"), parts, (tr, va, te)):
-                if chunk.size == 0:
-                    raise TooSmallError(
-                        f"class {c}: the {name} partition would receive no samples "
-                        f"(class count {np.count_nonzero(y == c)})"
-                    )
+            chunks = cut(rng.permutation(np.flatnonzero(y == c)), f"class {c}: ")
+            for part, chunk in zip(parts, chunks):
                 part.append(chunk)
         train_idx = np.concatenate(parts[0])
         val_idx = np.concatenate(parts[1])

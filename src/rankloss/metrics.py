@@ -21,7 +21,7 @@ ordering, so no normalization is applied or checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -31,13 +31,11 @@ __all__ = [
     "PredictionBatch",
     "AurocValue",
     "MacroAuroc",
-    "heaviside",
     "auroc_pairwise",
     "auroc_rank_scores",
     "auroc_rank",
     "auroc_rank_rows",
     "auroc_multiclass_ovr",
-    "monotone_check",
 ]
 
 
@@ -126,22 +124,6 @@ class MacroAuroc:
     per_class: tuple[Optional[AurocValue], ...]
 
 
-def heaviside(x: float) -> float:
-    """Unit step: 1 for x > 0, 0.5 for x = 0, 0 for x < 0.
-
-    This is the comparator that turns a score difference into a pair win;
-    the half at zero is what makes ties count 0.5.
-    """
-    x = float(x)
-    if not np.isfinite(x):
-        raise ValueError(f"heaviside requires finite input, got {x}")
-    if x > 0.0:
-        return 1.0
-    if x == 0.0:
-        return 0.5
-    return 0.0
-
-
 def _as_score_vector(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64).ravel()
     if arr.size and not np.all(np.isfinite(arr)):
@@ -166,7 +148,8 @@ def _auc_from_win_sum(win_sum: float, n_pos: int, n_neg: int) -> float:
 
 
 def auroc_pairwise(pos_scores, neg_scores) -> AurocValue:
-    """AUROC by full pair enumeration: mean of heaviside(pos - neg) over all pairs.
+    """AUROC by full pair enumeration: the mean over all pairs of the unit step
+    of pos - neg, which is 1/2 at a tie.
 
     The definitional route. Quadratic in the class sizes; kept as the oracle
     the rank-based route is verified against.
@@ -293,31 +276,3 @@ def auroc_multiclass_ovr(batch: PredictionBatch, lenient: bool = False) -> Macro
         raise EmptyClassError("no class has both positives and negatives", class_index=None)
     macro = float(np.mean(values))
     return MacroAuroc(value=macro, per_class=tuple(per_class))
-
-
-def monotone_check(
-    batch: PredictionBatch,
-    transform: Callable[[np.ndarray], np.ndarray],
-    tol: float = 1e-12,
-) -> bool:
-    """True iff AUROC is unchanged (within ``tol``) after transforming the scores.
-
-    A strictly increasing transform preserves every pairwise ordering, so
-    AUROC must not move; a decreasing one flips it to its complement and the
-    check reports False. Compares the macro value and every per-class value.
-    """
-    transformed = np.asarray(transform(batch.scores), dtype=np.float64)
-    if transformed.shape != batch.scores.shape:
-        raise ValueError(
-            f"transform changed the score shape: {batch.scores.shape} -> {transformed.shape}"
-        )
-    before = auroc_multiclass_ovr(batch)
-    after = auroc_multiclass_ovr(
-        PredictionBatch(transformed, batch.labels, probabilities=False)
-    )
-    if abs(before.value - after.value) > tol:
-        return False
-    for b, a in zip(before.per_class, after.per_class):
-        if abs(b.value - a.value) > tol:
-            return False
-    return True

@@ -499,121 +499,61 @@ def evaluate_auroc_stacked(
     return values, tuple(_non_finite("evaluation logits", epoch) if b else None for b in bad)
 
 
-class _LiveTrials:
-    """Per-trial state of a stacked run, for the trials that have not failed.
-
-    ``fail`` records an error for the trials a mask flags and drops them, so
-    no non-finite value of a failed trial reaches the others' arithmetic.
-    """
-
-    _PER_TRIAL = ("ids", "seeds", "train_x", "train_y", "val_x", "val_y", "best_auroc",
-                  "batch_x", "batch_y", "batch_sizes")
-
-    def __init__(self, model, train_x, train_y, val_x, val_y, seeds, errors):
-        self.ids = np.arange(model.n_models)
-        self.seeds = np.asarray(seeds)
-        self.groups = [_LabelGroups(y) for y in train_y]
-        self.train_x, self.train_y, self.val_x, self.val_y = train_x, train_y, val_x, val_y
-        self.work = model.copy()
-        self.best = model.copy()
-        self.best_auroc = np.full(model.n_models, -np.inf)
-        self.batch_x = self.batch_y = self.batch_sizes = None
-        self.errors = errors
-
-    @property
-    def n(self) -> int:
-        return self.ids.size
-
-    def fail(self, bad: np.ndarray, what: str, epoch=None, batch=None) -> None:
-        for i in np.flatnonzero(bad):
-            self.errors[self.ids[i]] = _non_finite(what, epoch, batch)
-        self.drop(bad)
-
-    def drop(self, bad: np.ndarray) -> None:
-        if not bad.any():
-            return
-        keep = ~bad
-        for name in self._PER_TRIAL:
-            value = getattr(self, name)
-            if value is not None:
-                setattr(self, name, value[keep])
-        self.groups = [g for g, k in zip(self.groups, keep) if k]
-        self.work = self.work.take(keep)
-        self.best = self.best.take(keep)
-
-    def sample(self, batch_size: int, epoch: int, rows: int) -> None:
-        """Draw the epoch's batches of every trial, padded to ``rows`` rows:
-        ``batch_x`` (T, n_batches, rows, n_features), ``batch_y`` with -1 on
-        padding, and ``batch_sizes`` (T, n_batches) the real row counts."""
-        batches, failed = [], np.zeros(self.n, dtype=bool)
-        for i, (groups, seed) in enumerate(zip(self.groups, self.seeds.tolist())):
-            try:
-                batches.append(stratified_batches(groups, batch_size, seed, epoch))
-            except RanklossError as exc:
-                self.errors[self.ids[i]] = exc
-                failed[i] = True
-        self.drop(failed)
-        if not batches:
-            return
-        sizes = np.array([[b.size for b in trial] for trial in batches])
-        flat = np.stack([np.concatenate(trial) for trial in batches])
-        n_trials, n_batches = sizes.shape
-        # Entry k of trial t's back-to-back batches lands in row k - start
-        # of its batch b, at flat position ((t * n_batches) + b) * rows + row.
-        starts = np.cumsum(sizes, axis=1) - sizes + flat.shape[1] * np.arange(n_trials)[:, None]
-        base = np.arange(n_trials * n_batches) * rows - starts.ravel()
-        index = np.zeros((n_trials, n_batches, rows), dtype=np.intp)
-        index.reshape(-1)[np.repeat(base, sizes.ravel()) + np.arange(flat.size)] = flat.ravel()
-        trial = np.arange(n_trials)[:, None, None]
-        self.batch_x = self.train_x[trial, index]
-        self.batch_y = np.where(np.arange(rows) < sizes[:, :, None], self.train_y[trial, index], -1)
-        self.batch_sizes = sizes
+def _sample(groups, seeds, batch_size: int, epoch: int, train_x, train_y, rows: int):
+    """The epoch's batches of every trial, padded to ``rows`` rows: features
+    (T, n_batches, rows, n_features), labels with -1 on padding, and the
+    real row counts (T, n_batches)."""
+    batches = [stratified_batches(g, batch_size, s, epoch) for g, s in zip(groups, seeds)]
+    sizes = np.array([[b.size for b in trial] for trial in batches])
+    flat = np.stack([np.concatenate(trial) for trial in batches])
+    n_trials, n_batches = sizes.shape
+    # Entry k of trial t's back-to-back batches lands in row k - start
+    # of its batch b, at flat position ((t * n_batches) + b) * rows + row.
+    starts = np.cumsum(sizes, axis=1) - sizes + flat.shape[1] * np.arange(n_trials)[:, None]
+    base = np.arange(n_trials * n_batches) * rows - starts.ravel()
+    index = np.zeros((n_trials, n_batches, rows), dtype=np.intp)
+    index.reshape(-1)[np.repeat(base, sizes.ravel()) + np.arange(flat.size)] = flat.ravel()
+    trial = np.arange(n_trials)[:, None, None]
+    labels = np.where(np.arange(rows) < sizes[:, :, None], train_y[trial, index], -1)
+    return train_x[trial, index], labels, sizes
 
 
-def _step(live: _LiveTrials, config: TrainConfig, epoch: int, batch: int) -> None:
-    """One SGD step of every live trial at one batch position.
+def _step(work: MLPStack, x, y, sizes, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """One SGD step of every trial on its batch ``x``, ``y`` of ``sizes`` real rows.
 
     Trials are ordered by batch size, and each layer runs per run of equal
-    sizes on exactly the real rows. A trial whose logits or loss value are
-    non-finite is failed and the step recomputed without it.
+    sizes on exactly the real rows. Returns the trials whose logits and
+    whose loss value are non-finite; their updates are garbage, which no
+    other trial's arithmetic reads.
     """
-    while True:
-        if not live.n:
-            return
-        sizes = live.batch_sizes[:, batch]
-        order = np.argsort(sizes, kind="stable")
-        ordered = sizes[order]
-        cuts = [0, *(np.flatnonzero(np.diff(ordered)) + 1).tolist(), live.n]
-        runs = [(lo, hi, int(ordered[lo])) for lo, hi in zip(cuts, cuts[1:])]
-        work = live.work.take(order)
-        x = live.batch_x[order, batch]
-        logits = np.zeros(x.shape[:2] + (work.n_classes,))
-        caches = []
-        for lo, hi, size in runs:
-            part = work.view(lo, hi)
-            out, inputs, pre_acts = _forward_cached(part, x[lo:hi, :size])
-            logits[lo:hi, :size] = out
-            caches.append((lo, hi, size, part, inputs, pre_acts))
-        bad, what = _nonfinite_rows(logits), "logits"
-        if not bad.any():
-            values, grad = stacked_loss(
-                config.loss_kind, logits, live.batch_y[order, batch], config.surrogate, True
-            )
-            bad, what = ~np.isfinite(values), "loss"
-            if not bad.any():
-                break
-        unordered = np.empty_like(bad)
-        unordered[order] = bad
-        live.fail(unordered, what, epoch, batch)
+    order = np.argsort(sizes, kind="stable")
+    ordered = sizes[order]
+    cuts = [0, *(np.flatnonzero(np.diff(ordered)) + 1).tolist(), sizes.size]
+    stack = work.take(order)
+    x = x[order]
+    logits = np.zeros(x.shape[:2] + (work.n_classes,))
+    caches = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        size = int(ordered[lo])
+        part = stack.view(lo, hi)
+        out, inputs, pre_acts = _forward_cached(part, x[lo:hi, :size])
+        logits[lo:hi, :size] = out
+        caches.append((lo, hi, size, part, inputs, pre_acts))
+    values, grad = stacked_loss(config.loss_kind, logits, y[order], config.surrogate, True)
     for lo, hi, size, part, inputs, pre_acts in caches:
         grads_w, grads_b = _backprop(part, inputs, pre_acts, grad[lo:hi, :size])
         for w, b, gw, gb in zip(part.weights, part.biases, grads_w, grads_b):
             w -= config.learning_rate * gw
             b -= config.learning_rate * gb
-    for kept, updated in zip(live.work.weights + live.work.biases, work.weights + work.biases):
+    for kept, updated in zip(work.weights + work.biases, stack.weights + stack.biases):
         kept[order] = updated
+    bad_logits, bad_loss = np.empty((2, order.size), dtype=bool)
+    bad_logits[order] = _nonfinite_rows(logits)
+    bad_loss[order] = ~np.isfinite(values)
+    return bad_logits, bad_loss
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_stacked(
     model: MLPStack,
     train_x: np.ndarray,
@@ -631,6 +571,11 @@ def train_stacked(
     Where ``train`` would raise, the trial's error is recorded instead and
     the other trials train on; it is the same error type with the same
     message, epoch and batch. No ``TrainHistory`` is kept.
+
+    A failed trial stays in the stack, masked: no kernel reduces across
+    trials, so its non-finite values reach no other trial's arithmetic.
+    NumPy's overflow and invalid-value warnings are silenced, as that
+    arithmetic is expected and the trial's error already reports it.
     """
     config = configs[0]
     if len(configs) != model.n_models or any(
@@ -646,31 +591,48 @@ def train_stacked(
     rows = int(np.sum(-(-present // _batch_count(present, config.batch_size))))
 
     errors: list[Optional[RanklossError]] = [None] * model.n_models
-    live = _LiveTrials(model, train_x, train_y, val_x, val_y, [c.seed for c in configs], errors)
-    logits = _forward_cached(live.work, live.train_x)[0]
-    bad = _nonfinite_rows(logits)
-    live.fail(bad, "initial logits")
-    if live.n:
-        values, _ = stacked_loss(config.loss_kind, logits[~bad], live.train_y, config.surrogate)
-        live.fail(~np.isfinite(values), "initial loss")
+    failed = np.zeros(model.n_models, dtype=bool)
 
+    def fail(bad: np.ndarray, what: str, epoch=None, batch=None) -> None:
+        if bad.any():  # checked every step, so the common case returns early
+            for t in np.flatnonzero(bad & ~failed):
+                errors[t] = _non_finite(what, epoch, batch)
+            failed[:] |= bad
+
+    work, best = model.copy(), model.copy()
+    best_auroc = np.full(model.n_models, -np.inf)
+    logits = _forward_cached(work, train_x)[0]
+    fail(_nonfinite_rows(logits), "initial logits")
+    values, _ = stacked_loss(config.loss_kind, logits, train_y, config.surrogate)
+    fail(~np.isfinite(values), "initial loss")
+
+    groups = [_LabelGroups(y) for y in train_y]
+    seeds = [c.seed for c in configs]
     for epoch in range(config.max_epochs):
-        if live.n:
-            live.sample(config.batch_size, epoch, rows)
-        for batch in range(live.batch_sizes.shape[1] if live.n else 0):
-            _step(live, config, epoch, batch)
-        if not live.n:
+        if failed.all():
             break
-        aurocs, val_errors = evaluate_auroc_stacked(live.work, live.val_x, live.val_y, epoch)
-        bad = np.array([e is not None for e in val_errors])
-        live.fail(bad, "evaluation logits", epoch)
-        improved = aurocs[~bad] > live.best_auroc
-        for kept, current in zip(live.best.weights + live.best.biases,
-                                 live.work.weights + live.work.biases):
+        # Trials with equal class counts fail the sampler together, and in
+        # the first epoch, before any checkpoint.
+        try:
+            batch_x, batch_y, sizes = _sample(
+                groups, seeds, config.batch_size, epoch, train_x, train_y, rows
+            )
+        except RanklossError as exc:
+            errors[:] = [exc if e is None else e for e in errors]
+            break
+        for batch in range(sizes.shape[1]):
+            bad_logits, bad_loss = _step(
+                work, batch_x[:, batch], batch_y[:, batch], sizes[:, batch], config
+            )
+            fail(bad_logits, "logits", epoch, batch)
+            fail(bad_loss, "loss", epoch, batch)
+        aurocs, val_errors = evaluate_auroc_stacked(work, val_x, val_y, epoch)
+        fail(np.array([e is not None for e in val_errors]), "evaluation logits", epoch)
+        improved = ~failed & (aurocs > best_auroc)
+        for kept, current in zip(best.weights + best.biases, work.weights + work.biases):
             np.copyto(kept, current, where=improved.reshape((-1,) + (1,) * (kept.ndim - 1)))
-        live.best_auroc = np.where(improved, aurocs[~bad], live.best_auroc)
+        best_auroc = np.where(improved, aurocs, best_auroc)
 
-    best = model.copy()
-    for kept, out in zip(live.best.weights + live.best.biases, best.weights + best.biases):
-        out[live.ids] = kept
+    for kept, initial in zip(best.weights + best.biases, model.weights + model.biases):
+        kept[failed] = initial[failed]
     return StackedTraining(model=best, errors=tuple(errors))

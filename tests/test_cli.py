@@ -357,6 +357,31 @@ def _directory_config_argv(tmp_path):
     return ["compare", "--config", str(tmp_path), "--out", str(tmp_path / "m.json")]
 
 
+def _unstratified_empty_train_config(tmp_path):
+    # floor(0.01 * 50) = 0 training samples.
+    config = small_compare_config(tmp_path)
+    config["dataset"]["synthetic"]["class_counts"] = [30, 20]
+    config["split"].update(ratios=[0.01, 0.01, 0.98], stratified=False)
+    return config
+
+
+# Seed 4 flips the one class-1 sample to class 0.
+_EMPTYING_FLIPS = {"class_counts": [1, 1], "dim": 2, "class_mean_separation": 1.0,
+                   "noise_std": 1.0, "label_flip_prob": 0.49, "seed": 4}
+
+
+def _emptying_flips_compare_config(tmp_path):
+    config = small_compare_config(tmp_path)
+    config["dataset"]["synthetic"] = dict(_EMPTYING_FLIPS)
+    return config
+
+
+def _emptying_flips_gen_argv(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_EMPTYING_FLIPS))
+    return ["gen", "--spec", str(spec_path), "--out", str(tmp_path / "data.csv")]
+
+
 # (argv builder, exit code, message fragment): malformed input exits 2
 # before any trial runs, a runtime failure exits 3 naming the trial; neither
 # ends in a traceback.
@@ -388,6 +413,14 @@ MALFORMED_INPUTS = {
         _metric_argv(b"\xff\xfescore,target\n0.1,0\n0.4,1\n"), 2, "scores.csv: not UTF-8",
     ),
     "config_is_directory": (_directory_config_argv, 2, "Is a directory"),
+    "unstratified_empty_train_partition": (
+        _compare_argv(_unstratified_empty_train_config),
+        3, "trial 0: TooSmallError: the train partition would receive no samples",
+    ),
+    "compare_flips_empty_a_class": (
+        _compare_argv(_emptying_flips_compare_config), 2, "/dataset/synthetic/label_flip_prob",
+    ),
+    "gen_flips_empty_a_class": (_emptying_flips_gen_argv, 2, "/label_flip_prob"),
 }
 
 

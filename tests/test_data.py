@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankloss import (
     ArmConfig,
@@ -151,6 +153,33 @@ class TestCsv:
         save_csv(original, path)
         reloaded = load_csv(path, "label")
         assert np.array_equal(reloaded.features, original.features)
+
+
+@st.composite
+def class_ordered_datasets(draw):
+    """Datasets whose rows run class by class, as generated ones do, with
+    any finite features and optionally named classes."""
+    counts = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    dim = draw(st.integers(1, 3))
+    n = sum(counts)
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=n * dim, max_size=n * dim))
+    names = draw(st.none() | st.lists(st.text(min_size=1), min_size=len(counts),
+                                      max_size=len(counts), unique=True))
+    return Dataset(features=np.array(values).reshape(n, dim),
+                   labels=np.repeat(np.arange(len(counts)), counts),
+                   n_classes=len(counts), class_names=None if names is None else tuple(names))
+
+
+@settings(deadline=None, max_examples=60)
+@given(class_ordered_datasets())
+def test_csv_round_trip_property(tmp_path_factory, dataset):
+    path = tmp_path_factory.mktemp("round_trip") / "data.csv"
+    save_csv(dataset, path)
+    reloaded = load_csv(path, "label")
+    assert reloaded.features.tobytes() == dataset.features.tobytes()  # -0.0 and subnormals too
+    assert np.array_equal(reloaded.labels, dataset.labels)
+    assert reloaded.n_classes == dataset.n_classes
 
 
 class TestDatasetValidation:

@@ -343,6 +343,42 @@ class TestTrainStacked:
             trained, _ = train(models[t], x[tr[t]], y[tr[t]], x[va[t]], y[va[t]], configs[t])
             assert np.array_equal(trained.weights[0], run.model.weights[0][t])
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("kind, weight_scale, feature_scale, where", [
+        ("cross_entropy", 1e200, 1.0, (0, 1)),
+        ("auc_multiclass", 1e200, 1.0, (0, 1)),
+        # Fails after epoch 0 improved its checkpoint, which must be reset.
+        ("cross_entropy", 1.0, 1e20, (1, 3)),
+    ])
+    def test_trial_diverging_mid_run(self, kind, weight_scale, feature_scale, where):
+        # Trial 1's first layer is scaled up and its last layer down, or its
+        # training features are scaled up: its initial logits stay finite
+        # and a later SGD step overflows them.
+        ds, tr, va, te, seeds, models = stacked_trials((30, 20, 25), (4,), n_trials=3)
+        x, y = ds.features, ds.labels
+        train_x = x[tr]
+        train_x[1] *= feature_scale
+        models[1].weights[0][:] *= weight_scale
+        models[1].weights[-1][:] /= weight_scale
+        configs = [TrainConfig(batch_size=8, loss_kind=kind, max_epochs=4, seed=s.shuffle)
+                   for s in seeds]
+        run = train_stacked(MLPStack.of(models), train_x, y[tr], x[va], y[va], configs)
+        with pytest.raises(NonFiniteError) as expected:
+            train(models[1], train_x[1], y[tr[1]], x[va[1]], y[va[1]], configs[1])
+        error = run.errors[1]
+        assert type(error) is NonFiniteError and str(error) == str(expected.value)
+        assert (error.epoch, error.batch) == (expected.value.epoch, expected.value.batch) == where
+        assert run.errors[0] is None and run.errors[2] is None
+        for t in (0, 2):
+            trained, _ = train(models[t], train_x[t], y[tr[t]], x[va[t]], y[va[t]], configs[t])
+            stacked = run.model.model(t)
+            for a, b in zip(trained.weights + trained.biases, stacked.weights + stacked.biases):
+                assert np.array_equal(a, b)
+        failed = run.model.model(1)
+        for a, b in zip(models[1].weights + models[1].biases, failed.weights + failed.biases):
+            assert np.array_equal(a, b)
+
     def test_rejects_unequal_class_counts(self):
         ds, tr, va, _, seeds, models = stacked_trials((30, 20), (4,), n_trials=2)
         x, y = ds.features, ds.labels
