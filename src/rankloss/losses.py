@@ -179,6 +179,41 @@ def _pair_logistic(diffs: np.ndarray, params: SurrogateParams, want_slope: bool)
     return terms, slope
 
 
+def _block_logistic(diff, u, d, terms, params: SurrogateParams, want_value, want_slope):
+    """``_pair_logistic`` of the pair differences ``diff``, bit for bit, in
+    the caller's buffers of its shape: L f(x) lands in ``terms`` when
+    ``want_value``, k L f'(x) in ``u`` when ``want_slope``, and each is
+    returned, or None when not asked for. ``d`` is scratch, and ``diff`` is
+    overwritten when x0 != 0.
+
+    t = k (x - x0) is never formed. Rounding is symmetric in sign, so
+    exp(-|t|) is exp(|x - x0| * -k) bit for bit. The sign mask is read off
+    x - x0: it differs from t >= 0 only where k (x - x0) underflows to -0,
+    and there exp(-|t|) = 1, the numerator either way.
+    """
+    if params.x0:
+        diff -= params.x0
+    np.abs(diff, out=u)
+    u *= -params.k
+    np.exp(u, out=u)
+    np.add(u, 1.0, out=d)
+    if want_value:
+        # As in _sigmoid: the numerator is 1 where x >= x0 and u below.
+        np.greater_equal(diff, 0.0, out=terms)
+        np.maximum(u, terms, out=terms)
+        terms /= d
+        if params.L != 1.0:
+            terms *= params.L
+    else:
+        terms = None
+    if not want_slope:
+        return terms, None
+    d *= d
+    u /= d
+    u *= params.k * params.L
+    return terms, u
+
+
 def _require_logits(batch: PredictionBatch, name: str) -> None:
     if batch.probabilities:
         raise ValueError(
@@ -301,8 +336,9 @@ def cross_entropy_loss(batch: PredictionBatch, want_grad: bool = False) -> LossO
 # where label -1 marks a padding row. Row t reproduces the per-batch function
 # on trial t's real rows: the gradient bit for bit, with padding rows at 0.
 # The value is the same mean, summed in another order, so it can differ from
-# the per-batch value by float64 rounding; training only checks that it is
-# finite.
+# the per-batch value by float64 rounding. Training only checks that it is
+# finite, so an SGD step can skip the AUC value where it is finite anyway,
+# and the pairwise kernel then computes no surrogate terms at all.
 
 PAIR_BLOCK = 1 << 15
 """Padded (positive, negative) pairs the pairwise kernel handles at a time.
@@ -319,11 +355,17 @@ def stacked_loss(
     labels: np.ndarray,
     params: SurrogateParams = DEFAULT_SURROGATE,
     want_grad: bool = False,
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    *,
+    want_value: bool = True,
+) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
     """Loss values (T,) and, when asked, d(value)/d(logits) for T padded batches.
 
     Every trial's batch must hold at least one sample of each class the loss
     ranks; ``EmptyClassError`` names the first trial that does not.
+
+    ``want_value=False`` is for callers that need only the gradient: the AUC
+    kinds then return None for the value and skip the surrogate terms, a
+    third of the pairwise kernel's work. Cross entropy always computes it.
     """
     z = np.asarray(logits, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -335,7 +377,7 @@ def stacked_loss(
         raise ValueError(f"binary_auc_loss requires 2 classes, got {z.shape[2]}")
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
-    return _stacked_auc(kind, z, y, params, want_grad)
+    return _stacked_auc(kind, z, y, params, want_grad, want_value)
 
 
 def _stacked_cross_entropy(z, y, want_grad):
@@ -355,48 +397,52 @@ def _stacked_cross_entropy(z, y, want_grad):
     return value, grad
 
 
-def _stacked_auc(kind, z, y, params, want_grad):
+def _stacked_auc(kind, z, y, params, want_grad, want_value):
     probs = _softmax_rows(z)
     if kind == "auc_binary":
-        mean, g_p, n_pairs = _pair_terms(probs[:, :, -1], y, 1, params, want_grad)
+        mean, g_p, n_pairs = _pair_terms(probs[:, :, -1], y, 1, params, want_grad, want_value)
+        value = 1.0 - mean if want_value else None
         if not want_grad:
-            return 1.0 - mean, None
+            return value, None
         g_p /= n_pairs[:, None]
         jac = probs[:, :, 0] * probs[:, :, 1]
-        return 1.0 - mean, np.stack([-g_p * jac, g_p * jac], axis=2)
+        return value, np.stack([-g_p * jac, g_p * jac], axis=2)
 
     n_terms = z.shape[2]
     term_sum = np.zeros(z.shape[0])
     g_s = np.zeros_like(probs) if want_grad else None
     for c in range(n_terms):
-        mean, g, n_pairs = _pair_terms(probs[:, :, c], y, c, params, want_grad)
-        term_sum += mean
+        mean, g, n_pairs = _pair_terms(probs[:, :, c], y, c, params, want_grad, want_value)
+        if want_value:
+            term_sum += mean
         if want_grad:
             g /= (n_pairs * n_terms)[:, None]
             g_s[:, :, c] = g
-    value = 1.0 - term_sum / n_terms
+    value = 1.0 - term_sum / n_terms if want_value else None
     if not want_grad:
         return value, None
     inner = (g_s * probs).sum(axis=2, keepdims=True)
     return value, probs * (g_s - inner)
 
 
-def _pair_terms(scores, y, c, params, want_grad):
+def _pair_terms(scores, y, c, params, want_grad, want_value):
     """Class-c positives against every other real row, for each trial.
 
-    Returns the mean surrogate term over each trial's pairs, the signed
-    slope sums per row (minus the row sum for a positive, the column sum for
-    a negative, 0 for padding; None without ``want_grad``) and the pair
-    counts. Positives and negatives are gathered, in batch order, into
+    Returns the mean surrogate term over each trial's pairs (None without
+    ``want_value``), the signed slope sums per row (minus the row sum for a
+    positive, the column sum for a negative, 0 for padding; None without
+    ``want_grad``) and the pair counts. Positives and negatives are gathered, in batch order, into
     (T, w_pos) and (T, w_neg) blocks whose padding holds -inf and +inf: a
     padded pair then has difference -inf, whose term and slope are exactly 0.
 
     The (T, w_pos, w_neg) pair grid is walked in blocks of ``PAIR_BLOCK``
-    pairs. Slope sums round as NumPy rounds them for one lone batch. NumPy
-    sums a contiguous row pairwise, in an order set by its length, so each
-    row is summed over exactly its trial's n_neg columns, per group of
-    trials with equal n_neg. Columns add row by row, so a block's first row
-    takes the running column sums before its rows are added. A one-column
+    pairs, computed in place in one workspace of four block-sized buffers
+    allocated once per call. Slope sums round as NumPy rounds them for one
+    lone batch. NumPy sums a contiguous row pairwise, in an order set by its
+    length, so each row is summed over exactly its trial's n_neg columns,
+    per group of trials with equal n_neg. Columns add row by row, so a
+    block's first row takes the running column sums before its rows are
+    added. A one-column
     batch NumPy sums pairwise too: such a trial's column is summed at the
     end from its row sums, each of which is its one slope.
     """
@@ -418,15 +464,21 @@ def _pair_terms(scores, y, c, params, want_grad):
     neg = padded[trial, neg_at][:, None, :]
     w_pos, w_neg = pos.shape[1], neg.shape[2]
     block_rows = min(w_pos, max(1, PAIR_BLOCK // w_neg))
-    block_trials = max(1, PAIR_BLOCK // (w_pos * w_neg))
+    block_trials = min(n_trials, max(1, PAIR_BLOCK // (w_pos * w_neg)))
+    work = np.empty((4, block_trials * block_rows * w_neg))
     widths = np.unique(n_neg).tolist()
     term_sums = np.zeros(n_trials)
     row_sums = np.empty((n_trials, w_pos))
     col_sums = np.zeros((n_trials, w_neg))
     for t0, r0 in itertools.product(range(0, n_trials, block_trials), range(0, w_pos, block_rows)):
         ts, rs = slice(t0, t0 + block_trials), slice(r0, r0 + block_rows)
-        terms, slope = _pair_logistic(pos[ts, rs] - neg[ts], params, want_grad)
-        term_sums[ts] += terms.reshape(len(terms), -1).sum(axis=1)
+        shape = (min(block_trials, n_trials - t0), min(block_rows, w_pos - r0), w_neg)
+        diff, u, d, terms = work[:, : shape[0] * shape[1] * w_neg].reshape(4, *shape)
+        np.copyto(diff, pos[ts, rs])
+        diff -= neg[ts]
+        terms, slope = _block_logistic(diff, u, d, terms, params, want_value, want_grad)
+        if want_value:
+            term_sums[ts] += terms.reshape(shape[0], -1).sum(axis=1)
         if not want_grad:
             continue
         for width in widths:
@@ -439,7 +491,7 @@ def _pair_terms(scores, y, c, params, want_grad):
         slope[:, 0] += col_sums[ts]
         np.add.reduce(slope, axis=1, out=col_sums[ts])
     n_pairs = n_pos * n_neg
-    mean = term_sums / n_pairs
+    mean = term_sums / n_pairs if want_value else None
     if not want_grad:
         return mean, None, n_pairs
     single = n_neg == 1

@@ -290,6 +290,7 @@ def evaluate_auroc(
     return auroc_multiclass_ovr(batch).value
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     model: MLPModel,
     train_x: np.ndarray,
@@ -308,7 +309,9 @@ def train(
     Every forward pass and loss value is checked: the first non-finite one
     raises ``NonFiniteError`` naming the epoch and, within an epoch, the
     batch. A step that makes a weight non-finite is caught by the next
-    forward pass, batch or validation, whose logits it poisons.
+    forward pass, batch or validation, whose logits it poisons. NumPy's
+    overflow and invalid-value warnings are silenced, as in ``train_stacked``:
+    the ``NonFiniteError`` already reports that arithmetic.
     """
     train_x = _check_features(model, np.asarray(train_x, dtype=np.float64))
     val_x = _check_features(model, np.asarray(val_x, dtype=np.float64))
@@ -525,6 +528,13 @@ def _step(work: MLPStack, x, y, sizes, config: TrainConfig) -> tuple[np.ndarray,
     sizes on exactly the real rows. Returns the trials whose logits and
     whose loss value are non-finite; their updates are garbage, which no
     other trial's arithmetic reads.
+
+    The AUC value is computed only where it can be non-finite with finite
+    logits. Each of its terms then lies in [0, L], and a trial has at most
+    P**2 / 4 pairs per class, so its term sum cannot overflow while
+    L * P**2 stays within the float range. A trial with non-finite logits
+    has failed on them already. Cross entropy can overflow from finite
+    logits, so its value is always checked.
     """
     order = np.argsort(sizes, kind="stable")
     ordered = sizes[order]
@@ -539,7 +549,13 @@ def _step(work: MLPStack, x, y, sizes, config: TrainConfig) -> tuple[np.ndarray,
         out, inputs, pre_acts = _forward_cached(part, x[lo:hi, :size])
         logits[lo:hi, :size] = out
         caches.append((lo, hi, size, part, inputs, pre_acts))
-    values, grad = stacked_loss(config.loss_kind, logits, y[order], config.surrogate, True)
+    want_value = (
+        config.loss_kind == "cross_entropy"
+        or config.surrogate.L * x.shape[1] ** 2 > np.finfo(float).max
+    )
+    values, grad = stacked_loss(
+        config.loss_kind, logits, y[order], config.surrogate, True, want_value=want_value
+    )
     for lo, hi, size, part, inputs, pre_acts in caches:
         grads_w, grads_b = _backprop(part, inputs, pre_acts, grad[lo:hi, :size])
         for w, b, gw, gb in zip(part.weights, part.biases, grads_w, grads_b):
@@ -549,7 +565,7 @@ def _step(work: MLPStack, x, y, sizes, config: TrainConfig) -> tuple[np.ndarray,
         kept[order] = updated
     bad_logits, bad_loss = np.empty((2, order.size), dtype=bool)
     bad_logits[order] = _nonfinite_rows(logits)
-    bad_loss[order] = ~np.isfinite(values)
+    bad_loss[order] = False if values is None else ~np.isfinite(values)
     return bad_logits, bad_loss
 
 

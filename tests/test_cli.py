@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -252,6 +253,25 @@ class TestCompareCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert "trial 0" in err and "NonFiniteError" in err
+
+    def test_unstratified_diverging_arm_warns_nothing(self, tmp_path, capsys):
+        # The per-trial path reports divergence as the stratified engine
+        # does: exit 3 and the trial's error, with no NumPy RuntimeWarning.
+        config = small_compare_config(tmp_path, base_seed=0)
+        config["dataset"]["synthetic"]["class_counts"] = [30, 30]
+        config["split"]["stratified"] = False
+        config["arms"][0]["learning_rate"] = 1e200
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _ = run_compare(tmp_path, config, name="diverge_unstratified")
+        assert code == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err
+        assert err.strip() == (
+            "error: trial 0, arm ce_b8: NonFiniteError: logits became non-finite "
+            "at epoch 0, batch 1 (trial 0)"
+        )
 
     def test_jobs_validation(self, tmp_path, capsys):
         config = small_compare_config(tmp_path)

@@ -22,7 +22,7 @@ from rankloss import (
     softmax,
 )
 import rankloss.losses
-from rankloss.losses import PAIR_BLOCK, _sigmoid, stacked_loss
+from rankloss.losses import PAIR_BLOCK, _block_logistic, _sigmoid, stacked_loss
 
 from conftest import random_batch
 
@@ -286,6 +286,64 @@ class TestSigmoid:
         assert np.array_equal(sig, _sigmoid(t, want_slope=True)[0])
 
 
+def _pair_logistic_reference(diffs, params):
+    # _pair_logistic over _sigmoid as they stood before the stacked kernel's
+    # block arithmetic was rewritten in place, frozen as the reference.
+    t = diffs.copy()
+    if params.x0:
+        t -= params.x0
+    t *= params.k
+    u = np.abs(t)
+    np.negative(u, out=u)
+    np.exp(u, out=u)
+    d = u + 1.0
+    sig = np.maximum(u, t >= 0)
+    sig /= d
+    np.multiply(d, d, out=d)
+    slope = np.divide(u, d, out=u)
+    if params.L != 1.0:
+        sig *= params.L
+    slope *= params.k * params.L
+    return sig, slope
+
+
+_BLOCK_DIFFS = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, -2.2250738585072014e-308,
+    1e-17, -1e-17, 0.3, -0.3, 0.5, -0.5, 1.0, -1.0, 40.0, -40.0, np.inf, -np.inf, np.nan,
+]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("params", [
+    SurrogateParams(),
+    SurrogateParams(k=1e-3),  # k * diff underflows to +-0 for subnormal diffs
+    SurrogateParams(k=500.0, L=2.5, x0=0.3),
+    SurrogateParams(k=1e-3, L=1e305, x0=-1e-310),
+    SurrogateParams(k=20.0, L=1e308, x0=0.5),
+])
+def test_block_logistic_matches_reference_bits(params):
+    # Terms and slopes equal the reference bit for bit, signs of zero
+    # included, for every choice of outputs asked for. A NaN stays a NaN in
+    # the same place, but its sign bit, which carries no value, may differ:
+    # the reference negates |NaN|, the rewrite multiplies it by -k.
+    rng = np.random.default_rng(5)
+    diffs = np.concatenate([_BLOCK_DIFFS, rng.normal(scale=0.4, size=210)]).reshape(1, 11, 21)
+    terms_ref, slope_ref = _pair_logistic_reference(diffs, params)
+    bits = lambda a: np.where(np.isnan(a), np.nan, a).view(np.int64)
+    for want_value, want_slope in [(True, True), (True, False), (False, True)]:
+        u, d, buf = np.empty((3,) + diffs.shape)
+        terms, slope = _block_logistic(diffs.copy(), u, d, buf, params, want_value, want_slope)
+        if want_value:
+            assert terms is buf and np.array_equal(bits(terms), bits(terms_ref))
+        else:
+            assert terms is None
+        if want_slope:
+            assert slope is u and np.array_equal(bits(slope), bits(slope_ref))
+        else:
+            assert slope is None
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_stacked_loss_matches_per_batch(data):
@@ -326,6 +384,25 @@ def test_stacked_loss_matches_per_batch(data):
         assert abs(values[t] - out.value) <= 1e-12
         assert np.array_equal(grad[t, real], out.grad)
         assert np.all(grad[t, ~real] == 0.0)
+
+
+@pytest.mark.parametrize("block", [1, 7, PAIR_BLOCK])
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+def test_stacked_loss_gradient_without_value(kind, block, monkeypatch):
+    # Skipping the value leaves the gradient's bits alone; the AUC kinds
+    # then return no value, cross entropy its usual one.
+    rng = np.random.default_rng(11)
+    logits = rng.normal(size=(3, 14, 2))
+    labels = np.tile(np.arange(14) % 2, (3, 1))
+    labels[1, 9:] = -1
+    monkeypatch.setattr(rankloss.losses, "PAIR_BLOCK", block)
+    values, grad = stacked_loss(kind, logits, labels, want_grad=True)
+    no_value, same_grad = stacked_loss(kind, logits, labels, want_grad=True, want_value=False)
+    assert np.array_equal(grad, same_grad)
+    if kind == "cross_entropy":
+        assert np.array_equal(values, no_value)
+    else:
+        assert no_value is None
 
 
 def test_stacked_loss_pair_limit_only_chunks(monkeypatch):

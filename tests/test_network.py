@@ -6,7 +6,9 @@ from rankloss import (
     MLPModel,
     MLPStack,
     NonFiniteError,
+    PredictionBatch,
     SplitSpec,
+    SurrogateParams,
     SyntheticSpec,
     TrainConfig,
     evaluate_auroc,
@@ -15,11 +17,13 @@ from rankloss import (
     generate_synthetic,
     init_model,
     monte_carlo_split,
+    multiclass_auc_loss,
     stratified_batches,
     train,
     train_stacked,
     trial_seeds,
 )
+from rankloss.network import _step
 
 
 def separable_blobs(seed=1, counts=(40, 40), sep=6.0):
@@ -378,6 +382,34 @@ class TestTrainStacked:
         failed = run.model.model(1)
         for a, b in zip(models[1].weights + models[1].biases, failed.weights + failed.biases):
             assert np.array_equal(a, b)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("L", [1.0, 1e305, 1e308])
+    def test_step_flags_loss_exactly_where_train_would(self, L):
+        # The step may skip the AUC value only where it is finite anyway. A
+        # batch of 240 rows has 80 x 160 pairs per class, enough for a term
+        # sum near L / 2 per pair to overflow at L = 1e305; 24 rows are not.
+        # With L = 1e308 both overflow, with L = 1 neither does.
+        sizes = np.array([240, 24, 240])
+        rng = np.random.default_rng(2)
+        models = [init_model((4, 5, 3), seed) for seed in range(3)]
+        x = rng.normal(size=(3, 240, 4))
+        y = np.full((3, 240), -1)
+        for t, size in enumerate(sizes):
+            y[t, :size] = rng.permutation(np.arange(size) % 3)
+        config = TrainConfig(batch_size=8, loss_kind="auc_multiclass",
+                             surrogate=SurrogateParams(L=L))
+        expected = [
+            not np.isfinite(multiclass_auc_loss(
+                PredictionBatch(forward(m, x[t, :size]), y[t, :size]), config.surrogate, True
+            ).value)
+            for t, (m, size) in enumerate(zip(models, sizes))
+        ]
+        bad_logits, bad_loss = _step(MLPStack.of(models), x, y, sizes, config)
+        assert not bad_logits.any()
+        assert bad_loss.tolist() == expected
+        assert expected == [L > 1e300, L > 1e306, L > 1e300]
 
     def test_rejects_unequal_class_counts(self):
         ds, tr, va, _, seeds, models = stacked_trials((30, 20), (4,), n_trials=2)
