@@ -11,14 +11,15 @@ Stratified splits give every trial the same per-class counts, so an arm's
 trials train together in the trial-batched engine (``train_stacked``),
 whose results equal the per-trial ``train`` bit for bit. Unstratified
 splits leave the counts ragged and run trial by trial (``run_trial``).
-Workers take contiguous blocks of trials.
+Workers take contiguous blocks of trials, and each block gets a thread pool
+of the CPUs the workers leave free for its pairwise loss kernels.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional
@@ -262,7 +263,9 @@ def _trial_error(trial: int, exc: RanklossError, arm_name: str | None = None) ->
     return TrialError(f"{where}: {type(exc).__name__}: {exc}", trial=trial)
 
 
-def _run_stacked(dataset: Dataset, config: ExperimentConfig, trials: range) -> np.ndarray:
+def _run_stacked(
+    dataset: Dataset, config: ExperimentConfig, trials: range, pool=None
+) -> np.ndarray:
     """Test AUROCs (len(trials), n_arms) of stratified trials, each arm's
     trials trained together by the engine.
 
@@ -289,7 +292,7 @@ def _run_stacked(dataset: Dataset, config: ExperimentConfig, trials: range) -> n
         first_error = [None] * len(block)  # per trial: (arm name, error), in arm order
         for j, arm in enumerate(config.arms):
             run = train_stacked(start, x[train_idx], y[train_idx], x[val_idx], y[val_idx],
-                                [arm.train_config(s.shuffle) for s in seeds])
+                                [arm.train_config(s.shuffle) for s in seeds], pool=pool)
             aurocs, test_errors = evaluate_auroc_stacked(run.model, x[test_idx], y[test_idx])
             results[lo : lo + len(block), j] = aurocs
             for i, error in enumerate(run.errors):
@@ -305,10 +308,20 @@ def _run_stacked(dataset: Dataset, config: ExperimentConfig, trials: range) -> n
     return results
 
 
-def _run_block(dataset: Dataset, config: ExperimentConfig, trials: range) -> np.ndarray:
-    if config.split.stratified:
-        return _run_stacked(dataset, config, trials)
-    return np.array([run_trial(dataset, config, t) for t in trials])
+def _run_block(
+    dataset: Dataset, config: ExperimentConfig, trials: range, threads: int = 1
+) -> np.ndarray:
+    """Test AUROCs (len(trials), n_arms) of a block of trials.
+
+    Stratified trials run with a pool of ``threads`` threads for the
+    pairwise loss kernels, which starts a thread only when a kernel splits
+    its work. The pool is shut down before this returns, so no thread
+    outlives the block.
+    """
+    if not config.split.stratified:
+        return np.array([run_trial(dataset, config, t) for t in trials])
+    with ThreadPoolExecutor(threads) as pool:
+        return _run_stacked(dataset, config, trials, pool)
 
 
 def trial_blocks(n_repeats: int, jobs: int, n_cpus: int) -> list[range]:
@@ -433,19 +446,25 @@ def run_experiment(
     """Run all trials, then aggregate per-arm statistics and arm comparisons.
 
     Trials run in ``trial_blocks(n_repeats, jobs, <usable CPUs>)``, one
-    worker process per block when there is more than one; results are
-    collected in trial order, so the report does not depend on the worker
-    count. Arms that cannot train on the dataset's classes raise
-    ``FieldError`` (a ``ValueError``) before any trial runs.
+    worker process per block when there is more than one, and each block
+    has usable CPUs // blocks threads for its pairwise loss kernels, so
+    workers times threads stays within the CPUs. Results are collected in
+    trial order and are the same bit for bit at any thread count, so the
+    report does not depend on the worker count. Arms that cannot train on
+    the dataset's classes raise ``FieldError`` (a ``ValueError``) before
+    any trial runs.
     """
     config.check_classes(dataset.n_classes)
     n_repeats = config.split.n_repeats
-    blocks = trial_blocks(n_repeats, jobs, _cpu_count())
+    n_cpus = _cpu_count()
+    blocks = trial_blocks(n_repeats, jobs, n_cpus)
+    threads = max(1, n_cpus // len(blocks))
     if len(blocks) > 1:
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-            parts = list(pool.map(_run_block, repeat(dataset), repeat(config), blocks))
+            parts = list(pool.map(_run_block, repeat(dataset), repeat(config), blocks,
+                                  repeat(threads)))
     else:
-        parts = [_run_block(dataset, config, blocks[0])]
+        parts = [_run_block(dataset, config, blocks[0], threads)]
 
     matrix = np.concatenate(parts)  # (n_repeats, n_arms)
     arm_results = []

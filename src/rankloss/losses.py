@@ -183,8 +183,9 @@ def _block_logistic(diff, u, d, terms, params: SurrogateParams, want_value, want
     """``_pair_logistic`` of the pair differences ``diff``, bit for bit, in
     the caller's buffers of its shape: L f(x) lands in ``terms`` when
     ``want_value``, k L f'(x) in ``u`` when ``want_slope``, and each is
-    returned, or None when not asked for. ``d`` is scratch, and ``diff`` is
-    overwritten when x0 != 0.
+    returned, or None when not asked for. ``d`` is scratch. ``u`` may be
+    ``diff`` itself, and without the slope ``d`` may be ``u``; ``diff`` is
+    overwritten when x0 != 0 or when it is shared.
 
     t = k (x - x0) is never formed. Rounding is symmetric in sign, so
     exp(-|t|) is exp(|x - x0| * -k) bit for bit. The sign mask is read off
@@ -193,14 +194,18 @@ def _block_logistic(diff, u, d, terms, params: SurrogateParams, want_value, want
     """
     if params.x0:
         diff -= params.x0
+    if want_value:
+        # As in _sigmoid: the numerator is 1 where x >= x0 and u below. The
+        # mask is taken before u may overwrite diff, and the numerator
+        # before d may overwrite u.
+        np.greater_equal(diff, 0.0, out=terms)
     np.abs(diff, out=u)
     u *= -params.k
     np.exp(u, out=u)
+    if want_value:
+        np.maximum(u, terms, out=terms)
     np.add(u, 1.0, out=d)
     if want_value:
-        # As in _sigmoid: the numerator is 1 where x >= x0 and u below.
-        np.greater_equal(diff, 0.0, out=terms)
-        np.maximum(u, terms, out=terms)
         terms /= d
         if params.L != 1.0:
             terms *= params.L
@@ -340,13 +345,14 @@ def cross_entropy_loss(batch: PredictionBatch, want_grad: bool = False) -> LossO
 # finite, so an SGD step can skip the AUC value where it is finite anyway,
 # and the pairwise kernel then computes no surrogate terms at all.
 
-PAIR_BLOCK = 1 << 15
+PAIR_BLOCK = 1 << 16
 """Padded (positive, negative) pairs the pairwise kernel handles at a time.
 
-``_pair_terms`` walks each class's pairs in blocks of whole trials, or of
-positive rows of one trial, that hold at most this many pairs (or one row,
-if a row is longer). Its temporaries then stay cache-sized however large
-the batches or the block of trials, and blocking changes no result bit."""
+Each class's pair grid is walked in blocks of whole trials, or of positive
+rows of one trial, that hold at most this many pairs (or one row, if a row
+is longer). Its workspace then stays cache-sized however large the batches
+or the block of trials, and blocking changes no gradient bit. A thread of
+the ``stacked_loss`` pool gets pairs only if it gets at least this many."""
 
 
 def stacked_loss(
@@ -357,6 +363,7 @@ def stacked_loss(
     want_grad: bool = False,
     *,
     want_value: bool = True,
+    pool=None,
 ) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
     """Loss values (T,) and, when asked, d(value)/d(logits) for T padded batches.
 
@@ -366,6 +373,10 @@ def stacked_loss(
     ``want_value=False`` is for callers that need only the gradient: the AUC
     kinds then return None for the value and skip the surrogate terms, a
     third of the pairwise kernel's work. Cross entropy always computes it.
+
+    ``pool``, a ``concurrent.futures.ThreadPoolExecutor``, lets the AUC kinds
+    compute their pair grids on its threads (see ``_grid_tasks``). Values and
+    gradients are the same bit for bit with and without it.
     """
     z = np.asarray(logits, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -377,7 +388,7 @@ def stacked_loss(
         raise ValueError(f"binary_auc_loss requires 2 classes, got {z.shape[2]}")
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
-    return _stacked_auc(kind, z, y, params, want_grad, want_value)
+    return _stacked_auc(kind, z, y, params, want_grad, want_value, pool)
 
 
 def _stacked_cross_entropy(z, y, want_grad):
@@ -397,10 +408,32 @@ def _stacked_cross_entropy(z, y, want_grad):
     return value, grad
 
 
-def _stacked_auc(kind, z, y, params, want_grad, want_value):
+def _stacked_auc(kind, z, y, params, want_grad, want_value, pool):
     probs = _softmax_rows(z)
+    classes = [1] if kind == "auc_binary" else range(z.shape[2])
+    # Every grid is gathered, and so checked for an empty class, before any
+    # is computed: the error names the first class and trial of the stack.
+    grids = [_PairGrid(probs[:, :, c], y, c, want_value, want_grad) for c in classes]
+    tasks = _grid_tasks(grids, pool)
+    # One workspace per task, allocated on this thread: glibc gives each
+    # thread a heap of its own, which keeps blocks freed there.
+    size = max(g.block_trials * g.block_rows * g.neg.shape[2] for g in grids)
+    work = np.empty((len(tasks), 2 + (want_value and want_grad), size))
+    if len(tasks) == 1:
+        for grid, lo, hi in tasks[0]:
+            grid.walk(lo, hi, params, work[0])
+    else:
+        errstate, errcall = np.geterr(), np.geterrcall()  # pool threads do not inherit them
+
+        def run(task, work):
+            with np.errstate(call=errcall, **errstate):
+                for grid, lo, hi in task:
+                    grid.walk(lo, hi, params, work)
+
+        list(pool.map(run, tasks, work))
+
     if kind == "auc_binary":
-        mean, g_p, n_pairs = _pair_terms(probs[:, :, -1], y, 1, params, want_grad, want_value)
+        mean, g_p, n_pairs = grids[0].result()
         value = 1.0 - mean if want_value else None
         if not want_grad:
             return value, None
@@ -411,8 +444,8 @@ def _stacked_auc(kind, z, y, params, want_grad, want_value):
     n_terms = z.shape[2]
     term_sum = np.zeros(z.shape[0])
     g_s = np.zeros_like(probs) if want_grad else None
-    for c in range(n_terms):
-        mean, g, n_pairs = _pair_terms(probs[:, :, c], y, c, params, want_grad, want_value)
+    for c, grid in enumerate(grids):
+        mean, g, n_pairs = grid.result()
         if want_value:
             term_sum += mean
         if want_grad:
@@ -425,83 +458,147 @@ def _stacked_auc(kind, z, y, params, want_grad, want_value):
     return value, probs * (g_s - inner)
 
 
-def _pair_terms(scores, y, c, params, want_grad, want_value):
+def _grid_tasks(grids, pool):
+    """The grids' (class, trial) units cut into pool tasks, each a list of
+    (grid, lo, hi) trial ranges. One task holds every grid whole when there
+    is no pool or too little work to share.
+
+    Only large batches split: some class's grid must hold at least
+    ``PAIR_BLOCK`` pairs per trial. Smaller grids share blocks across
+    trials, and the calls that have many of them (the full training set's
+    initial loss, say) are too few to pay for the threads and the second
+    workspace. There are then min(threads, padded pairs // ``PAIR_BLOCK``,
+    units) tasks, so each thread gets at least a block of pairs; below two
+    the call runs serially. Units, class by class and trial by trial, go to
+    the task their first pair falls in when the padded pairs are cut into
+    equal shares. A unit's sums depend only on its own pairs, and tasks
+    write disjoint rows, so the split changes no bit.
+    """
+    n_trials = grids[0].pos.shape[0]
+    sizes = [g.pos.shape[1] * g.neg.shape[2] for g in grids]  # padded pairs per trial
+    total = n_trials * sum(sizes)
+    # The executor has no public accessor for its thread count.
+    threads = 1 if pool is None or max(sizes) < PAIR_BLOCK else pool._max_workers
+    n_tasks = min(threads, total // PAIR_BLOCK, n_trials * len(grids))
+    if n_tasks < 2:
+        return [[(grid, 0, n_trials) for grid in grids]]
+    tasks = [[] for _ in range(n_tasks)]
+    start = 0
+    for grid, size in zip(grids, sizes):
+        task = (start + size * np.arange(n_trials)) * n_tasks // total
+        cuts = [0, *(np.flatnonzero(np.diff(task)) + 1).tolist(), n_trials]
+        for lo, hi in zip(cuts, cuts[1:]):
+            tasks[task[lo]].append((grid, lo, hi))
+        start += size * n_trials
+    return [task for task in tasks if task]
+
+
+class _PairGrid:
     """Class-c positives against every other real row, for each trial.
 
-    Returns the mean surrogate term over each trial's pairs (None without
-    ``want_value``), the signed slope sums per row (minus the row sum for a
-    positive, the column sum for a negative, 0 for padding; None without
-    ``want_grad``) and the pair counts. Positives and negatives are gathered, in batch order, into
-    (T, w_pos) and (T, w_neg) blocks whose padding holds -inf and +inf: a
-    padded pair then has difference -inf, whose term and slope are exactly 0.
-
-    The (T, w_pos, w_neg) pair grid is walked in blocks of ``PAIR_BLOCK``
-    pairs, computed in place in one workspace of four block-sized buffers
-    allocated once per call. Slope sums round as NumPy rounds them for one
-    lone batch. NumPy sums a contiguous row pairwise, in an order set by its
-    length, so each row is summed over exactly its trial's n_neg columns,
-    per group of trials with equal n_neg. Columns add row by row, so a
-    block's first row takes the running column sums before its rows are
-    added. A one-column
-    batch NumPy sums pairwise too: such a trial's column is summed at the
-    end from its row sums, each of which is its one slope.
+    Positives and negatives are gathered, in batch order, into (T, w_pos)
+    and (T, w_neg) blocks whose padding holds -inf and +inf: a padded pair
+    then has difference -inf, whose term and slope are exactly 0. Raises
+    ``EmptyClassError`` naming the first trial with no positive or no
+    negative. ``walk`` computes the sums of a range of trials, and
+    ``result`` reads them out once every trial has been walked.
     """
-    n_trials, rows = scores.shape
-    is_pos = y == c
-    pos_at, n_pos = _gather_order(is_pos, rows)
-    neg_at, n_neg = _gather_order((y >= 0) & ~is_pos, rows + 1)
-    empty = np.flatnonzero((n_pos == 0) | (n_neg == 0))
-    if empty.size:
-        t = int(empty[0])
-        which = "no" if n_pos[t] == 0 else "only"
-        raise EmptyClassError(f"trial {t}: batch has {which} samples of class {c}", class_index=c)
-    padded = np.empty((n_trials, rows + 2))
-    padded[:, :rows] = scores
-    padded[:, rows] = -np.inf
-    padded[:, rows + 1] = np.inf
-    trial = np.arange(n_trials)[:, None]
-    pos = padded[trial, pos_at][:, :, None]
-    neg = padded[trial, neg_at][:, None, :]
-    w_pos, w_neg = pos.shape[1], neg.shape[2]
-    block_rows = min(w_pos, max(1, PAIR_BLOCK // w_neg))
-    block_trials = min(n_trials, max(1, PAIR_BLOCK // (w_pos * w_neg)))
-    work = np.empty((4, block_trials * block_rows * w_neg))
-    widths = np.unique(n_neg).tolist()
-    term_sums = np.zeros(n_trials)
-    row_sums = np.empty((n_trials, w_pos))
-    col_sums = np.zeros((n_trials, w_neg))
-    for t0, r0 in itertools.product(range(0, n_trials, block_trials), range(0, w_pos, block_rows)):
-        ts, rs = slice(t0, t0 + block_trials), slice(r0, r0 + block_rows)
-        shape = (min(block_trials, n_trials - t0), min(block_rows, w_pos - r0), w_neg)
-        diff, u, d, terms = work[:, : shape[0] * shape[1] * w_neg].reshape(4, *shape)
-        np.copyto(diff, pos[ts, rs])
-        diff -= neg[ts]
-        terms, slope = _block_logistic(diff, u, d, terms, params, want_value, want_grad)
-        if want_value:
-            term_sums[ts] += terms.reshape(shape[0], -1).sum(axis=1)
-        if not want_grad:
-            continue
-        for width in widths:
-            group = n_neg[ts] == width
-            if group.all():
-                row_sums[ts, rs] = slope[:, :, :width].sum(axis=2)
-                break
-            if group.any():
-                row_sums[ts, rs][group] = slope[group, :, :width].sum(axis=2)
-        slope[:, 0] += col_sums[ts]
-        np.add.reduce(slope, axis=1, out=col_sums[ts])
-    n_pairs = n_pos * n_neg
-    mean = term_sums / n_pairs if want_value else None
-    if not want_grad:
-        return mean, None, n_pairs
-    single = n_neg == 1
-    for r in np.unique(n_pos[single]).tolist():
-        group = single & (n_pos == r)
-        col_sums[group, 0] = row_sums[group, :r].sum(axis=1)
-    g = np.zeros((n_trials, rows + 2))
-    g[trial, pos_at] = -row_sums
-    g[trial, neg_at] = col_sums
-    return mean, g[:, :rows], n_pairs
+
+    def __init__(self, scores, y, c, want_value, want_grad):
+        n_trials, self.rows = scores.shape
+        is_pos = y == c
+        self.pos_at, self.n_pos = _gather_order(is_pos, self.rows)
+        self.neg_at, self.n_neg = _gather_order((y >= 0) & ~is_pos, self.rows + 1)
+        empty = np.flatnonzero((self.n_pos == 0) | (self.n_neg == 0))
+        if empty.size:
+            t = int(empty[0])
+            which = "no" if self.n_pos[t] == 0 else "only"
+            raise EmptyClassError(
+                f"trial {t}: batch has {which} samples of class {c}", class_index=c
+            )
+        padded = np.empty((n_trials, self.rows + 2))
+        padded[:, : self.rows] = scores
+        padded[:, self.rows] = -np.inf
+        padded[:, self.rows + 1] = np.inf
+        self.trial = np.arange(n_trials)[:, None]
+        self.pos = padded[self.trial, self.pos_at][:, :, None]
+        self.neg = padded[self.trial, self.neg_at][:, None, :]
+        w_pos, w_neg = self.pos.shape[1], self.neg.shape[2]
+        # A block holds block_trials whole trials, or block_rows rows of one.
+        self.block_rows = min(w_pos, max(1, PAIR_BLOCK // w_neg))
+        self.block_trials = min(n_trials, max(1, PAIR_BLOCK // (w_pos * w_neg)))
+        self.want_value, self.want_grad = want_value, want_grad
+        self.term_sums = np.zeros(n_trials)
+        self.row_sums = np.empty((n_trials, w_pos))
+        self.col_sums = np.zeros((n_trials, w_neg))
+
+    def walk(self, lo, hi, params, work):
+        """The sums of trials lo..hi-1, which are all this writes.
+
+        The (hi - lo, w_pos, w_neg) pair grid is walked in blocks of
+        ``PAIR_BLOCK`` pairs, computed in place in ``work``: two buffers of a
+        block's size, three for value and slope. Slope sums round as NumPy
+        rounds them for one lone batch. NumPy sums a contiguous row
+        pairwise, in an order set by its length, so each row is summed over
+        exactly its trial's n_neg columns, per group of trials with equal
+        n_neg. Columns add row by row, so a block's first row takes the
+        running column sums before its rows are added. A trial's term sum
+        adds one row sum per block, and its blocks hold the same pairs
+        whichever trials share them.
+        """
+        pos, neg, n_neg = self.pos, self.neg, self.n_neg
+        w_pos, w_neg = pos.shape[1], neg.shape[2]
+        block_trials, block_rows = min(hi - lo, self.block_trials), self.block_rows
+        widths = np.unique(n_neg[lo:hi]).tolist()
+        for t0, r0 in itertools.product(range(lo, hi, block_trials), range(0, w_pos, block_rows)):
+            ts, rs = slice(t0, min(t0 + block_trials, hi)), slice(r0, r0 + block_rows)
+            shape = (ts.stop - t0, min(block_rows, w_pos - r0), w_neg)
+            buf = work[:, : shape[0] * shape[1] * w_neg].reshape(-1, *shape)
+            # The slope overwrites the difference, and so does d when no
+            # slope is asked for; the terms take the last buffer.
+            diff = buf[0]
+            np.copyto(diff, pos[ts, rs])
+            diff -= neg[ts]
+            terms, slope = _block_logistic(
+                diff, diff, buf[1] if self.want_grad else diff, buf[-1], params,
+                self.want_value, self.want_grad,
+            )
+            if self.want_value:
+                self.term_sums[ts] += terms.reshape(shape[0], -1).sum(axis=1)
+            if not self.want_grad:
+                continue
+            for width in widths:
+                group = n_neg[ts] == width
+                if group.all():
+                    self.row_sums[ts, rs] = slope[:, :, :width].sum(axis=2)
+                    break
+                if group.any():
+                    self.row_sums[ts, rs][group] = slope[group, :, :width].sum(axis=2)
+            slope[:, 0] += self.col_sums[ts]
+            np.add.reduce(slope, axis=1, out=self.col_sums[ts])
+
+    def result(self):
+        """The mean surrogate term over each trial's pairs (None without the
+        value), the signed slope sums per row (minus the row sum for a
+        positive, the column sum for a negative, 0 for padding; None without
+        the gradient) and the pair counts.
+
+        A one-column batch NumPy sums pairwise: such a trial's column is
+        summed here from its row sums, each of which is its one slope.
+        """
+        n_pos, n_neg = self.n_pos, self.n_neg
+        n_pairs = n_pos * n_neg
+        mean = self.term_sums / n_pairs if self.want_value else None
+        if not self.want_grad:
+            return mean, None, n_pairs
+        single = n_neg == 1
+        for r in np.unique(n_pos[single]).tolist():
+            group = single & (n_pos == r)
+            self.col_sums[group, 0] = self.row_sums[group, :r].sum(axis=1)
+        g = np.zeros((n_pos.size, self.rows + 2))
+        g[self.trial, self.pos_at] = -self.row_sums
+        g[self.trial, self.neg_at] = self.col_sums
+        return mean, g[:, : self.rows], n_pairs
 
 
 def _gather_order(mask, pad_slot):

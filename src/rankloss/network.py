@@ -521,7 +521,9 @@ def _sample(groups, seeds, batch_size: int, epoch: int, train_x, train_y, rows: 
     return train_x[trial, index], labels, sizes
 
 
-def _step(work: MLPStack, x, y, sizes, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+def _step(
+    work: MLPStack, x, y, sizes, config: TrainConfig, pool=None
+) -> tuple[np.ndarray, np.ndarray]:
     """One SGD step of every trial on its batch ``x``, ``y`` of ``sizes`` real rows.
 
     Trials are ordered by batch size, and each layer runs per run of equal
@@ -553,9 +555,8 @@ def _step(work: MLPStack, x, y, sizes, config: TrainConfig) -> tuple[np.ndarray,
         config.loss_kind == "cross_entropy"
         or config.surrogate.L * x.shape[1] ** 2 > np.finfo(float).max
     )
-    values, grad = stacked_loss(
-        config.loss_kind, logits, y[order], config.surrogate, True, want_value=want_value
-    )
+    values, grad = stacked_loss(config.loss_kind, logits, y[order], config.surrogate, True,
+                                want_value=want_value, pool=pool)
     for lo, hi, size, part, inputs, pre_acts in caches:
         grads_w, grads_b = _backprop(part, inputs, pre_acts, grad[lo:hi, :size])
         for w, b, gw, gb in zip(part.weights, part.biases, grads_w, grads_b):
@@ -577,6 +578,8 @@ def train_stacked(
     val_x: np.ndarray,
     val_y: np.ndarray,
     configs: Sequence[TrainConfig],
+    *,
+    pool=None,
 ) -> StackedTraining:
     """Train every model of the stack at once, model t exactly as
     ``train(model.model(t), train_x[t], train_y[t], val_x[t], val_y[t], configs[t])``.
@@ -592,6 +595,9 @@ def train_stacked(
     trials, so its non-finite values reach no other trial's arithmetic.
     NumPy's overflow and invalid-value warnings are silenced, as that
     arithmetic is expected and the trial's error already reports it.
+
+    ``pool`` is passed on to every ``stacked_loss`` call, whose pairwise
+    kernel may run on its threads; the result does not depend on it.
     """
     config = configs[0]
     if len(configs) != model.n_models or any(
@@ -619,7 +625,7 @@ def train_stacked(
     best_auroc = np.full(model.n_models, -np.inf)
     logits = _forward_cached(work, train_x)[0]
     fail(_nonfinite_rows(logits), "initial logits")
-    values, _ = stacked_loss(config.loss_kind, logits, train_y, config.surrogate)
+    values, _ = stacked_loss(config.loss_kind, logits, train_y, config.surrogate, pool=pool)
     fail(~np.isfinite(values), "initial loss")
 
     groups = [_LabelGroups(y) for y in train_y]
@@ -638,7 +644,7 @@ def train_stacked(
             break
         for batch in range(sizes.shape[1]):
             bad_logits, bad_loss = _step(
-                work, batch_x[:, batch], batch_y[:, batch], sizes[:, batch], config
+                work, batch_x[:, batch], batch_y[:, batch], sizes[:, batch], config, pool
             )
             fail(bad_logits, "logits", epoch, batch)
             fail(bad_loss, "loss", epoch, batch)

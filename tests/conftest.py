@@ -39,3 +39,21 @@ def random_batch(seed, n, n_classes, scale=1.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def task_counts(monkeypatch):
+    """The number of tasks each AUC ``stacked_loss`` call cut its pair
+    grids into, in call order (1 when it ran serially)."""
+    import rankloss.losses
+
+    counts = []
+    original = rankloss.losses._grid_tasks
+
+    def spy(grids, pool):
+        tasks = original(grids, pool)
+        counts.append(len(tasks))
+        return tasks
+
+    monkeypatch.setattr(rankloss.losses, "_grid_tasks", spy)
+    return counts

@@ -332,6 +332,70 @@ class TestCompareCommand:
         assert 0.0 <= manifest["comparisons"][0]["p"] <= 1.0
 
 
+def large_batch_config(n_repeats=2, epochs=2):
+    # Binary blobs whose 1200-row train set is one full batch per epoch:
+    # 900 x 300 pairs per class, enough to split across two threads.
+    config = small_compare_config(None, n_repeats=n_repeats, epochs=epochs)
+    config["dataset"]["synthetic"].update(class_counts=[1500, 500], dim=8, label_flip_prob=0.1)
+    config["model"]["hidden_dims"] = [16]
+    config["arms"] = [
+        {"name": "auc_bin_b1024", "loss_kind": "auc_binary", "batch_size": 1024,
+         "max_epochs": epochs},
+        {"name": "auc_ovr_b1024", "loss_kind": "auc_multiclass", "batch_size": 1024,
+         "max_epochs": epochs},
+    ]
+    return config
+
+
+def _compare_with_cpus(monkeypatch, task_counts, tmp_path, config, cpus, name):
+    # run_compare with the harness seeing ``cpus`` usable CPUs, which at
+    # --jobs 1 gives the block that many pair-kernel threads. Returns the
+    # exit code, the manifest path and the most tasks one loss call split into.
+    import rankloss.harness
+
+    task_counts.clear()
+    with monkeypatch.context() as mp:
+        mp.setattr(rankloss.harness, "_cpu_count", lambda: cpus)
+        code, out_path = run_compare(tmp_path, config, name=name)
+    return code, out_path, max(task_counts, default=0)
+
+
+class TestThreadedPairKernel:
+    def test_manifest_bytes_match_one_thread(self, tmp_path, monkeypatch, task_counts):
+        config = large_batch_config()
+        manifests = []
+        for cpus in (1, 2):
+            code, out_path, split = _compare_with_cpus(
+                monkeypatch, task_counts, tmp_path, config, cpus, f"cpus{cpus}")
+            assert code == 0 and split == cpus
+            manifest = json.loads(out_path.read_text())
+            del manifest["duration_seconds"]
+            manifests.append(json.dumps(manifest))
+        assert manifests[0] == manifests[1]
+
+    def test_diverging_arm_reports_as_one_thread(self, tmp_path, capsys, monkeypatch,
+                                                 task_counts):
+        # The kernel's threads run under the engine's errstate: exit 3, the
+        # same one-line error as on one thread, and no NumPy RuntimeWarning.
+        config = large_batch_config(epochs=1)
+        config["dataset"]["synthetic"]["class_counts"] = [3000, 1000]
+        config["arms"][0]["learning_rate"] = 1e200
+        errors = []
+        for cpus in (1, 2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, _, split = _compare_with_cpus(
+                    monkeypatch, task_counts, tmp_path, config, cpus, f"diverge{cpus}")
+            assert code == 3 and split == cpus
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            err = capsys.readouterr().err
+            assert "RuntimeWarning" not in err
+            errors.append(err.strip())
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: trial 0, arm auc_bin_b1024: NonFiniteError: ")
+        assert "\n" not in errors[0]
+
+
 def _three_class_compare(tmp_path, batch_sizes=(8, 8), kinds=("cross_entropy", "cross_entropy")):
     config = small_compare_config(tmp_path)
     config["dataset"]["synthetic"]["class_counts"] = [20, 20, 20]

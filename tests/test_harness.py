@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -447,3 +448,24 @@ class TestTrialBatching:
                                   hidden_dims=(4,))
         with pytest.raises(TrialError, match=r"^trial 0, arm diverges: NonFiniteError: "):
             run_experiment(ds, config)
+
+    def test_thread_pool_ends_with_the_block(self, monkeypatch, task_counts):
+        # With a CPU left over at --jobs 1 the block gets a 2-thread pool,
+        # whose threads are gone once run_experiment returns; the report is
+        # the one-thread report.
+        import rankloss.harness
+        import rankloss.losses
+
+        ds = tiny_dataset(counts=(30, 20, 25), sep=1.5, flip=0.1)
+        arms = (ArmConfig("auc", "auc_multiclass", 16, max_epochs=2),)
+        config = tiny_experiment(arms, n_repeats=3)
+        monkeypatch.setattr(rankloss.losses, "PAIR_BLOCK", 7)
+        monkeypatch.setattr(rankloss.harness, "_cpu_count", lambda: 1)
+        serial = run_experiment(ds, config)
+        monkeypatch.setattr(rankloss.harness, "_cpu_count", lambda: 2)
+        task_counts.clear()
+        before = threading.active_count()
+        threaded = run_experiment(ds, config)
+        assert threading.active_count() == before
+        assert max(task_counts) == 2
+        assert threaded.to_dict() == serial.to_dict()

@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -344,6 +346,31 @@ def test_block_logistic_matches_reference_bits(params):
             assert slope is None
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("params", [
+    SurrogateParams(),
+    SurrogateParams(k=1e-3),
+    SurrogateParams(k=500.0, L=2.5, x0=0.3),
+    SurrogateParams(k=20.0, L=1e308, x0=0.5),
+])
+def test_block_logistic_shared_buffers_match_reference_bits(params):
+    # The kernel's workspace shares buffers: u overwrites diff, and without
+    # the slope d overwrites u as well. The bits are the reference's.
+    rng = np.random.default_rng(6)
+    diffs = np.concatenate([_BLOCK_DIFFS, rng.normal(scale=0.4, size=210)]).reshape(1, 11, 21)
+    terms_ref, slope_ref = _pair_logistic_reference(diffs, params)
+    bits = lambda a: np.where(np.isnan(a), np.nan, a).view(np.int64)
+    for want_value, want_slope in [(True, True), (True, False), (False, True)]:
+        diff, d, buf = diffs.copy(), np.empty_like(diffs), np.empty_like(diffs)
+        terms, slope = _block_logistic(
+            diff, diff, d if want_slope else diff, buf, params, want_value, want_slope)
+        if want_value:
+            assert terms is buf and np.array_equal(bits(terms), bits(terms_ref))
+        if want_slope:
+            assert slope is diff and np.array_equal(bits(slope), bits(slope_ref))
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_stacked_loss_matches_per_batch(data):
@@ -438,3 +465,139 @@ def test_stacked_loss_names_trial_missing_a_class():
     labels = np.array([[0, 1, 1, -1], [1, 1, 1, 1]])
     with pytest.raises(EmptyClassError, match="trial 1"):
         stacked_loss("auc_binary", np.zeros((2, 4, 2)), labels)
+
+
+def _padded_stack(rng, n_trials, rows, n_classes, lone=None):
+    # Each trial's batch: every class present, a random size, its rows
+    # scattered among padding rows (label -1).
+    labels = np.full((n_trials, rows), -1)
+    for t in range(n_trials):
+        size = int(rng.integers(n_classes, rows + 1))
+        y = rng.integers(0, n_classes, size=size)
+        if lone is not None:
+            y[:] = 1 - lone
+        y[:n_classes] = np.arange(n_classes)
+        rng.shuffle(y)
+        labels[t, np.sort(rng.choice(rows, size=size, replace=False))] = y
+    return labels
+
+
+def _assert_same_bits(serial, pooled):
+    for a, b in zip(serial, pooled):
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_stacked_loss_pool_matches_serial(data):
+    # Values and gradients with a 2- or 3-thread pool equal the serial
+    # kernel's bit for bit, whatever the split of (class, trial) units.
+    n_classes = data.draw(st.integers(2, 4))
+    kind = data.draw(st.sampled_from(["auc_multiclass"] + ["auc_binary"] * (n_classes == 2)))
+    n_trials = data.draw(st.integers(1, 4))
+    rows = data.draw(st.integers(n_classes, 40))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scale = data.draw(st.sampled_from([0.1, 1.0, 30.0]))
+    logits = scale * rng.normal(size=(n_trials, rows, n_classes))
+    lone = data.draw(st.sampled_from([None, 0, 1])) if n_classes == 2 else None
+    labels = _padded_stack(rng, n_trials, rows, n_classes, lone)
+    params = SurrogateParams(k=data.draw(st.sampled_from([1.0, 20.0, 500.0])))
+    block = data.draw(st.sampled_from([7, 40, PAIR_BLOCK]))
+    threads = data.draw(st.sampled_from([2, 3]))
+    want_value = data.draw(st.booleans())
+
+    with pytest.MonkeyPatch.context() as mp, ThreadPoolExecutor(threads) as pool:
+        mp.setattr(rankloss.losses, "PAIR_BLOCK", block)
+        for want_grad in (True, False):
+            serial = stacked_loss(kind, logits, labels, params, want_grad, want_value=want_value)
+            pooled = stacked_loss(kind, logits, labels, params, want_grad, want_value=want_value,
+                                  pool=pool)
+            _assert_same_bits(serial, pooled)
+
+
+@pytest.mark.parametrize("n_trials", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["auc_binary", "auc_multiclass"])
+def test_stacked_loss_pool_splits_large_batches(kind, n_trials, task_counts):
+    # At the default block size a large batch splits wherever there are two
+    # (class, trial) units, and the split changes no bit.
+    n_classes = 2 if kind == "auc_binary" else 3
+    rng = np.random.default_rng(n_trials)
+    logits = rng.normal(size=(n_trials, 720, n_classes))
+    labels = np.tile(np.arange(720) % n_classes, (n_trials, 1))
+    labels[:, rng.choice(720, size=40, replace=False)] = -1
+    with ThreadPoolExecutor(2) as pool:
+        for want_value in (True, False):
+            serial = stacked_loss(kind, logits, labels, want_grad=True, want_value=want_value)
+            pooled = stacked_loss(kind, logits, labels, want_grad=True, want_value=want_value,
+                                  pool=pool)
+            _assert_same_bits(serial, pooled)
+    units = n_trials * (1 if kind == "auc_binary" else n_classes)
+    assert task_counts == [1, 1 if units == 1 else 2] * 2
+
+
+@pytest.mark.parametrize("n_trials", [4, 100])
+def test_stacked_loss_pool_skips_small_batches(n_trials, task_counts):
+    # Grids smaller than a block per trial stay on the calling thread, however
+    # many trials add up: a 64-row step, or the initial loss on the reference
+    # protocol's 203 training rows.
+    rng = np.random.default_rng(2)
+    for rows in (64, 203):
+        labels = np.tile(np.arange(rows) % 3, (n_trials, 1))
+        with ThreadPoolExecutor(2) as pool:
+            stacked_loss("auc_multiclass", rng.normal(size=(n_trials, rows, 3)), labels, pool=pool)
+    assert task_counts == [1, 1]
+
+
+@pytest.mark.parametrize("kind", ["auc_binary", "auc_multiclass"])
+def test_stacked_loss_pool_names_the_same_trial(kind, monkeypatch):
+    # The empty-class check runs on the whole stack before any split, so the
+    # error names the same (global) trial with and without the pool.
+    labels = np.tile(np.arange(12) % 2, (4, 1))
+    labels[2] = np.where(labels[2] == 1, 0, labels[2])
+    monkeypatch.setattr(rankloss.losses, "PAIR_BLOCK", 7)
+    logits = np.random.default_rng(0).normal(size=(4, 12, 2))
+    with pytest.raises(EmptyClassError) as serial:
+        stacked_loss(kind, logits, labels, want_grad=True)
+    with ThreadPoolExecutor(2) as pool, pytest.raises(EmptyClassError) as pooled:
+        stacked_loss(kind, logits, labels, want_grad=True, pool=pool)
+    assert str(pooled.value) == str(serial.value)
+    assert "trial 2" in str(pooled.value)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_stacked_loss_pool_threads_keep_the_callers_errstate(monkeypatch, task_counts):
+    # With k L beyond the float range, slopes that underflow to 0 become
+    # 0 * inf on the pool's threads: silent under the caller's errstate,
+    # and reported as it would be on the calling thread without it.
+    params = SurrogateParams(k=1000.0, L=1e308)
+    logits = np.zeros((2, 12, 2))
+    logits[:, :, 1] = np.where(np.arange(12) % 2 == 1, 40.0, -40.0)
+    labels = np.tile(np.arange(12) % 2, (2, 1))
+    monkeypatch.setattr(rankloss.losses, "PAIR_BLOCK", 7)
+    with ThreadPoolExecutor(2) as pool:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"):
+                _, grad = stacked_loss("auc_binary", logits, labels, params, True, pool=pool)
+        assert np.isnan(grad).all()
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            stacked_loss("auc_binary", logits, labels, params, True, pool=pool)
+    assert task_counts == [2, 2]
+
+
+@pytest.mark.parametrize("kind", ["auc_binary", "auc_multiclass"])
+def test_stacked_loss_pool_temporaries_bounded(kind, task_counts):
+    # Each of the two threads works in one block-sized workspace, so two
+    # trials of the full 2400-row batch stay under the serial bound.
+    rng = np.random.default_rng(0)
+    logits = rng.normal(size=(2, 2400, 2))
+    labels = np.tile((np.arange(2400) % 4 == 0).astype(np.int64), (2, 1))
+    with ThreadPoolExecutor(2) as pool:
+        tracemalloc.start()
+        try:
+            stacked_loss(kind, logits, labels, want_grad=True, pool=pool)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert task_counts == [2]
+    assert peak < 8e6
