@@ -378,10 +378,89 @@ def t_test(a, b) -> tuple[float, float]:
             )
         return (math.inf if diff > 0 else -math.inf), 0.0
     t = diff / math.sqrt(pooled * (1.0 / n_a + 1.0 / n_b))
-    from scipy.special import stdtr  # here, not at the top: its import takes ~0.4 s
+    return t, _t_two_sided_p(df, t)
 
-    p = 2.0 * float(stdtr(df, -abs(t)))
-    return t, p
+
+def _t_two_sided_p(df: int, t: float) -> float:
+    """P(|T| >= |t|) for Student's T with integer ``df`` >= 1 degrees of freedom.
+
+    That is the regularized incomplete beta I_x(df/2, 1/2) at
+    x = df / (df + t^2), summed by its continued fraction (Numerical
+    Recipes, section 6.4) on the side of the branch point where it converges
+    fast. Relative error is ~1e-13 where p > 1e-300. ``t`` = 0 gives 1.0, and
+    infinite ``t``, or one whose square overflows, gives 0.0.
+    """
+    t2 = t * t
+    if t2 == 0.0:
+        return 1.0
+    if math.isinf(t2):
+        return 0.0
+    a, b = df / 2.0, 0.5
+    # y is computed, not taken as 1 - x, which keeps few of its digits as x nears 1.
+    x, y = df / (df + t2), t2 / (df + t2)
+    # x^a y^b / B(a, b). 1 / B(a, 1/2) comes from C(2n, n) / 4^n, not from
+    # lgamma differences, which lose digits in proportion to df.
+    n = df // 2
+    inv_beta = n * _central_binomial(n) if df % 2 == 0 else 1.0 / (math.pi * _central_binomial(n))
+    front = math.exp(-a * math.log1p(t2 / df)) * math.sqrt(y) * inv_beta
+    terms = 100 + math.isqrt(df)  # at least twice the ~55 steps seen up to df = 2e6
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_cf(a, b, x, y, terms) / a
+    return 1.0 - front * _beta_cf(b, a, y, x, terms) / b
+
+
+_BINOMIAL_EXACT = 1000
+"""The n from which ``_central_binomial`` sums an asymptotic series instead
+of dividing exact integers, whose size grows as 4^n: ``math.comb(2n, n)``
+takes ~10 ms at n = 10^4 and ~0.7 s at n = 10^5."""
+
+
+def _central_binomial(n: int) -> float:
+    """C(2n, n) / 4^n, which is Gamma(n + 1/2) / (sqrt(pi) Gamma(n + 1)).
+
+    Integer division rounds correctly; the series' first omitted term is
+    below 1e-18 relative at n = 1000.
+    """
+    if n < _BINOMIAL_EXACT:
+        return math.comb(2 * n, n) / 4**n
+    k = 1.0 / n
+    series = 1.0 + k * (-1 / 8 + k * (1 / 128 + k * (5 / 1024 + k * (-21 / 32768))))
+    return series / math.sqrt(math.pi * n)
+
+
+def _beta_cf(a: float, b: float, x: float, y: float, terms: int) -> float:
+    """The continued fraction of I_x(a, b), that is 1 / (1 + d1 / (1 + d2 / ...))
+    with Numerical Recipes' d_j, where y = 1 - x. Its even part is summed
+    by the modified Lentz method for at most ``terms`` steps.
+
+    The even part adds each odd step d_{2m+1}, near -1 when x is near 1 and a
+    is large, to 1. For b <= 1 that sum is taken in a form whose terms are
+    all nonnegative, so it cancels nothing; a large df needs this.
+    """
+    tiny = 1e-300
+    odd = -(a + b) * x / (a + 1.0)
+    f = (1.0 - b + (a + b) * y) / (a + 1.0) if b <= 1.0 else 1.0 + odd
+    c, d = f, 0.0
+    for m in range(1, terms):
+        even = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        alpha = -odd * even
+        s = (a + 2 * m) * (a + 2 * m + 1)
+        odd = -(a + m) * (a + b + m) * x / s
+        if b <= 1.0:
+            one_plus_odd = (a * (2 * m + 1 - b) + m * (3 * m + 2 - b)
+                            + (a + m) * (a + b + m) * y) / s
+        else:
+            one_plus_odd = 1.0 + odd
+        beta = one_plus_odd + even
+        d = beta + alpha * d
+        d = 1.0 / (d if abs(d) >= tiny else tiny)
+        c = beta + alpha / c
+        c = c if abs(c) >= tiny else tiny
+        delta = c * d
+        f *= delta
+        if abs(delta - 1.0) <= 1e-15:
+            break
+    return 1.0 / f
 
 
 @dataclass(frozen=True)

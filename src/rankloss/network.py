@@ -219,9 +219,23 @@ def stratified_batches(labels, batch_size: int, seed: int, epoch: int) -> list[n
     labels, which a caller sampling many epochs builds once.
     """
     groups = labels if isinstance(labels, _LabelGroups) else _LabelGroups(labels)
-    if seed < 0 or epoch < 0:
+    index, sizes = _batch_index([groups], [seed], batch_size, epoch)
+    return [row[:size] for row, size in zip(index[0], sizes[0].tolist())]
+
+
+def _batch_index(groups: Sequence[_LabelGroups], seeds: Sequence[int], batch_size: int,
+                 epoch: int) -> tuple[np.ndarray, np.ndarray]:
+    """``stratified_batches`` of every trial t, for ``groups[t]`` and ``seeds[t]``.
+
+    The trials must share their per-class counts. Returns ``index``
+    (T, n_batches, P), whose row b of trial t starts with that trial's batch b
+    and is zero-padded to P = sum_c ceil(m_c / n_batches) entries, and the
+    batch sizes (T, n_batches).
+    """
+    if min(seeds) < 0 or epoch < 0:
         raise ValueError("seed and epoch must be nonnegative")
-    n_classes = len(groups.members)
+    counts = groups[0].counts
+    n_classes = counts.size
     if n_classes < 2:
         raise InfeasibleBatchError(
             "cannot form class-balanced batches from a single class"
@@ -231,35 +245,40 @@ def stratified_batches(labels, batch_size: int, seed: int, epoch: int) -> list[n
             f"batch_size {batch_size} cannot hold one sample of each of "
             f"{n_classes} classes"
         )
-    n_batches = _batch_count(groups.counts, batch_size)
+    n_batches = _batch_count(counts, batch_size)
+    n_trials, n = len(groups), groups[0].n
 
-    rng = np.random.default_rng([int(seed), int(epoch)])
-    shuffled = []
-    placement = np.empty((n_classes, n_batches), dtype=np.intp)
-    for c, members in enumerate(groups.members):
-        shuffled.append(rng.permutation(members))
-        placement[c] = rng.permutation(n_batches)
+    # Each trial's stream: per class a permutation of its members and one
+    # of the batches, then (below) one shuffle per batch, in batch order.
+    rngs = [np.random.default_rng([int(seed), int(epoch)]) for seed in seeds]
+    shuffled = np.empty((n_trials, n), dtype=np.intp)
+    placement = np.empty((n_trials, n_classes, n_batches), dtype=np.intp)
+    ends = np.cumsum(counts).tolist()
+    for t, (rng, trial) in enumerate(zip(rngs, groups)):
+        for c, (members, lo, hi) in enumerate(zip(trial.members, [0, *ends], ends)):
+            shuffled[t, lo:hi] = rng.permutation(members)
+            placement[t, c] = rng.permutation(n_batches)
     # Class c is cut into chunks as np.array_split cuts it (the first
-    # m % n_batches one longer), and chunk j joins batch placement[c, j].
-    # Each batch lists its classes in order, laid out batch after batch.
-    q, r = np.divmod(groups.counts, n_batches)
+    # m % n_batches one longer), and chunk j joins batch placement[t, c, j].
+    # Each batch lists its classes in order, in its own row of width P.
+    q, r = np.divmod(counts, n_batches)
     chunk = q[:, None] + (np.arange(n_batches) < r[:, None])
-    cls = np.arange(n_classes)[:, None]
-    rows = np.empty_like(chunk)  # rows[c, b]: how many rows class c gives batch b
-    rows[cls, placement] = chunk
-    sizes = rows.sum(axis=0)
-    ends = np.cumsum(sizes)
-    slot = ends - sizes + np.cumsum(rows, axis=0) - rows  # where class c starts in batch b
-    dest = slot[cls, placement].ravel()  # where chunk j of class c goes
+    width = int(np.sum(-(-counts // n_batches)))
+    rows = np.empty_like(placement)  # rows[t, c, b]: how many rows class c gives batch b
+    np.put_along_axis(rows, placement, np.broadcast_to(chunk, placement.shape), axis=2)
+    sizes = rows.sum(axis=1)
+    # Where class c starts in the flat index: its batch's row, then its slot.
+    batch_start = (np.arange(n_trials)[:, None] * n_batches + np.arange(n_batches)) * width
+    slot = batch_start[:, None, :] + np.cumsum(rows, axis=1) - rows
+    dest = np.take_along_axis(slot, placement, axis=2).reshape(n_trials, -1)
     chunk = chunk.ravel()
-    out = np.empty(groups.n, dtype=np.intp)
-    out[np.repeat(dest - (np.cumsum(chunk) - chunk), chunk) + np.arange(groups.n)] = (
-        np.concatenate(shuffled)
-    )
-    batches = [out[a:b] for a, b in zip((0, *ends[:-1].tolist()), ends.tolist())]
-    for batch in batches:
-        rng.shuffle(batch)
-    return batches
+    offset = np.repeat(dest - (np.cumsum(chunk) - chunk), chunk, axis=1) + np.arange(n)
+    index = np.zeros((n_trials, n_batches, width), dtype=np.intp)
+    index.reshape(-1)[offset.ravel()] = shuffled.ravel()
+    for rng, batches, batch_sizes in zip(rngs, index, sizes.tolist()):
+        for batch, size in zip(batches, batch_sizes):
+            rng.shuffle(batch[:size])
+    return index, sizes
 
 
 def _non_finite(what: str, epoch: int | None = None, batch: int | None = None) -> NonFiniteError:
@@ -497,27 +516,21 @@ def evaluate_auroc_stacked(
         if model.n_classes == 2:
             values[ok] = auroc_rank_rows(probs[:, :, 1], y == 1)
         else:
-            per_class = [auroc_rank_rows(probs[:, :, c], y == c) for c in range(model.n_classes)]
-            values[ok] = np.mean(np.stack(per_class, axis=1), axis=1)
+            # Row (t, c) ranks class c of trial t; rows are independent.
+            classes = np.arange(model.n_classes)[:, None]
+            scores = np.swapaxes(probs, 1, 2).reshape(-1, y.shape[1])
+            per_class = auroc_rank_rows(scores, (y[:, None, :] == classes).reshape(scores.shape))
+            values[ok] = np.mean(per_class.reshape(-1, model.n_classes), axis=1)
     return values, tuple(_non_finite("evaluation logits", epoch) if b else None for b in bad)
 
 
-def _sample(groups, seeds, batch_size: int, epoch: int, train_x, train_y, rows: int):
-    """The epoch's batches of every trial, padded to ``rows`` rows: features
-    (T, n_batches, rows, n_features), labels with -1 on padding, and the
+def _sample(groups, seeds, batch_size: int, epoch: int, train_x, train_y):
+    """The epoch's batches of every trial, padded to P rows (see ``_batch_index``):
+    features (T, n_batches, P, n_features), labels with -1 on padding, and the
     real row counts (T, n_batches)."""
-    batches = [stratified_batches(g, batch_size, s, epoch) for g, s in zip(groups, seeds)]
-    sizes = np.array([[b.size for b in trial] for trial in batches])
-    flat = np.stack([np.concatenate(trial) for trial in batches])
-    n_trials, n_batches = sizes.shape
-    # Entry k of trial t's back-to-back batches lands in row k - start
-    # of its batch b, at flat position ((t * n_batches) + b) * rows + row.
-    starts = np.cumsum(sizes, axis=1) - sizes + flat.shape[1] * np.arange(n_trials)[:, None]
-    base = np.arange(n_trials * n_batches) * rows - starts.ravel()
-    index = np.zeros((n_trials, n_batches, rows), dtype=np.intp)
-    index.reshape(-1)[np.repeat(base, sizes.ravel()) + np.arange(flat.size)] = flat.ravel()
-    trial = np.arange(n_trials)[:, None, None]
-    labels = np.where(np.arange(rows) < sizes[:, :, None], train_y[trial, index], -1)
+    index, sizes = _batch_index(groups, seeds, batch_size, epoch)
+    trial = np.arange(index.shape[0])[:, None, None]
+    labels = np.where(np.arange(index.shape[2]) < sizes[:, :, None], train_y[trial, index], -1)
     return train_x[trial, index], labels, sizes
 
 
@@ -557,13 +570,16 @@ def _step(
     )
     values, grad = stacked_loss(config.loss_kind, logits, y[order], config.surrogate, True,
                                 want_value=want_value, pool=pool)
+    # Each group's gradients go into one buffer per parameter, in sorted
+    # trial order, which then updates the parameter in one step.
+    grads = [np.empty_like(param) for param in stack.weights + stack.biases]
     for lo, hi, size, part, inputs, pre_acts in caches:
         grads_w, grads_b = _backprop(part, inputs, pre_acts, grad[lo:hi, :size])
-        for w, b, gw, gb in zip(part.weights, part.biases, grads_w, grads_b):
-            w -= config.learning_rate * gw
-            b -= config.learning_rate * gb
-    for kept, updated in zip(work.weights + work.biases, stack.weights + stack.biases):
-        kept[order] = updated
+        for buffer, g in zip(grads, grads_w + grads_b):
+            buffer[lo:hi] = g
+    for param, g in zip(work.weights + work.biases, grads):
+        g *= config.learning_rate
+        param[order] -= g
     bad_logits, bad_loss = np.empty((2, order.size), dtype=bool)
     bad_logits[order] = _nonfinite_rows(logits)
     bad_loss[order] = False if values is None else ~np.isfinite(values)
@@ -609,8 +625,6 @@ def train_stacked(
     counts = np.stack([np.bincount(y, minlength=model.n_classes) for y in train_y])
     if (counts != counts[0]).any():
         raise ValueError("stacked trials must share their per-class training counts")
-    present = counts[0][counts[0] > 0]
-    rows = int(np.sum(-(-present // _batch_count(present, config.batch_size))))
 
     errors: list[Optional[RanklossError]] = [None] * model.n_models
     failed = np.zeros(model.n_models, dtype=bool)
@@ -637,7 +651,7 @@ def train_stacked(
         # the first epoch, before any checkpoint.
         try:
             batch_x, batch_y, sizes = _sample(
-                groups, seeds, config.batch_size, epoch, train_x, train_y, rows
+                groups, seeds, config.batch_size, epoch, train_x, train_y
             )
         except RanklossError as exc:
             errors[:] = [exc if e is None else e for e in errors]

@@ -1,9 +1,15 @@
 import json
+import os
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rankloss
 from rankloss import auroc_pairwise
 from rankloss.cli import main
 
@@ -330,6 +336,57 @@ class TestCompareCommand:
         assert all(len(a["ci"]) == 2 for a in manifest["arms"])
         assert len(manifest["comparisons"]) == 1
         assert 0.0 <= manifest["comparisons"][0]["p"] <= 1.0
+
+
+# Runs each argv of argv[1] (JSON) through the CLI in a fresh interpreter and
+# prints the exit codes and whether scipy got imported. With argv[2] ==
+# "block", any import of scipy raises ImportError.
+_CLI_PROBE = """
+import json, sys
+if sys.argv[2] == "block":
+    sys.modules["scipy"] = None
+from rankloss.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "scipy_loaded": sys.modules.get("scipy") is not None}))
+"""
+
+
+class TestWithoutScipy:
+    def _probe(self, argvs, mode):
+        src = str(Path(rankloss.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", _CLI_PROBE, json.dumps(argvs), mode],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.strip().splitlines()[-1])
+
+    def test_commands_need_no_scipy(self, tmp_path):
+        unstratified = small_compare_config(tmp_path)
+        unstratified["split"]["stratified"] = False
+        configs = {"stratified": small_compare_config(tmp_path), "unstratified": unstratified}
+        for name, config in configs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(config))
+        write_binary_metric_csv(tmp_path / "scores.csv", [0.1, 0.7, 0.4, 0.9], [0, 0, 1, 1])
+        (tmp_path / "spec.json").write_text(json.dumps({
+            "class_counts": [10, 5], "dim": 3, "class_mean_separation": 1.0,
+            "noise_std": 1.0, "seed": 2,
+        }))
+
+        manifests = {}
+        for mode in ("block", "plain"):
+            argvs = [["compare", "--config", str(tmp_path / f"{name}.json"),
+                      "--out", str(tmp_path / f"{name}_{mode}.json")] for name in configs]
+            argvs.append(["metric", "--input", str(tmp_path / "scores.csv"),
+                          "--label-col", "target"])
+            argvs.append(["gen", "--spec", str(tmp_path / "spec.json"),
+                          "--out", str(tmp_path / f"data_{mode}.csv")])
+            assert self._probe(argvs, mode) == {"codes": [0, 0, 0, 0], "scipy_loaded": False}
+            manifests[mode] = [
+                re.sub(r'\n  "duration_seconds": [^\n]*', "",
+                       (tmp_path / f"{name}_{mode}.json").read_text(encoding="utf-8"))
+                for name in configs
+            ]
+        assert manifests["block"] == manifests["plain"]
 
 
 def large_batch_config(n_repeats=2, epochs=2):

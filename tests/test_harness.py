@@ -4,6 +4,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.special import stdtr
 
 from rankloss import (
     ArmConfig,
@@ -22,6 +23,7 @@ from rankloss import (
     trial_blocks,
     trial_seeds,
 )
+from rankloss.harness import _t_two_sided_p
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +219,11 @@ class TestTTest:
             assert abs(t - t_ref) <= 1e-8
             assert abs(p - p_ref) <= 1e-8
 
+    def test_huge_finite_t_returns(self):
+        # t^2 overflows: the p-value underflows to 0, as scipy's stdtr gives.
+        t, p = t_test([0.0, 1e-160], [1.0, 1.0])
+        assert math.isfinite(t) and t < -1e160 and p == 0.0
+
     def test_degenerate_equal_constants(self):
         with pytest.raises(DegenerateVarianceError):
             t_test([0.5, 0.5], [0.5, 0.5])
@@ -224,6 +231,38 @@ class TestTTest:
     def test_constant_but_different(self):
         t, p = t_test([0.6, 0.6], [0.5, 0.5])
         assert t == math.inf and p == 0.0
+
+
+class TestTwoSidedP:
+    """The in-house Student-t p-value against scipy's ``stdtr``."""
+
+    T_GRID = [0.0, *np.logspace(-16, math.log10(40.0), 200).tolist(), 1e200, math.inf]
+
+    # 1999 and 2000 sit on either side of the exact/series switch of 1 / B(df/2, 1/2).
+    @pytest.mark.parametrize("df", [2, 3, 4, 7, 18, 58, 198, 998, 1999, 2000, 19998])
+    def test_matches_stdtr(self, df):
+        for t in self.T_GRID:
+            p = _t_two_sided_p(df, t)
+            want = 2.0 * float(stdtr(df, -t))
+            assert 0.0 <= p <= 1.0
+            assert _t_two_sided_p(df, -t) == p
+            if want > 1e-300:
+                assert abs(p - want) <= 1e-12 * want, (df, t, p, want)
+            else:
+                assert p <= 1e-300, (df, t, p, want)
+
+    @pytest.mark.parametrize("df", [19998, 200000])
+    def test_large_df_past_branch_point(self, df):
+        # Here the fraction's odd steps come near -1; added to 1 as they
+        # stand, they leave errors of 8e-13 to 9e-12 on this range.
+        for t in np.linspace(1.0, 6.0, 101):
+            want = 2.0 * float(stdtr(df, -t))
+            assert abs(_t_two_sided_p(df, t) - want) <= 1e-13 * want, (df, t)
+
+    def test_limits(self):
+        for df in (2, 19998):
+            assert _t_two_sided_p(df, 0.0) == 1.0
+            assert _t_two_sided_p(df, 1e200) == _t_two_sided_p(df, -math.inf) == 0.0
 
 
 class TestTrialSeeds:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankloss import (
     InfeasibleBatchError,
@@ -23,7 +25,7 @@ from rankloss import (
     train_stacked,
     trial_seeds,
 )
-from rankloss.network import _step
+from rankloss.network import _batch_index, _LabelGroups, _step
 
 
 def separable_blobs(seed=1, counts=(40, 40), sep=6.0):
@@ -148,6 +150,46 @@ class TestStratifiedBatches:
             [2, 14, 6, 19, 9, 0, 3],
             [12, 16, 18, 1, 11, 15, 8],
         ]
+
+    def test_pinned_batches_clamped_count(self):
+        # Recorded from the per-trial sampler: the smallest class clamps the
+        # batch count to 2, and the middle class splits 3 + 2.
+        labels = np.array([0, 1, 1, 0, 2, 0, 0, 1, 0, 2, 0, 0, 1, 0, 1])
+        batches = stratified_batches(labels, 4, seed=9, epoch=3)
+        assert [b.tolist() for b in batches] == [
+            [10, 1, 0, 14, 9, 6, 3],
+            [4, 8, 2, 7, 5, 12, 13, 11],
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        counts=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+        n_trials=st.integers(1, 4),
+        batch_size=st.integers(1, 12),
+        epoch=st.integers(0, 5),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_index_stacks_per_trial_batches(self, counts, n_trials, batch_size, epoch,
+                                                  data_seed):
+        rng = np.random.default_rng(data_seed)
+        labels = [rng.permutation(np.repeat(np.arange(len(counts)), counts))
+                  for _ in range(n_trials)]
+        seeds = rng.integers(0, 2**32, size=n_trials).tolist()
+        try:
+            want = [stratified_batches(y, batch_size, s, epoch) for y, s in zip(labels, seeds)]
+        except InfeasibleBatchError as exc:
+            with pytest.raises(InfeasibleBatchError, match=str(exc)):
+                _batch_index([_LabelGroups(y) for y in labels], seeds, batch_size, epoch)
+            return
+        index, sizes = _batch_index([_LabelGroups(y) for y in labels], seeds, batch_size, epoch)
+        n_batches = len(want[0])
+        width = sum(-(-m // n_batches) for m in counts)
+        assert index.shape == (n_trials, n_batches, width)
+        assert sizes.tolist() == [[b.size for b in trial] for trial in want]
+        for rows, trial_sizes, trial in zip(index, sizes, want):
+            for row, size, batch in zip(rows, trial_sizes, trial):
+                assert np.array_equal(row[:size], batch)
+                assert not row[size:].any()
 
     def test_matches_array_split_reference(self):
         rng = np.random.default_rng(4)
