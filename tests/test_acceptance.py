@@ -249,20 +249,49 @@ def test_criterion_8_parallel_determinism(tmp_path):
         assert manifests[0] == manifests[1] == manifests[2]
 
 
+def _assert_matches_golden(tmp_path, config, golden_path):
+    # The golden file was written by the CLI; only the wall-clock duration
+    # may differ between runs.
+    cfg_path = tmp_path / "golden.json"
+    out_path = tmp_path / "golden_manifest.json"
+    cfg_path.write_text(json.dumps(config))
+    code = main(["compare", "--config", str(cfg_path), "--out", str(out_path), "--jobs", "1"])
+    assert code == 0
+    fresh = _without_duration(out_path.read_text(encoding="utf-8"))
+    golden = _without_duration(golden_path.read_text(encoding="utf-8"))
+    assert "duration_seconds" not in fresh and "duration_seconds" not in golden
+    assert fresh == golden
+
+
 def test_criterion_8_golden_manifest(tmp_path):
     with criterion(8, "a --jobs 1 manifest matches the committed golden bytes"):
-        # The golden file was written by the CLI; only the wall-clock
-        # duration may differ between runs.
-        cfg_path = tmp_path / "golden.json"
-        out_path = tmp_path / "golden_manifest.json"
-        cfg_path.write_text(json.dumps(CRITERION_8_CONFIG))
-        code = main(["compare", "--config", str(cfg_path), "--out", str(out_path),
-                     "--jobs", "1"])
-        assert code == 0
-        fresh = _without_duration(out_path.read_text(encoding="utf-8"))
-        golden = _without_duration(GOLDEN_CRITERION_8.read_text(encoding="utf-8"))
-        assert "duration_seconds" not in fresh and "duration_seconds" not in golden
-        assert fresh == golden
+        _assert_matches_golden(tmp_path, CRITERION_8_CONFIG, GOLDEN_CRITERION_8)
+
+
+# Unstratified splits leave the per-class train counts ragged: the trials'
+# counts all differ, and the ce arm's batch count is 5 in trials 0, 2, 4
+# and 5 but 4 in trials 1 and 3 (class 2 has 4 training samples there).
+UNSTRATIFIED_CONFIG = {
+    "dataset": {
+        "synthetic": {
+            "class_counts": [40, 25, 10], "dim": 3, "class_mean_separation": 2.0,
+            "noise_std": 1.0, "label_flip_prob": 0.0, "seed": 1,
+        }
+    },
+    "model": {"hidden_dims": [4]},
+    "split": {"stratified": False, "n_repeats": 6, "base_seed": 0},
+    "arms": [
+        {"name": "ce", "loss_kind": "cross_entropy", "batch_size": 8, "max_epochs": 3},
+        {"name": "auc", "loss_kind": "auc_multiclass", "batch_size": 16, "max_epochs": 3},
+    ],
+}
+
+GOLDEN_UNSTRATIFIED = Path(__file__).parent / "golden" / "unstratified_manifest.json"
+
+
+def test_unstratified_golden_manifest(tmp_path):
+    with criterion(8, "an unstratified --jobs 1 manifest matches the committed golden bytes"):
+        _assert_matches_golden(tmp_path, UNSTRATIFIED_CONFIG, GOLDEN_UNSTRATIFIED)
 
 
 def test_criterion_9_sampler_guarantee():
