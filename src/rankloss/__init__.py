@@ -59,8 +59,6 @@ from .network import (
     MLPStack,
     StackedTraining,
     TrainConfig,
-    TrainHistory,
-    evaluate_auroc,
     evaluate_auroc_stacked,
     forward,
     init_model,
@@ -79,7 +77,6 @@ from .harness import (
     mean_ci,
     monte_carlo_split,
     run_experiment,
-    run_trial,
     t_test,
     trial_blocks,
     trial_seeds,
@@ -100,13 +97,12 @@ __all__ = [
     "LOSS_KINDS", "logistic", "softmax", "binary_auc_loss", "multiclass_auc_loss",
     "cross_entropy_loss", "loss_function", "finite_diff_check", "stacked_loss",
     # network
-    "MLPModel", "TrainConfig", "TrainHistory", "init_model", "forward",
-    "stratified_batches", "evaluate_auroc", "train", "MLPStack", "StackedTraining",
-    "train_stacked", "evaluate_auroc_stacked",
+    "MLPModel", "TrainConfig", "init_model", "forward", "stratified_batches", "train",
+    "MLPStack", "StackedTraining", "train_stacked", "evaluate_auroc_stacked",
     # harness
     "SplitSpec", "ArmConfig", "ExperimentConfig", "TrialSeeds", "ArmResult",
     "Comparison", "AggregateReport", "trial_seeds", "monte_carlo_split",
-    "run_trial", "trial_blocks", "run_experiment", "mean_ci", "t_test",
+    "trial_blocks", "run_experiment", "mean_ci", "t_test",
     # data
     "Dataset", "SyntheticSpec", "generate_synthetic", "load_csv", "load_scores_csv", "save_csv",
 ]

@@ -7,12 +7,11 @@ records each arm's test AUROC. All randomness derives from (base_seed,
 trial), so the aggregate report is byte-identical regardless of worker
 count.
 
-Stratified splits give every trial the same per-class counts, so an arm's
-trials train together in the trial-batched engine (``train_stacked``),
-whose results equal the per-trial ``train`` bit for bit. Unstratified
-splits leave the counts ragged and run trial by trial (``run_trial``).
-Workers take contiguous blocks of trials, and each block gets a thread pool
-of the CPUs the workers leave free for its pairwise loss kernels.
+An arm's trials train together in the trial-batched engine
+(``train_stacked``), each bit for bit as it would alone, and the report is
+what running the trials one by one would give, errors included. Workers
+take contiguous blocks of trials, and each block gets a thread pool of the
+CPUs the workers leave free for its pairwise loss kernels.
 """
 
 from __future__ import annotations
@@ -29,15 +28,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DegenerateVarianceError, FieldError, RanklossError, TooSmallError, TrialError
 from .losses import SurrogateParams
-from .network import (
-    MLPStack,
-    TrainConfig,
-    evaluate_auroc,
-    evaluate_auroc_stacked,
-    init_model,
-    train,
-    train_stacked,
-)
+from .network import MLPStack, TrainConfig, evaluate_auroc_stacked, init_model, train_stacked
 
 __all__ = [
     "SplitSpec",
@@ -49,7 +40,6 @@ __all__ = [
     "AggregateReport",
     "trial_seeds",
     "monte_carlo_split",
-    "run_trial",
     "trial_blocks",
     "run_experiment",
     "mean_ci",
@@ -223,55 +213,28 @@ def monte_carlo_split(
     return np.sort(train_idx), np.sort(val_idx), np.sort(test_idx)
 
 
-def run_trial(dataset: Dataset, config: ExperimentConfig, trial: int) -> list[float]:
-    """Run one trial: split once, train every arm on it, return test AUROCs.
-
-    All arms share the split and the model initialization seed, so arm
-    differences are down to the training configuration alone. Errors are
-    re-raised as ``TrialError`` carrying the trial index, and naming the arm
-    when one was training or being evaluated.
-    """
-    arm_name = None
-    try:
-        train_idx, val_idx, test_idx = monte_carlo_split(
-            dataset.n_samples, dataset.labels, config.split, trial
-        )
-        seeds = trial_seeds(config.split.base_seed, trial)
-        dims = (dataset.n_features, *config.hidden_dims, dataset.n_classes)
-        model0 = init_model(dims, seeds.init)
-        results = []
-        for arm in config.arms:
-            arm_name = arm.name
-            trained, _ = train(
-                model0,
-                dataset.features[train_idx],
-                dataset.labels[train_idx],
-                dataset.features[val_idx],
-                dataset.labels[val_idx],
-                arm.train_config(seeds.shuffle),
-            )
-            results.append(
-                evaluate_auroc(trained, dataset.features[test_idx], dataset.labels[test_idx])
-            )
-        return results
-    except RanklossError as exc:
-        raise _trial_error(trial, exc, arm_name) from exc
-
-
 def _trial_error(trial: int, exc: RanklossError, arm_name: str | None = None) -> TrialError:
     where = f"trial {trial}" if arm_name is None else f"trial {trial}, arm {arm_name}"
     return TrialError(f"{where}: {type(exc).__name__}: {exc}", trial=trial)
 
 
-def _run_stacked(
-    dataset: Dataset, config: ExperimentConfig, trials: range, pool=None
+def _run_block(
+    dataset: Dataset, config: ExperimentConfig, trials: range, threads: int = 1
 ) -> np.ndarray:
-    """Test AUROCs (len(trials), n_arms) of stratified trials, each arm's
+    """Test AUROCs (len(trials), n_arms) of a block of trials, each arm's
     trials trained together by the engine.
 
-    Raises the ``TrialError`` that running ``run_trial`` over the trials in
+    A trial splits once, and every arm trains on that split from the
+    trial's shared initialization, so arm differences are down to the
+    training configuration alone. Raises, as a ``TrialError`` naming the
+    trial and the arm, the error that running the trials one by one in
     order would raise first: the smallest failing trial, and within it the
-    split or else the first failing arm in config order.
+    split or else the first failing arm in config order, its training
+    before its test scoring.
+
+    The pairwise loss kernels get a pool of ``threads`` threads, which
+    starts a thread only when a kernel splits its work. The pool is shut
+    down before this returns, so no thread outlives the block.
     """
     splits, split_error = [], None
     for trial in trials:
@@ -284,44 +247,29 @@ def _run_stacked(
     dims = (dataset.n_features, *config.hidden_dims, dataset.n_classes)
     per_call = max(1, STACKED_VALUES // (dataset.n_samples * max(dims)))
     results = np.empty((len(splits), len(config.arms)))
-    for lo in range(0, len(splits), per_call):
-        block = trials[lo : lo + per_call]
-        train_idx, val_idx, test_idx = (np.stack(p) for p in zip(*splits[lo : lo + per_call]))
-        seeds = [trial_seeds(config.split.base_seed, t) for t in block]
-        start = MLPStack.of([init_model(dims, s.init) for s in seeds])
-        first_error = [None] * len(block)  # per trial: (arm name, error), in arm order
-        for j, arm in enumerate(config.arms):
-            run = train_stacked(start, x[train_idx], y[train_idx], x[val_idx], y[val_idx],
-                                [arm.train_config(s.shuffle) for s in seeds], pool=pool)
-            aurocs, test_errors = evaluate_auroc_stacked(run.model, x[test_idx], y[test_idx])
-            results[lo : lo + len(block), j] = aurocs
-            for i, error in enumerate(run.errors):
-                error = error if error is not None else test_errors[i]
-                if first_error[i] is None and error is not None:
-                    first_error[i] = (arm.name, error)
-        for trial, failed in zip(block, first_error):
-            if failed is not None:
-                arm_name, error = failed
-                raise _trial_error(trial, error, arm_name) from error
+    with ThreadPoolExecutor(threads) as pool:
+        for lo in range(0, len(splits), per_call):
+            block = trials[lo : lo + per_call]
+            train_idx, val_idx, test_idx = (np.stack(p) for p in zip(*splits[lo : lo + per_call]))
+            seeds = [trial_seeds(config.split.base_seed, t) for t in block]
+            start = MLPStack.of([init_model(dims, s.init) for s in seeds])
+            first_error = [None] * len(block)  # per trial: (arm name, error), in arm order
+            for j, arm in enumerate(config.arms):
+                run = train_stacked(start, x[train_idx], y[train_idx], x[val_idx], y[val_idx],
+                                    [arm.train_config(s.shuffle) for s in seeds], pool=pool)
+                aurocs, test_errors = evaluate_auroc_stacked(run.model, x[test_idx], y[test_idx])
+                results[lo : lo + len(block), j] = aurocs
+                for i, error in enumerate(run.errors):
+                    error = error if error is not None else test_errors[i]
+                    if first_error[i] is None and error is not None:
+                        first_error[i] = (arm.name, error)
+            for trial, failed in zip(block, first_error):
+                if failed is not None:
+                    arm_name, error = failed
+                    raise _trial_error(trial, error, arm_name) from error
     if split_error is not None:
         raise _trial_error(*split_error) from split_error[1]
     return results
-
-
-def _run_block(
-    dataset: Dataset, config: ExperimentConfig, trials: range, threads: int = 1
-) -> np.ndarray:
-    """Test AUROCs (len(trials), n_arms) of a block of trials.
-
-    Stratified trials run with a pool of ``threads`` threads for the
-    pairwise loss kernels, which starts a thread only when a kernel splits
-    its work. The pool is shut down before this returns, so no thread
-    outlives the block.
-    """
-    if not config.split.stratified:
-        return np.array([run_trial(dataset, config, t) for t in trials])
-    with ThreadPoolExecutor(threads) as pool:
-        return _run_stacked(dataset, config, trials, pool)
 
 
 def trial_blocks(n_repeats: int, jobs: int, n_cpus: int) -> list[range]:

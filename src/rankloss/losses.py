@@ -83,8 +83,8 @@ class LossOutput:
     """Scalar loss value plus, when requested, d(value)/d(logit) per entry.
 
     Not validated: finite logits can still overflow to an infinite value
-    (cross entropy of logits about 1e308 apart), and ``train`` checks every
-    value it steps on.
+    (cross entropy of logits about 1e308 apart), and the training engine
+    (``network.train_stacked``) checks every value it steps on.
     """
 
     value: float
@@ -227,6 +227,23 @@ def _require_logits(batch: PredictionBatch, name: str) -> None:
         )
 
 
+def _missing_class(kind: str, counts) -> Optional[EmptyClassError]:
+    """The ``EmptyClassError`` the ``kind`` loss raises on a batch with these
+    per-class counts, or None. The AUC kinds rank classes against each
+    other, so they need samples of both classes (binary) or of every class."""
+    if kind == "auc_binary":
+        if counts[1] == 0:
+            return EmptyClassError("batch has no positive (label 1) samples", class_index=1)
+        if counts[0] == 0:
+            return EmptyClassError("batch has no negative (label 0) samples", class_index=0)
+    elif kind == "auc_multiclass":
+        missing = np.flatnonzero(counts == 0)
+        if missing.size:
+            c = int(missing[0])
+            return EmptyClassError(f"batch has no samples of class {c}", class_index=c)
+    return None
+
+
 def binary_auc_loss(
     batch: PredictionBatch,
     params: SurrogateParams = DEFAULT_SURROGATE,
@@ -242,13 +259,12 @@ def binary_auc_loss(
     if batch.n_classes != 2:
         raise ValueError(f"binary_auc_loss requires 2 classes, got {batch.n_classes}")
     _require_logits(batch, "binary_auc_loss")
+    error = _missing_class("auc_binary", batch.class_counts())
+    if error is not None:
+        raise error
     pos_mask = batch.labels == 1
     n_pos = int(pos_mask.sum())
     n_neg = batch.n_samples - n_pos
-    if n_pos == 0:
-        raise EmptyClassError("batch has no positive (label 1) samples", class_index=1)
-    if n_neg == 0:
-        raise EmptyClassError("batch has no negative (label 0) samples", class_index=0)
 
     probs = softmax(batch.scores)
     p = probs[:, -1]
@@ -283,10 +299,9 @@ def multiclass_auc_loss(
     Raises ``EmptyClassError`` naming the first class with no samples.
     """
     _require_logits(batch, "multiclass_auc_loss")
-    missing = np.flatnonzero(batch.class_counts() == 0)
-    if missing.size:
-        c = int(missing[0])
-        raise EmptyClassError(f"batch has no samples of class {c}", class_index=c)
+    error = _missing_class("auc_multiclass", batch.class_counts())
+    if error is not None:
+        raise error
 
     probs = softmax(batch.scores)
     n_terms = batch.n_classes

@@ -147,6 +147,36 @@ def _auc_from_win_sum(win_sum: float, n_pos: int, n_neg: int) -> float:
     return np.where(win_sum <= loss_sum, small, big)
 
 
+def _no_pairs(n_pos: int, n_neg: int) -> Optional[EmptyClassError]:
+    """The error an AUROC of ``n_pos`` positives against ``n_neg`` negatives
+    raises, or None when both sides have samples."""
+    if n_pos == 0:
+        return EmptyClassError("no positive samples: AUROC is undefined", class_index=1)
+    if n_neg == 0:
+        return EmptyClassError("no negative samples: AUROC is undefined", class_index=0)
+    return None
+
+
+def _ovr_undefined(counts) -> Optional[EmptyClassError]:
+    """The error strict ``auroc_multiclass_ovr`` raises on labels with these
+    per-class counts: for the first class with no samples or with all of
+    them. None when every class has positives and negatives."""
+    n = sum(counts)
+    for c, m in enumerate(counts):
+        if m == 0 or m == n:
+            which = f"class {c} has no samples" if m == 0 else f"every sample is of class {c}"
+            return EmptyClassError(f"{which}: one-vs-rest AUROC is undefined", class_index=c)
+    return None
+
+
+def _auroc_undefined(counts) -> Optional[EmptyClassError]:
+    """The ``EmptyClassError`` that scoring labels with these per-class counts
+    raises: ``auroc_rank`` of class 1 for two classes, strict
+    ``auroc_multiclass_ovr`` for more. None when the AUROC is defined."""
+    counts = [int(m) for m in counts]
+    return _no_pairs(counts[1], counts[0]) if len(counts) == 2 else _ovr_undefined(counts)
+
+
 def auroc_pairwise(pos_scores, neg_scores) -> AurocValue:
     """AUROC by full pair enumeration: the mean over all pairs of the unit step
     of pos - neg, which is 1/2 at a tie.
@@ -156,10 +186,9 @@ def auroc_pairwise(pos_scores, neg_scores) -> AurocValue:
     """
     pos = _as_score_vector(pos_scores, "pos_scores")
     neg = _as_score_vector(neg_scores, "neg_scores")
-    if pos.size == 0:
-        raise EmptyClassError("no positive samples: AUROC is undefined", class_index=1)
-    if neg.size == 0:
-        raise EmptyClassError("no negative samples: AUROC is undefined", class_index=0)
+    error = _no_pairs(pos.size, neg.size)
+    if error is not None:
+        raise error
     diffs = pos[:, None] - neg[None, :]
     win_sum = float(np.heaviside(diffs, 0.5).sum())
     value = float(_auc_from_win_sum(win_sum, pos.size, neg.size))
@@ -196,10 +225,9 @@ def auroc_rank_scores(pos_scores, neg_scores) -> AurocValue:
     """
     pos = _as_score_vector(pos_scores, "pos_scores")
     neg = _as_score_vector(neg_scores, "neg_scores")
-    if pos.size == 0:
-        raise EmptyClassError("no positive samples: AUROC is undefined", class_index=1)
-    if neg.size == 0:
-        raise EmptyClassError("no negative samples: AUROC is undefined", class_index=0)
+    error = _no_pairs(pos.size, neg.size)
+    if error is not None:
+        raise error
     ranks = _midranks(np.concatenate([pos, neg]))
     pos_rank_sum = float(ranks[: pos.size].sum())
     win_sum = pos_rank_sum - pos.size * (pos.size + 1) / 2.0
@@ -248,23 +276,20 @@ def auroc_multiclass_ovr(batch: PredictionBatch, lenient: bool = False) -> Macro
     (positives) against everything else (negatives). The macro value is the
     unweighted mean over classes.
 
-    In strict mode (default) a class with no samples raises
-    ``EmptyClassError``. In lenient mode such classes are skipped: their
+    In strict mode (default) a class with no samples, or with every sample,
+    raises ``EmptyClassError``. In lenient mode such classes are skipped: their
     ``per_class`` entry is None and the mean is renormalized over the
     classes that remain.
     """
     counts = batch.class_counts()
     n = batch.n_samples
+    error = None if lenient else _ovr_undefined(counts.tolist())
+    if error is not None:
+        raise error
     per_class: list[Optional[AurocValue]] = []
     values = []
     for c in range(batch.n_classes):
         if counts[c] == 0 or counts[c] == n:
-            if not lenient:
-                which = "no" if counts[c] == 0 else "only"
-                raise EmptyClassError(
-                    f"class {c} has {which} samples: one-vs-rest AUROC is undefined",
-                    class_index=c,
-                )
             per_class.append(None)
             continue
         col = batch.scores[:, c]

@@ -2,7 +2,7 @@
 
 The model is a small MLP (ReLU hidden layers, linear output) producing raw
 logits; the losses own the softmax. Training is deterministic: the same
-data, config, and seeds yield bit-identical weights and history.
+data, config, and seeds yield bit-identical weights.
 
 The sampler guarantees every emitted batch contains at least one sample of
 every class present in the training labels, which the pairwise ranking
@@ -23,21 +23,18 @@ from .losses import (
     DEFAULT_SURROGATE,
     LOSS_KINDS,
     SurrogateParams,
+    _missing_class,
     _softmax_rows,
-    loss_function,
-    softmax,
     stacked_loss,
 )
-from .metrics import PredictionBatch, auroc_multiclass_ovr, auroc_rank, auroc_rank_rows
+from .metrics import _auroc_undefined, auroc_rank_rows
 
 __all__ = [
     "MLPModel",
     "TrainConfig",
-    "TrainHistory",
     "init_model",
     "forward",
     "stratified_batches",
-    "evaluate_auroc",
     "train",
     "MLPStack",
     "StackedTraining",
@@ -105,20 +102,6 @@ class TrainConfig:
             )
         if self.seed < 0:
             raise FieldError("seed", f"seed must be nonnegative, got {self.seed}")
-
-
-@dataclass(frozen=True)
-class TrainHistory:
-    """Per-epoch record of a training run."""
-
-    train_loss: tuple[float, ...]
-    val_auroc: tuple[float, ...]
-    best_epoch: int
-    initial_loss: float
-
-    @property
-    def best_val_auroc(self) -> float:
-        return self.val_auroc[self.best_epoch]
 
 
 def init_model(layer_dims: Sequence[int], seed: int) -> MLPModel:
@@ -191,8 +174,10 @@ def _backprop(model: MLPModel | MLPStack, inputs, pre_acts, grad_logits):
     return grads_w, grads_b
 
 
-def _batch_count(class_counts: np.ndarray, batch_size: int) -> int:
-    return min(max(1, int(class_counts.sum()) // batch_size), int(class_counts.min()))
+def _batch_count(class_counts: np.ndarray, batch_size: int) -> np.ndarray:
+    """The sampler's batch count for each row of per-class counts."""
+    n = class_counts.sum(axis=-1)
+    return np.minimum(np.maximum(1, n // batch_size), class_counts.min(axis=-1))
 
 
 class _LabelGroups:
@@ -227,15 +212,16 @@ def _batch_index(groups: Sequence[_LabelGroups], seeds: Sequence[int], batch_siz
                  epoch: int) -> tuple[np.ndarray, np.ndarray]:
     """``stratified_batches`` of every trial t, for ``groups[t]`` and ``seeds[t]``.
 
-    The trials must share their per-class counts. Returns ``index``
-    (T, n_batches, P), whose row b of trial t starts with that trial's batch b
-    and is zero-padded to P = sum_c ceil(m_c / n_batches) entries, and the
-    batch sizes (T, n_batches).
+    The trials must share their sample count, their number of classes and
+    their batch count; their per-class counts m_tc may differ. Returns
+    ``index`` (T, n_batches, P), whose row b of trial t starts with that
+    trial's batch b and is zero-padded to P = max_t sum_c ceil(m_tc / n_batches)
+    entries, and the batch sizes (T, n_batches).
     """
     if min(seeds) < 0 or epoch < 0:
         raise ValueError("seed and epoch must be nonnegative")
-    counts = groups[0].counts
-    n_classes = counts.size
+    counts = np.stack([trial.counts for trial in groups])
+    n_classes = counts.shape[1]
     if n_classes < 2:
         raise InfeasibleBatchError(
             "cannot form class-balanced batches from a single class"
@@ -245,34 +231,37 @@ def _batch_index(groups: Sequence[_LabelGroups], seeds: Sequence[int], batch_siz
             f"batch_size {batch_size} cannot hold one sample of each of "
             f"{n_classes} classes"
         )
-    n_batches = _batch_count(counts, batch_size)
-    n_trials, n = len(groups), groups[0].n
+    per_trial = _batch_count(counts, batch_size)
+    if (counts.sum(axis=1) != counts[0].sum()).any() or (per_trial != per_trial[0]).any():
+        raise ValueError("stacked trials must share their sample and batch counts")
+    n_trials, n, n_batches = len(groups), groups[0].n, int(per_trial[0])
 
     # Each trial's stream: per class a permutation of its members and one
     # of the batches, then (below) one shuffle per batch, in batch order.
     rngs = [np.random.default_rng([int(seed), int(epoch)]) for seed in seeds]
     shuffled = np.empty((n_trials, n), dtype=np.intp)
     placement = np.empty((n_trials, n_classes, n_batches), dtype=np.intp)
-    ends = np.cumsum(counts).tolist()
+    ends = np.cumsum(counts, axis=1).tolist()
     for t, (rng, trial) in enumerate(zip(rngs, groups)):
-        for c, (members, lo, hi) in enumerate(zip(trial.members, [0, *ends], ends)):
+        for c, (members, lo, hi) in enumerate(zip(trial.members, [0, *ends[t]], ends[t])):
             shuffled[t, lo:hi] = rng.permutation(members)
             placement[t, c] = rng.permutation(n_batches)
     # Class c is cut into chunks as np.array_split cuts it (the first
     # m % n_batches one longer), and chunk j joins batch placement[t, c, j].
     # Each batch lists its classes in order, in its own row of width P.
     q, r = np.divmod(counts, n_batches)
-    chunk = q[:, None] + (np.arange(n_batches) < r[:, None])
-    width = int(np.sum(-(-counts // n_batches)))
+    chunk = q[:, :, None] + (np.arange(n_batches) < r[:, :, None])
+    width = int(np.max(np.sum(-(-counts // n_batches), axis=1)))
     rows = np.empty_like(placement)  # rows[t, c, b]: how many rows class c gives batch b
-    np.put_along_axis(rows, placement, np.broadcast_to(chunk, placement.shape), axis=2)
+    np.put_along_axis(rows, placement, chunk, axis=2)
     sizes = rows.sum(axis=1)
     # Where class c starts in the flat index: its batch's row, then its slot.
     batch_start = (np.arange(n_trials)[:, None] * n_batches + np.arange(n_batches)) * width
     slot = batch_start[:, None, :] + np.cumsum(rows, axis=1) - rows
     dest = np.take_along_axis(slot, placement, axis=2).reshape(n_trials, -1)
-    chunk = chunk.ravel()
-    offset = np.repeat(dest - (np.cumsum(chunk) - chunk), chunk, axis=1) + np.arange(n)
+    chunk = chunk.reshape(n_trials, -1)
+    shift = dest - (np.cumsum(chunk, axis=1) - chunk)
+    offset = np.repeat(shift.ravel(), chunk.ravel()).reshape(n_trials, n) + np.arange(n)
     index = np.zeros((n_trials, n_batches, width), dtype=np.intp)
     index.reshape(-1)[offset.ravel()] = shuffled.ravel()
     for rng, batches, batch_sizes in zip(rngs, index, sizes.tolist()):
@@ -287,120 +276,26 @@ def _non_finite(what: str, epoch: int | None = None, batch: int | None = None) -
     return NonFiniteError(f"{what} became non-finite{where}", epoch=epoch, batch=batch)
 
 
-def _require_finite(values, what: str, epoch: int | None = None, batch: int | None = None):
-    if not np.isfinite(values).all():
-        raise _non_finite(what, epoch, batch)
-
-
-def evaluate_auroc(
-    model: MLPModel, features: np.ndarray, labels: np.ndarray, epoch: int | None = None
-) -> float:
-    """Exact AUROC of the model's softmax scores on one partition.
-
-    Binary AUROC of the last class for 2-class models, macro one-vs-rest
-    otherwise. Non-finite logits raise ``NonFiniteError``; ``epoch`` only
-    labels that error.
-    """
-    logits = forward(model, features)
-    _require_finite(logits, "evaluation logits", epoch)
-    batch = PredictionBatch(softmax(logits), labels, probabilities=True)
-    if model.n_classes == 2:
-        return auroc_rank(batch, positive_class=1).value
-    return auroc_multiclass_ovr(batch).value
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def train(
-    model: MLPModel,
-    train_x: np.ndarray,
-    train_y: np.ndarray,
-    val_x: np.ndarray,
-    val_y: np.ndarray,
-    config: TrainConfig,
-) -> tuple[MLPModel, TrainHistory]:
-    """SGD over stratified batches, returning the best-validation checkpoint.
-
-    The input model is left untouched; training happens on a copy. After
-    each epoch the validation AUROC (binary for 2-class models, macro
-    one-vs-rest otherwise) is recorded, and the returned model is the weight
-    snapshot with the highest validation AUROC (earliest epoch on ties).
-
-    Every forward pass and loss value is checked: the first non-finite one
-    raises ``NonFiniteError`` naming the epoch and, within an epoch, the
-    batch. A step that makes a weight non-finite is caught by the next
-    forward pass, batch or validation, whose logits it poisons. NumPy's
-    overflow and invalid-value warnings are silenced, as in ``train_stacked``:
-    the ``NonFiniteError`` already reports that arithmetic.
-    """
-    train_x = _check_features(model, np.asarray(train_x, dtype=np.float64))
-    val_x = _check_features(model, np.asarray(val_x, dtype=np.float64))
-    train_y = np.asarray(train_y, dtype=np.int64)
-    val_y = np.asarray(val_y, dtype=np.int64)
-    if train_x.shape[0] == 0 or val_x.shape[0] == 0:
-        raise ValueError("train and validation partitions must be non-empty")
-    if train_y.shape[0] != train_x.shape[0] or val_y.shape[0] != val_x.shape[0]:
-        raise ValueError("label lengths must match feature rows")
-
-    loss_fn = loss_function(config.loss_kind, config.surrogate)
-    work = model.copy()
-    logits = forward(work, train_x)
-    _require_finite(logits, "initial logits")
-    initial_loss = loss_fn(PredictionBatch(logits, train_y), False).value
-    _require_finite(initial_loss, "initial loss")
-
-    train_losses: list[float] = []
-    val_aurocs: list[float] = []
-    best_epoch = -1
-    best_auroc = -np.inf
-    best_model = work.copy()
-
-    groups = _LabelGroups(train_y)
-    for epoch in range(config.max_epochs):
-        batches = stratified_batches(groups, config.batch_size, config.seed, epoch)
-        epoch_losses = []
-        for batch_no, batch_idx in enumerate(batches):
-            logits, inputs, pre_acts = _forward_cached(work, train_x[batch_idx])
-            _require_finite(logits, "logits", epoch, batch_no)
-            out = loss_fn(PredictionBatch(logits, train_y[batch_idx]), True)
-            _require_finite(out.value, "loss", epoch, batch_no)
-            grads_w, grads_b = _backprop(work, inputs, pre_acts, out.grad)
-            for w, b, gw, gb in zip(work.weights, work.biases, grads_w, grads_b):
-                w -= config.learning_rate * gw
-                b -= config.learning_rate * gb
-            epoch_losses.append(out.value)
-        train_losses.append(float(np.mean(epoch_losses)))
-        val_auroc = evaluate_auroc(work, val_x, val_y, epoch)
-        val_aurocs.append(val_auroc)
-        if val_auroc > best_auroc:
-            best_auroc = val_auroc
-            best_epoch = epoch
-            best_model = work.copy()
-
-    history = TrainHistory(
-        train_loss=tuple(train_losses),
-        val_auroc=tuple(val_aurocs),
-        best_epoch=best_epoch,
-        initial_loss=initial_loss,
-    )
-    return best_model, history
-
-
 # ---------------------------------------------------------------- trial-batched engine
 #
-# Trains T models at once, each bit for bit as ``train`` would, for the
-# Monte Carlo harness: an SGD step takes microseconds of arithmetic, so
-# stacking the trials on a leading axis replaces T dispatches per step by
-# a few. Every trial must have the same per-class training counts
-# (stratified splits do). Then every trial gets the same batch count each
-# epoch, and a batch holds floor or ceil(m_c / n_batches) rows of class c.
+# Trains T models at once for the Monte Carlo harness: an SGD step takes
+# microseconds of arithmetic, so stacking the trials on a leading axis
+# replaces T dispatches per step by a few. Each model trains bit for bit as
+# it would alone, one batch at a time through the per-batch losses of
+# ``loss_function``; the tests keep such a per-trial trainer as their
+# oracle. The sampler stacks trials that have the same number of classes
+# and the same batch count, and ``train_stacked`` steps each such group as
+# one stack (stratified splits make every trial alike, so there is one).
+# Every trial of a group gets the same batch count each epoch, and a batch
+# holds floor or ceil(m_c / n_batches) rows of the trial's class c.
 #
 # BLAS rounding can depend on a matrix's row count, so each layer runs per
-# group of trials whose batches have equal size, on exactly those rows:
+# run of trials whose batches have equal size, on exactly those rows:
 # every matmul has the shape the per-trial run gives it. The loss runs once
-# per step on the batches padded to P = sum_c ceil(m_c / n_batches) rows, a
-# width fixed by the class counts, and its kernels sum over each trial's
-# real rows and pairs only. Either way a trial's arithmetic does not depend
-# on which other trials share its block.
+# per step on the batches padded to P rows, the largest of the group's
+# sum_c ceil(m_c / n_batches), and its kernels sum over each trial's real
+# rows and pairs only. Either way a trial's arithmetic does not depend on
+# which other trials share its stack.
 
 
 @dataclass
@@ -468,8 +363,8 @@ class StackedTraining:
     """Outcome of ``train_stacked``.
 
     ``model`` holds each trial's best-validation checkpoint; ``errors[t]``
-    is the error ``train`` would have raised for trial t, or None. A failed
-    trial's entry in ``model`` keeps its initial weights.
+    is the first error of trial t, or None. A failed trial's entry in
+    ``model`` keeps its initial weights.
     """
 
     model: MLPStack
@@ -497,21 +392,32 @@ def _check_stacked(model: MLPStack, features, labels, what: str):
     return x, y
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate_auroc_stacked(
     model: MLPStack, features, labels, epoch: int | None = None
-) -> tuple[np.ndarray, tuple[Optional[NonFiniteError], ...]]:
-    """``evaluate_auroc`` of model t on ``features[t]``, ``labels[t]``, for every t.
+) -> tuple[np.ndarray, tuple[Optional[RanklossError], ...]]:
+    """Exact AUROC of model t's softmax scores on ``features[t]``, ``labels[t]``,
+    for every t.
 
-    Returns the AUROCs, equal to the per-model values bit for bit, and per
-    model the ``NonFiniteError`` that ``evaluate_auroc`` would raise, or
-    None; a failed model's AUROC is NaN.
+    Binary AUROC of the last class for 2-class models, macro one-vs-rest
+    otherwise: bit for bit ``auroc_rank`` or ``auroc_multiclass_ovr`` of the
+    model's scores. Also returns per model the error scoring it raises, or
+    None: ``NonFiniteError`` for non-finite logits (``epoch`` only labels
+    it), else the ``EmptyClassError`` of labels that leave the AUROC
+    undefined. A failed model's AUROC is NaN. NumPy's overflow and
+    invalid-value warnings are silenced: the ``NonFiniteError`` reports them.
     """
     x, y = _check_stacked(model, features, labels, "evaluation")
     logits = _forward_cached(model, x)[0]
-    bad = _nonfinite_rows(logits)
+    errors = [_non_finite("evaluation logits", epoch) if bad else None
+              for bad in _nonfinite_rows(logits)]
+    counts = (y[:, :, None] == np.arange(model.n_classes)).sum(axis=1)
+    for t in np.flatnonzero(((counts == 0) | (counts == y.shape[1])).any(axis=1)):
+        if errors[t] is None:
+            errors[t] = _auroc_undefined(counts[t])
+    ok = np.array([error is None for error in errors])
     values = np.full(model.n_models, np.nan)
-    if not bad.all():
-        ok = ~bad
+    if ok.any():
         probs, y = _softmax_rows(logits[ok]), y[ok]
         if model.n_classes == 2:
             values[ok] = auroc_rank_rows(probs[:, :, 1], y == 1)
@@ -521,7 +427,7 @@ def evaluate_auroc_stacked(
             scores = np.swapaxes(probs, 1, 2).reshape(-1, y.shape[1])
             per_class = auroc_rank_rows(scores, (y[:, None, :] == classes).reshape(scores.shape))
             values[ok] = np.mean(per_class.reshape(-1, model.n_classes), axis=1)
-    return values, tuple(_non_finite("evaluation logits", epoch) if b else None for b in bad)
+    return values, tuple(errors)
 
 
 def _sample(groups, seeds, batch_size: int, epoch: int, train_x, train_y):
@@ -597,20 +503,30 @@ def train_stacked(
     *,
     pool=None,
 ) -> StackedTraining:
-    """Train every model of the stack at once, model t exactly as
-    ``train(model.model(t), train_x[t], train_y[t], val_x[t], val_y[t], configs[t])``.
+    """Train every model of the stack by SGD over stratified batches, model t
+    on ``train_x[t]``, ``train_y[t]`` with ``configs[t]``, and return each
+    model's best-validation checkpoint.
 
     Arrays carry the trial on their leading axis. The configs must agree in
-    everything but the seed, and every trial must have the same per-class
-    training counts. The returned checkpoints equal ``train``'s bit for bit.
-    Where ``train`` would raise, the trial's error is recorded instead and
-    the other trials train on; it is the same error type with the same
-    message, epoch and batch. No ``TrainHistory`` is kept.
+    everything but the seed, which seeds the trial's batches. After each
+    epoch model t is scored on ``val_x[t]``, ``val_y[t]`` as
+    ``evaluate_auroc_stacked`` scores it, and its checkpoint is the weight
+    snapshot with the highest validation AUROC (earliest epoch on ties).
+    Each model trains bit for bit as it would alone.
 
-    A failed trial stays in the stack, masked: no kernel reduces across
-    trials, so its non-finite values reach no other trial's arithmetic.
-    NumPy's overflow and invalid-value warnings are silenced, as that
-    arithmetic is expected and the trial's error already reports it.
+    A trial fails on its first error, in the order it would meet them
+    alone: non-finite initial logits; for an AUC loss, a class the loss
+    ranks missing from the training labels (the per-batch loss's
+    ``EmptyClassError``); a non-finite initial loss; the sampler's
+    ``InfeasibleBatchError``; then per step non-finite logits or loss,
+    naming the epoch and batch, and per epoch the validation scoring's
+    error. A step that makes a weight non-finite is caught by the next
+    forward pass, batch or validation, whose logits it poisons. The error
+    is recorded, the other trials train on, and the failed trial stays in
+    its stack, masked: no kernel reduces across trials, so its non-finite
+    values reach no other trial's arithmetic. NumPy's overflow and
+    invalid-value warnings are silenced, as that arithmetic is expected and
+    the trial's error already reports it.
 
     ``pool`` is passed on to every ``stacked_loss`` call, whose pairwise
     kernel may run on its threads; the result does not depend on it.
@@ -622,48 +538,68 @@ def train_stacked(
         raise ValueError("need one TrainConfig per model, equal in everything but the seed")
     train_x, train_y = _check_stacked(model, train_x, train_y, "training")
     val_x, val_y = _check_stacked(model, val_x, val_y, "validation")
-    counts = np.stack([np.bincount(y, minlength=model.n_classes) for y in train_y])
-    if (counts != counts[0]).any():
-        raise ValueError("stacked trials must share their per-class training counts")
 
+    every = range(model.n_models)
     errors: list[Optional[RanklossError]] = [None] * model.n_models
     failed = np.zeros(model.n_models, dtype=bool)
 
-    def fail(bad: np.ndarray, what: str, epoch=None, batch=None) -> None:
+    def fail_each(trial_errors, trials=every) -> None:
+        for t, error in zip(trials, trial_errors):
+            if error is not None and not failed[t]:
+                errors[t], failed[t] = error, True
+
+    def fail(bad: np.ndarray, what: str, epoch=None, batch=None, trials=every) -> None:
         if bad.any():  # checked every step, so the common case returns early
-            for t in np.flatnonzero(bad & ~failed):
-                errors[t] = _non_finite(what, epoch, batch)
-            failed[:] |= bad
+            fail_each([_non_finite(what, epoch, batch) if b else None for b in bad], trials)
 
     work, best = model.copy(), model.copy()
     best_auroc = np.full(model.n_models, -np.inf)
     logits = _forward_cached(work, train_x)[0]
     fail(_nonfinite_rows(logits), "initial logits")
-    values, _ = stacked_loss(config.loss_kind, logits, train_y, config.surrogate, pool=pool)
+    fail_each([_missing_class(config.loss_kind, np.bincount(y, minlength=model.n_classes))
+               for y in train_y])
+    values, ok = np.zeros(model.n_models), ~failed
+    if ok.any():
+        values[ok] = stacked_loss(config.loss_kind, logits[ok], train_y[ok], config.surrogate,
+                                  pool=pool)[0]
     fail(~np.isfinite(values), "initial loss")
 
+    # The trials left step in stacks of equal class and batch counts.
     groups = [_LabelGroups(y) for y in train_y]
+    stacks: dict[tuple[int, int], list[int]] = {}
+    for t in np.flatnonzero(~failed).tolist():
+        counts = groups[t].counts
+        key = (counts.size, int(_batch_count(counts, config.batch_size)))
+        stacks.setdefault(key, []).append(t)
     seeds = [c.seed for c in configs]
     for epoch in range(config.max_epochs):
         if failed.all():
             break
-        # Trials with equal class counts fail the sampler together, and in
-        # the first epoch, before any checkpoint.
-        try:
-            batch_x, batch_y, sizes = _sample(
-                groups, seeds, config.batch_size, epoch, train_x, train_y
-            )
-        except RanklossError as exc:
-            errors[:] = [exc if e is None else e for e in errors]
-            break
-        for batch in range(sizes.shape[1]):
-            bad_logits, bad_loss = _step(
-                work, batch_x[:, batch], batch_y[:, batch], sizes[:, batch], config, pool
-            )
-            fail(bad_logits, "logits", epoch, batch)
-            fail(bad_loss, "loss", epoch, batch)
+        for trials in stacks.values():
+            if failed[trials].all():
+                continue
+            pick = trials if len(trials) < model.n_models else slice(None)
+            try:
+                batch_x, batch_y, sizes = _sample(
+                    [groups[t] for t in trials], [seeds[t] for t in trials],
+                    config.batch_size, epoch, train_x[pick], train_y[pick],
+                )
+            except RanklossError as exc:
+                # A stack's trials share their class count, so they fail the
+                # sampler together, in the first epoch, before any checkpoint.
+                fail_each([exc] * len(trials), trials)
+                continue
+            part = work.take(pick)
+            for batch in range(sizes.shape[1]):
+                bad_logits, bad_loss = _step(
+                    part, batch_x[:, batch], batch_y[:, batch], sizes[:, batch], config, pool
+                )
+                fail(bad_logits, "logits", epoch, batch, trials)
+                fail(bad_loss, "loss", epoch, batch, trials)
+            for param, stepped in zip(work.weights + work.biases, part.weights + part.biases):
+                param[pick] = stepped
         aurocs, val_errors = evaluate_auroc_stacked(work, val_x, val_y, epoch)
-        fail(np.array([e is not None for e in val_errors]), "evaluation logits", epoch)
+        fail_each(val_errors)
         improved = ~failed & (aurocs > best_auroc)
         for kept, current in zip(best.weights + best.biases, work.weights + work.biases):
             np.copyto(kept, current, where=improved.reshape((-1,) + (1,) * (kept.ndim - 1)))
@@ -672,3 +608,27 @@ def train_stacked(
     for kept, initial in zip(best.weights + best.biases, model.weights + model.biases):
         kept[failed] = initial[failed]
     return StackedTraining(model=best, errors=tuple(errors))
+
+
+def train(
+    model: MLPModel,
+    train_x: np.ndarray,
+    train_y: np.ndarray,
+    val_x: np.ndarray,
+    val_y: np.ndarray,
+    config: TrainConfig,
+) -> tuple[MLPModel, None]:
+    """``train_stacked`` of one model: its best-validation checkpoint, or the
+    trial's error raised.
+
+    Returns ``(checkpoint, None)``, the (model, history) pair of the former
+    per-trial trainer without a history, for callers written against it:
+    the benchmark's reference check (``perfbench/worker.py``) is one.
+    """
+    run = train_stacked(
+        MLPStack.of([model]), np.asarray(train_x)[None], np.asarray(train_y)[None],
+        np.asarray(val_x)[None], np.asarray(val_y)[None], [config],
+    )
+    if run.errors[0] is not None:
+        raise run.errors[0]
+    return run.model.model(0), None

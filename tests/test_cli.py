@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -10,10 +11,11 @@ import numpy as np
 import pytest
 
 import rankloss
-from rankloss import auroc_pairwise
-from rankloss.cli import main
+from rankloss import TrialError, auroc_pairwise, generate_synthetic
+from rankloss.cli import _parse_compare_config, main
 
 from conftest import pairwise_oracle, random_pos_neg
+from oracle import run_trial
 
 
 def write_binary_metric_csv(path, scores, labels):
@@ -161,6 +163,23 @@ class TestCompareCommand:
         # The stdout summary is derived from the manifest.
         out = capsys.readouterr().out
         assert "ce_b8" in out and "auc_b16" in out
+
+    def test_unstratified_jobs_do_not_change_bytes(self, tmp_path):
+        # The dataset and splits of tests/golden/unstratified_manifest.json:
+        # the ce_b8 arm has 4 batches in trials 1 and 3 and 5 in the others,
+        # so each of the two workers' blocks (trials 0-2, 3-5) steps two stacks.
+        config = small_compare_config(tmp_path, n_repeats=6, base_seed=0)
+        config["dataset"]["synthetic"]["class_counts"] = [40, 25, 10]
+        config["split"]["stratified"] = False
+        config["arms"][1]["loss_kind"] = "auc_multiclass"
+        manifests = []
+        for jobs in ("1", "2"):
+            code, out_path = run_compare(tmp_path, config, ["--jobs", jobs], name=f"jobs{jobs}")
+            assert code == 0
+            manifest = json.loads(out_path.read_text())
+            del manifest["duration_seconds"]
+            manifests.append(json.dumps(manifest))
+        assert manifests[0] == manifests[1]
 
     def test_single_repeat_nulls(self, tmp_path):
         code, out_path = run_compare(
@@ -451,6 +470,66 @@ class TestThreadedPairKernel:
         assert errors[0] == errors[1]
         assert errors[0].startswith("error: trial 0, arm auc_bin_b1024: NonFiniteError: ")
         assert "\n" not in errors[0]
+
+
+def _unstratified_sweep():
+    """Unstratified compare configs, from datasets too small to split well
+    to ones that train cleanly. Partitions may lack a class, per-class train
+    counts and batch counts differ between trials, and the diverging configs
+    give their second arm a learning rate of 1e200."""
+    cases = {}
+    counts_set = [(9, 4, 3), (12, 5), (30, 20), (20, 15, 10)]
+    ratios_set = [(0.6, 0.2, 0.2), (0.2, 0.4, 0.4), (0.4, 0.3, 0.3)]
+    plain = itertools.product(counts_set, ratios_set, [False, True], [0, 1, 2], [False])
+    diverging = itertools.product(counts_set[2:], ratios_set[:1], [False, True], [0], [True])
+    for counts, ratios, auc_first, seed, diverge in itertools.chain(plain, diverging):
+        auc_kind = "auc_binary" if len(counts) == 2 else "auc_multiclass"
+        arms = [{"name": "ce", "loss_kind": "cross_entropy", "batch_size": 4, "max_epochs": 2},
+                {"name": "auc", "loss_kind": auc_kind, "batch_size": 8, "max_epochs": 2}]
+        if auc_first:
+            arms.reverse()
+        if diverge:
+            arms[1]["learning_rate"] = 1e200
+        name = "-".join(map(str, counts)) + f"_r{ratios[0]}_{arms[0]['name']}_first_s{seed}"
+        cases[name + ("_diverging" if diverge else "")] = {
+            "dataset": {"synthetic": {"class_counts": list(counts), "dim": 3,
+                                      "class_mean_separation": 1.5, "noise_std": 1.0,
+                                      "label_flip_prob": 0.0, "seed": seed}},
+            "model": {"hidden_dims": [[4], [4, 3]][seed % 2]},
+            "split": {"ratios": list(ratios), "stratified": False, "n_repeats": 4,
+                      "base_seed": seed},
+            "arms": arms,
+        }
+    return cases
+
+
+UNSTRATIFIED_SWEEP = _unstratified_sweep()
+
+
+@pytest.mark.parametrize("case", sorted(UNSTRATIFIED_SWEEP))
+def test_unstratified_compare_matches_oracle(case, tmp_path, capsys):
+    # compare trains each arm's trials together in the engine; the oracle
+    # runs them one by one. The manifest holds the oracle's AUROCs bit for
+    # bit, or compare exits 3 with the oracle's first error and no traceback.
+    # RuntimeWarnings are errors in this suite, so compare must not warn.
+    config = UNSTRATIFIED_SWEEP[case]
+    _, synthetic, experiment = _parse_compare_config(config, None)
+    dataset = generate_synthetic(synthetic)
+    expected, first_error = [], None
+    with np.errstate(over="ignore", invalid="ignore"):  # the oracle's test pass may overflow
+        for trial in range(experiment.split.n_repeats):
+            try:
+                expected.append(run_trial(dataset, experiment, trial))
+            except TrialError as exc:
+                first_error = first_error or f"error: {exc} (trial {exc.trial})"
+    code, out_path = run_compare(tmp_path, config)
+    if first_error is None:
+        assert code == 0
+        arms = json.loads(out_path.read_text())["arms"]
+        assert [[arm["aurocs"][t] for arm in arms] for t in range(len(expected))] == expected
+    else:
+        assert code == 3
+        assert capsys.readouterr().err.strip() == first_error
 
 
 def _three_class_compare(tmp_path, batch_sizes=(8, 8), kinds=("cross_entropy", "cross_entropy")):

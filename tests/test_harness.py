@@ -18,12 +18,13 @@ from rankloss import (
     mean_ci,
     monte_carlo_split,
     run_experiment,
-    run_trial,
     t_test,
     trial_blocks,
     trial_seeds,
 )
-from rankloss.harness import _t_two_sided_p
+from rankloss.harness import _run_block, _t_two_sided_p
+
+from oracle import run_trial
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +107,14 @@ def tiny_dataset(seed=1, counts=(30, 30), sep=3.0, dim=3, flip=0.0):
     )
 
 
-def tiny_experiment(arms, n_repeats=6, base_seed=7, hidden=(4,)):
-    return ExperimentConfig(arms=arms, split=SplitSpec(n_repeats=n_repeats, base_seed=base_seed),
-                            hidden_dims=hidden)
+def tiny_experiment(arms, n_repeats=6, base_seed=7, hidden=(4,), stratified=True):
+    split = SplitSpec(stratified=stratified, n_repeats=n_repeats, base_seed=base_seed)
+    return ExperimentConfig(arms=arms, split=split, hidden_dims=hidden)
+
+
+def run_one(dataset, config, trial):
+    """One trial's test AUROCs, per arm, from the harness's block runner."""
+    return _run_block(dataset, config, range(trial, trial + 1))[0].tolist()
 
 
 class TestMonteCarloSplit:
@@ -280,7 +286,7 @@ class TestRunTrial:
             ArmConfig("a", "cross_entropy", 8, max_epochs=3),
             ArmConfig("b", "cross_entropy", 8, max_epochs=3),
         )
-        out = run_trial(ds, tiny_experiment(arms), trial=0)
+        out = run_one(ds, tiny_experiment(arms), trial=0)
         assert out[0] == out[1]
 
     def test_separable_both_arms_high(self):
@@ -289,7 +295,7 @@ class TestRunTrial:
             ArmConfig("ce", "cross_entropy", 8, max_epochs=10),
             ArmConfig("auc", "auc_binary", 16, max_epochs=10),
         )
-        out = run_trial(ds, tiny_experiment(arms), trial=1)
+        out = run_one(ds, tiny_experiment(arms), trial=1)
         assert all(v >= 0.99 for v in out)
 
     def test_trained_beats_untrained_mostly(self):
@@ -315,7 +321,7 @@ class TestRunTrial:
         arms = (ArmConfig("a", "cross_entropy", 8, max_epochs=1),
                 ArmConfig("b", "cross_entropy", 8, max_epochs=1))
         with pytest.raises(TrialError) as err:
-            run_trial(small, tiny_experiment(arms), trial=5)
+            run_one(small, tiny_experiment(arms), trial=5)
         assert err.value.trial == 5
         assert "trial 5" in str(err.value)
 
@@ -425,6 +431,21 @@ class TestTrialBatching:
         for a, b in zip(short.arms, long.arms):
             assert a.aurocs == b.aurocs[:3]
 
+    def test_block_invariance_unstratified(self):
+        # The ce arm's batch count is 5 in trials 0, 4, 5 and 6 but 4 in
+        # trials 1-3: the engine steps each batch count as its own stack,
+        # and the longer block adds trials to both.
+        ds = tiny_dataset(seed=4, counts=(40, 25, 10), sep=1.5, flip=0.1)
+        arms = (ArmConfig("ce", "cross_entropy", 8, max_epochs=3),
+                ArmConfig("auc", "auc_multiclass", 16, max_epochs=3))
+        config = tiny_experiment(arms, 7, base_seed=2, stratified=False)
+        short = run_experiment(ds, tiny_experiment(arms, 3, base_seed=2, stratified=False))
+        long = run_experiment(ds, config)
+        for a, b in zip(short.arms, long.arms):
+            assert a.aurocs == b.aurocs[:3]
+        for t in range(7):
+            assert run_trial(ds, config, t) == [arm.aurocs[t] for arm in long.arms]
+
     def test_matches_run_trial(self):
         ds = tiny_dataset(counts=(30, 20, 25), sep=1.5, flip=0.1)
         arms = (ArmConfig("ce", "cross_entropy", 8, max_epochs=3),
@@ -440,12 +461,14 @@ class TestTrialBatching:
         ds = tiny_dataset(counts=(30, 20))
         arms = (ArmConfig("ce", "cross_entropy", 8, max_epochs=2),
                 ArmConfig("auc", "auc_binary", 8, max_epochs=2))
-        config = tiny_experiment(arms, n_repeats=5)
-        whole = run_experiment(ds, config)
-        monkeypatch.setattr(rankloss.harness, "STACKED_VALUES", 1)  # one trial per call
-        assert run_experiment(ds, config).to_dict() == whole.to_dict()
+        for stratified in (True, False):
+            config = tiny_experiment(arms, n_repeats=5, stratified=stratified)
+            whole = run_experiment(ds, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(rankloss.harness, "STACKED_VALUES", 1)  # one trial per call
+                assert run_experiment(ds, config).to_dict() == whole.to_dict()
 
-    def test_unstratified_falls_back_to_run_trial(self):
+    def test_unstratified_matches_run_trial(self):
         ds = tiny_dataset(counts=(30, 20))
         arms = (ArmConfig("ce", "cross_entropy", 8, max_epochs=2),
                 ArmConfig("auc", "auc_binary", 8, max_epochs=2))
@@ -477,8 +500,8 @@ class TestTrialBatching:
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.parametrize("stratified", [True, False])
     def test_error_names_the_arm(self, stratified):
-        # Stratified trials run in the engine, unstratified ones through
-        # run_trial; both name the failing arm after the trial.
+        # Stratified and unstratified trials alike name the failing arm
+        # after the trial.
         ds = tiny_dataset(counts=(30, 20))
         arms = (ArmConfig("ok", "cross_entropy", 8, max_epochs=2),
                 ArmConfig("diverges", "cross_entropy", 8, max_epochs=2, learning_rate=1e200))

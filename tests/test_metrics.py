@@ -198,6 +198,16 @@ class TestMulticlassOvr:
         with pytest.raises(EmptyClassError) as err:
             auroc_multiclass_ovr(PredictionBatch(scores, [0, 0, 0, 1, 1, 1]))
         assert err.value.class_index == 2
+        assert str(err.value) == "class 2 has no samples: one-vs-rest AUROC is undefined"
+
+    def test_strict_one_class_batch(self):
+        # Class 0 holds every sample, so it has no negatives: the message
+        # says so rather than calling the class empty.
+        scores = np.random.default_rng(0).normal(size=(4, 3))
+        with pytest.raises(EmptyClassError) as err:
+            auroc_multiclass_ovr(PredictionBatch(scores, [0, 0, 0, 0]))
+        assert err.value.class_index == 0
+        assert str(err.value) == "every sample is of class 0: one-vs-rest AUROC is undefined"
 
     def test_lenient_skips_and_flags(self):
         scores = np.random.default_rng(0).normal(size=(6, 3))

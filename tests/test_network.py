@@ -1,19 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rankloss
 from rankloss import (
     InfeasibleBatchError,
     MLPModel,
     MLPStack,
     NonFiniteError,
     PredictionBatch,
+    RanklossError,
     SplitSpec,
     SurrogateParams,
     SyntheticSpec,
     TrainConfig,
-    evaluate_auroc,
     evaluate_auroc_stacked,
     forward,
     generate_synthetic,
@@ -21,11 +24,12 @@ from rankloss import (
     monte_carlo_split,
     multiclass_auc_loss,
     stratified_batches,
-    train,
     train_stacked,
     trial_seeds,
 )
 from rankloss.network import _batch_index, _LabelGroups, _step
+
+from oracle import evaluate_auroc, train
 
 
 def separable_blobs(seed=1, counts=(40, 40), sep=6.0):
@@ -278,8 +282,6 @@ class TestTrain:
         first_max = history.val_auroc.index(max(history.val_auroc))
         assert history.best_epoch == first_max
         # The returned snapshot reproduces the recorded best validation AUROC.
-        from rankloss.network import evaluate_auroc
-
         assert evaluate_auroc(trained, va_x, va_y) == history.best_val_auroc
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -453,11 +455,62 @@ class TestTrainStacked:
         assert bad_loss.tolist() == expected
         assert expected == [L > 1e300, L > 1e306, L > 1e300]
 
-    def test_rejects_unequal_class_counts(self):
-        ds, tr, va, _, seeds, models = stacked_trials((30, 20), (4,), n_trials=2)
+    @pytest.mark.parametrize("kind", ["cross_entropy", "auc_multiclass"])
+    def test_mixed_class_and_batch_counts_match_per_trial_train(self, kind):
+        # Unstratified splits: every trial has its own per-class train
+        # counts, and at batch size 8 trial 3 gets 3 batches, the others 4.
+        # Trial 1's training labels lack class 2 and trial 4's validation
+        # labels lack class 1. Trial 1 fails an AUC arm before its first
+        # step and trains apart under cross entropy; trial 4 fails its
+        # first validation. The others train on, all in one engine call.
+        ds = generate_synthetic(SyntheticSpec(class_counts=(30, 20, 10), dim=4,
+                                              class_mean_separation=1.5, noise_std=1.0,
+                                              label_flip_prob=0.1, seed=4))
         x, y = ds.features, ds.labels
-        configs = [TrainConfig(batch_size=8, loss_kind="cross_entropy", seed=s.shuffle) for s in seeds]
-        labels = y[tr].copy()
-        labels[1, 0] = 1 - labels[1, 0]
-        with pytest.raises(ValueError, match="per-class"):
-            train_stacked(MLPStack.of(models), x[tr], labels, x[va], y[va], configs)
+        spec = SplitSpec(stratified=False)
+        tr, va, _ = (np.stack(p) for p in zip(*[
+            monte_carlo_split(ds.n_samples, y, spec, t) for t in range(6)]))
+        train_y, val_y = y[tr], y[va]
+        train_y[1][train_y[1] == 2] = 0
+        val_y[4][val_y[4] == 1] = 0
+        assert [_LabelGroups(labels).counts.size for labels in train_y] == [3, 2, 3, 3, 3, 3]
+        assert [len(stratified_batches(labels, 8, 0, 0)) for labels in train_y] == [4, 4, 4, 3, 4, 4]
+        seeds = [trial_seeds(0, t) for t in range(6)]
+        models = [init_model((4, 5, 3), s.init) for s in seeds]
+        configs = [TrainConfig(batch_size=8, loss_kind=kind, max_epochs=3, seed=s.shuffle)
+                   for s in seeds]
+        run = train_stacked(MLPStack.of(models), x[tr], train_y, x[va], val_y, configs)
+        expected = []
+        for t in range(6):
+            try:
+                trained, _ = train(models[t], x[tr[t]], train_y[t], x[va[t]], val_y[t], configs[t])
+            except RanklossError as exc:
+                expected.append(f"{type(exc).__name__}: {exc}")
+                trained = models[t]  # a failed trial keeps its initial weights
+            else:
+                expected.append(None)
+            stacked = run.model.model(t)
+            for a, b in zip(trained.weights + trained.biases, stacked.weights + stacked.biases):
+                assert np.array_equal(a, b)
+        assert [None if e is None else f"{type(e).__name__}: {e}" for e in run.errors] == expected
+        lost_class_2 = "EmptyClassError: batch has no samples of class 2"
+        assert expected == [
+            None, None if kind == "cross_entropy" else lost_class_2, None, None,
+            "EmptyClassError: class 1 has no samples: one-vs-rest AUROC is undefined", None,
+        ]
+
+    def test_one_model_train_is_the_engine(self):
+        # rankloss.train runs one model through train_stacked: the oracle's
+        # checkpoint, and its error raised.
+        ds, tr, va, _, seeds, models = stacked_trials((30, 20), (4,), n_trials=1)
+        x, y = ds.features, ds.labels
+        args = (models[0], x[tr[0]], y[tr[0]], x[va[0]], y[va[0]])
+        config = TrainConfig(batch_size=8, loss_kind="auc_binary", max_epochs=3,
+                             seed=seeds[0].shuffle)
+        trained, history = rankloss.train(*args, config)
+        expected, _ = train(*args, config)
+        assert history is None
+        for a, b in zip(trained.weights + trained.biases, expected.weights + expected.biases):
+            assert np.array_equal(a, b)
+        with pytest.raises(NonFiniteError, match="^logits became non-finite at epoch 0, batch 1$"):
+            rankloss.train(*args, replace(config, learning_rate=1e200))
