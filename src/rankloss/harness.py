@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional
@@ -476,6 +476,10 @@ def run_experiment(
     blocks = trial_blocks(n_repeats, jobs, n_cpus)
     threads = max(1, n_cpus // len(blocks))
     if len(blocks) > 1:
+        # Imported here, so that a one-block run never loads multiprocessing
+        # (about 1 MB of peak RSS).
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
             parts = list(pool.map(_run_block, repeat(dataset), repeat(config), blocks,
                                   repeat(threads)))

@@ -373,7 +373,7 @@ the ``stacked_loss`` pool gets pairs only if it gets at least this many."""
 def stacked_loss(
     kind: str,
     logits: np.ndarray,
-    labels: np.ndarray,
+    labels,
     params: SurrogateParams = DEFAULT_SURROGATE,
     want_grad: bool = False,
     *,
@@ -384,6 +384,9 @@ def stacked_loss(
 
     Every trial's batch must hold at least one sample of each class the loss
     ranks; ``EmptyClassError`` names the first trial that does not.
+    ``labels`` may also be this module's ``_Targets`` of the labels for
+    ``kind``, which a caller stepping through many batches derives for all
+    of them at once (``_targets``).
 
     ``want_value=False`` is for callers that need only the gradient: the AUC
     kinds then return None for the value and skip the surrogate terms, a
@@ -394,41 +397,123 @@ def stacked_loss(
     gradients are the same bit for bit with and without it.
     """
     z = np.asarray(logits, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if z.ndim != 3 or y.shape != z.shape[:2]:
-        raise ValueError(f"expected (T, P, C) logits and (T, P) labels, got {z.shape}, {y.shape}")
-    if kind == "cross_entropy":
-        return _stacked_cross_entropy(z, y, want_grad)
+    targets = labels if isinstance(labels, _Targets) else None
+    shape = targets.shape if targets else np.shape(labels)
+    if z.ndim != 3 or shape != z.shape[:2]:
+        raise ValueError(f"expected (T, P, C) logits and (T, P) labels, got {z.shape}, {shape}")
     if kind == "auc_binary" and z.shape[2] != 2:
         raise ValueError(f"binary_auc_loss requires 2 classes, got {z.shape[2]}")
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
-    return _stacked_auc(kind, z, y, params, want_grad, want_value, pool)
+    if targets is None:
+        targets = _targets(kind, np.asarray(labels, dtype=np.int64)[None], z.shape[2])[0]
+    if kind == "cross_entropy":
+        return _stacked_cross_entropy(z, targets, want_grad)
+    return _stacked_auc(kind, z, targets, params, want_grad, want_value, pool)
 
 
-def _stacked_cross_entropy(z, y, want_grad):
-    valid = y >= 0
-    n = valid.sum(axis=1)
+@dataclass(frozen=True)
+class _ClassPairs:
+    """Where class c's positives and negatives sit in each trial's padded
+    row of scores: flat positions into (T, P + 2) rows whose slot P holds
+    -inf and slot P + 1 +inf, which pad each trial's positives and
+    negatives to the widest trial's. Also the counts, the distinct negative
+    counts (``widths``) and the distinct positive counts of trials with one
+    negative (``singles``)."""
+
+    c: int
+    pos_at: np.ndarray
+    n_pos: np.ndarray
+    neg_at: np.ndarray
+    n_neg: np.ndarray
+    widths: list
+    singles: list
+
+
+@dataclass(frozen=True)
+class _Targets:
+    """What ``stacked_loss`` reads off the (T, P) labels of a stack of padded
+    batches. Cross entropy: the real-row mask ``valid`` (T, P, 1), the real
+    rows per trial ``n`` and the one-hot labels ``hit`` (T, P, C). AUC kinds:
+    one ``_ClassPairs`` per class ranked."""
+
+    shape: tuple
+    valid: Optional[np.ndarray] = None
+    n: Optional[np.ndarray] = None
+    hit: Optional[np.ndarray] = None
+    pairs: tuple = ()
+
+
+def _targets(kind: str, labels: np.ndarray, n_classes: int) -> list[_Targets]:
+    """The ``_Targets`` of ``labels[b]`` for each b of a (batches, T, P) label
+    array, derived for all the batches at once. An AUC kind sorts each
+    trial's rows once by (positive, negative, padding) per class ranked.
+
+    Raises ``EmptyClassError`` for the first batch, class and trial, in that
+    order, with no positive or no negative.
+    """
+    n_batches, n_trials, rows = labels.shape
+    if kind == "cross_entropy":
+        valid = labels >= 0
+        n, hit = valid.sum(axis=2), labels[..., None] == np.arange(n_classes)
+        return [_Targets((n_trials, rows), valid[b, :, :, None], n[b], hit[b])
+                for b in range(n_batches)]
+    classes = [1] if kind == "auc_binary" else list(range(n_classes))
+    key = (labels != np.array(classes)[:, None, None, None]).astype(np.int8)
+    key += labels < 0
+    order = np.argsort(key, axis=3, kind="stable")
+    n_pos, n_neg = (key == 0).sum(axis=3), (key == 1).sum(axis=3)  # (classes, batches, T)
+    empty = ((n_pos == 0) | (n_neg == 0)).transpose(1, 0, 2)
+    if empty.any():
+        b, k, t = np.unravel_index(np.argmax(empty), empty.shape)
+        which = "no" if n_pos[k, b, t] == 0 else "only"
+        raise EmptyClassError(f"trial {t}: batch has {which} samples of class {classes[k]}",
+                              class_index=classes[k])
+    # Positives lead each trial's order and negatives follow, both in batch
+    # order; both are padded with their pad slot, and offset by trial.
+    w_pos, w_neg = n_pos.max(axis=2), n_neg.max(axis=2)
+    pos_slot, neg_slot = np.arange(w_pos.max()), np.arange(w_neg.max())
+    pos_at = np.where(pos_slot < n_pos[..., None], order[..., : pos_slot.size], rows)
+    neg_at = np.take_along_axis(order, np.minimum(n_pos[..., None] + neg_slot, rows - 1), axis=3)
+    neg_at = np.where(neg_slot < n_neg[..., None], neg_at, rows + 1)
+    offset = (np.arange(n_trials) * (rows + 2))[:, None]
+    pos_at += offset
+    neg_at += offset
+    pos_counts, neg_counts = n_pos.tolist(), n_neg.tolist()
+    w_pos, w_neg = w_pos.tolist(), w_neg.tolist()
+    steps = []
+    for b in range(n_batches):
+        pairs = []
+        for k, c in enumerate(classes):
+            counts = list(zip(pos_counts[k][b], neg_counts[k][b]))
+            pairs.append(_ClassPairs(
+                c, pos_at[k, b, :, : w_pos[k][b]], n_pos[k, b],
+                neg_at[k, b, :, : w_neg[k][b]], n_neg[k, b],
+                widths=sorted({q for _, q in counts}),
+                singles=sorted({p for p, q in counts if q == 1}),
+            ))
+        steps.append(_Targets((n_trials, rows), pairs=tuple(pairs)))
+    return steps
+
+
+def _stacked_cross_entropy(z, targets, want_grad):
     zmax = _last_axis_max(z)
     lse = zmax + np.log(np.exp(z - zmax).sum(axis=2, keepdims=True))
     log_probs = z - lse
-    hit = y[:, :, None] == np.arange(z.shape[2])
-    value = -(np.where(hit, log_probs, 0.0).sum(axis=(1, 2)) / n)
+    value = -(np.where(targets.hit, log_probs, 0.0).sum(axis=(1, 2)) / targets.n)
     grad = None
     if want_grad:
         grad = np.exp(log_probs)
-        grad -= hit
-        grad /= n[:, None, None]
-        grad *= valid[:, :, None]
+        grad -= targets.hit
+        grad /= targets.n[:, None, None]
+        grad *= targets.valid
     return value, grad
 
 
-def _stacked_auc(kind, z, y, params, want_grad, want_value, pool):
+def _stacked_auc(kind, z, targets, params, want_grad, want_value, pool):
     probs = _softmax_rows(z)
-    classes = [1] if kind == "auc_binary" else range(z.shape[2])
-    # Every grid is gathered, and so checked for an empty class, before any
-    # is computed: the error names the first class and trial of the stack.
-    grids = [_PairGrid(probs[:, :, c], y, c, want_value, want_grad) for c in classes]
+    grids = [_PairGrid(probs[:, :, pairs.c], pairs, want_value, want_grad)
+             for pairs in targets.pairs]
     tasks = _grid_tasks(grids, pool)
     # One workspace per task, allocated on this thread: glibc gives each
     # thread a heap of its own, which keeps blocks freed there.
@@ -512,32 +597,21 @@ class _PairGrid:
     """Class-c positives against every other real row, for each trial.
 
     Positives and negatives are gathered, in batch order, into (T, w_pos)
-    and (T, w_neg) blocks whose padding holds -inf and +inf: a padded pair
-    then has difference -inf, whose term and slope are exactly 0. Raises
-    ``EmptyClassError`` naming the first trial with no positive or no
-    negative. ``walk`` computes the sums of a range of trials, and
-    ``result`` reads them out once every trial has been walked.
+    and (T, w_neg) blocks whose padding holds -inf and +inf (see
+    ``_ClassPairs``): a padded pair then has difference -inf, whose term and
+    slope are exactly 0. ``walk`` computes the sums of a range of trials,
+    and ``result`` reads them out once every trial has been walked.
     """
 
-    def __init__(self, scores, y, c, want_value, want_grad):
+    def __init__(self, scores, pairs: _ClassPairs, want_value, want_grad):
         n_trials, self.rows = scores.shape
-        is_pos = y == c
-        self.pos_at, self.n_pos = _gather_order(is_pos, self.rows)
-        self.neg_at, self.n_neg = _gather_order((y >= 0) & ~is_pos, self.rows + 1)
-        empty = np.flatnonzero((self.n_pos == 0) | (self.n_neg == 0))
-        if empty.size:
-            t = int(empty[0])
-            which = "no" if self.n_pos[t] == 0 else "only"
-            raise EmptyClassError(
-                f"trial {t}: batch has {which} samples of class {c}", class_index=c
-            )
+        self.pairs = pairs
         padded = np.empty((n_trials, self.rows + 2))
         padded[:, : self.rows] = scores
         padded[:, self.rows] = -np.inf
         padded[:, self.rows + 1] = np.inf
-        self.trial = np.arange(n_trials)[:, None]
-        self.pos = padded[self.trial, self.pos_at][:, :, None]
-        self.neg = padded[self.trial, self.neg_at][:, None, :]
+        self.pos = padded.take(pairs.pos_at)[:, :, None]
+        self.neg = padded.take(pairs.neg_at)[:, None, :]
         w_pos, w_neg = self.pos.shape[1], self.neg.shape[2]
         # A block holds block_trials whole trials, or block_rows rows of one.
         self.block_rows = min(w_pos, max(1, PAIR_BLOCK // w_neg))
@@ -561,10 +635,9 @@ class _PairGrid:
         adds one row sum per block, and its blocks hold the same pairs
         whichever trials share them.
         """
-        pos, neg, n_neg = self.pos, self.neg, self.n_neg
+        pos, neg, n_neg = self.pos, self.neg, self.pairs.n_neg
         w_pos, w_neg = pos.shape[1], neg.shape[2]
         block_trials, block_rows = min(hi - lo, self.block_trials), self.block_rows
-        widths = np.unique(n_neg[lo:hi]).tolist()
         for t0, r0 in itertools.product(range(lo, hi, block_trials), range(0, w_pos, block_rows)):
             ts, rs = slice(t0, min(t0 + block_trials, hi)), slice(r0, r0 + block_rows)
             shape = (ts.stop - t0, min(block_rows, w_pos - r0), w_neg)
@@ -582,7 +655,7 @@ class _PairGrid:
                 self.term_sums[ts] += terms.reshape(shape[0], -1).sum(axis=1)
             if not self.want_grad:
                 continue
-            for width in widths:
+            for width in self.pairs.widths:
                 group = n_neg[ts] == width
                 if group.all():
                     self.row_sums[ts, rs] = slope[:, :, :width].sum(axis=2)
@@ -601,28 +674,18 @@ class _PairGrid:
         A one-column batch NumPy sums pairwise: such a trial's column is
         summed here from its row sums, each of which is its one slope.
         """
-        n_pos, n_neg = self.n_pos, self.n_neg
+        n_pos, n_neg = self.pairs.n_pos, self.pairs.n_neg
         n_pairs = n_pos * n_neg
         mean = self.term_sums / n_pairs if self.want_value else None
         if not self.want_grad:
             return mean, None, n_pairs
-        single = n_neg == 1
-        for r in np.unique(n_pos[single]).tolist():
-            group = single & (n_pos == r)
+        for r in self.pairs.singles:
+            group = (n_neg == 1) & (n_pos == r)
             self.col_sums[group, 0] = self.row_sums[group, :r].sum(axis=1)
         g = np.zeros((n_pos.size, self.rows + 2))
-        g[self.trial, self.pos_at] = -self.row_sums
-        g[self.trial, self.neg_at] = self.col_sums
+        g.put(self.pairs.pos_at, -self.row_sums)
+        g.put(self.pairs.neg_at, self.col_sums)
         return mean, g[:, : self.rows], n_pairs
-
-
-def _gather_order(mask, pad_slot):
-    """Positions of each trial's True entries in order, padded with ``pad_slot``
-    to the widest trial, plus the per-trial counts."""
-    counts = mask.sum(axis=1)
-    width = int(counts.max())
-    order = np.argsort(~mask, axis=1, kind="stable")[:, :width]
-    return np.where(np.arange(width) < counts[:, None], order, pad_slot), counts
 
 
 LossFn = Callable[[PredictionBatch, bool], LossOutput]

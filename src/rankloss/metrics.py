@@ -253,6 +253,12 @@ def auroc_rank_rows(scores, positives) -> np.ndarray:
     n_neg = x.shape[1] - n_pos
     if not (n_pos.all() and n_neg.all()):
         raise EmptyClassError("a row has no positive or no negative samples: AUROC is undefined")
+    return _ranked_auroc(x, pos, n_pos, n_neg)
+
+
+def _ranked_auroc(x, pos, n_pos, n_neg) -> np.ndarray:
+    """``auroc_rank_rows`` of finite scores whose rows have ``n_pos`` >= 1
+    positives and ``n_neg`` >= 1 negatives, unchecked."""
     ranks = _midranks(x)
     win_sum = np.where(pos, ranks, 0.0).sum(axis=1) - n_pos * (n_pos + 1) / 2.0
     return _auc_from_win_sum(win_sum, n_pos, n_neg)

@@ -25,9 +25,11 @@ from .losses import (
     SurrogateParams,
     _missing_class,
     _softmax_rows,
+    _targets,
+    _Targets,
     stacked_loss,
 )
-from .metrics import _auroc_undefined, auroc_rank_rows
+from .metrics import _auroc_undefined, _ranked_auroc
 
 __all__ = [
     "MLPModel",
@@ -144,34 +146,6 @@ def forward(model: MLPModel, features: np.ndarray) -> np.ndarray:
         if i < last:
             a = np.maximum(a, 0.0)
     return a
-
-
-def _forward_cached(model: MLPModel | MLPStack, x: np.ndarray):
-    # Returns logits plus per-layer inputs and pre-activations for backprop.
-    # Serves an MLPStack too, whose arrays carry a leading model axis.
-    inputs = []
-    pre_acts = []
-    a = x
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        inputs.append(a)
-        z = a @ w + b[..., None, :]
-        pre_acts.append(z)
-        a = np.maximum(z, 0.0) if i < last else z
-    return a, inputs, pre_acts
-
-
-def _backprop(model: MLPModel | MLPStack, inputs, pre_acts, grad_logits):
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
-    delta = grad_logits
-    for layer in range(len(model.weights) - 1, -1, -1):
-        grads_w[layer] = np.swapaxes(inputs[layer], -1, -2) @ delta
-        grads_b[layer] = delta.sum(axis=-2)
-        if layer > 0:
-            weights_t = np.swapaxes(model.weights[layer], -1, -2)
-            delta = (delta @ weights_t) * (pre_acts[layer - 1] > 0.0)
-    return grads_w, grads_b
 
 
 def _batch_count(class_counts: np.ndarray, batch_size: int) -> np.ndarray:
@@ -338,23 +312,11 @@ class MLPStack:
             biases=[b[t].copy() for b in self.biases],
         )
 
-    def take(self, keep) -> "MLPStack":
-        """A copy holding the models a boolean mask or index array selects."""
-        return MLPStack(
-            layer_dims=self.layer_dims,
-            weights=[w[keep] for w in self.weights],
-            biases=[b[keep] for b in self.biases],
-        )
-
     def copy(self) -> "MLPStack":
-        return self.take(np.arange(self.n_models))
-
-    def view(self, lo: int, hi: int) -> "MLPStack":
-        """Models lo..hi-1, sharing this stack's arrays."""
         return MLPStack(
             layer_dims=self.layer_dims,
-            weights=[w[lo:hi] for w in self.weights],
-            biases=[b[lo:hi] for b in self.biases],
+            weights=[w.copy() for w in self.weights],
+            biases=[b.copy() for b in self.biases],
         )
 
 
@@ -392,6 +354,60 @@ def _check_stacked(model: MLPStack, features, labels, what: str):
     return x, y
 
 
+def _layers(weights, biases, a, inputs=None, out=None) -> np.ndarray:
+    """Logits of the stacked layers on ``a`` (T, rows, fan_in): affine maps
+    with ReLU between, written to ``out`` when given. When ``inputs`` is a
+    list, each layer's input is appended to it; backprop reads each ReLU's
+    mask off the next input."""
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        if inputs is not None:
+            inputs.append(a)
+        a = np.matmul(a, w, out=out if i == last else None)
+        a += b[:, None, :]
+        if i < last:
+            np.maximum(a, 0.0, out=a)
+    return a
+
+
+class _Scorer:
+    """``evaluate_auroc_stacked`` on one partition, for stacks of models of
+    one shape: the checks, class counts, undefined-AUROC errors and class
+    flags are done once, when it is built, and each call scores a stack."""
+
+    def __init__(self, model: MLPStack, features, labels):
+        self.x, y = _check_stacked(model, features, labels, "evaluation")
+        n_classes, rows = model.n_classes, y.shape[1]
+        counts = (y[:, :, None] == np.arange(n_classes)).sum(axis=1)
+        undefined = ((counts == 0) | (counts == rows)).any(axis=1)
+        self.errors = [_auroc_undefined(m) if bad else None for m, bad in zip(counts, undefined)]
+        # Binary: class 1 ranked against class 0. Else row (t, c) ranks
+        # class c of trial t against the rest; rows are independent.
+        classes = [1] if n_classes == 2 else range(n_classes)
+        self.positives = y[:, None, :] == np.array(classes)[:, None]
+        self.n_pos = self.positives.sum(axis=2)
+        self.n_neg = rows - self.n_pos
+
+    def __call__(self, model: MLPStack, epoch: int | None = None):
+        logits = _layers(model.weights, model.biases, self.x)
+        errors = [_non_finite("evaluation logits", epoch) if bad else error
+                  for bad, error in zip(_nonfinite_rows(logits), self.errors)]
+        ok = np.array([error is None for error in errors])
+        values = np.full(model.n_models, np.nan)
+        if ok.any():
+            keep = slice(None) if ok.all() else ok
+            probs = _softmax_rows(logits[keep])
+            positives = self.positives[keep]
+            if positives.shape[1] == 1:
+                scores = probs[:, :, 1]
+            else:
+                scores = np.swapaxes(probs, 1, 2).reshape(-1, probs.shape[1])
+            per_row = _ranked_auroc(scores, positives.reshape(scores.shape),
+                                    self.n_pos[keep].ravel(), self.n_neg[keep].ravel())
+            values[keep] = np.mean(per_row.reshape(positives.shape[:2]), axis=1)
+        return values, tuple(errors)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def evaluate_auroc_stacked(
     model: MLPStack, features, labels, epoch: int | None = None
@@ -407,86 +423,129 @@ def evaluate_auroc_stacked(
     undefined. A failed model's AUROC is NaN. NumPy's overflow and
     invalid-value warnings are silenced: the ``NonFiniteError`` reports them.
     """
-    x, y = _check_stacked(model, features, labels, "evaluation")
-    logits = _forward_cached(model, x)[0]
-    errors = [_non_finite("evaluation logits", epoch) if bad else None
-              for bad in _nonfinite_rows(logits)]
-    counts = (y[:, :, None] == np.arange(model.n_classes)).sum(axis=1)
-    for t in np.flatnonzero(((counts == 0) | (counts == y.shape[1])).any(axis=1)):
-        if errors[t] is None:
-            errors[t] = _auroc_undefined(counts[t])
-    ok = np.array([error is None for error in errors])
-    values = np.full(model.n_models, np.nan)
-    if ok.any():
-        probs, y = _softmax_rows(logits[ok]), y[ok]
-        if model.n_classes == 2:
-            values[ok] = auroc_rank_rows(probs[:, :, 1], y == 1)
-        else:
-            # Row (t, c) ranks class c of trial t; rows are independent.
-            classes = np.arange(model.n_classes)[:, None]
-            scores = np.swapaxes(probs, 1, 2).reshape(-1, y.shape[1])
-            per_class = auroc_rank_rows(scores, (y[:, None, :] == classes).reshape(scores.shape))
-            values[ok] = np.mean(per_class.reshape(-1, model.n_classes), axis=1)
-    return values, tuple(errors)
+    return _Scorer(model, features, labels)(model, epoch)
 
 
-def _sample(groups, seeds, batch_size: int, epoch: int, train_x, train_y):
-    """The epoch's batches of every trial, padded to P rows (see ``_batch_index``):
-    features (T, n_batches, P, n_features), labels with -1 on padding, and the
-    real row counts (T, n_batches)."""
-    index, sizes = _batch_index(groups, seeds, batch_size, epoch)
-    trial = np.arange(index.shape[0])[:, None, None]
+@dataclass(frozen=True)
+class _Batch:
+    """One SGD step of a stack, its trials in stable batch-size order:
+    position i holds trial ``order[i]`` (``order`` is a slice when that is
+    the identity). ``x`` (T, P, n_features) holds the batches, ``runs`` the
+    (lo, hi, size) ranges of positions with equal batch size, in ascending
+    size, and ``targets`` the loss's label data (``losses._targets``) of
+    the batches' labels, padded with -1."""
+
+    x: np.ndarray
+    order: np.ndarray | slice
+    runs: list
+    targets: _Targets
+
+
+def _sample(groups, seeds, config: TrainConfig, epoch: int, train_x, train_y,
+            n_classes: int) -> list[_Batch]:
+    """The epoch's steps of a stack of trials, from ``_batch_index``."""
+    index, sizes = _batch_index(groups, seeds, config.batch_size, epoch)
+    return _plan(index, sizes, train_x, train_y, config.loss_kind, n_classes)
+
+
+def _plan(index, sizes, train_x, train_y, kind: str, n_classes: int) -> list[_Batch]:
+    """The steps, one per batch b, whose batches are the rows
+    ``index[t, b, :sizes[t, b]]`` of ``train_x[t]`` and ``train_y[t]``. Trials
+    are ordered by one stable argsort of the sizes, and the loss's label
+    data is derived for every batch at once."""
+    order = np.argsort(sizes, axis=0, kind="stable").T  # (n_batches, T)
+    batch = np.arange(order.shape[0])[:, None]
+    sizes, index, trial = sizes[order, batch], index[order, batch], order[:, :, None]
     labels = np.where(np.arange(index.shape[2]) < sizes[:, :, None], train_y[trial, index], -1)
-    return train_x[trial, index], labels, sizes
+    features = train_x[trial, index]
+    identity = (order == np.arange(order.shape[1])).all(axis=1).tolist()
+    steps = []
+    for x, trials, same, row, targets in zip(
+        features, order, identity, sizes.tolist(), _targets(kind, labels, n_classes)
+    ):
+        bounds = [0, *(i for i in range(1, len(row)) if row[i] != row[i - 1]), len(row)]
+        runs = [(lo, hi, row[lo]) for lo, hi in zip(bounds, bounds[1:])]
+        steps.append(_Batch(x, slice(None) if same else trials, runs, targets))
+    return steps
 
 
-def _step(
-    work: MLPStack, x, y, sizes, config: TrainConfig, pool=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """One SGD step of every trial on its batch ``x``, ``y`` of ``sizes`` real rows.
+def _value_needed(config: TrainConfig, rows: int) -> bool:
+    """Whether a loss value on batches of ``rows`` padded rows can be
+    non-finite where the logits are finite. An AUC term lies in [0, L], and
+    a trial has at most rows**2 / 4 pairs per class, so its term sum cannot
+    overflow while L * rows**2 stays within the float range. Cross entropy
+    can overflow from finite logits."""
+    return (config.loss_kind == "cross_entropy"
+            or config.surrogate.L * rows**2 > np.finfo(float).max)
 
-    Trials are ordered by batch size, and each layer runs per run of equal
-    sizes on exactly the real rows. Returns the trials whose logits and
-    whose loss value are non-finite; their updates are garbage, which no
-    other trial's arithmetic reads.
 
-    The AUC value is computed only where it can be non-finite with finite
-    logits. Each of its terms then lies in [0, L], and a trial has at most
-    P**2 / 4 pairs per class, so its term sum cannot overflow while
-    L * P**2 stays within the float range. A trial with non-finite logits
-    has failed on them already. Cross entropy can overflow from finite
-    logits, so its value is always checked.
+class _Params:
+    """The parameters of a stack of models with layer dims ``dims`` as the
+    columns of one (T, n_params) array, every layer's weights and then every
+    layer's biases, so that an SGD step gathers and updates them all in one
+    operation."""
+
+    def __init__(self, dims: tuple[int, ...]):
+        shapes = [*zip(dims[:-1], dims[1:]), *((d,) for d in dims[1:])]
+        self.dims, self.columns, start = dims, [], 0
+        for shape in shapes:
+            stop = start + int(np.prod(shape))
+            self.columns.append((slice(start, stop), (-1, *shape)))
+            start = stop
+
+    def flatten(self, stack: MLPStack) -> np.ndarray:
+        return np.concatenate([p.reshape(stack.n_models, -1)
+                               for p in stack.weights + stack.biases], axis=1)
+
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """The (T, fan_in, fan_out) weights, then the (T, fan_out) biases, in ``flat``."""
+        return [flat[:, cols].reshape(shape) for cols, shape in self.columns]
+
+    def stack(self, flat: np.ndarray) -> MLPStack:
+        """The models in ``flat``, sharing its memory."""
+        views, n_layers = self.views(flat), len(self.dims) - 1
+        return MLPStack(self.dims, views[:n_layers], views[n_layers:])
+
+
+def _step(flat: np.ndarray, batch: _Batch, config: TrainConfig, params: _Params, pool=None
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """One SGD step of every trial of the stack ``flat`` (see ``_Params``) on
+    its batch in ``batch``, in place.
+
+    Each layer runs per run of equal batch size on exactly the real rows.
+    Returns the trials whose logits and whose loss value are non-finite;
+    their updates are garbage, which no other trial's arithmetic reads.
+    The loss value is computed only where ``_value_needed``; a trial with
+    non-finite logits has failed on them already.
     """
-    order = np.argsort(sizes, kind="stable")
-    ordered = sizes[order]
-    cuts = [0, *(np.flatnonzero(np.diff(ordered)) + 1).tolist(), sizes.size]
-    stack = work.take(order)
-    x = x[order]
-    logits = np.zeros(x.shape[:2] + (work.n_classes,))
-    caches = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        size = int(ordered[lo])
-        part = stack.view(lo, hi)
-        out, inputs, pre_acts = _forward_cached(part, x[lo:hi, :size])
-        logits[lo:hi, :size] = out
-        caches.append((lo, hi, size, part, inputs, pre_acts))
-    want_value = (
-        config.loss_kind == "cross_entropy"
-        or config.surrogate.L * x.shape[1] ** 2 > np.finfo(float).max
-    )
-    values, grad = stacked_loss(config.loss_kind, logits, y[order], config.surrogate, True,
-                                want_value=want_value, pool=pool)
-    # Each group's gradients go into one buffer per parameter, in sorted
-    # trial order, which then updates the parameter in one step.
-    grads = [np.empty_like(param) for param in stack.weights + stack.biases]
-    for lo, hi, size, part, inputs, pre_acts in caches:
-        grads_w, grads_b = _backprop(part, inputs, pre_acts, grad[lo:hi, :size])
-        for buffer, g in zip(grads, grads_w + grads_b):
-            buffer[lo:hi] = g
-    for param, g in zip(work.weights + work.biases, grads):
-        g *= config.learning_rate
-        param[order] -= g
-    bad_logits, bad_loss = np.empty((2, order.size), dtype=bool)
+    order, n_layers = batch.order, len(params.dims) - 1
+    current = flat[order]
+    stack = params.views(current)
+    weights, biases = stack[:n_layers], stack[n_layers:]
+    logits = np.zeros(batch.x.shape[:2] + (params.dims[-1],))
+    cached = []
+    for lo, hi, size in batch.runs:
+        inputs = []
+        _layers([w[lo:hi] for w in weights], [b[lo:hi] for b in biases], batch.x[lo:hi, :size],
+                inputs, logits[lo:hi, :size])
+        cached.append(inputs)
+    values, grad = stacked_loss(config.loss_kind, logits, batch.targets, config.surrogate, True,
+                                want_value=_value_needed(config, batch.x.shape[1]), pool=pool)
+    # Backprop writes each run's gradients into its rows of one buffer,
+    # laid out as the parameters, which then updates them in one step.
+    step = np.empty_like(current)
+    grads = params.views(step)
+    for (lo, hi, size), inputs in zip(batch.runs, cached):
+        delta = grad[lo:hi, :size]
+        for layer in range(n_layers - 1, -1, -1):
+            np.matmul(inputs[layer].transpose(0, 2, 1), delta, out=grads[layer][lo:hi])
+            np.add.reduce(delta, axis=1, out=grads[n_layers + layer][lo:hi])
+            if layer:
+                delta = delta @ weights[layer][lo:hi].transpose(0, 2, 1)
+                delta *= inputs[layer] > 0.0
+    step *= config.learning_rate
+    flat[order] -= step
+    bad_logits, bad_loss = np.empty((2, flat.shape[0]), dtype=bool)
     bad_logits[order] = _nonfinite_rows(logits)
     bad_loss[order] = False if values is None else ~np.isfinite(values)
     return bad_logits, bad_loss
@@ -537,7 +596,7 @@ def train_stacked(
     ):
         raise ValueError("need one TrainConfig per model, equal in everything but the seed")
     train_x, train_y = _check_stacked(model, train_x, train_y, "training")
-    val_x, val_y = _check_stacked(model, val_x, val_y, "validation")
+    validate = _Scorer(model, val_x, val_y)
 
     every = range(model.n_models)
     errors: list[Optional[RanklossError]] = [None] * model.n_models
@@ -552,14 +611,16 @@ def train_stacked(
         if bad.any():  # checked every step, so the common case returns early
             fail_each([_non_finite(what, epoch, batch) if b else None for b in bad], trials)
 
-    work, best = model.copy(), model.copy()
+    params = _Params(model.layer_dims)
+    flat = params.flatten(model)
+    work, best = params.stack(flat), model.copy()
     best_auroc = np.full(model.n_models, -np.inf)
-    logits = _forward_cached(work, train_x)[0]
+    logits = _layers(work.weights, work.biases, train_x)
     fail(_nonfinite_rows(logits), "initial logits")
     fail_each([_missing_class(config.loss_kind, np.bincount(y, minlength=model.n_classes))
                for y in train_y])
     values, ok = np.zeros(model.n_models), ~failed
-    if ok.any():
+    if ok.any() and _value_needed(config, train_y.shape[1]):
         values[ok] = stacked_loss(config.loss_kind, logits[ok], train_y[ok], config.surrogate,
                                   pool=pool)[0]
     fail(~np.isfinite(values), "initial loss")
@@ -580,25 +641,20 @@ def train_stacked(
                 continue
             pick = trials if len(trials) < model.n_models else slice(None)
             try:
-                batch_x, batch_y, sizes = _sample(
-                    [groups[t] for t in trials], [seeds[t] for t in trials],
-                    config.batch_size, epoch, train_x[pick], train_y[pick],
-                )
+                steps = _sample([groups[t] for t in trials], [seeds[t] for t in trials], config,
+                                epoch, train_x[pick], train_y[pick], model.n_classes)
             except RanklossError as exc:
                 # A stack's trials share their class count, so they fail the
                 # sampler together, in the first epoch, before any checkpoint.
                 fail_each([exc] * len(trials), trials)
                 continue
-            part = work.take(pick)
-            for batch in range(sizes.shape[1]):
-                bad_logits, bad_loss = _step(
-                    part, batch_x[:, batch], batch_y[:, batch], sizes[:, batch], config, pool
-                )
+            part = flat[pick]
+            for batch, step in enumerate(steps):
+                bad_logits, bad_loss = _step(part, step, config, params, pool)
                 fail(bad_logits, "logits", epoch, batch, trials)
                 fail(bad_loss, "loss", epoch, batch, trials)
-            for param, stepped in zip(work.weights + work.biases, part.weights + part.biases):
-                param[pick] = stepped
-        aurocs, val_errors = evaluate_auroc_stacked(work, val_x, val_y, epoch)
+            flat[pick] = part
+        aurocs, val_errors = validate(work, epoch)
         fail_each(val_errors)
         improved = ~failed & (aurocs > best_auroc)
         for kept, current in zip(best.weights + best.biases, work.weights + work.biases):

@@ -31,7 +31,7 @@ from rankloss import (
     trial_seeds,
 )
 from rankloss.harness import _trial_error
-from rankloss.network import _backprop, _check_features, _forward_cached, _LabelGroups, _non_finite
+from rankloss.network import _check_features, _LabelGroups, _non_finite
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,33 @@ class TrainHistory:
     @property
     def best_val_auroc(self) -> float:
         return self.val_auroc[self.best_epoch]
+
+
+def _forward_cached(model: MLPModel, x: np.ndarray):
+    # Returns logits plus per-layer inputs and pre-activations for backprop.
+    inputs = []
+    pre_acts = []
+    a = x
+    last = len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        inputs.append(a)
+        z = a @ w + b[..., None, :]
+        pre_acts.append(z)
+        a = np.maximum(z, 0.0) if i < last else z
+    return a, inputs, pre_acts
+
+
+def _backprop(model: MLPModel, inputs, pre_acts, grad_logits):
+    grads_w = [None] * len(model.weights)
+    grads_b = [None] * len(model.biases)
+    delta = grad_logits
+    for layer in range(len(model.weights) - 1, -1, -1):
+        grads_w[layer] = np.swapaxes(inputs[layer], -1, -2) @ delta
+        grads_b[layer] = delta.sum(axis=-2)
+        if layer > 0:
+            weights_t = np.swapaxes(model.weights[layer], -1, -2)
+            delta = (delta @ weights_t) * (pre_acts[layer - 1] > 0.0)
+    return grads_w, grads_b
 
 
 def _require_finite(values, what: str, epoch: int | None = None, batch: int | None = None):

@@ -408,6 +408,34 @@ class TestWithoutScipy:
         assert manifests["block"] == manifests["plain"]
 
 
+
+# Imports the CLI in a fresh interpreter, runs each argv of argv[1] (JSON)
+# through it and prints the exit codes and whether multiprocessing was
+# imported after the import and after the runs.
+_IMPORT_PROBE = """
+import json, sys
+from rankloss.cli import main
+imported = "multiprocessing" in sys.modules
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "after_import": imported,
+                  "after_runs": "multiprocessing" in sys.modules}))
+"""
+
+
+def test_one_job_loads_no_multiprocessing(tmp_path):
+    # Only --jobs > 1 starts worker processes, so neither importing the CLI
+    # nor a --jobs 1 compare imports multiprocessing.
+    (tmp_path / "c.json").write_text(json.dumps(small_compare_config(tmp_path)))
+    argvs = [["compare", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "m.json"),
+              "--jobs", "1"]]
+    src = str(Path(rankloss.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    probe = json.loads(done.stdout.strip().splitlines()[-1])
+    assert probe == {"codes": [0], "after_import": False, "after_runs": False}
+
 def large_batch_config(n_repeats=2, epochs=2):
     # Binary blobs whose 1200-row train set is one full batch per epoch:
     # 900 x 300 pairs per class, enough to split across two threads.

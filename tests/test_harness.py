@@ -18,6 +18,7 @@ from rankloss import (
     mean_ci,
     monte_carlo_split,
     run_experiment,
+    stratified_batches,
     t_test,
     trial_blocks,
     trial_seeds,
@@ -453,6 +454,28 @@ class TestTrialBatching:
         config = tiny_experiment(arms, n_repeats=4)
         report = run_experiment(ds, config)
         for t in range(4):
+            assert run_trial(ds, config, t) == [arm.aurocs[t] for arm in report.arms]
+
+    def test_protocol_shape_matches_run_trial(self):
+        # The reference protocol's data, model and arms, cut to 3 trials of
+        # 3 epochs: ce_b8's steps mix batches of 7, 8 and 9 rows, auc_b64's
+        # of 66 to 68.
+        ds = generate_synthetic(SyntheticSpec(
+            class_counts=(143, 71, 125), dim=8, class_mean_separation=2.0, noise_std=1.0,
+            label_flip_prob=0.05, seed=42))
+        arms = (ArmConfig("ce_b8", "cross_entropy", 8, max_epochs=3),
+                ArmConfig("auc_b64", "auc_multiclass", 64, max_epochs=3))
+        config = ExperimentConfig(arms=arms, split=SplitSpec(n_repeats=3), hidden_dims=(16,))
+        sizes = set()
+        for t in range(3):
+            train_idx = monte_carlo_split(ds.n_samples, ds.labels, config.split, t)[0]
+            for arm in arms:
+                batches = stratified_batches(ds.labels[train_idx], arm.batch_size,
+                                             trial_seeds(0, t).shuffle, 0)
+                sizes |= {batch.size for batch in batches}
+        assert sizes == {7, 8, 9, 66, 67, 68}
+        report = run_experiment(ds, config)
+        for t in range(3):
             assert run_trial(ds, config, t) == [arm.aurocs[t] for arm in report.arms]
 
     def test_memory_bound_splits_engine_calls(self, monkeypatch):

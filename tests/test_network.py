@@ -23,11 +23,12 @@ from rankloss import (
     init_model,
     monte_carlo_split,
     multiclass_auc_loss,
+    stacked_loss,
     stratified_batches,
     train_stacked,
     trial_seeds,
 )
-from rankloss.network import _batch_index, _LabelGroups, _step
+from rankloss.network import _batch_index, _LabelGroups, _Params, _plan, _sample, _step
 
 from oracle import evaluate_auroc, train
 
@@ -194,6 +195,48 @@ class TestStratifiedBatches:
             for row, size, batch in zip(rows, trial_sizes, trial):
                 assert np.array_equal(row[:size], batch)
                 assert not row[size:].any()
+
+    @pytest.mark.parametrize("kind, counts, batch_size", [
+        ("cross_entropy", (143, 71, 125), 8),
+        ("auc_multiclass", (143, 71, 125), 64),
+        ("auc_binary", (60, 25), 8),
+    ])
+    def test_step_plan(self, kind, counts, batch_size):
+        # Each step holds every trial's batch of that step, in stable
+        # batch-size order, cut into runs of equal size; its label data is
+        # what stacked_loss derives from those batches' labels itself.
+        ds = generate_synthetic(SyntheticSpec(class_counts=counts, dim=8,
+                                              class_mean_separation=2.0, noise_std=1.0,
+                                              label_flip_prob=0.05, seed=42))
+        tr = np.stack([monte_carlo_split(ds.n_samples, ds.labels, SplitSpec(), t)[0]
+                       for t in range(6)])
+        x, y = ds.features[tr], ds.labels[tr]
+        seeds = [trial_seeds(0, t).shuffle for t in range(6)]
+        config = TrainConfig(batch_size=batch_size, loss_kind=kind)
+        steps = _sample([_LabelGroups(labels) for labels in y], seeds, config, 2, x, y,
+                        len(counts))
+        want = [stratified_batches(labels, batch_size, seed, 2) for labels, seed in zip(y, seeds)]
+        assert len(steps) == len(want[0])
+        rng = np.random.default_rng(0)
+        for b, step in enumerate(steps):
+            sizes = np.array([trial[b].size for trial in want])
+            order = np.arange(6)[step.order]
+            assert order.tolist() == np.argsort(sizes, kind="stable").tolist()
+            bounds = [lo for lo, _, _ in step.runs] + [step.runs[-1][1]]
+            assert bounds[0] == 0 and bounds[-1] == 6
+            assert [size for _, _, size in step.runs] == sorted(set(sizes.tolist()))
+            for lo, hi, size in step.runs:
+                assert (sizes[order[lo:hi]] == size).all()
+            labels = np.full(step.x.shape[:2], -1)
+            for i, t in enumerate(order):
+                rows = want[t][b]
+                assert np.array_equal(step.x[i, : rows.size], x[t, rows])
+                labels[i, : rows.size] = y[t, rows]
+            logits = rng.normal(size=labels.shape + (len(counts),))
+            planned = stacked_loss(kind, logits, step.targets, want_grad=True)
+            derived = stacked_loss(kind, logits, labels, want_grad=True)
+            assert all(np.array_equal(a, b) for a, b in zip(planned, derived))
+        assert any(len(step.runs) > 1 for step in steps)
 
     def test_matches_array_split_reference(self):
         rng = np.random.default_rng(4)
@@ -450,10 +493,53 @@ class TestTrainStacked:
             ).value)
             for t, (m, size) in enumerate(zip(models, sizes))
         ]
-        bad_logits, bad_loss = _step(MLPStack.of(models), x, y, sizes, config)
+        index = np.broadcast_to(np.arange(240), (3, 1, 240))
+        (step,) = _plan(index, sizes[:, None], x, y, config.loss_kind, 3)
+        params = _Params((4, 5, 3))
+        bad_logits, bad_loss = _step(params.flatten(MLPStack.of(models)), step, config, params)
         assert not bad_logits.any()
         assert bad_loss.tolist() == expected
         assert expected == [L > 1e300, L > 1e306, L > 1e300]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("rows", [24, 240])
+    @pytest.mark.parametrize("L", [1.0, 1e305, 1e308])
+    def test_initial_loss_checked_exactly_where_train_would(self, L, rows, monkeypatch):
+        # The initial AUC value is computed only where L * rows**2 exceeds
+        # the float range, as on a step, and the trials fail as the oracle
+        # does: on the initial loss at 240 rows from L = 1e305, at 24 rows
+        # only at L = 1e308 (at 1e305 they fail on their first steps).
+        import rankloss.network
+
+        initial_calls = []
+
+        def spy(*args, **kwargs):
+            if len(args) < 5:  # an SGD step asks for the gradient
+                initial_calls.append(args[0])
+            return stacked_loss(*args, **kwargs)
+
+        monkeypatch.setattr(rankloss.network, "stacked_loss", spy)
+        rng = np.random.default_rng(2)
+        models = [init_model((4, 5, 3), seed) for seed in range(2)]
+        x, val_x = rng.normal(size=(2, rows, 4)), rng.normal(size=(2, 12, 4))
+        y = np.stack([rng.permutation(np.arange(rows) % 3) for _ in range(2)])
+        val_y = np.stack([rng.permutation(np.arange(12) % 3) for _ in range(2)])
+        configs = [TrainConfig(batch_size=8, loss_kind="auc_multiclass", max_epochs=1,
+                               surrogate=SurrogateParams(L=L), seed=seed) for seed in range(2)]
+        run = train_stacked(MLPStack.of(models), x, y, val_x, val_y, configs)
+        assert len(initial_calls) == (L * rows**2 > np.finfo(float).max)
+        expected = []
+        for t in range(2):
+            try:
+                train(models[t], x[t], y[t], val_x[t], val_y[t], configs[t])
+            except RanklossError as exc:
+                expected.append(str(exc))
+            else:
+                expected.append(None)
+        assert [None if e is None else str(e) for e in run.errors] == expected
+        initial = "initial loss became non-finite"
+        assert (expected[0] == initial) == (L == 1e308 or (L == 1e305 and rows == 240))
 
     @pytest.mark.parametrize("kind", ["cross_entropy", "auc_multiclass"])
     def test_mixed_class_and_batch_counts_match_per_trial_train(self, kind):
