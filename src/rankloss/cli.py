@@ -72,6 +72,10 @@ def _typed(value, kind, pointer):
         ok = False
     elif kind is float:
         ok = isinstance(value, (int, float))
+        # json.loads reads NaN, Infinity and 1e400 as non-finite floats, and
+        # an integer past the float range cannot become a float.
+        if ok and not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{pointer}: expected a finite number", pointer=pointer)
         value = float(value) if ok else value
     else:
         ok = isinstance(value, kind)

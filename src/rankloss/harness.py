@@ -20,6 +20,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 from typing import Optional
 
@@ -357,6 +358,7 @@ def _t_two_sided_p(df: int, t: float) -> float:
     return 1.0 - front * _beta_cf(b, a, y, x, terms) / b
 
 
+@lru_cache(maxsize=8)
 def _central_binomial(n: int) -> float:
     """C(2n, n) / 4^n, which is Gamma(n + 1/2) / (sqrt(pi) Gamma(n + 1)).
 

@@ -13,7 +13,9 @@ satisfiable; emitted batches then run larger than requested.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -272,33 +274,51 @@ def _non_finite(what: str, epoch: int | None = None, batch: int | None = None) -
 # which other trials share its stack.
 
 
-@dataclass
+@lru_cache(maxsize=8)
+def _layout(dims: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """Where the models' parameters sit in a stack's ``params``: the index
+    and view shape of each layer's weights, then the index of each layer's
+    biases. Each is a range of columns. Cached, as every SGD step builds
+    two stacks."""
+    shapes = [*zip(dims[:-1], dims[1:]), *((d,) for d in dims[1:])]
+    columns, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        columns.append(((slice(None), slice(start, stop)), (-1, *shape)))
+        start = stop
+    n_layers = len(dims) - 1
+    return tuple(columns[:n_layers]), tuple(cols for cols, _ in columns[n_layers:])
+
+
 class MLPStack:
     """T feed-forward nets of one shape, stacked for trial-batched training.
 
-    ``weights[i]`` is (T, fan_in, fan_out) and ``biases[i]`` (T, fan_out),
-    so one batched matmul runs layer i of every model.
+    ``params`` (T, n_params) holds model t in row t: every layer's weights,
+    then every layer's biases. ``weights[i]`` (T, fan_in, fan_out) and
+    ``biases[i]`` (T, fan_out) are views of it, so one batched matmul runs
+    layer i of every model and one operation updates all the parameters.
+    ``layer_dims`` is a tuple, as ``MLPModel.layer_dims`` is.
     """
 
-    layer_dims: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    __slots__ = ("layer_dims", "params", "weights", "biases")
+
+    def __init__(self, layer_dims: tuple[int, ...], params: np.ndarray):
+        weights, biases = _layout(layer_dims)
+        self.layer_dims, self.params = layer_dims, params
+        self.weights = [params[cols].reshape(shape) for cols, shape in weights]
+        self.biases = [params[cols] for cols in biases]
 
     @classmethod
     def of(cls, models: Sequence[MLPModel]) -> "MLPStack":
         dims = models[0].layer_dims
         if any(m.layer_dims != dims for m in models):
             raise ValueError("stacked models must share their layer dims")
-        layers = range(len(dims) - 1)
-        return cls(
-            layer_dims=dims,
-            weights=[np.stack([m.weights[i] for m in models]) for i in layers],
-            biases=[np.stack([m.biases[i] for m in models]) for i in layers],
-        )
+        return cls(dims, np.stack([np.concatenate([p.ravel() for p in m.weights + m.biases])
+                                   for m in models]))
 
     @property
     def n_models(self) -> int:
-        return self.weights[0].shape[0]
+        return self.params.shape[0]
 
     @property
     def n_classes(self) -> int:
@@ -313,11 +333,7 @@ class MLPStack:
         )
 
     def copy(self) -> "MLPStack":
-        return MLPStack(
-            layer_dims=self.layer_dims,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return MLPStack(self.layer_dims, self.params.copy())
 
 
 @dataclass(frozen=True)
@@ -479,38 +495,10 @@ def _value_needed(config: TrainConfig, rows: int) -> bool:
             or config.surrogate.L * rows**2 > np.finfo(float).max)
 
 
-class _Params:
-    """The parameters of a stack of models with layer dims ``dims`` as the
-    columns of one (T, n_params) array, every layer's weights and then every
-    layer's biases, so that an SGD step gathers and updates them all in one
-    operation."""
-
-    def __init__(self, dims: tuple[int, ...]):
-        shapes = [*zip(dims[:-1], dims[1:]), *((d,) for d in dims[1:])]
-        self.dims, self.columns, start = dims, [], 0
-        for shape in shapes:
-            stop = start + int(np.prod(shape))
-            self.columns.append((slice(start, stop), (-1, *shape)))
-            start = stop
-
-    def flatten(self, stack: MLPStack) -> np.ndarray:
-        return np.concatenate([p.reshape(stack.n_models, -1)
-                               for p in stack.weights + stack.biases], axis=1)
-
-    def views(self, flat: np.ndarray) -> list[np.ndarray]:
-        """The (T, fan_in, fan_out) weights, then the (T, fan_out) biases, in ``flat``."""
-        return [flat[:, cols].reshape(shape) for cols, shape in self.columns]
-
-    def stack(self, flat: np.ndarray) -> MLPStack:
-        """The models in ``flat``, sharing its memory."""
-        views, n_layers = self.views(flat), len(self.dims) - 1
-        return MLPStack(self.dims, views[:n_layers], views[n_layers:])
-
-
-def _step(flat: np.ndarray, batch: _Batch, config: TrainConfig, params: _Params, pool=None
+def _step(stack: MLPStack, batch: _Batch, config: TrainConfig, pool=None
           ) -> tuple[np.ndarray, np.ndarray]:
-    """One SGD step of every trial of the stack ``flat`` (see ``_Params``) on
-    its batch in ``batch``, in place.
+    """One SGD step of every trial of ``stack`` on its batch in ``batch``,
+    in place.
 
     Each layer runs per run of equal batch size on exactly the real rows.
     Returns the trials whose logits and whose loss value are non-finite;
@@ -518,11 +506,10 @@ def _step(flat: np.ndarray, batch: _Batch, config: TrainConfig, params: _Params,
     The loss value is computed only where ``_value_needed``; a trial with
     non-finite logits has failed on them already.
     """
-    order, n_layers = batch.order, len(params.dims) - 1
-    current = flat[order]
-    stack = params.views(current)
-    weights, biases = stack[:n_layers], stack[n_layers:]
-    logits = np.zeros(batch.x.shape[:2] + (params.dims[-1],))
+    order, dims = batch.order, stack.layer_dims
+    current = MLPStack(dims, stack.params[order])
+    weights, biases = current.weights, current.biases
+    logits = np.zeros(batch.x.shape[:2] + (dims[-1],))
     cached = []
     for lo, hi, size in batch.runs:
         inputs = []
@@ -531,21 +518,20 @@ def _step(flat: np.ndarray, batch: _Batch, config: TrainConfig, params: _Params,
         cached.append(inputs)
     values, grad = stacked_loss(config.loss_kind, logits, batch.targets, config.surrogate, True,
                                 want_value=_value_needed(config, batch.x.shape[1]), pool=pool)
-    # Backprop writes each run's gradients into its rows of one buffer,
+    # Backprop writes each run's gradients into its rows of one stack,
     # laid out as the parameters, which then updates them in one step.
-    step = np.empty_like(current)
-    grads = params.views(step)
+    step = MLPStack(dims, np.empty_like(current.params))
     for (lo, hi, size), inputs in zip(batch.runs, cached):
         delta = grad[lo:hi, :size]
-        for layer in range(n_layers - 1, -1, -1):
-            np.matmul(inputs[layer].transpose(0, 2, 1), delta, out=grads[layer][lo:hi])
-            np.add.reduce(delta, axis=1, out=grads[n_layers + layer][lo:hi])
+        for layer in range(len(weights) - 1, -1, -1):
+            np.matmul(inputs[layer].transpose(0, 2, 1), delta, out=step.weights[layer][lo:hi])
+            np.add.reduce(delta, axis=1, out=step.biases[layer][lo:hi])
             if layer:
                 delta = delta @ weights[layer][lo:hi].transpose(0, 2, 1)
                 delta *= inputs[layer] > 0.0
-    step *= config.learning_rate
-    flat[order] -= step
-    bad_logits, bad_loss = np.empty((2, flat.shape[0]), dtype=bool)
+    step.params *= config.learning_rate
+    stack.params[order] -= step.params
+    bad_logits, bad_loss = np.empty((2, stack.n_models), dtype=bool)
     bad_logits[order] = _nonfinite_rows(logits)
     bad_loss[order] = False if values is None else ~np.isfinite(values)
     return bad_logits, bad_loss
@@ -611,9 +597,7 @@ def train_stacked(
         if bad.any():  # checked every step, so the common case returns early
             fail_each([_non_finite(what, epoch, batch) if b else None for b in bad], trials)
 
-    params = _Params(model.layer_dims)
-    flat = params.flatten(model)
-    work, best = params.stack(flat), model.copy()
+    work, best = model.copy(), model.copy()
     best_auroc = np.full(model.n_models, -np.inf)
     logits = _layers(work.weights, work.biases, train_x)
     fail(_nonfinite_rows(logits), "initial logits")
@@ -648,21 +632,19 @@ def train_stacked(
                 # sampler together, in the first epoch, before any checkpoint.
                 fail_each([exc] * len(trials), trials)
                 continue
-            part = flat[pick]
+            part = MLPStack(model.layer_dims, work.params[pick])
             for batch, step in enumerate(steps):
-                bad_logits, bad_loss = _step(part, step, config, params, pool)
+                bad_logits, bad_loss = _step(part, step, config, pool)
                 fail(bad_logits, "logits", epoch, batch, trials)
                 fail(bad_loss, "loss", epoch, batch, trials)
-            flat[pick] = part
+            work.params[pick] = part.params
         aurocs, val_errors = validate(work, epoch)
         fail_each(val_errors)
         improved = ~failed & (aurocs > best_auroc)
-        for kept, current in zip(best.weights + best.biases, work.weights + work.biases):
-            np.copyto(kept, current, where=improved.reshape((-1,) + (1,) * (kept.ndim - 1)))
+        np.copyto(best.params, work.params, where=improved[:, None])
         best_auroc = np.where(improved, aurocs, best_auroc)
 
-    for kept, initial in zip(best.weights + best.biases, model.weights + model.biases):
-        kept[failed] = initial[failed]
+    best.params[failed] = model.params[failed]
     return StackedTraining(model=best, errors=tuple(errors))
 
 

@@ -630,6 +630,23 @@ def _emptying_flips_gen_argv(tmp_path):
     return ["gen", "--spec", str(spec_path), "--out", str(tmp_path / "data.csv")]
 
 
+def _compare_config_with(value, *path):
+    def config(tmp_path):
+        config = small_compare_config(tmp_path)
+        parent = config
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        return config
+    return config
+
+
+def _non_finite_gen_argv(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({**_EMPTYING_FLIPS, "noise_std": float("inf")}))
+    return ["gen", "--spec", str(spec_path), "--out", str(tmp_path / "data.csv")]
+
+
 # (argv builder, exit code, message fragment): malformed input exits 2
 # before any trial runs, a runtime failure exits 3 naming the trial; neither
 # ends in a traceback.
@@ -669,6 +686,22 @@ MALFORMED_INPUTS = {
         _compare_argv(_emptying_flips_compare_config), 2, "/dataset/synthetic/label_flip_prob",
     ),
     "gen_flips_empty_a_class": (_emptying_flips_gen_argv, 2, "/label_flip_prob"),
+    # json.loads accepts NaN, Infinity and integers past the float range;
+    # the schema rejects them.
+    "nan_class_mean_separation": (
+        _compare_argv(_compare_config_with(
+            float("nan"), "dataset", "synthetic", "class_mean_separation")),
+        2, "/dataset/synthetic/class_mean_separation",
+    ),
+    "nan_split_ratio": (
+        _compare_argv(_compare_config_with([float("nan"), 0.2, 0.2], "split", "ratios")),
+        2, "/split/ratios/0",
+    ),
+    "infinite_gen_noise_std": (_non_finite_gen_argv, 2, "/noise_std"),
+    "integer_past_float_range": (
+        _compare_argv(_compare_config_with(10**400, "arms", 0, "learning_rate")),
+        2, "/arms/0/learning_rate",
+    ),
 }
 
 

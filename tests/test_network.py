@@ -28,7 +28,7 @@ from rankloss import (
     train_stacked,
     trial_seeds,
 )
-from rankloss.network import _batch_index, _LabelGroups, _Params, _plan, _sample, _step
+from rankloss.network import _batch_index, _LabelGroups, _plan, _sample, _step
 
 from oracle import evaluate_auroc, train
 
@@ -378,6 +378,47 @@ class TestTrain:
             TrainConfig(batch_size=8, loss_kind="cross_entropy", learning_rate=-0.1)
 
 
+class TestMLPStack:
+    @pytest.mark.parametrize("hidden", [(), (4,), (4, 3)])
+    def test_params_layout(self, hidden):
+        # Row t of params is model t's weights, then its biases, layer by
+        # layer; the stack's weights and biases are views of those columns.
+        dims = (5, *hidden, 3)
+        rng = np.random.default_rng(0)
+        models = [init_model(dims, seed) for seed in range(3)]
+        for model in models:
+            for b in model.biases:
+                b[:] = rng.normal(size=b.shape)
+        stack = MLPStack.of(models)
+        assert stack.n_models == 3
+        for t, model in enumerate(models):
+            copy = stack.model(t)
+            for a, b in zip(model.weights + model.biases, copy.weights + copy.biases):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert not np.shares_memory(b, stack.params)
+        layers = list(zip(dims[:-1], dims[1:]))
+        assert [w.shape for w in stack.weights] == [(3, *shape) for shape in layers]
+        assert [b.shape for b in stack.biases] == [(3, fan_out) for _, fan_out in layers]
+        # Distinct values written through params show where each view sits.
+        stack.params[:] = np.arange(stack.params.size).reshape(stack.params.shape)
+        start = 0
+        for view in stack.weights + stack.biases:
+            assert np.shares_memory(view, stack.params)
+            width = view[0].size
+            assert np.array_equal(view, stack.params[:, start : start + width].reshape(view.shape))
+            start += width
+        assert start == stack.params.shape[1]
+
+    @pytest.mark.parametrize("hidden", [(), (4,), (4, 3)])
+    def test_copy_shares_no_memory(self, hidden):
+        stack = MLPStack.of([init_model((5, *hidden, 3), seed) for seed in range(3)])
+        copy = stack.copy()
+        assert copy.layer_dims == stack.layer_dims
+        assert copy.params.tobytes() == stack.params.tobytes()
+        for array in [copy.params, *copy.weights, *copy.biases]:
+            assert not np.shares_memory(array, stack.params)
+
+
 def stacked_trials(counts, hidden, n_trials, dim=4, base_seed=0, flip=0.1):
     """A dataset, its first ``n_trials`` stratified splits, and their initial models."""
     ds = generate_synthetic(SyntheticSpec(class_counts=counts, dim=dim, class_mean_separation=1.5,
@@ -495,8 +536,7 @@ class TestTrainStacked:
         ]
         index = np.broadcast_to(np.arange(240), (3, 1, 240))
         (step,) = _plan(index, sizes[:, None], x, y, config.loss_kind, 3)
-        params = _Params((4, 5, 3))
-        bad_logits, bad_loss = _step(params.flatten(MLPStack.of(models)), step, config, params)
+        bad_logits, bad_loss = _step(MLPStack.of(models), step, config)
         assert not bad_logits.any()
         assert bad_loss.tolist() == expected
         assert expected == [L > 1e300, L > 1e306, L > 1e300]
