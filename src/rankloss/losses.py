@@ -16,6 +16,13 @@ are derived analytically via f'(x) = (k/L) f(x) (L - f(x)) chained through
 softmax. ``finite_diff_check`` verifies any loss gradient against central
 differences.
 
+Each loss has one implementation, ``stacked_loss``, which computes it for a
+stack of padded batches, one per trial, as training needs. The per-batch
+functions (``binary_auc_loss``, ``multiclass_auc_loss``,
+``cross_entropy_loss`` and ``loss_function``'s callables) call it on a stack
+of one. The pairwise kinds walk each pair grid in blocks of ``PAIR_BLOCK``
+pairs, so their temporaries stay a few MB however large the batch.
+
 All arithmetic is float64. With the default L = 1 the AUROC loss value lies
 in (0, 1) for finite inputs, although extreme k times gap products can round
 the value to exactly 0.
@@ -91,29 +98,6 @@ class LossOutput:
     grad: Optional[np.ndarray] = None
 
 
-def _sigmoid(t: np.ndarray, want_slope: bool = False):
-    """The logistic sigmoid of ``t`` and, when asked, its slope.
-
-    With u = exp(-|t|) and d = 1 + u, the sigmoid is 1/d for t >= 0 and u/d
-    below, so exp never sees a large positive argument and large |t|
-    underflows to the correct side. The slope u / d**2 is symmetric in t and
-    free of the cancellation that f (1 - f) suffers once f saturates. Works
-    in place: three temporaries of t's shape, and ``t`` is left intact.
-    """
-    u = np.abs(t)
-    np.negative(u, out=u)
-    np.exp(u, out=u)
-    d = u + 1.0
-    # The numerator is 1 where t >= 0 and u below; u <= 1, so a maximum
-    # against the sign mask picks it without a masked (slow) ufunc loop.
-    sig = np.maximum(u, t >= 0)
-    sig /= d
-    if not want_slope:
-        return sig, None
-    np.multiply(d, d, out=d)
-    return sig, np.divide(u, d, out=u)
-
-
 def logistic(x, params: SurrogateParams = DEFAULT_SURROGATE):
     """Evaluate L / (1 + exp(-k (x - x0))) for a scalar or array ``x``.
 
@@ -124,8 +108,8 @@ def logistic(x, params: SurrogateParams = DEFAULT_SURROGATE):
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("logistic requires finite input")
-    t = params.k * (arr - params.x0)
-    out = params.L * _sigmoid(np.atleast_1d(t))[0]
+    diff = np.array(arr, ndmin=1)  # a copy, which the kernel may overwrite
+    out, _ = _block_logistic(diff, diff, diff, np.empty_like(diff), params, True, False)
     return float(out[0]) if scalar else out.reshape(np.shape(x))
 
 
@@ -164,39 +148,29 @@ def _last_axis_max(arr: np.ndarray) -> np.ndarray:
     return out[..., None]
 
 
-def _pair_logistic(diffs: np.ndarray, params: SurrogateParams, want_slope: bool):
-    """L f(x) over an array of pair score differences x and, when asked, its
-    derivative k L f'(x). Overwrites ``diffs``."""
-    t = diffs
-    if params.x0:  # x - 0.0 is x bit for bit, so the default skips a pass
-        t -= params.x0
-    t *= params.k
-    terms, slope = _sigmoid(t, want_slope)
-    if params.L != 1.0:  # x * 1.0 is x bit for bit too
-        terms *= params.L
-    if want_slope:
-        slope *= params.k * params.L
-    return terms, slope
-
-
 def _block_logistic(diff, u, d, terms, params: SurrogateParams, want_value, want_slope):
-    """``_pair_logistic`` of the pair differences ``diff``, bit for bit, in
-    the caller's buffers of its shape: L f(x) lands in ``terms`` when
-    ``want_value``, k L f'(x) in ``u`` when ``want_slope``, and each is
-    returned, or None when not asked for. ``d`` is scratch. ``u`` may be
-    ``diff`` itself, and without the slope ``d`` may be ``u``; ``diff`` is
-    overwritten when x0 != 0 or when it is shared.
+    """L f(x) and its derivative k L f'(x) over an array ``diff`` of score
+    differences x, in the caller's buffers of its shape: L f(x) lands in
+    ``terms`` when ``want_value``, k L f'(x) in ``u`` when ``want_slope``,
+    and each is returned, or None when not asked for. ``d`` is scratch.
+    ``u`` may be ``diff`` itself, and without the slope ``d`` may be ``u``;
+    ``diff`` is overwritten when x0 != 0 or when it is shared.
 
-    t = k (x - x0) is never formed. Rounding is symmetric in sign, so
-    exp(-|t|) is exp(|x - x0| * -k) bit for bit. The sign mask is read off
-    x - x0: it differs from t >= 0 only where k (x - x0) underflows to -0,
-    and there exp(-|t|) = 1, the numerator either way.
+    With t = k (x - x0), u = exp(-|t|) and d = 1 + u, f is 1/d for t >= 0
+    and u/d below, so exp never sees a large positive argument and large
+    |t| underflows to the correct side. The slope u / d**2 is symmetric in
+    t and free of the cancellation that f (1 - f) suffers once f saturates.
+    t itself is never formed: rounding is symmetric in sign, so exp(-|t|) is
+    exp(|x - x0| * -k) bit for bit. The sign mask is read off x - x0: it
+    differs from t >= 0 only where k (x - x0) underflows to -0, and there
+    u = 1, the numerator either way.
     """
     if params.x0:
         diff -= params.x0
     if want_value:
-        # As in _sigmoid: the numerator is 1 where x >= x0 and u below. The
-        # mask is taken before u may overwrite diff, and the numerator
+        # The numerator is 1 where x >= x0 and u below; u <= 1, so a maximum
+        # against the sign mask picks it without a masked (slow) ufunc loop.
+        # The mask is taken before u may overwrite diff, and the numerator
         # before d may overwrite u.
         np.greater_equal(diff, 0.0, out=terms)
     np.abs(diff, out=u)
@@ -256,34 +230,7 @@ def binary_auc_loss(
     Labels 1 are positives, labels 0 negatives. The gradient (if requested)
     is the exact derivative with respect to every input logit.
     """
-    if batch.n_classes != 2:
-        raise ValueError(f"binary_auc_loss requires 2 classes, got {batch.n_classes}")
-    _require_logits(batch, "binary_auc_loss")
-    error = _missing_class("auc_binary", batch.class_counts())
-    if error is not None:
-        raise error
-    pos_mask = batch.labels == 1
-    n_pos = int(pos_mask.sum())
-    n_neg = batch.n_samples - n_pos
-
-    probs = softmax(batch.scores)
-    p = probs[:, -1]
-    diffs = p[pos_mask][:, None] - p[~pos_mask][None, :]
-    terms, slope = _pair_logistic(diffs, params, want_grad)
-    value = 1.0 - float(terms.mean())
-
-    grad = None
-    if want_grad:
-        n_pairs = n_pos * n_neg
-        # d(value)/d(p_i): positives collect -slope over their pairs,
-        # negatives +slope.
-        g_p = np.empty(batch.n_samples)
-        g_p[pos_mask] = -slope.sum(axis=1) / n_pairs
-        g_p[~pos_mask] = slope.sum(axis=0) / n_pairs
-        # p = softmax(z)[:, 1], so dp/dz1 = p0 p1 and dp/dz0 = -p0 p1.
-        jac = probs[:, 0] * probs[:, 1]
-        grad = np.column_stack([-g_p * jac, g_p * jac])
-    return LossOutput(value=value, grad=grad)
+    return _one_batch("auc_binary", "binary_auc_loss", batch, params, want_grad)
 
 
 def multiclass_auc_loss(
@@ -298,34 +245,7 @@ def multiclass_auc_loss(
     is 1 minus the macro average of the per-class pairwise logistic means.
     Raises ``EmptyClassError`` naming the first class with no samples.
     """
-    _require_logits(batch, "multiclass_auc_loss")
-    error = _missing_class("auc_multiclass", batch.class_counts())
-    if error is not None:
-        raise error
-
-    probs = softmax(batch.scores)
-    n_terms = batch.n_classes
-    term_sum = 0.0
-    g_s = np.zeros_like(probs) if want_grad else None
-    for c in range(n_terms):
-        col = probs[:, c]
-        pos_mask = batch.labels == c
-        diffs = col[pos_mask][:, None] - col[~pos_mask][None, :]
-        terms, slope = _pair_logistic(diffs, params, want_grad)
-        term_sum += float(terms.mean())
-        if want_grad:
-            denom = terms.size * n_terms
-            g_s[pos_mask, c] += -slope.sum(axis=1) / denom
-            g_s[~pos_mask, c] += slope.sum(axis=0) / denom
-    value = 1.0 - term_sum / n_terms
-
-    grad = None
-    if want_grad:
-        # Chain through the row-wise softmax Jacobian:
-        # dz_ij = s_ij (g_ij - sum_c g_ic s_ic).
-        inner = (g_s * probs).sum(axis=1, keepdims=True)
-        grad = probs * (g_s - inner)
-    return LossOutput(value=value, grad=grad)
+    return _one_batch("auc_multiclass", "multiclass_auc_loss", batch, params, want_grad)
 
 
 def cross_entropy_loss(batch: PredictionBatch, want_grad: bool = False) -> LossOutput:
@@ -333,30 +253,32 @@ def cross_entropy_loss(batch: PredictionBatch, want_grad: bool = False) -> LossO
 
     Log-sum-exp stabilized; the gradient is (softmax - one_hot) / n.
     """
-    _require_logits(batch, "cross_entropy_loss")
-    z = batch.scores
-    n = batch.n_samples
-    zmax = z.max(axis=1, keepdims=True)
-    lse = zmax + np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
-    log_probs = z - lse
-    value = -float(log_probs[np.arange(n), batch.labels].mean())
-
-    grad = None
-    if want_grad:
-        grad = np.exp(log_probs)
-        grad[np.arange(n), batch.labels] -= 1.0
-        grad /= n
-    return LossOutput(value=value, grad=grad)
+    return _one_batch("cross_entropy", "cross_entropy_loss", batch, DEFAULT_SURROGATE, want_grad)
 
 
-# ---------------------------------------------------------------- stacked kernels
+def _one_batch(kind, name, batch: PredictionBatch, params, want_grad) -> LossOutput:
+    """``stacked_loss`` of one batch, a stack of one trial, once the batch
+    has passed the per-batch checks, which raise the per-batch messages."""
+    if kind == "auc_binary" and batch.n_classes != 2:
+        raise ValueError(f"binary_auc_loss requires 2 classes, got {batch.n_classes}")
+    _require_logits(batch, name)
+    error = _missing_class(kind, batch.class_counts())
+    if error is not None:
+        raise error
+    value, grad = stacked_loss(kind, batch.scores[None], batch.labels[None], params, want_grad)
+    return LossOutput(value=float(value[0]), grad=None if grad is None else grad[0])
+
+
+# ---------------------------------------------------------------- the kernels
 #
-# The same three losses for T padded batches at once, as the trial-batched
-# training engine needs them. Logits are (T, P, n_classes) and labels (T, P),
-# where label -1 marks a padding row. Row t reproduces the per-batch function
-# on trial t's real rows: the gradient bit for bit, with padding rows at 0.
-# The value is the same mean, summed in another order, so it can differ from
-# the per-batch value by float64 rounding. Training only checks that it is
+# Each loss runs on T padded batches at once, as the trial-batched training
+# engine needs them; the per-batch functions above are stacks of one.
+# Logits are (T, P, n_classes) and labels (T, P), where label -1 marks a
+# padding row. Row t depends on trial t's real rows alone, and padding rows
+# get gradient 0. The gradient is bit for bit that of the textbook formula
+# on those rows (a full pair grid, summed row by row and column by column).
+# The value is the same mean summed in another order, so it can differ from
+# the textbook one by float64 rounding. Training only checks that it is
 # finite, so an SGD step can skip the AUC value where it is finite anyway,
 # and the pairwise kernel then computes no surrogate terms at all.
 

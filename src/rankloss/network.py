@@ -153,6 +153,9 @@ def forward(model: MLPModel, features: np.ndarray) -> np.ndarray:
 def _batch_count(class_counts: np.ndarray, batch_size: int) -> np.ndarray:
     """The sampler's batch count for each row of per-class counts."""
     n = class_counts.sum(axis=-1)
+    # Any batch size of at least n gives one batch; clamping it keeps one
+    # past the int64 range out of the division.
+    batch_size = min(batch_size, int(n.max()))
     return np.minimum(np.maximum(1, n // batch_size), class_counts.min(axis=-1))
 
 
@@ -257,11 +260,11 @@ def _non_finite(what: str, epoch: int | None = None, batch: int | None = None) -
 # Trains T models at once for the Monte Carlo harness: an SGD step takes
 # microseconds of arithmetic, so stacking the trials on a leading axis
 # replaces T dispatches per step by a few. Each model trains bit for bit as
-# it would alone, one batch at a time through the per-batch losses of
-# ``loss_function``; the tests keep such a per-trial trainer as their
-# oracle. The sampler stacks trials that have the same number of classes
-# and the same batch count, and ``train_stacked`` steps each such group as
-# one stack (stratified splits make every trial alike, so there is one).
+# it would alone, one batch at a time through the textbook per-batch loss
+# formulas; the tests keep such a per-trial trainer as their oracle. The
+# sampler stacks trials that have the same number of classes and the same
+# batch count, and ``train_stacked`` steps each such group as one stack
+# (stratified splits make every trial alike, so there is one).
 # Every trial of a group gets the same batch count each epoch, and a batch
 # holds floor or ceil(m_c / n_batches) rows of the trial's class c.
 #

@@ -1,10 +1,14 @@
-"""The per-trial trainer and trial runner, kept as the tests' reference.
+"""The per-batch losses, per-trial trainer and trial runner, kept as the
+tests' reference.
 
-``train`` trains one model with plain per-batch loss calls, and
-``run_trial`` runs one Monte Carlo trial arm by arm through it. The
-package trains every trial in its trial-batched engine
-(``rankloss.network.train_stacked``); the tests hold the engine to these
-functions bit for bit, error for error.
+``binary_auc_loss``, ``multiclass_auc_loss`` and ``cross_entropy_loss``
+are the textbook formulas: a full pair grid per class, summed row by row and
+column by column. ``train`` trains one model with them, one batch at a time,
+and ``run_trial`` runs one Monte Carlo trial arm by arm through it. The
+package computes every loss with its blocked kernel
+(``rankloss.losses.stacked_loss``) and trains every trial in its
+trial-batched engine (``rankloss.network.train_stacked``); the tests hold
+both to these functions bit for bit, error for error.
 """
 
 from __future__ import annotations
@@ -14,24 +18,183 @@ from dataclasses import dataclass
 import numpy as np
 
 from rankloss import (
+    DEFAULT_SURROGATE,
+    LOSS_KINDS,
     Dataset,
     ExperimentConfig,
+    LossOutput,
     MLPModel,
     PredictionBatch,
     RanklossError,
+    SurrogateParams,
     TrainConfig,
     auroc_multiclass_ovr,
     auroc_rank,
     forward,
     init_model,
-    loss_function,
     monte_carlo_split,
     softmax,
     stratified_batches,
     trial_seeds,
 )
 from rankloss.harness import _trial_error
+from rankloss.losses import LossFn, _missing_class, _require_logits
 from rankloss.network import _check_features, _LabelGroups, _non_finite
+
+
+def _sigmoid(t: np.ndarray, want_slope: bool = False):
+    """The logistic sigmoid of ``t`` and, when asked, its slope.
+
+    With u = exp(-|t|) and d = 1 + u, the sigmoid is 1/d for t >= 0 and u/d
+    below, so exp never sees a large positive argument and large |t|
+    underflows to the correct side. The slope u / d**2 is symmetric in t and
+    free of the cancellation that f (1 - f) suffers once f saturates. Works
+    in place: three temporaries of t's shape, and ``t`` is left intact.
+    """
+    u = np.abs(t)
+    np.negative(u, out=u)
+    np.exp(u, out=u)
+    d = u + 1.0
+    # The numerator is 1 where t >= 0 and u below; u <= 1, so a maximum
+    # against the sign mask picks it without a masked (slow) ufunc loop.
+    sig = np.maximum(u, t >= 0)
+    sig /= d
+    if not want_slope:
+        return sig, None
+    np.multiply(d, d, out=d)
+    return sig, np.divide(u, d, out=u)
+
+
+def _pair_logistic(diffs: np.ndarray, params: SurrogateParams, want_slope: bool):
+    """L f(x) over an array of pair score differences x and, when asked, its
+    derivative k L f'(x). Overwrites ``diffs``."""
+    t = diffs
+    if params.x0:  # x - 0.0 is x bit for bit, so the default skips a pass
+        t -= params.x0
+    t *= params.k
+    terms, slope = _sigmoid(t, want_slope)
+    if params.L != 1.0:  # x * 1.0 is x bit for bit too
+        terms *= params.L
+    if want_slope:
+        slope *= params.k * params.L
+    return terms, slope
+
+
+def binary_auc_loss(
+    batch: PredictionBatch,
+    params: SurrogateParams = DEFAULT_SURROGATE,
+    want_grad: bool = False,
+) -> LossOutput:
+    """Complement of the logistic-surrogate AUROC for a two-class batch.
+
+    The positive score of sample i is the last softmax column p_i; the loss
+    is 1 - mean over all (positive, negative) pairs of f(p_pos - p_neg).
+    Labels 1 are positives, labels 0 negatives. The gradient (if requested)
+    is the exact derivative with respect to every input logit.
+    """
+    if batch.n_classes != 2:
+        raise ValueError(f"binary_auc_loss requires 2 classes, got {batch.n_classes}")
+    _require_logits(batch, "binary_auc_loss")
+    error = _missing_class("auc_binary", batch.class_counts())
+    if error is not None:
+        raise error
+    pos_mask = batch.labels == 1
+    n_pos = int(pos_mask.sum())
+    n_neg = batch.n_samples - n_pos
+
+    probs = softmax(batch.scores)
+    p = probs[:, -1]
+    diffs = p[pos_mask][:, None] - p[~pos_mask][None, :]
+    terms, slope = _pair_logistic(diffs, params, want_grad)
+    value = 1.0 - float(terms.mean())
+
+    grad = None
+    if want_grad:
+        n_pairs = n_pos * n_neg
+        # d(value)/d(p_i): positives collect -slope over their pairs,
+        # negatives +slope.
+        g_p = np.empty(batch.n_samples)
+        g_p[pos_mask] = -slope.sum(axis=1) / n_pairs
+        g_p[~pos_mask] = slope.sum(axis=0) / n_pairs
+        # p = softmax(z)[:, 1], so dp/dz1 = p0 p1 and dp/dz0 = -p0 p1.
+        jac = probs[:, 0] * probs[:, 1]
+        grad = np.column_stack([-g_p * jac, g_p * jac])
+    return LossOutput(value=value, grad=grad)
+
+
+def multiclass_auc_loss(
+    batch: PredictionBatch,
+    params: SurrogateParams = DEFAULT_SURROGATE,
+    want_grad: bool = False,
+) -> LossOutput:
+    """One-vs-rest extension of the surrogate AUROC loss.
+
+    For each class c, the class-c softmax column of class-c samples is
+    compared pairwise against the same column of all other samples; the loss
+    is 1 minus the macro average of the per-class pairwise logistic means.
+    Raises ``EmptyClassError`` naming the first class with no samples.
+    """
+    _require_logits(batch, "multiclass_auc_loss")
+    error = _missing_class("auc_multiclass", batch.class_counts())
+    if error is not None:
+        raise error
+
+    probs = softmax(batch.scores)
+    n_terms = batch.n_classes
+    term_sum = 0.0
+    g_s = np.zeros_like(probs) if want_grad else None
+    for c in range(n_terms):
+        col = probs[:, c]
+        pos_mask = batch.labels == c
+        diffs = col[pos_mask][:, None] - col[~pos_mask][None, :]
+        terms, slope = _pair_logistic(diffs, params, want_grad)
+        term_sum += float(terms.mean())
+        if want_grad:
+            denom = terms.size * n_terms
+            g_s[pos_mask, c] += -slope.sum(axis=1) / denom
+            g_s[~pos_mask, c] += slope.sum(axis=0) / denom
+    value = 1.0 - term_sum / n_terms
+
+    grad = None
+    if want_grad:
+        # Chain through the row-wise softmax Jacobian:
+        # dz_ij = s_ij (g_ij - sum_c g_ic s_ic).
+        inner = (g_s * probs).sum(axis=1, keepdims=True)
+        grad = probs * (g_s - inner)
+    return LossOutput(value=value, grad=grad)
+
+
+def cross_entropy_loss(batch: PredictionBatch, want_grad: bool = False) -> LossOutput:
+    """Mean negative log softmax probability of the true class.
+
+    Log-sum-exp stabilized; the gradient is (softmax - one_hot) / n.
+    """
+    _require_logits(batch, "cross_entropy_loss")
+    z = batch.scores
+    n = batch.n_samples
+    zmax = z.max(axis=1, keepdims=True)
+    lse = zmax + np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
+    log_probs = z - lse
+    value = -float(log_probs[np.arange(n), batch.labels].mean())
+
+    grad = None
+    if want_grad:
+        grad = np.exp(log_probs)
+        grad[np.arange(n), batch.labels] -= 1.0
+        grad /= n
+    return LossOutput(value=value, grad=grad)
+
+
+def loss_function(kind: str, params: SurrogateParams = DEFAULT_SURROGATE) -> LossFn:
+    """Bind a loss kind and surrogate parameters into a (batch, want_grad) callable."""
+    if kind == "cross_entropy":
+        return lambda batch, want_grad=False: cross_entropy_loss(batch, want_grad)
+    if kind == "auc_binary":
+        return lambda batch, want_grad=False: binary_auc_loss(batch, params, want_grad)
+    if kind == "auc_multiclass":
+        return lambda batch, want_grad=False: multiclass_auc_loss(batch, params, want_grad)
+    raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
+
 
 
 @dataclass(frozen=True)

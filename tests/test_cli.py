@@ -181,6 +181,19 @@ class TestCompareCommand:
             manifests.append(json.dumps(manifest))
         assert manifests[0] == manifests[1]
 
+    def test_batch_size_past_int64_is_one_batch(self, tmp_path):
+        # Every batch size of at least the training rows gives one batch per
+        # epoch, also one past the int64 range.
+        aurocs = []
+        for batch_size in (10**9, 2**63, 2**64):
+            config = small_compare_config(tmp_path)
+            for arm in config["arms"]:
+                arm["batch_size"] = batch_size
+            code, out_path = run_compare(tmp_path, config, name=f"b{batch_size}")
+            assert code == 0
+            aurocs.append([arm["aurocs"] for arm in json.loads(out_path.read_text())["arms"]])
+        assert aurocs[0] == aurocs[1] == aurocs[2]
+
     def test_single_repeat_nulls(self, tmp_path):
         code, out_path = run_compare(
             tmp_path, small_compare_config(tmp_path, n_repeats=1), name="single"

@@ -24,8 +24,9 @@ from rankloss import (
     softmax,
 )
 import rankloss.losses
-from rankloss.losses import PAIR_BLOCK, _block_logistic, _sigmoid, stacked_loss
+from rankloss.losses import PAIR_BLOCK, _block_logistic, stacked_loss
 
+import oracle
 from conftest import random_batch
 
 
@@ -101,17 +102,28 @@ class TestBinaryAucLoss:
         assert binary_auc_loss(batch).value <= math.exp(-18.0)
 
     def test_requires_both_classes(self):
-        with pytest.raises(EmptyClassError):
-            binary_auc_loss(PredictionBatch(np.zeros((3, 2)), [1, 1, 1]))
+        # The per-batch messages, not the stacked kernel's "trial 0: ..." ones.
+        for labels, message, missing in (
+            ([1, 1, 1], "batch has no negative (label 0) samples", 0),
+            ([0, 0, 0], "batch has no positive (label 1) samples", 1),
+        ):
+            with pytest.raises(EmptyClassError) as err:
+                binary_auc_loss(PredictionBatch(np.zeros((3, 2)), labels))
+            assert str(err.value) == message and err.value.class_index == missing
 
     def test_requires_two_classes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             binary_auc_loss(random_batch(0, 12, 3))
+        assert str(err.value) == "binary_auc_loss requires 2 classes, got 3"
 
     def test_rejects_probability_batches(self):
-        with pytest.raises(ValueError):
-            binary_auc_loss(
-                PredictionBatch(np.full((2, 2), 0.5), [0, 1], probabilities=True)
+        batch = PredictionBatch(np.full((2, 2), 0.5), [0, 1], probabilities=True)
+        for fn in (binary_auc_loss, multiclass_auc_loss, cross_entropy_loss):
+            with pytest.raises(ValueError) as err:
+                fn(batch)
+            assert str(err.value) == (
+                f"{fn.__name__} applies softmax internally and expects raw logits, "
+                "got a probability-flagged batch"
             )
 
     def test_antisymmetry(self):
@@ -165,6 +177,7 @@ class TestMulticlassAucLoss:
         with pytest.raises(EmptyClassError) as err:
             multiclass_auc_loss(PredictionBatch(batch_scores, [0, 0, 1, 1]))
         assert err.value.class_index == 2
+        assert str(err.value) == "batch has no samples of class 2"
 
 
 class TestCrossEntropy:
@@ -262,6 +275,13 @@ def test_loss_function_rejects_unknown_kind():
         loss_function("hinge")
 
 
+def _unit_logistic(t, want_slope=False):
+    # The logistic kernel at k = 1 (L = 1, x0 = 0) is the sigmoid. In
+    # buffers of its own it leaves t intact.
+    u, d, terms = np.empty((3,) + t.shape)
+    return _block_logistic(t, u, d, terms, SurrogateParams(k=1.0), True, want_slope)
+
+
 class TestSigmoid:
     # Where exp is exact (exp(0) = 1, exp(-800) underflows to 0) the in-place
     # form must equal the textbook 1 / (1 + exp(-t)) (scipy's expit) exactly,
@@ -270,22 +290,22 @@ class TestSigmoid:
 
     def test_extremes_exact(self):
         t = np.array(self.EXTREMES)
-        sig, slope = _sigmoid(t, want_slope=True)
+        sig, slope = _unit_logistic(t, want_slope=True)
         assert sig.tolist() == expit(t).tolist() == [0.5, 0.5, 1.0, 0.0, 0.5, 0.5]
         assert slope.tolist() == (expit(t) * expit(-t)).tolist() == [0.25, 0.25, 0.0, 0.0, 0.25, 0.25]
 
     def test_matches_expit(self):
         t = np.random.default_rng(0).normal(scale=30.0, size=2000)
-        sig, slope = _sigmoid(t, want_slope=True)
+        sig, slope = _unit_logistic(t, want_slope=True)
         assert np.allclose(sig, expit(t), rtol=1e-14, atol=0.0)
         assert np.allclose(slope, expit(t) * expit(-t), rtol=1e-14, atol=0.0)
 
     def test_input_untouched_and_value_only(self):
         t = np.array([-3.0, 0.0, 2.5])
         before = t.copy()
-        sig, slope = _sigmoid(t)
+        sig, slope = _unit_logistic(t)
         assert slope is None and np.array_equal(t, before)
-        assert np.array_equal(sig, _sigmoid(t, want_slope=True)[0])
+        assert np.array_equal(sig, _unit_logistic(t, want_slope=True)[0])
 
 
 def _pair_logistic_reference(diffs, params):
@@ -375,9 +395,9 @@ def test_block_logistic_shared_buffers_match_reference_bits(params):
 @given(st.data())
 def test_stacked_loss_matches_per_batch(data):
     # Random labels, batch sizes, padding rows anywhere in the block and
-    # pair block sizes: each trial's real rows, taken in order, are one
-    # per-batch call. The gradient is bit-identical; the value is the same
-    # mean summed in another order.
+    # pair block sizes: each trial's real rows, taken in order, are one call
+    # of the textbook per-batch formula. The gradient is bit-identical; the
+    # value is the same mean summed in another order.
     n_classes = data.draw(st.integers(2, 4))
     kind = data.draw(st.sampled_from([k for k in LOSS_KINDS if k != "auc_binary" or n_classes == 2]))
     n_trials = data.draw(st.integers(1, 4))
@@ -396,7 +416,9 @@ def test_stacked_loss_matches_per_batch(data):
         y[:n_classes] = np.arange(n_classes)
         rng.shuffle(y)
         labels[t, np.sort(rng.choice(rows, size=size, replace=False))] = y
-    params = SurrogateParams(k=data.draw(st.sampled_from([1.0, 20.0, 500.0])))
+    params = SurrogateParams(k=data.draw(st.sampled_from([1.0, 20.0, 500.0])),
+                             L=data.draw(st.sampled_from([1.0, 2.5])),
+                             x0=data.draw(st.sampled_from([0.0, 0.1])))
     block = data.draw(st.sampled_from([1, 7, 40, PAIR_BLOCK]))
 
     with pytest.MonkeyPatch.context() as mp:
@@ -404,13 +426,17 @@ def test_stacked_loss_matches_per_batch(data):
         values, grad = stacked_loss(kind, logits, labels, params, want_grad=True)
         value_only, no_grad = stacked_loss(kind, logits, labels, params)
     assert no_grad is None and np.array_equal(values, value_only)
-    per_batch = loss_function(kind, params)
+    # The public per-batch loss is the kernel on a stack of one.
+    public, reference = loss_function(kind, params), oracle.loss_function(kind, params)
     for t in range(n_trials):
         real = labels[t] >= 0
-        out = per_batch(PredictionBatch(logits[t, real], labels[t, real]), True)
+        batch = PredictionBatch(logits[t, real], labels[t, real])
+        out, one = reference(batch, True), public(batch, True)
         assert abs(values[t] - out.value) <= 1e-12
         assert np.array_equal(grad[t, real], out.grad)
         assert np.all(grad[t, ~real] == 0.0)
+        assert type(one.value) is float and abs(one.value - out.value) <= 1e-12
+        assert np.array_equal(one.grad, out.grad)
 
 
 @pytest.mark.parametrize("block", [1, 7, PAIR_BLOCK])
@@ -445,16 +471,25 @@ def test_stacked_loss_pair_limit_only_chunks(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(whole, chunked))
 
 
-@pytest.mark.parametrize("kind", ["auc_binary", "auc_multiclass"])
+_PER_BATCH = {"binary_auc_loss": binary_auc_loss, "multiclass_auc_loss": multiclass_auc_loss}
+
+
+@pytest.mark.parametrize("kind", ["auc_binary", "auc_multiclass", *_PER_BATCH])
 def test_stacked_loss_temporaries_bounded(kind):
     # A full batch of 2400 rows has 600 x 1800 pairs per class (8.6 MB of
-    # float64 each); the blocked kernel never holds more than a few blocks.
+    # float64 each); the blocked kernel never holds more than a few blocks,
+    # called on a stack or through a per-batch loss.
     rng = np.random.default_rng(0)
     logits = rng.normal(size=(1, 2400, 2))
     labels = (np.arange(2400) % 4 == 0).astype(np.int64)[None, :]
+    if kind in _PER_BATCH:
+        batch = PredictionBatch(logits[0], labels[0])
+        call = lambda: _PER_BATCH[kind](batch, want_grad=True)
+    else:
+        call = lambda: stacked_loss(kind, logits, labels, want_grad=True)
     tracemalloc.start()
     try:
-        stacked_loss(kind, logits, labels, want_grad=True)
+        call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -22,7 +22,6 @@ from rankloss import (
     generate_synthetic,
     init_model,
     monte_carlo_split,
-    multiclass_auc_loss,
     stacked_loss,
     stratified_batches,
     train_stacked,
@@ -30,7 +29,7 @@ from rankloss import (
 )
 from rankloss.network import _batch_index, _LabelGroups, _plan, _sample, _step
 
-from oracle import evaluate_auroc, train
+from oracle import evaluate_auroc, multiclass_auc_loss, train
 
 
 def separable_blobs(seed=1, counts=(40, 40), sep=6.0):
