@@ -36,7 +36,6 @@ from .metrics import (
     auroc_multiclass_ovr,
     auroc_pairwise,
     auroc_rank,
-    auroc_rank_rows,
     auroc_rank_scores,
 )
 from .losses import (
@@ -91,7 +90,7 @@ __all__ = [
     "MissingColumnError", "NonNumericCellError", "EmptyFileError", "ConfigError", "FieldError",
     # metrics
     "PredictionBatch", "AurocValue", "MacroAuroc", "auroc_pairwise",
-    "auroc_rank_scores", "auroc_rank", "auroc_rank_rows", "auroc_multiclass_ovr",
+    "auroc_rank_scores", "auroc_rank", "auroc_multiclass_ovr",
     # losses
     "SurrogateParams", "DEFAULT_SURROGATE", "LossOutput", "GradCheckReport",
     "LOSS_KINDS", "logistic", "softmax", "binary_auc_loss", "multiclass_auc_loss",

@@ -1,7 +1,11 @@
 """Exception types shared across the package.
 
-Errors that can cross a process boundary (anything raised inside a parallel
-trial) define ``__reduce__`` so pickling preserves their extra attributes.
+Errors can cross a process boundary (anything raised inside a parallel
+trial), so each must survive pickling with its extra attributes. The
+default ``BaseException.__reduce__`` does that for an error built as
+``Error(message, ...)``: it calls the type with ``args``, which hold the
+message, and then restores ``__dict__``. ``FieldError``, whose first
+argument is not the message, defines its own.
 """
 
 from __future__ import annotations
@@ -21,9 +25,6 @@ class EmptyClassError(RanklossError):
     def __init__(self, message: str, class_index: int | None = None):
         super().__init__(message)
         self.class_index = class_index
-
-    def __reduce__(self):
-        return (type(self), (self.args[0], self.class_index))
 
 
 class InfeasibleBatchError(RanklossError):
@@ -47,9 +48,6 @@ class NonFiniteError(RanklossError):
         self.epoch = epoch
         self.batch = batch
 
-    def __reduce__(self):
-        return (type(self), (self.args[0], self.epoch, self.batch))
-
 
 class DegenerateVarianceError(RanklossError):
     """Both t-test samples are constant and equal; the statistic is 0/0."""
@@ -61,9 +59,6 @@ class TrialError(RanklossError):
     def __init__(self, message: str, trial: int = -1):
         super().__init__(message)
         self.trial = trial
-
-    def __reduce__(self):
-        return (type(self), (self.args[0], self.trial))
 
 
 class CsvError(RanklossError):
@@ -85,9 +80,6 @@ class NonNumericCellError(CsvError):
         super().__init__(message)
         self.row = row
         self.column = column
-
-    def __reduce__(self):
-        return (type(self), (self.args[0], self.row, self.column))
 
 
 class EmptyFileError(CsvError):
@@ -116,6 +108,3 @@ class ConfigError(RanklossError):
     def __init__(self, message: str, pointer: str = ""):
         super().__init__(message)
         self.pointer = pointer
-
-    def __reduce__(self):
-        return (type(self), (self.args[0], self.pointer))

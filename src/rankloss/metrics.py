@@ -4,11 +4,15 @@ AUROC is computed here as a probability: the chance that a uniformly chosen
 positive sample scores higher than a uniformly chosen negative one, with
 tied scores counting one half. Two routes produce the same number:
 
-* ``auroc_pairwise`` enumerates every (positive, negative) pair and applies
-  the unit step to the score difference. O(n_pos * n_neg); this is the slow
-  ground truth the fast path is held to.
-* ``auroc_rank_scores`` / ``auroc_rank`` use the rank-sum identity with
-  midranks for ties. O(n log n); prefer it beyond ~10^4 samples.
+* The definition, ``auroc_pairwise``, enumerates every (positive,
+  negative) pair and applies the unit step to the score difference.
+  O(n_pos * n_neg); this is the slow ground truth the rank route is held to.
+* The rank route, the rank-sum identity with midranks for ties in
+  O(n log n), is one kernel, ``_ranked_auroc``, over rows of independent
+  splits. ``auroc_rank_scores`` runs it on one row; ``auroc_rank``,
+  ``auroc_multiclass_ovr`` and the engine's scoring
+  (``network.evaluate_auroc_stacked``) run it through ``_Ranking``, which
+  also decides when the AUROC is undefined.
 
 Both routes reduce to the same exact pair-win count (ties contribute 0.5,
 and all intermediate sums are exact in float64 for any realistic n), so they
@@ -21,7 +25,7 @@ ordering, so no normalization is applied or checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +38,6 @@ __all__ = [
     "auroc_pairwise",
     "auroc_rank_scores",
     "auroc_rank",
-    "auroc_rank_rows",
     "auroc_multiclass_ovr",
 ]
 
@@ -147,34 +150,27 @@ def _auc_from_win_sum(win_sum: float, n_pos: int, n_neg: int) -> float:
     return np.where(win_sum <= loss_sum, small, big)
 
 
-def _no_pairs(n_pos: int, n_neg: int) -> Optional[EmptyClassError]:
+def _no_pairs(n_pos: int, n_neg: int, positive_class: int = 1) -> Optional[EmptyClassError]:
     """The error an AUROC of ``n_pos`` positives against ``n_neg`` negatives
-    raises, or None when both sides have samples."""
+    raises, or None when both sides have samples. ``class_index`` names the
+    empty class of a binary problem: ``positive_class`` or the other one."""
     if n_pos == 0:
-        return EmptyClassError("no positive samples: AUROC is undefined", class_index=1)
+        return EmptyClassError("no positive samples: AUROC is undefined", positive_class)
     if n_neg == 0:
-        return EmptyClassError("no negative samples: AUROC is undefined", class_index=0)
+        return EmptyClassError("no negative samples: AUROC is undefined", 1 - positive_class)
     return None
 
 
-def _ovr_undefined(counts) -> Optional[EmptyClassError]:
-    """The error strict ``auroc_multiclass_ovr`` raises on labels with these
-    per-class counts: for the first class with no samples or with all of
-    them. None when every class has positives and negatives."""
-    n = sum(counts)
-    for c, m in enumerate(counts):
-        if m == 0 or m == n:
-            which = f"class {c} has no samples" if m == 0 else f"every sample is of class {c}"
+def _ovr_undefined(classes, n_pos, n_neg) -> Optional[EmptyClassError]:
+    """The error strict ``auroc_multiclass_ovr`` raises on ranking
+    ``classes`` with these positive and negative counts: for the first class
+    with no samples or with all of them. None when every class has
+    positives and negatives."""
+    for c, p, q in zip(classes, n_pos, n_neg):
+        if p == 0 or q == 0:
+            which = f"class {c} has no samples" if p == 0 else f"every sample is of class {c}"
             return EmptyClassError(f"{which}: one-vs-rest AUROC is undefined", class_index=c)
     return None
-
-
-def _auroc_undefined(counts) -> Optional[EmptyClassError]:
-    """The ``EmptyClassError`` that scoring labels with these per-class counts
-    raises: ``auroc_rank`` of class 1 for two classes, strict
-    ``auroc_multiclass_ovr`` for more. None when the AUROC is defined."""
-    counts = [int(m) for m in counts]
-    return _no_pairs(counts[1], counts[0]) if len(counts) == 2 else _ovr_undefined(counts)
 
 
 def auroc_pairwise(pos_scores, neg_scores) -> AurocValue:
@@ -228,40 +224,68 @@ def auroc_rank_scores(pos_scores, neg_scores) -> AurocValue:
     error = _no_pairs(pos.size, neg.size)
     if error is not None:
         raise error
-    ranks = _midranks(np.concatenate([pos, neg]))
-    pos_rank_sum = float(ranks[: pos.size].sum())
-    win_sum = pos_rank_sum - pos.size * (pos.size + 1) / 2.0
-    value = float(_auc_from_win_sum(win_sum, pos.size, neg.size))
+    x = np.concatenate([pos, neg])[None]
+    flags = np.arange(x.shape[1])[None] < pos.size
+    value = float(_ranked_auroc(x, flags, pos.size, neg.size)[0])
     return AurocValue(value=value, n_pos=pos.size, n_neg=neg.size)
 
 
-def auroc_rank_rows(scores, positives) -> np.ndarray:
-    """``auroc_rank_scores`` for every row of a score matrix at once.
-
-    Row t's AUROC ranks its entries flagged in ``positives`` against the
-    rest; it equals, bit for bit, the 1-D route on that row's split, because
-    midranks are half-integers whose sums are exact in any order. Raises
-    ``EmptyClassError`` if a row has no positives or no negatives.
-    """
-    x = np.asarray(scores, dtype=np.float64)
-    pos = np.asarray(positives, dtype=bool)
-    if x.ndim != 2 or pos.shape != x.shape:
-        raise ValueError(f"expected equal-shape 2-D scores and flags, got {x.shape}, {pos.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("scores must be finite (no NaN/inf)")
-    n_pos = pos.sum(axis=1)
-    n_neg = x.shape[1] - n_pos
-    if not (n_pos.all() and n_neg.all()):
-        raise EmptyClassError("a row has no positive or no negative samples: AUROC is undefined")
-    return _ranked_auroc(x, pos, n_pos, n_neg)
-
-
 def _ranked_auroc(x, pos, n_pos, n_neg) -> np.ndarray:
-    """``auroc_rank_rows`` of finite scores whose rows have ``n_pos`` >= 1
-    positives and ``n_neg`` >= 1 negatives, unchecked."""
+    """The AUROC of each row of finite scores ``x``, ranking its entries
+    flagged in ``pos`` against the rest, unchecked: row r needs ``n_pos[r]``
+    >= 1 positives and ``n_neg[r]`` >= 1 negatives. Midranks are
+    half-integers whose sums are exact in any order, so each row's value is
+    the one-row route's bit for bit."""
     ranks = _midranks(x)
     win_sum = np.where(pos, ranks, 0.0).sum(axis=1) - n_pos * (n_pos + 1) / 2.0
     return _auc_from_win_sum(win_sum, n_pos, n_neg)
+
+
+class _Ranking:
+    """Labels (T, n) and the classes to rank, read once: positive flags,
+    counts, and ``errors[t]``, the ``EmptyClassError`` trial t raises or
+    None. With one class ranked that is the binary AUROC's (``_no_pairs``),
+    else strict ``auroc_multiclass_ovr``'s. Called on (T, n, C) scores, it
+    gives (T, K) AUROCs: (t, k) ranks trial t's samples of ``classes[k]``
+    against its others by that class's column.
+    """
+
+    def __init__(self, labels: np.ndarray, classes: Sequence[int]):
+        k = [int(c) for c in classes]
+        # Consecutive classes are a slice, so scoring them takes a view of
+        # the score columns, not a copy.
+        self.columns = slice(k[0], k[-1] + 1) if k == list(range(k[0], k[-1] + 1)) else k
+        self.positives = labels[:, None, :] == np.array(k)[:, None]
+        self.n_pos = self.positives.sum(axis=2)
+        self.n_neg = labels.shape[1] - self.n_pos
+        undefined = ((self.n_pos == 0) | (self.n_neg == 0)).any(axis=1)
+        self.errors = [
+            (_no_pairs(p[0], q[0], k[0]) if len(k) == 1 else _ovr_undefined(k, p, q))
+            if bad else None
+            for bad, p, q in zip(undefined, self.n_pos.tolist(), self.n_neg.tolist())
+        ]
+
+    def __call__(self, scores: np.ndarray, keep=slice(None)) -> np.ndarray:
+        """The (T', K) AUROCs of ``scores``, the (T', n, C) scores of the
+        trials ``keep`` selects (a slice or a boolean mask). A kept trial
+        must have finite scores and no error."""
+        x = np.swapaxes(scores[:, :, self.columns], 1, 2)
+        positives = self.positives[keep]
+        n = x.shape[2]
+        values = _ranked_auroc(x.reshape(-1, n), positives.reshape(-1, n),
+                               self.n_pos[keep].ravel(), self.n_neg[keep].ravel())
+        return values.reshape(positives.shape[:2])
+
+
+def _rank_batch(batch: PredictionBatch, classes: Sequence[int]) -> list[AurocValue]:
+    """The AUROC of each of ``classes`` against the rest of ``batch``, from
+    a ``_Ranking`` of a stack of one; raises its error if one is undefined."""
+    ranking = _Ranking(batch.labels[None], classes)
+    if ranking.errors[0] is not None:
+        raise ranking.errors[0]
+    values = ranking(batch.scores[None])[0]
+    return [AurocValue(value=float(v), n_pos=p, n_neg=q)
+            for v, p, q in zip(values, ranking.n_pos[0].tolist(), ranking.n_neg[0].tolist())]
 
 
 def auroc_rank(batch: PredictionBatch, positive_class: int) -> AurocValue:
@@ -270,9 +294,7 @@ def auroc_rank(batch: PredictionBatch, positive_class: int) -> AurocValue:
         raise ValueError(f"auroc_rank requires a binary batch, got {batch.n_classes} classes")
     if positive_class not in (0, 1):
         raise ValueError(f"positive_class must be 0 or 1, got {positive_class}")
-    col = batch.scores[:, positive_class]
-    pos_mask = batch.labels == positive_class
-    return auroc_rank_scores(col[pos_mask], col[~pos_mask])
+    return _rank_batch(batch, [positive_class])[0]
 
 
 def auroc_multiclass_ovr(batch: PredictionBatch, lenient: bool = False) -> MacroAuroc:
@@ -287,23 +309,15 @@ def auroc_multiclass_ovr(batch: PredictionBatch, lenient: bool = False) -> Macro
     ``per_class`` entry is None and the mean is renormalized over the
     classes that remain.
     """
-    counts = batch.class_counts()
-    n = batch.n_samples
-    error = None if lenient else _ovr_undefined(counts.tolist())
-    if error is not None:
-        raise error
-    per_class: list[Optional[AurocValue]] = []
-    values = []
-    for c in range(batch.n_classes):
-        if counts[c] == 0 or counts[c] == n:
-            per_class.append(None)
-            continue
-        col = batch.scores[:, c]
-        pos_mask = batch.labels == c
-        result = auroc_rank_scores(col[pos_mask], col[~pos_mask])
-        per_class.append(result)
-        values.append(result.value)
-    if not values:
-        raise EmptyClassError("no class has both positives and negatives", class_index=None)
-    macro = float(np.mean(values))
+    classes = range(batch.n_classes)
+    if lenient:
+        counts = batch.class_counts()
+        classes = [c for c in classes if 0 < counts[c] < batch.n_samples]
+        if not classes:
+            raise EmptyClassError("no class has both positives and negatives", class_index=None)
+    per_class: list[Optional[AurocValue]] = [None] * batch.n_classes
+    results = _rank_batch(batch, classes)
+    for c, result in zip(classes, results):
+        per_class[c] = result
+    macro = float(np.mean([r.value for r in results]))
     return MacroAuroc(value=macro, per_class=tuple(per_class))

@@ -31,7 +31,7 @@ from .losses import (
     _Targets,
     stacked_loss,
 )
-from .metrics import _auroc_undefined, _ranked_auroc
+from .metrics import _Ranking
 
 __all__ = [
     "MLPModel",
@@ -391,39 +391,25 @@ def _layers(weights, biases, a, inputs=None, out=None) -> np.ndarray:
 
 class _Scorer:
     """``evaluate_auroc_stacked`` on one partition, for stacks of models of
-    one shape: the checks, class counts, undefined-AUROC errors and class
-    flags are done once, when it is built, and each call scores a stack."""
+    one shape: the checks and the labels' ranking (``metrics._Ranking``:
+    class flags, counts and undefined-AUROC errors) are done once, when it
+    is built, and each call scores a stack."""
 
     def __init__(self, model: MLPStack, features, labels):
         self.x, y = _check_stacked(model, features, labels, "evaluation")
-        n_classes, rows = model.n_classes, y.shape[1]
-        counts = (y[:, :, None] == np.arange(n_classes)).sum(axis=1)
-        undefined = ((counts == 0) | (counts == rows)).any(axis=1)
-        self.errors = [_auroc_undefined(m) if bad else None for m, bad in zip(counts, undefined)]
-        # Binary: class 1 ranked against class 0. Else row (t, c) ranks
-        # class c of trial t against the rest; rows are independent.
-        classes = [1] if n_classes == 2 else range(n_classes)
-        self.positives = y[:, None, :] == np.array(classes)[:, None]
-        self.n_pos = self.positives.sum(axis=2)
-        self.n_neg = rows - self.n_pos
+        # Binary: class 1 ranked against class 0; else one-vs-rest.
+        n_classes = model.n_classes
+        self.ranking = _Ranking(y, [1] if n_classes == 2 else range(n_classes))
 
     def __call__(self, model: MLPStack, epoch: int | None = None):
         logits = _layers(model.weights, model.biases, self.x)
         errors = [_non_finite("evaluation logits", epoch) if bad else error
-                  for bad, error in zip(_nonfinite_rows(logits), self.errors)]
+                  for bad, error in zip(_nonfinite_rows(logits), self.ranking.errors)]
         ok = np.array([error is None for error in errors])
         values = np.full(model.n_models, np.nan)
         if ok.any():
             keep = slice(None) if ok.all() else ok
-            probs = _softmax_rows(logits[keep])
-            positives = self.positives[keep]
-            if positives.shape[1] == 1:
-                scores = probs[:, :, 1]
-            else:
-                scores = np.swapaxes(probs, 1, 2).reshape(-1, probs.shape[1])
-            per_row = _ranked_auroc(scores, positives.reshape(scores.shape),
-                                    self.n_pos[keep].ravel(), self.n_neg[keep].ravel())
-            values[keep] = np.mean(per_row.reshape(positives.shape[:2]), axis=1)
+            values[keep] = np.mean(self.ranking(_softmax_rows(logits[keep]), keep), axis=1)
         return values, tuple(errors)
 
 

@@ -4,7 +4,9 @@ tests' reference.
 ``binary_auc_loss``, ``multiclass_auc_loss`` and ``cross_entropy_loss``
 are the textbook formulas: a full pair grid per class, summed row by row and
 column by column. ``train`` trains one model with them, one batch at a time,
-and ``run_trial`` runs one Monte Carlo trial arm by arm through it. The
+and ``run_trial`` runs one Monte Carlo trial arm by arm through it.
+``evaluate_auroc`` scores a model by the pairwise AUROC definition
+(``auroc_pairwise``), not by the package's rank-sum kernel. The
 package computes every loss with its blocked kernel
 (``rankloss.losses.stacked_loss``) and trains every trial in its
 trial-batched engine (``rankloss.network.train_stacked``); the tests hold
@@ -21,6 +23,7 @@ from rankloss import (
     DEFAULT_SURROGATE,
     LOSS_KINDS,
     Dataset,
+    EmptyClassError,
     ExperimentConfig,
     LossOutput,
     MLPModel,
@@ -28,8 +31,7 @@ from rankloss import (
     RanklossError,
     SurrogateParams,
     TrainConfig,
-    auroc_multiclass_ovr,
-    auroc_rank,
+    auroc_pairwise,
     forward,
     init_model,
     monte_carlo_split,
@@ -246,18 +248,28 @@ def _require_finite(values, what: str, epoch: int | None = None, batch: int | No
 def evaluate_auroc(
     model: MLPModel, features: np.ndarray, labels: np.ndarray, epoch: int | None = None
 ) -> float:
-    """Exact AUROC of the model's softmax scores on one partition.
+    """Exact AUROC of the model's softmax scores on one partition, by the
+    pairwise definition.
 
     Binary AUROC of the last class for 2-class models, macro one-vs-rest
     otherwise. Non-finite logits raise ``NonFiniteError``; ``epoch`` only
-    labels that error.
+    labels that error. Labels that leave the AUROC undefined raise the
+    ``EmptyClassError`` that ``auroc_rank`` of class 1 or strict
+    ``auroc_multiclass_ovr`` raises. The values come from ``auroc_pairwise``,
+    which counts pair wins by enumeration, not by the engine's midranks.
     """
     logits = forward(model, features)
     _require_finite(logits, "evaluation logits", epoch)
-    batch = PredictionBatch(softmax(logits), labels, probabilities=True)
+    probs = softmax(logits)
     if model.n_classes == 2:
-        return auroc_rank(batch, positive_class=1).value
-    return auroc_multiclass_ovr(batch).value
+        return auroc_pairwise(probs[labels == 1, 1], probs[labels == 0, 1]).value
+    for c, m in enumerate(np.bincount(labels, minlength=model.n_classes)):
+        if m == 0 or m == labels.size:
+            which = f"class {c} has no samples" if m == 0 else f"every sample is of class {c}"
+            raise EmptyClassError(f"{which}: one-vs-rest AUROC is undefined", class_index=c)
+    values = [auroc_pairwise(probs[labels == c, c], probs[labels != c, c]).value
+              for c in range(model.n_classes)]
+    return float(np.mean(values))
 
 
 @np.errstate(over="ignore", invalid="ignore")

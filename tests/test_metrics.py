@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rankloss import (
     EmptyClassError,
@@ -9,10 +10,10 @@ from rankloss import (
     auroc_multiclass_ovr,
     auroc_pairwise,
     auroc_rank,
-    auroc_rank_rows,
     auroc_rank_scores,
     stratified_batches,
 )
+from rankloss.metrics import _ranked_auroc, _Ranking
 
 from conftest import pairwise_oracle, random_batch, random_pos_neg
 
@@ -66,6 +67,17 @@ class TestRankEquivalence:
         expected = auroc_pairwise(col[batch.labels == 1], col[batch.labels == 0]).value
         assert auroc_rank(batch, positive_class=1).value == expected
 
+    @pytest.mark.parametrize("positive_class", [0, 1])
+    @pytest.mark.parametrize("empty_side", ["positive", "negative"])
+    def test_batch_wrapper_names_the_empty_class(self, positive_class, empty_side):
+        # Every sample is of one class; the error names the other, empty one.
+        present = 1 - positive_class if empty_side == "positive" else positive_class
+        batch = PredictionBatch(np.zeros((4, 2)), [present] * 4)
+        with pytest.raises(EmptyClassError) as err:
+            auroc_rank(batch, positive_class=positive_class)
+        assert err.value.class_index == 1 - present
+        assert str(err.value) == f"no {empty_side} samples: AUROC is undefined"
+
     def test_batch_wrapper_requires_binary(self):
         with pytest.raises(ValueError):
             auroc_rank(random_batch(0, 30, 3), positive_class=0)
@@ -86,13 +98,17 @@ class TestCrossLibrary:
             assert np.array_equal(_midranks(x), rankdata(x, method="average", axis=-1))
 
     def test_rank_rows_match_rank_scores(self):
+        # The rows kernel on a stack of splits equals the one-row route and
+        # the pairwise definition on each row's split.
         rng = np.random.default_rng(6)
         scores = np.round(rng.normal(size=(20, 40)), 1)
         positives = rng.random(size=(20, 40)) < 0.4
         positives[:, :2] = [True, False]
-        got = auroc_rank_rows(scores, positives)
+        n_pos = positives.sum(axis=1)
+        got = _ranked_auroc(scores, positives, n_pos, 40 - n_pos)
         for row, flags, value in zip(scores, positives, got):
             assert value == auroc_rank_scores(row[flags], row[~flags]).value
+            assert value == auroc_pairwise(row[flags], row[~flags]).value
 
     def test_matches_sklearn_binary(self):
         sk = pytest.importorskip("sklearn.metrics")
@@ -141,6 +157,31 @@ class TestProperties:
     @given(quantized, quantized)
     def test_rank_equals_pairwise_on_ties(self, pos, neg):
         assert auroc_rank_scores(pos, neg).value == auroc_pairwise(pos, neg).value
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.data())
+    def test_ranking_stack_equals_pairwise(self, data):
+        # Random (T, n, C) scores on a few levels, labels that leave some
+        # trials' AUROC undefined (and only those have an error), a random subset of classes ranked, and
+        # random trials masked out: every kept (trial, class) value is the
+        # pairwise definition's on that column, bit for bit.
+        T, n, C = data.draw(st.tuples(st.integers(1, 5), st.integers(2, 30), st.integers(2, 4)))
+        levels = st.integers(-3, 3).map(lambda q: q / 4)
+        scores = data.draw(hnp.arrays(np.float64, (T, n, C), elements=levels))
+        labels = data.draw(hnp.arrays(np.int64, (T, n), elements=st.integers(0, C - 1)))
+        classes = sorted(data.draw(st.sets(st.integers(0, C - 1), min_size=1)))
+        ranking = _Ranking(labels, classes)
+        for y, error in zip(labels, ranking.errors):
+            assert (error is None) == all(0 < (y == c).sum() < n for c in classes)
+        masked = data.draw(hnp.arrays(bool, T))
+        keep = masked & np.array([e is None for e in ranking.errors])
+        assume(keep.any())
+        got = ranking(scores[keep], keep)
+        assert got.shape == (keep.sum(), len(classes))
+        for row, t in zip(got, np.flatnonzero(keep)):
+            for value, c in zip(row, classes):
+                col, y = scores[t, :, c], labels[t]
+                assert value == auroc_pairwise(col[y == c], col[y != c]).value
 
     @settings(deadline=None)
     @given(
