@@ -122,6 +122,28 @@ class TestStratifiedBatches:
         with pytest.raises(InfeasibleBatchError):
             stratified_batches(np.array([0, 1, 2, 0, 1, 2]), batch_size=2, seed=0, epoch=0)
 
+    @pytest.mark.parametrize("labels, batch_size, seed, epoch, error, message", [
+        ([[0, 1], [1, 0]], 2, -1, 0, ValueError, "labels must be a non-empty 1-D array"),
+        ([], 2, -1, 0, ValueError, "labels must be a non-empty 1-D array"),
+        ([0, 0, 0, 0], 2, -1, 0, ValueError, "seed and epoch must be nonnegative"),
+        ([0, 0, 0, 0], 2, 0, -1, ValueError, "seed and epoch must be nonnegative"),
+        ([0, 1, 0, 1], 0, -1, 0, ValueError, "seed and epoch must be nonnegative"),
+        ([0, 0, 0, 0], 2, 0, 0, InfeasibleBatchError,
+         "cannot form class-balanced batches from a single class"),
+        ([0, 0, 0, 0], 0, 0, 0, InfeasibleBatchError,
+         "cannot form class-balanced batches from a single class"),
+        ([0, 1, 2, 0, 1, 2], 2, 0, 0, InfeasibleBatchError,
+         "batch_size 2 cannot hold one sample of each of 3 classes"),
+        ([0, 1, 0, 1], 0, 0, 0, InfeasibleBatchError,
+         "batch_size 0 cannot hold one sample of each of 2 classes"),
+    ])
+    def test_boundary_errors(self, labels, batch_size, seed, epoch, error, message):
+        # The labels are checked first, then seed and epoch, then whether
+        # balanced batches can exist at all.
+        with pytest.raises(error) as exc:
+            stratified_batches(np.array(labels), batch_size, seed, epoch)
+        assert type(exc.value) is error and str(exc.value) == message
+
     def test_imbalanced_minority_guarantee(self):
         labels = np.concatenate([np.zeros(90, dtype=int), np.ones(10, dtype=int)])
         for seed in range(50):
@@ -623,6 +645,40 @@ class TestTrainStacked:
             None, None if kind == "cross_entropy" else lost_class_2, None, None,
             "EmptyClassError: class 1 has no samples: one-vs-rest AUROC is undefined", None,
         ]
+
+    @pytest.mark.parametrize("batch_size", [2, 8])
+    def test_sampler_errors_match_per_trial_train(self, batch_size):
+        # One stack of four trials: trial 0 has 3 classes, too many for
+        # batches of 2; trials 1 and 3 hold one class, and trial 3's initial
+        # logits are non-finite, which it meets first. Trial 2 has 2 classes.
+        # The failed trials keep their initial weights, the others train.
+        rng = np.random.default_rng(5)
+        x, val_x = rng.normal(size=(4, 24, 4)), rng.normal(size=(4, 12, 4))
+        y = rng.permuted(np.stack([np.arange(24) % 3, np.zeros(24, dtype=int),
+                                   np.arange(24) % 2, np.full(24, 2)]), axis=1)
+        val_y = np.stack([rng.permutation(np.arange(12) % 3) for _ in range(4)])
+        models = [init_model((4, 5, 3), seed) for seed in range(4)]
+        models[3].biases[-1][:] = np.inf
+        configs = [TrainConfig(batch_size=batch_size, loss_kind="cross_entropy", max_epochs=3,
+                               seed=seed) for seed in range(4)]
+        run = train_stacked(MLPStack.of(models), x, y, val_x, val_y, configs)
+        expected = []
+        for t in range(4):
+            try:
+                trained, _ = train(models[t], x[t], y[t], val_x[t], val_y[t], configs[t])
+            except RanklossError as exc:
+                expected.append(f"{type(exc).__name__}: {exc}")
+                trained = models[t]
+            else:
+                expected.append(None)
+            stacked = run.model.model(t)
+            for a, b in zip(trained.weights + trained.biases, stacked.weights + stacked.biases):
+                assert np.array_equal(a, b)
+        assert [None if e is None else f"{type(e).__name__}: {e}" for e in run.errors] == expected
+        too_small = "InfeasibleBatchError: batch_size 2 cannot hold one sample of each of 3 classes"
+        single = "InfeasibleBatchError: cannot form class-balanced batches from a single class"
+        assert expected == [too_small if batch_size == 2 else None, single, None,
+                            "NonFiniteError: initial logits became non-finite"]
 
     def test_one_model_train_is_the_engine(self):
         # rankloss.train runs one model through train_stacked: the oracle's
