@@ -16,10 +16,10 @@ are derived analytically via f'(x) = (k/L) f(x) (L - f(x)) chained through
 softmax. ``finite_diff_check`` verifies any loss gradient against central
 differences.
 
-Each loss has one implementation, ``stacked_loss``, which computes it for a
-stack of padded batches, one per trial, as training needs. The per-batch
-functions (``binary_auc_loss``, ``multiclass_auc_loss``,
-``cross_entropy_loss`` and ``loss_function``'s callables) call it on a stack
+Each loss has one implementation, the kernel behind ``stacked_loss``, which
+computes it for a stack of padded batches, one per trial, as training needs.
+The per-batch functions (``binary_auc_loss``, ``multiclass_auc_loss``,
+``cross_entropy_loss`` and ``loss_function``'s callables) run it on a stack
 of one. The pairwise kinds walk each pair grid in blocks of ``PAIR_BLOCK``
 pairs, so their temporaries stay a few MB however large the batch.
 
@@ -257,15 +257,16 @@ def cross_entropy_loss(batch: PredictionBatch, want_grad: bool = False) -> LossO
 
 
 def _one_batch(kind, name, batch: PredictionBatch, params, want_grad) -> LossOutput:
-    """``stacked_loss`` of one batch, a stack of one trial, once the batch
-    has passed the per-batch checks, which raise the per-batch messages."""
+    """``_kernel`` of one batch, a stack of one trial, once the batch has
+    passed the per-batch checks, which raise the per-batch messages."""
     if kind == "auc_binary" and batch.n_classes != 2:
         raise ValueError(f"binary_auc_loss requires 2 classes, got {batch.n_classes}")
     _require_logits(batch, name)
     error = _missing_class(kind, batch.class_counts())
     if error is not None:
         raise error
-    value, grad = stacked_loss(kind, batch.scores[None], batch.labels[None], params, want_grad)
+    targets = _targets(kind, batch.labels[None, None], batch.n_classes)[0]
+    value, grad = _kernel(kind, batch.scores[None], targets, params, want_grad)
     return LossOutput(value=float(value[0]), grad=None if grad is None else grad[0])
 
 
@@ -305,10 +306,8 @@ def stacked_loss(
     """Loss values (T,) and, when asked, d(value)/d(logits) for T padded batches.
 
     Every trial's batch must hold at least one sample of each class the loss
-    ranks; ``EmptyClassError`` names the first trial that does not.
-    ``labels`` may also be this module's ``_Targets`` of the labels for
-    ``kind``, which a caller stepping through many batches derives for all
-    of them at once (``_targets``).
+    ranks; ``EmptyClassError`` names the first trial that does not. The
+    training engine checks its data once and calls ``_kernel`` directly.
 
     ``want_value=False`` is for callers that need only the gradient: the AUC
     kinds then return None for the value and skip the surrogate terms, a
@@ -319,16 +318,19 @@ def stacked_loss(
     gradients are the same bit for bit with and without it.
     """
     z = np.asarray(logits, dtype=np.float64)
-    targets = labels if isinstance(labels, _Targets) else None
-    shape = targets.shape if targets else np.shape(labels)
+    shape = np.shape(labels)
     if z.ndim != 3 or shape != z.shape[:2]:
         raise ValueError(f"expected (T, P, C) logits and (T, P) labels, got {z.shape}, {shape}")
     if kind == "auc_binary" and z.shape[2] != 2:
         raise ValueError(f"binary_auc_loss requires 2 classes, got {z.shape[2]}")
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
-    if targets is None:
-        targets = _targets(kind, np.asarray(labels, dtype=np.int64)[None], z.shape[2])[0]
+    targets = _targets(kind, np.asarray(labels, dtype=np.int64)[None], z.shape[2])[0]
+    return _kernel(kind, z, targets, params, want_grad, want_value=want_value, pool=pool)
+
+
+def _kernel(kind, z, targets, params, want_grad, *, want_value=True, pool=None):
+    """``stacked_loss`` of checked float64 logits and their labels' ``_Targets``."""
     if kind == "cross_entropy":
         return _stacked_cross_entropy(z, targets, want_grad)
     return _stacked_auc(kind, z, targets, params, want_grad, want_value, pool)
@@ -359,7 +361,6 @@ class _Targets:
     rows per trial ``n`` and the one-hot labels ``hit`` (T, P, C). AUC kinds:
     one ``_ClassPairs`` per class ranked."""
 
-    shape: tuple
     valid: Optional[np.ndarray] = None
     n: Optional[np.ndarray] = None
     hit: Optional[np.ndarray] = None
@@ -378,7 +379,7 @@ def _targets(kind: str, labels: np.ndarray, n_classes: int) -> list[_Targets]:
     if kind == "cross_entropy":
         valid = labels >= 0
         n, hit = valid.sum(axis=2), labels[..., None] == np.arange(n_classes)
-        return [_Targets((n_trials, rows), valid[b, :, :, None], n[b], hit[b])
+        return [_Targets(valid[b, :, :, None], n[b], hit[b])
                 for b in range(n_batches)]
     classes = [1] if kind == "auc_binary" else list(range(n_classes))
     key = (labels != np.array(classes)[:, None, None, None]).astype(np.int8)
@@ -414,7 +415,7 @@ def _targets(kind: str, labels: np.ndarray, n_classes: int) -> list[_Targets]:
                 widths=sorted({q for _, q in counts}),
                 singles=sorted({p for p, q in counts if q == 1}),
             ))
-        steps.append(_Targets((n_trials, rows), pairs=tuple(pairs)))
+        steps.append(_Targets(pairs=tuple(pairs)))
     return steps
 
 

@@ -26,6 +26,7 @@ from .losses import (
     LOSS_KINDS,
     SurrogateParams,
     _missing_class,
+    _kernel,
     _softmax_rows,
     _targets,
     _Targets,
@@ -150,25 +151,31 @@ def forward(model: MLPModel, features: np.ndarray) -> np.ndarray:
     return a
 
 
-def _batch_count(class_counts: np.ndarray, batch_size: int) -> np.ndarray:
-    """The sampler's batch count for each row of per-class counts."""
-    n = class_counts.sum(axis=-1)
-    # Any batch size of at least n gives one batch; clamping it keeps one
-    # past the int64 range out of the division.
-    batch_size = min(batch_size, int(n.max()))
-    return np.minimum(np.maximum(1, n // batch_size), class_counts.min(axis=-1))
-
-
 class _LabelGroups:
-    """Training labels grouped by class, done once for a training run's epochs."""
+    """Training labels, checked and grouped once for a run's epochs: each
+    observed class's members and count, the batch count at ``batch_size``,
+    and the ``InfeasibleBatchError`` sampling them raises, or None."""
 
-    def __init__(self, labels):
+    def __init__(self, labels, batch_size: int):
         y = np.asarray(labels)
         if y.ndim != 1 or y.size == 0:
             raise ValueError("labels must be a non-empty 1-D array")
         self.n = y.size
         self.members = [np.flatnonzero(y == c) for c in np.unique(y)]
-        self.counts = np.array([m.size for m in self.members])
+        counts = [m.size for m in self.members]
+        self.counts = np.array(counts)
+        n_classes, self.n_batches, self.error = len(counts), 0, None
+        if n_classes < 2:
+            self.error = InfeasibleBatchError(
+                "cannot form class-balanced batches from a single class"
+            )
+        elif batch_size < n_classes:
+            self.error = InfeasibleBatchError(
+                f"batch_size {batch_size} cannot hold one sample of each of "
+                f"{n_classes} classes"
+            )
+        else:  # on Python ints: a batch size past the int64 range gives one batch
+            self.n_batches = int(min(max(1, self.n // batch_size), min(counts)))
 
 
 def stratified_batches(labels, batch_size: int, seed: int, epoch: int) -> list[np.ndarray]:
@@ -179,41 +186,32 @@ def stratified_batches(labels, batch_size: int, seed: int, epoch: int) -> list[n
     index set and every batch holds at least one sample of every class. The
     batch count is floor(n / batch_size), clamped to the smallest class
     count (a remainder that cannot form a full batch is absorbed by the
-    others). ``labels`` may also be this module's ``_LabelGroups`` of the
-    labels, which a caller sampling many epochs builds once.
+    others). Checks, in order: the labels, then seed and epoch
+    (``ValueError``), then ``_LabelGroups``'s ``InfeasibleBatchError``.
     """
-    groups = labels if isinstance(labels, _LabelGroups) else _LabelGroups(labels)
-    index, sizes = _batch_index([groups], [seed], batch_size, epoch)
+    groups = _LabelGroups(labels, batch_size)
+    if seed < 0 or epoch < 0:
+        raise ValueError("seed and epoch must be nonnegative")
+    if groups.error is not None:
+        raise groups.error
+    index, sizes = _batch_index([groups], [seed], epoch)
     return [row[:size] for row, size in zip(index[0], sizes[0].tolist())]
 
 
-def _batch_index(groups: Sequence[_LabelGroups], seeds: Sequence[int], batch_size: int,
+def _batch_index(groups: Sequence[_LabelGroups], seeds: Sequence[int],
                  epoch: int) -> tuple[np.ndarray, np.ndarray]:
     """``stratified_batches`` of every trial t, for ``groups[t]`` and ``seeds[t]``.
 
-    The trials must share their sample count, their number of classes and
-    their batch count; their per-class counts m_tc may differ. Returns
-    ``index`` (T, n_batches, P), whose row b of trial t starts with that
-    trial's batch b and is zero-padded to P = max_t sum_c ceil(m_tc / n_batches)
-    entries, and the batch sizes (T, n_batches).
+    Unchecked: the groups must be feasible and share their sample count,
+    number of classes and batch count, and the seeds and epoch must be
+    nonnegative; the per-class counts m_tc may differ. Returns ``index``
+    (T, n_batches, P), whose row b of trial t starts with that trial's batch
+    b and is zero-padded to P = max_t sum_c ceil(m_tc / n_batches) entries,
+    and the batch sizes (T, n_batches).
     """
-    if min(seeds) < 0 or epoch < 0:
-        raise ValueError("seed and epoch must be nonnegative")
     counts = np.stack([trial.counts for trial in groups])
     n_classes = counts.shape[1]
-    if n_classes < 2:
-        raise InfeasibleBatchError(
-            "cannot form class-balanced batches from a single class"
-        )
-    if batch_size < n_classes:
-        raise InfeasibleBatchError(
-            f"batch_size {batch_size} cannot hold one sample of each of "
-            f"{n_classes} classes"
-        )
-    per_trial = _batch_count(counts, batch_size)
-    if (counts.sum(axis=1) != counts[0].sum()).any() or (per_trial != per_trial[0]).any():
-        raise ValueError("stacked trials must share their sample and batch counts")
-    n_trials, n, n_batches = len(groups), groups[0].n, int(per_trial[0])
+    n_trials, n, n_batches = len(groups), groups[0].n, groups[0].n_batches
 
     # Each trial's stream: per class a permutation of its members and one
     # of the batches, then (below) one shuffle per batch, in batch order.
@@ -275,6 +273,8 @@ def _non_finite(what: str, epoch: int | None = None, batch: int | None = None) -
 # sum_c ceil(m_c / n_batches), and its kernels sum over each trial's real
 # rows and pairs only. Either way a trial's arithmetic does not depend on
 # which other trials share its stack.
+# Data is checked once per run, so the steps call the unchecked code behind
+# ``stratified_batches`` and ``stacked_loss``: ``_batch_index``, ``_kernel``.
 
 
 @lru_cache(maxsize=8)
@@ -446,13 +446,6 @@ class _Batch:
     targets: _Targets
 
 
-def _sample(groups, seeds, config: TrainConfig, epoch: int, train_x, train_y,
-            n_classes: int) -> list[_Batch]:
-    """The epoch's steps of a stack of trials, from ``_batch_index``."""
-    index, sizes = _batch_index(groups, seeds, config.batch_size, epoch)
-    return _plan(index, sizes, train_x, train_y, config.loss_kind, n_classes)
-
-
 def _plan(index, sizes, train_x, train_y, kind: str, n_classes: int) -> list[_Batch]:
     """The steps, one per batch b, whose batches are the rows
     ``index[t, b, :sizes[t, b]]`` of ``train_x[t]`` and ``train_y[t]``. Trials
@@ -505,8 +498,8 @@ def _step(stack: MLPStack, batch: _Batch, config: TrainConfig, pool=None
         _layers([w[lo:hi] for w in weights], [b[lo:hi] for b in biases], batch.x[lo:hi, :size],
                 inputs, logits[lo:hi, :size])
         cached.append(inputs)
-    values, grad = stacked_loss(config.loss_kind, logits, batch.targets, config.surrogate, True,
-                                want_value=_value_needed(config, batch.x.shape[1]), pool=pool)
+    values, grad = _kernel(config.loss_kind, logits, batch.targets, config.surrogate, True,
+                           want_value=_value_needed(config, batch.x.shape[1]), pool=pool)
     # Backprop writes each run's gradients into its rows of one stack,
     # laid out as the parameters, which then updates them in one step.
     step = MLPStack(dims, np.empty_like(current.params))
@@ -554,16 +547,17 @@ def train_stacked(
     ``EmptyClassError``); a non-finite initial loss; the sampler's
     ``InfeasibleBatchError``; then per step non-finite logits or loss,
     naming the epoch and batch, and per epoch the validation scoring's
-    error. A step that makes a weight non-finite is caught by the next
-    forward pass, batch or validation, whose logits it poisons. The error
+    error. A trial that fails before its first step joins no stack. A step
+    that makes a weight non-finite is caught by the next forward pass,
+    batch or validation, whose logits it poisons. The error
     is recorded, the other trials train on, and the failed trial stays in
     its stack, masked: no kernel reduces across trials, so its non-finite
     values reach no other trial's arithmetic. NumPy's overflow and
     invalid-value warnings are silenced, as that arithmetic is expected and
     the trial's error already reports it.
 
-    ``pool`` is passed on to every ``stacked_loss`` call, whose pairwise
-    kernel may run on its threads; the result does not depend on it.
+    ``pool`` is passed on to every loss call, whose pairwise kernel may run
+    on its threads; the result does not depend on it.
     """
     config = configs[0]
     if len(configs) != model.n_models or any(
@@ -597,14 +591,13 @@ def train_stacked(
         values[ok] = stacked_loss(config.loss_kind, logits[ok], train_y[ok], config.surrogate,
                                   pool=pool)[0]
     fail(~np.isfinite(values), "initial loss")
+    groups = [_LabelGroups(y, config.batch_size) for y in train_y]
+    fail_each([trial.error for trial in groups])
 
     # The trials left step in stacks of equal class and batch counts.
-    groups = [_LabelGroups(y) for y in train_y]
     stacks: dict[tuple[int, int], list[int]] = {}
     for t in np.flatnonzero(~failed).tolist():
-        counts = groups[t].counts
-        key = (counts.size, int(_batch_count(counts, config.batch_size)))
-        stacks.setdefault(key, []).append(t)
+        stacks.setdefault((groups[t].counts.size, groups[t].n_batches), []).append(t)
     seeds = [c.seed for c in configs]
     for epoch in range(config.max_epochs):
         if failed.all():
@@ -613,14 +606,10 @@ def train_stacked(
             if failed[trials].all():
                 continue
             pick = trials if len(trials) < model.n_models else slice(None)
-            try:
-                steps = _sample([groups[t] for t in trials], [seeds[t] for t in trials], config,
-                                epoch, train_x[pick], train_y[pick], model.n_classes)
-            except RanklossError as exc:
-                # A stack's trials share their class count, so they fail the
-                # sampler together, in the first epoch, before any checkpoint.
-                fail_each([exc] * len(trials), trials)
-                continue
+            index, sizes = _batch_index([groups[t] for t in trials], [seeds[t] for t in trials],
+                                        epoch)
+            steps = _plan(index, sizes, train_x[pick], train_y[pick], config.loss_kind,
+                          model.n_classes)
             part = MLPStack(model.layer_dims, work.params[pick])
             for batch, step in enumerate(steps):
                 bad_logits, bad_loss = _step(part, step, config, pool)

@@ -41,7 +41,7 @@ from rankloss import (
 )
 from rankloss.harness import _trial_error
 from rankloss.losses import LossFn, _missing_class, _require_logits
-from rankloss.network import _check_features, _LabelGroups, _non_finite
+from rankloss.network import _check_features, _non_finite
 
 
 def _sigmoid(t: np.ndarray, want_slope: bool = False):
@@ -317,9 +317,8 @@ def train(
     best_auroc = -np.inf
     best_model = work.copy()
 
-    groups = _LabelGroups(train_y)
     for epoch in range(config.max_epochs):
-        batches = stratified_batches(groups, config.batch_size, config.seed, epoch)
+        batches = stratified_batches(train_y, config.batch_size, config.seed, epoch)
         epoch_losses = []
         for batch_no, batch_idx in enumerate(batches):
             logits, inputs, pre_acts = _forward_cached(work, train_x[batch_idx])

@@ -27,7 +27,8 @@ from rankloss import (
     train_stacked,
     trial_seeds,
 )
-from rankloss.network import _batch_index, _LabelGroups, _plan, _sample, _step
+from rankloss.losses import DEFAULT_SURROGATE, _kernel
+from rankloss.network import _batch_index, _LabelGroups, _plan, _step
 
 from oracle import evaluate_auroc, multiclass_auc_loss, train
 
@@ -204,10 +205,13 @@ class TestStratifiedBatches:
         try:
             want = [stratified_batches(y, batch_size, s, epoch) for y, s in zip(labels, seeds)]
         except InfeasibleBatchError as exc:
-            with pytest.raises(InfeasibleBatchError, match=str(exc)):
-                _batch_index([_LabelGroups(y) for y in labels], seeds, batch_size, epoch)
+            for y in labels:
+                error = _LabelGroups(y, batch_size).error
+                assert type(error) is InfeasibleBatchError and str(error) == str(exc)
             return
-        index, sizes = _batch_index([_LabelGroups(y) for y in labels], seeds, batch_size, epoch)
+        groups = [_LabelGroups(y, batch_size) for y in labels]
+        assert all(trial.error is None for trial in groups)
+        index, sizes = _batch_index(groups, seeds, epoch)
         n_batches = len(want[0])
         width = sum(-(-m // n_batches) for m in counts)
         assert index.shape == (n_trials, n_batches, width)
@@ -233,9 +237,8 @@ class TestStratifiedBatches:
                        for t in range(6)])
         x, y = ds.features[tr], ds.labels[tr]
         seeds = [trial_seeds(0, t).shuffle for t in range(6)]
-        config = TrainConfig(batch_size=batch_size, loss_kind=kind)
-        steps = _sample([_LabelGroups(labels) for labels in y], seeds, config, 2, x, y,
-                        len(counts))
+        index, sizes = _batch_index([_LabelGroups(labels, batch_size) for labels in y], seeds, 2)
+        steps = _plan(index, sizes, x, y, kind, len(counts))
         want = [stratified_batches(labels, batch_size, seed, 2) for labels, seed in zip(y, seeds)]
         assert len(steps) == len(want[0])
         rng = np.random.default_rng(0)
@@ -254,7 +257,7 @@ class TestStratifiedBatches:
                 assert np.array_equal(step.x[i, : rows.size], x[t, rows])
                 labels[i, : rows.size] = y[t, rows]
             logits = rng.normal(size=labels.shape + (len(counts),))
-            planned = stacked_loss(kind, logits, step.targets, want_grad=True)
+            planned = _kernel(kind, logits, step.targets, DEFAULT_SURROGATE, True)
             derived = stacked_loss(kind, logits, labels, want_grad=True)
             assert all(np.array_equal(a, b) for a, b in zip(planned, derived))
         assert any(len(step.runs) > 1 for step in steps)
@@ -620,7 +623,7 @@ class TestTrainStacked:
         train_y, val_y = y[tr], y[va]
         train_y[1][train_y[1] == 2] = 0
         val_y[4][val_y[4] == 1] = 0
-        assert [_LabelGroups(labels).counts.size for labels in train_y] == [3, 2, 3, 3, 3, 3]
+        assert [_LabelGroups(labels, 8).counts.size for labels in train_y] == [3, 2, 3, 3, 3, 3]
         assert [len(stratified_batches(labels, 8, 0, 0)) for labels in train_y] == [4, 4, 4, 3, 4, 4]
         seeds = [trial_seeds(0, t) for t in range(6)]
         models = [init_model((4, 5, 3), s.init) for s in seeds]
@@ -675,8 +678,9 @@ class TestTrainStacked:
             for a, b in zip(trained.weights + trained.biases, stacked.weights + stacked.biases):
                 assert np.array_equal(a, b)
         assert [None if e is None else f"{type(e).__name__}: {e}" for e in run.errors] == expected
-        too_small = "InfeasibleBatchError: batch_size 2 cannot hold one sample of each of 3 classes"
-        single = "InfeasibleBatchError: cannot form class-balanced batches from a single class"
+        infeasible = "InfeasibleBatchError: "
+        too_small = infeasible + "batch_size 2 cannot hold one sample of each of 3 classes"
+        single = infeasible + "cannot form class-balanced batches from a single class"
         assert expected == [too_small if batch_size == 2 else None, single, None,
                             "NonFiniteError: initial logits became non-finite"]
 
