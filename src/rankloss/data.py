@@ -188,12 +188,15 @@ def _read_rows(path, label_column: str) -> tuple[np.ndarray, list[str]]:
     A short or long row, an empty label cell, and a missing, non-numeric or
     non-finite value cell raise ``NonNumericCellError`` naming the 0-based
     data row and the column; a file that is not UTF-8 raises ``CsvError``.
+    A leading UTF-8 byte-order mark is not part of the first column's name.
     """
     path = Path(path)
     try:
         text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CsvError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    # Dropped after decoding, so the byte offsets above count the mark.
+    text = text.removeprefix("\ufeff")
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)

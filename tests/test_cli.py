@@ -101,6 +101,13 @@ class TestMetricCommand:
         assert payload["auroc"] == pytest.approx(expected, abs=1e-15)
         assert len(payload["per_class"]) == 3
 
+    def test_byte_order_mark_before_label_column(self, tmp_path, capsys):
+        # Files saved by spreadsheet programs often start with one.
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbftarget,score\n0,0.1\n0,0.4\n1,0.35\n1,0.8\n")
+        assert main(["metric", "--input", str(path), "--label-col", "target"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"auroc": 0.75, "n_pos": 2, "n_neg": 2}
+
     def test_malformed_input_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("score,target\noops,1\n")

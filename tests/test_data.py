@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from rankloss import (
     ArmConfig,
+    CsvError,
     Dataset,
     EmptyFileError,
     ExperimentConfig,
@@ -14,6 +15,7 @@ from rankloss import (
     SyntheticSpec,
     generate_synthetic,
     load_csv,
+    load_scores_csv,
     run_experiment,
     save_csv,
 )
@@ -131,6 +133,22 @@ class TestCsv:
             load_csv(path, "kind")
         path.write_text("x,y,kind\n")
         with pytest.raises(EmptyFileError):
+            load_csv(path, "kind")
+
+    def test_byte_order_mark_is_not_part_of_the_label_column(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfkind,x,y\na,1.0,2.0\nb,3.0,4.0\n")
+        ds = load_csv(path, "kind")
+        assert ds.labels.tolist() == [0, 1] and ds.class_names == ("a", "b")
+        assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        path.write_bytes(b"\xef\xbb\xbftarget,s0,s1\n1,0.2,0.8\n0,0.6,0.4\n")
+        scores, labels = load_scores_csv(path, "target")
+        assert labels.tolist() == [1, 0] and scores.tolist() == [[0.2, 0.8], [0.6, 0.4]]
+
+    def test_not_utf8_offset_counts_the_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfkind,x\n\xff,1.0\n")
+        with pytest.raises(CsvError, match=r"not UTF-8 text \(invalid start byte at byte 10\)"):
             load_csv(path, "kind")
 
     def test_round_trip(self, tmp_path):
