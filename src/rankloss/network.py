@@ -25,8 +25,8 @@ from .losses import (
     DEFAULT_SURROGATE,
     LOSS_KINDS,
     SurrogateParams,
-    _missing_class,
     _kernel,
+    _missing_class,
     _softmax_rows,
     _targets,
     _Targets,
