@@ -32,10 +32,11 @@ from rankloss import (
     stratified_batches,
     t_test,
 )
-from rankloss.cli import main
+from rankloss.cli import _parse_compare_config, main
 
 from conftest import random_batch, random_pos_neg
 from test_harness import t_test_oracle
+from test_readme import JSON_BLOCKS
 
 
 @contextmanager
@@ -113,32 +114,36 @@ def test_criterion_4_binary_multiclass_consistency():
         assert worst <= 1e-12, f"max deviation {worst}"
 
 
+# The paper's reference protocol: README's `compare` config, with the
+# optional arm fields spelled out.
+REFERENCE_CONFIG = {
+    "dataset": {
+        "synthetic": {
+            "class_counts": [143, 71, 125],
+            "dim": 8,
+            "class_mean_separation": 2.0,
+            "noise_std": 1.0,
+            "label_flip_prob": 0.05,
+            "seed": 42,
+        }
+    },
+    "model": {"hidden_dims": [16]},
+    "split": {"ratios": [0.6, 0.2, 0.2], "stratified": True,
+              "n_repeats": 100, "base_seed": 0},
+    "arms": [
+        {"name": "ce_b8", "loss_kind": "cross_entropy", "batch_size": 8,
+         "learning_rate": 0.1, "max_epochs": 40},
+        {"name": "auc_b64", "loss_kind": "auc_multiclass", "batch_size": 64,
+         "learning_rate": 0.1, "max_epochs": 40, "surrogate_k": 20},
+    ],
+}
+
+
 def test_criterion_5_protocol_reproduction(tmp_path):
     with criterion(5, "full 339-sample 3-class protocol produces a complete manifest"):
-        config = {
-            "dataset": {
-                "synthetic": {
-                    "class_counts": [143, 71, 125],
-                    "dim": 8,
-                    "class_mean_separation": 2.0,
-                    "noise_std": 1.0,
-                    "label_flip_prob": 0.05,
-                    "seed": 42,
-                }
-            },
-            "model": {"hidden_dims": [16]},
-            "split": {"ratios": [0.6, 0.2, 0.2], "stratified": True,
-                      "n_repeats": 100, "base_seed": 0},
-            "arms": [
-                {"name": "ce_b8", "loss_kind": "cross_entropy", "batch_size": 8,
-                 "learning_rate": 0.1, "max_epochs": 40},
-                {"name": "auc_b64", "loss_kind": "auc_multiclass", "batch_size": 64,
-                 "learning_rate": 0.1, "max_epochs": 40, "surrogate_k": 20},
-            ],
-        }
         cfg_path = tmp_path / "protocol.json"
         out_path = tmp_path / "protocol_manifest.json"
-        cfg_path.write_text(json.dumps(config))
+        cfg_path.write_text(json.dumps(REFERENCE_CONFIG))
         start = time.perf_counter()
         code = main(["compare", "--config", str(cfg_path), "--out", str(out_path),
                      "--jobs", "1"])
@@ -266,6 +271,18 @@ def _assert_matches_golden(tmp_path, config, golden_path):
 def test_criterion_8_golden_manifest(tmp_path):
     with criterion(8, "a --jobs 1 manifest matches the committed golden bytes"):
         _assert_matches_golden(tmp_path, CRITERION_8_CONFIG, GOLDEN_CRITERION_8)
+
+
+GOLDEN_REFERENCE = Path(__file__).parent / "golden" / "reference_manifest.json"
+
+
+def test_reference_golden_manifest(tmp_path):
+    # The 100-trial reference protocol, README's config, at --jobs 1.
+    (readme_config,) = JSON_BLOCKS
+    assert (_parse_compare_config(json.loads(readme_config), None)[0]
+            == _parse_compare_config(REFERENCE_CONFIG, None)[0])
+    with criterion(8, "the reference protocol's manifest matches the committed golden bytes"):
+        _assert_matches_golden(tmp_path, REFERENCE_CONFIG, GOLDEN_REFERENCE)
 
 
 # Unstratified splits leave the per-class train counts ragged: the trials'
