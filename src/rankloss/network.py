@@ -13,9 +13,7 @@ satisfiable; emitted batches then run larger than requested.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -92,6 +90,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.batch_size, (int, np.integer)):
+            raise FieldError("batch_size", f"batch_size must be an integer, got {self.batch_size!r}")
         if self.batch_size < 2:
             raise FieldError("batch_size", f"batch_size must be at least 2, got {self.batch_size}")
         if self.loss_kind not in LOSS_KINDS:
@@ -154,7 +154,9 @@ def forward(model: MLPModel, features: np.ndarray) -> np.ndarray:
 class _LabelGroups:
     """Training labels, checked and grouped once for a run's epochs: each
     observed class's members and count, the batch count at ``batch_size``,
-    and the ``InfeasibleBatchError`` sampling them raises, or None."""
+    the widest batch's row count ``width`` = sum_c ceil(m_c / n_batches),
+    and the ``InfeasibleBatchError`` sampling them raises, or None (and
+    then ``n_batches`` and ``width`` are 0)."""
 
     def __init__(self, labels, batch_size: int):
         y = np.asarray(labels)
@@ -164,7 +166,7 @@ class _LabelGroups:
         self.members = [np.flatnonzero(y == c) for c in np.unique(y)]
         counts = [m.size for m in self.members]
         self.counts = np.array(counts)
-        n_classes, self.n_batches, self.error = len(counts), 0, None
+        n_classes, self.n_batches, self.width, self.error = len(counts), 0, 0, None
         if n_classes < 2:
             self.error = InfeasibleBatchError(
                 "cannot form class-balanced batches from a single class"
@@ -174,8 +176,9 @@ class _LabelGroups:
                 f"batch_size {batch_size} cannot hold one sample of each of "
                 f"{n_classes} classes"
             )
-        else:  # on Python ints: a batch size past the int64 range gives one batch
+        else:  # an integer batch size past the int64 range gives one batch
             self.n_batches = int(min(max(1, self.n // batch_size), min(counts)))
+            self.width = sum(-(-m // self.n_batches) for m in counts)
 
 
 def stratified_batches(labels, batch_size: int, seed: int, epoch: int) -> list[np.ndarray]:
@@ -186,9 +189,12 @@ def stratified_batches(labels, batch_size: int, seed: int, epoch: int) -> list[n
     index set and every batch holds at least one sample of every class. The
     batch count is floor(n / batch_size), clamped to the smallest class
     count (a remainder that cannot form a full batch is absorbed by the
-    others). Checks, in order: the labels, then seed and epoch
-    (``ValueError``), then ``_LabelGroups``'s ``InfeasibleBatchError``.
+    others). Checks, in order: that ``batch_size`` is an integer (Python
+    or NumPy), the labels, then seed and epoch (``ValueError``), then
+    ``_LabelGroups``'s ``InfeasibleBatchError``.
     """
+    if not isinstance(batch_size, (int, np.integer)):
+        raise ValueError(f"batch_size must be an integer, got {batch_size!r}")
     groups = _LabelGroups(labels, batch_size)
     if seed < 0 or epoch < 0:
         raise ValueError("seed and epoch must be nonnegative")
@@ -206,8 +212,8 @@ def _batch_index(groups: Sequence[_LabelGroups], seeds: Sequence[int],
     number of classes and batch count, and the seeds and epoch must be
     nonnegative; the per-class counts m_tc may differ. Returns ``index``
     (T, n_batches, P), whose row b of trial t starts with that trial's batch
-    b and is zero-padded to P = max_t sum_c ceil(m_tc / n_batches) entries,
-    and the batch sizes (T, n_batches).
+    b and is zero-padded to P, the largest ``width`` of the groups, and the
+    batch sizes (T, n_batches).
     """
     counts = np.stack([trial.counts for trial in groups])
     n_classes = counts.shape[1]
@@ -228,7 +234,7 @@ def _batch_index(groups: Sequence[_LabelGroups], seeds: Sequence[int],
     # Each batch lists its classes in order, in its own row of width P.
     q, r = np.divmod(counts, n_batches)
     chunk = q[:, :, None] + (np.arange(n_batches) < r[:, :, None])
-    width = int(np.max(np.sum(-(-counts // n_batches), axis=1)))
+    width = max(trial.width for trial in groups)
     rows = np.empty_like(placement)  # rows[t, c, b]: how many rows class c gives batch b
     np.put_along_axis(rows, placement, chunk, axis=2)
     sizes = rows.sum(axis=1)
@@ -259,38 +265,22 @@ def _non_finite(what: str, epoch: int | None = None, batch: int | None = None) -
 # microseconds of arithmetic, so stacking the trials on a leading axis
 # replaces T dispatches per step by a few. Each model trains bit for bit as
 # it would alone, one batch at a time through the textbook per-batch loss
-# formulas; the tests keep such a per-trial trainer as their oracle. The
-# sampler stacks trials that have the same number of classes and the same
-# batch count, and ``train_stacked`` steps each such group as one stack
-# (stratified splits make every trial alike, so there is one).
-# Every trial of a group gets the same batch count each epoch, and a batch
-# holds floor or ceil(m_c / n_batches) rows of the trial's class c.
+# formulas; the tests keep such a per-trial trainer as their oracle. A batch
+# holds floor or ceil(m_c / n_batches) rows of the trial's class c, so a
+# trial's widest batch has P_t = sum_c ceil(m_c / n_batches) rows.
 #
-# BLAS rounding can depend on a matrix's row count, so each layer runs per
-# run of trials whose batches have equal size, on exactly those rows:
-# every matmul has the shape the per-trial run gives it. The loss runs once
-# per step on the batches padded to P rows, the largest of the group's
-# sum_c ceil(m_c / n_batches), and its kernels sum over each trial's real
-# rows and pairs only. Either way a trial's arithmetic does not depend on
-# which other trials share its stack.
+# BLAS rounding can depend on a matrix's row count, so every batch of a
+# trial runs its layers on exactly P_t rows: the batch, padded with copies
+# of its first row, which the loss labels -1 and gives a gradient of
+# exactly 0 (a copy overflows only where the real row does). "Alone" means
+# padded so, and the oracle pads the same way. ``train_stacked`` steps the
+# trials with equal class count, batch count and P_t as one stack
+# (stratified splits make every trial alike, so there is one), and each
+# step is then one forward pass, one loss call and one backprop pass over
+# the stack. No kernel reduces across trials, so a trial's arithmetic does
+# not depend on which other trials share its stack.
 # Data is checked once per run, so the steps call the unchecked code behind
 # ``stratified_batches`` and ``stacked_loss``: ``_batch_index``, ``_kernel``.
-
-
-@lru_cache(maxsize=8)
-def _layout(dims: tuple[int, ...]) -> tuple[tuple, tuple]:
-    """Where the models' parameters sit in a stack's ``params``: the index
-    and view shape of each layer's weights, then the index of each layer's
-    biases. Each is a range of columns. Cached, as every SGD step builds
-    two stacks."""
-    shapes = [*zip(dims[:-1], dims[1:]), *((d,) for d in dims[1:])]
-    columns, start = [], 0
-    for shape in shapes:
-        stop = start + math.prod(shape)
-        columns.append(((slice(None), slice(start, stop)), (-1, *shape)))
-        start = stop
-    n_layers = len(dims) - 1
-    return tuple(columns[:n_layers]), tuple(cols for cols, _ in columns[n_layers:])
 
 
 class MLPStack:
@@ -306,10 +296,15 @@ class MLPStack:
     __slots__ = ("layer_dims", "params", "weights", "biases")
 
     def __init__(self, layer_dims: tuple[int, ...], params: np.ndarray):
-        weights, biases = _layout(layer_dims)
         self.layer_dims, self.params = layer_dims, params
-        self.weights = [params[cols].reshape(shape) for cols, shape in weights]
-        self.biases = [params[cols] for cols in biases]
+        self.weights, self.biases, start = [], [], 0
+        for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
+            stop = start + fan_in * fan_out
+            self.weights.append(params[:, start:stop].reshape(-1, fan_in, fan_out))
+            start = stop
+        for fan_out in layer_dims[1:]:
+            self.biases.append(params[:, start:start + fan_out])
+            start += fan_out
 
     @classmethod
     def of(cls, models: Sequence[MLPModel]) -> "MLPStack":
@@ -433,38 +428,29 @@ def evaluate_auroc_stacked(
 
 @dataclass(frozen=True)
 class _Batch:
-    """One SGD step of a stack, its trials in stable batch-size order:
-    position i holds trial ``order[i]`` (``order`` is a slice when that is
-    the identity). ``x`` (T, P, n_features) holds the batches, ``runs`` the
-    (lo, hi, size) ranges of positions with equal batch size, in ascending
-    size, and ``targets`` the loss's label data (``losses._targets``) of
-    the batches' labels, padded with -1."""
+    """One SGD step of a stack: ``x`` (T, P, n_features) holds each trial's
+    batch padded to the stack's width P with copies of its first row,
+    ``real`` (T, P) marks the batch's own rows, and ``targets`` is the
+    loss's label data (``losses._targets``) of the batches' labels, padded
+    with -1."""
 
     x: np.ndarray
-    order: np.ndarray | slice
-    runs: list
+    real: np.ndarray
     targets: _Targets
 
 
 def _plan(index, sizes, train_x, train_y, kind: str, n_classes: int) -> list[_Batch]:
     """The steps, one per batch b, whose batches are the rows
-    ``index[t, b, :sizes[t, b]]`` of ``train_x[t]`` and ``train_y[t]``. Trials
-    are ordered by one stable argsort of the sizes, and the loss's label
-    data is derived for every batch at once."""
-    order = np.argsort(sizes, axis=0, kind="stable").T  # (n_batches, T)
-    batch = np.arange(order.shape[0])[:, None]
-    sizes, index, trial = sizes[order, batch], index[order, batch], order[:, :, None]
-    labels = np.where(np.arange(index.shape[2]) < sizes[:, :, None], train_y[trial, index], -1)
-    features = train_x[trial, index]
-    identity = (order == np.arange(order.shape[1])).all(axis=1).tolist()
-    steps = []
-    for x, trials, same, row, targets in zip(
-        features, order, identity, sizes.tolist(), _targets(kind, labels, n_classes)
-    ):
-        bounds = [0, *(i for i in range(1, len(row)) if row[i] != row[i - 1]), len(row)]
-        runs = [(lo, hi, row[lo]) for lo, hi in zip(bounds, bounds[1:])]
-        steps.append(_Batch(x, slice(None) if same else trials, runs, targets))
-    return steps
+    ``index[t, b, :sizes[t, b]]`` of ``train_x[t]`` and ``train_y[t]``,
+    padded as ``_Batch`` holds them. The loss's label data is derived for
+    every batch at once."""
+    index = index.transpose(1, 0, 2)  # (n_batches, T, P)
+    real = np.arange(index.shape[2]) < sizes.T[:, :, None]
+    index = np.where(real, index, index[:, :, :1])
+    trial = np.arange(index.shape[1])[:, None]
+    labels = np.where(real, train_y[trial, index], -1)
+    return [_Batch(x, rows, targets) for x, rows, targets
+            in zip(train_x[trial, index], real, _targets(kind, labels, n_classes))]
 
 
 def _value_needed(config: TrainConfig, rows: int) -> bool:
@@ -477,46 +463,37 @@ def _value_needed(config: TrainConfig, rows: int) -> bool:
             or config.surrogate.L * rows**2 > np.finfo(float).max)
 
 
-def _step(stack: MLPStack, batch: _Batch, config: TrainConfig, pool=None
-          ) -> tuple[np.ndarray, np.ndarray]:
+def _step(stack: MLPStack, grads: MLPStack, batch: _Batch, config: TrainConfig, pool=None
+          ) -> list[tuple[str, np.ndarray]]:
     """One SGD step of every trial of ``stack`` on its batch in ``batch``,
-    in place.
+    in place. ``grads``, a stack of the same shape, is scratch.
 
-    Each layer runs per run of equal batch size on exactly the real rows.
-    Returns the trials whose logits and whose loss value are non-finite;
-    their updates are garbage, which no other trial's arithmetic reads.
-    The loss value is computed only where ``_value_needed``; a trial with
-    non-finite logits has failed on them already.
+    Returns the step's failures: ("logits", flags) when some trial's real
+    rows have non-finite logits, then ("loss", flags) when some trial's
+    loss value is non-finite, each flagging those trials. Their updates are
+    garbage, which no other trial's arithmetic reads. The loss value is
+    computed only where ``_value_needed``; a trial with non-finite logits
+    has failed on them already.
     """
-    order, dims = batch.order, stack.layer_dims
-    current = MLPStack(dims, stack.params[order])
-    weights, biases = current.weights, current.biases
-    logits = np.zeros(batch.x.shape[:2] + (dims[-1],))
-    cached = []
-    for lo, hi, size in batch.runs:
-        inputs = []
-        _layers([w[lo:hi] for w in weights], [b[lo:hi] for b in biases], batch.x[lo:hi, :size],
-                inputs, logits[lo:hi, :size])
-        cached.append(inputs)
-    values, grad = _kernel(config.loss_kind, logits, batch.targets, config.surrogate, True,
-                           want_value=_value_needed(config, batch.x.shape[1]), pool=pool)
-    # Backprop writes each run's gradients into its rows of one stack,
-    # laid out as the parameters, which then updates them in one step.
-    step = MLPStack(dims, np.empty_like(current.params))
-    for (lo, hi, size), inputs in zip(batch.runs, cached):
-        delta = grad[lo:hi, :size]
-        for layer in range(len(weights) - 1, -1, -1):
-            np.matmul(inputs[layer].transpose(0, 2, 1), delta, out=step.weights[layer][lo:hi])
-            np.add.reduce(delta, axis=1, out=step.biases[layer][lo:hi])
-            if layer:
-                delta = delta @ weights[layer][lo:hi].transpose(0, 2, 1)
-                delta *= inputs[layer] > 0.0
-    step.params *= config.learning_rate
-    stack.params[order] -= step.params
-    bad_logits, bad_loss = np.empty((2, stack.n_models), dtype=bool)
-    bad_logits[order] = _nonfinite_rows(logits)
-    bad_loss[order] = False if values is None else ~np.isfinite(values)
-    return bad_logits, bad_loss
+    inputs = []
+    logits = _layers(stack.weights, stack.biases, batch.x, inputs)
+    values, delta = _kernel(config.loss_kind, logits, batch.targets, config.surrogate, True,
+                            want_value=_value_needed(config, batch.x.shape[1]), pool=pool)
+    for layer in range(len(inputs) - 1, -1, -1):
+        np.matmul(inputs[layer].transpose(0, 2, 1), delta, out=grads.weights[layer])
+        np.add.reduce(delta, axis=1, out=grads.biases[layer])
+        if layer:
+            delta = delta @ stack.weights[layer].transpose(0, 2, 1)
+            delta *= inputs[layer] > 0.0
+    grads.params *= config.learning_rate
+    stack.params -= grads.params
+    failures = []
+    if not np.isfinite(logits).all():
+        real = np.where(batch.real[:, :, None], logits, 0.0)
+        failures.append(("logits", _nonfinite_rows(real)))
+    if values is not None and not np.isfinite(values).all():
+        failures.append(("loss", ~np.isfinite(values)))
+    return failures
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -577,7 +554,7 @@ def train_stacked(
                 errors[t], failed[t] = error, True
 
     def fail(bad: np.ndarray, what: str, epoch=None, batch=None, trials=every) -> None:
-        if bad.any():  # checked every step, so the common case returns early
+        if bad.any():
             fail_each([_non_finite(what, epoch, batch) if b else None for b in bad], trials)
 
     work, best = model.copy(), model.copy()
@@ -594,15 +571,19 @@ def train_stacked(
     groups = [_LabelGroups(y, config.batch_size) for y in train_y]
     fail_each([trial.error for trial in groups])
 
-    # The trials left step in stacks of equal class and batch counts.
-    stacks: dict[tuple[int, int], list[int]] = {}
+    # The trials left step in stacks of equal class count, batch count and
+    # width, each with its own scratch stack for the updates.
+    keyed: dict[tuple[int, int, int], list[int]] = {}
     for t in np.flatnonzero(~failed).tolist():
-        stacks.setdefault((groups[t].counts.size, groups[t].n_batches), []).append(t)
+        keyed.setdefault((groups[t].counts.size, groups[t].n_batches, groups[t].width),
+                         []).append(t)
+    stacks = [(trials, MLPStack(model.layer_dims, np.empty((len(trials), model.params.shape[1]))))
+              for trials in keyed.values()]
     seeds = [c.seed for c in configs]
     for epoch in range(config.max_epochs):
         if failed.all():
             break
-        for trials in stacks.values():
+        for trials, grads in stacks:
             if failed[trials].all():
                 continue
             pick = trials if len(trials) < model.n_models else slice(None)
@@ -612,9 +593,8 @@ def train_stacked(
                           model.n_classes)
             part = MLPStack(model.layer_dims, work.params[pick])
             for batch, step in enumerate(steps):
-                bad_logits, bad_loss = _step(part, step, config, pool)
-                fail(bad_logits, "logits", epoch, batch, trials)
-                fail(bad_loss, "loss", epoch, batch, trials)
+                for what, bad in _step(part, grads, step, config, pool):
+                    fail(bad, what, epoch, batch, trials)
             work.params[pick] = part.params
         aurocs, val_errors = validate(work, epoch)
         fail_each(val_errors)

@@ -4,7 +4,10 @@ tests' reference.
 ``binary_auc_loss``, ``multiclass_auc_loss`` and ``cross_entropy_loss``
 are the textbook formulas: a full pair grid per class, summed row by row and
 column by column. ``train`` trains one model with them, one batch at a time,
-and ``run_trial`` runs one Monte Carlo trial arm by arm through it.
+and ``run_trial`` runs one Monte Carlo trial arm by arm through it. Like the
+engine, ``train`` runs its layers on every batch padded to the widest
+batch's row count, as BLAS rounding can depend on it; ``padded=False``
+gives the plain textbook run.
 ``evaluate_auroc`` scores a model by the pairwise AUROC definition
 (``auroc_pairwise``), not by the package's rank-sum kernel. The
 package computes every loss with its blocked kernel
@@ -280,6 +283,8 @@ def train(
     val_x: np.ndarray,
     val_y: np.ndarray,
     config: TrainConfig,
+    *,
+    padded: bool = True,
 ) -> tuple[MLPModel, TrainHistory]:
     """SGD over stratified batches, returning the best-validation checkpoint.
 
@@ -294,6 +299,11 @@ def train(
     forward pass, batch or validation, whose logits it poisons. NumPy's
     overflow and invalid-value warnings are silenced, as in ``train_stacked``:
     the ``NonFiniteError`` already reports that arithmetic.
+
+    With ``padded`` each batch runs the layers on sum_c ceil(m_c / n_batches)
+    rows, for the training set's class counts m_c: its own rows, then copies
+    of its first row. The loss sees the real rows, and the padding rows get
+    a gradient of 0.
     """
     train_x = _check_features(model, np.asarray(train_x, dtype=np.float64))
     val_x = _check_features(model, np.asarray(val_x, dtype=np.float64))
@@ -317,15 +327,21 @@ def train(
     best_auroc = -np.inf
     best_model = work.copy()
 
+    counts = np.unique(train_y, return_counts=True)[1]
     for epoch in range(config.max_epochs):
         batches = stratified_batches(train_y, config.batch_size, config.seed, epoch)
+        width = int(np.sum(-(-counts // len(batches))))
         epoch_losses = []
         for batch_no, batch_idx in enumerate(batches):
-            logits, inputs, pre_acts = _forward_cached(work, train_x[batch_idx])
-            _require_finite(logits, "logits", epoch, batch_no)
-            out = loss_fn(PredictionBatch(logits, train_y[batch_idx]), True)
+            size = batch_idx.size
+            rows = np.concatenate([batch_idx, np.full(width - size if padded else 0, batch_idx[0])])
+            logits, inputs, pre_acts = _forward_cached(work, train_x[rows])
+            _require_finite(logits[:size], "logits", epoch, batch_no)
+            out = loss_fn(PredictionBatch(logits[:size], train_y[batch_idx]), True)
             _require_finite(out.value, "loss", epoch, batch_no)
-            grads_w, grads_b = _backprop(work, inputs, pre_acts, out.grad)
+            grad = np.zeros_like(logits)
+            grad[:size] = out.grad
+            grads_w, grads_b = _backprop(work, inputs, pre_acts, grad)
             for w, b, gw, gb in zip(work.weights, work.biases, grads_w, grads_b):
                 w -= config.learning_rate * gw
                 b -= config.learning_rate * gb

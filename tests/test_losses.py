@@ -502,6 +502,17 @@ def test_stacked_loss_names_trial_missing_a_class():
         stacked_loss("auc_binary", np.zeros((2, 4, 2)), labels)
 
 
+@pytest.mark.parametrize("kind", ["cross_entropy", "auc_multiclass"])
+@pytest.mark.parametrize("bad", [7, 3, -2, -5])
+def test_stacked_loss_rejects_labels_out_of_range(kind, bad):
+    # Labels lie in [-1, C): -1 marks padding, and nothing else is a class.
+    labels = np.array([[0, 1, 2, -1], [0, 1, 2, bad]])
+    with pytest.raises(ValueError, match=r"^labels must lie in \[-1, 3\)"):
+        stacked_loss(kind, np.zeros((2, 4, 3)), labels)
+    labels[1, 3] = 2
+    assert np.isfinite(stacked_loss(kind, np.zeros((2, 4, 3)), labels)[0]).all()
+
+
 def _padded_stack(rng, n_trials, rows, n_classes, lone=None):
     # Each trial's batch: every class present, a random size, its rows
     # scattered among padding rows (label -1).

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import rankloss
 from rankloss import (
+    FieldError,
     InfeasibleBatchError,
     MLPModel,
     MLPStack,
@@ -137,13 +138,27 @@ class TestStratifiedBatches:
          "batch_size 2 cannot hold one sample of each of 3 classes"),
         ([0, 1, 0, 1], 0, 0, 0, InfeasibleBatchError,
          "batch_size 0 cannot hold one sample of each of 2 classes"),
+        ([0, 1] * 10, 2.5, 0, 0, ValueError, "batch_size must be an integer, got 2.5"),
+        ([[0, 1], [1, 0]], np.float64(2.0), -1, 0, ValueError,
+         "batch_size must be an integer, got np.float64(2.0)"),
     ])
     def test_boundary_errors(self, labels, batch_size, seed, epoch, error, message):
-        # The labels are checked first, then seed and epoch, then whether
-        # balanced batches can exist at all.
+        # That batch_size is an integer is checked first, then the labels,
+        # then seed and epoch, then whether balanced batches can exist.
         with pytest.raises(error) as exc:
             stratified_batches(np.array(labels), batch_size, seed, epoch)
         assert type(exc.value) is error and str(exc.value) == message
+
+    @pytest.mark.parametrize("batch_size", [5, np.int64(5), np.uint8(5), np.int32(5)])
+    def test_integer_batch_sizes(self, batch_size):
+        # Python and NumPy integers give the same batches; a Python integer
+        # past the int64 range gives one batch.
+        labels = np.array([0, 1] * 10)
+        want = stratified_batches(labels, 5, 3, 1)
+        got = stratified_batches(labels, batch_size, 3, 1)
+        assert len(got) == 4 and all(np.array_equal(a, b) for a, b in zip(got, want))
+        (whole,) = stratified_batches(labels, 2**70, 3, 1)
+        assert sorted(whole.tolist()) == list(range(20))
 
     def test_imbalanced_minority_guarantee(self):
         labels = np.concatenate([np.zeros(90, dtype=int), np.ones(10, dtype=int)])
@@ -227,9 +242,10 @@ class TestStratifiedBatches:
         ("auc_binary", (60, 25), 8),
     ])
     def test_step_plan(self, kind, counts, batch_size):
-        # Each step holds every trial's batch of that step, in stable
-        # batch-size order, cut into runs of equal size; its label data is
-        # what stacked_loss derives from those batches' labels itself.
+        # Each step holds every trial's batch of that step, in trial order,
+        # padded to the trials' width sum_c ceil(m_c / n_batches) with
+        # copies of its first row; its label data is what stacked_loss
+        # derives from those batches' labels, padded with -1, itself.
         ds = generate_synthetic(SyntheticSpec(class_counts=counts, dim=8,
                                               class_mean_separation=2.0, noise_std=1.0,
                                               label_flip_prob=0.05, seed=42))
@@ -241,26 +257,22 @@ class TestStratifiedBatches:
         steps = _plan(index, sizes, x, y, kind, len(counts))
         want = [stratified_batches(labels, batch_size, seed, 2) for labels, seed in zip(y, seeds)]
         assert len(steps) == len(want[0])
+        width = sum(-(-m // len(want[0])) for m in np.bincount(y[0]))
         rng = np.random.default_rng(0)
         for b, step in enumerate(steps):
-            sizes = np.array([trial[b].size for trial in want])
-            order = np.arange(6)[step.order]
-            assert order.tolist() == np.argsort(sizes, kind="stable").tolist()
-            bounds = [lo for lo, _, _ in step.runs] + [step.runs[-1][1]]
-            assert bounds[0] == 0 and bounds[-1] == 6
-            assert [size for _, _, size in step.runs] == sorted(set(sizes.tolist()))
-            for lo, hi, size in step.runs:
-                assert (sizes[order[lo:hi]] == size).all()
-            labels = np.full(step.x.shape[:2], -1)
-            for i, t in enumerate(order):
+            assert step.x.shape == (6, width, x.shape[2])
+            labels = np.full((6, width), -1)
+            for t in range(6):
                 rows = want[t][b]
-                assert np.array_equal(step.x[i, : rows.size], x[t, rows])
-                labels[i, : rows.size] = y[t, rows]
+                padded = np.concatenate([rows, np.full(width - rows.size, rows[0])])
+                assert np.array_equal(step.x[t], x[t, padded])
+                assert step.real[t].tolist() == [i < rows.size for i in range(width)]
+                labels[t, : rows.size] = y[t, rows]
             logits = rng.normal(size=labels.shape + (len(counts),))
             planned = _kernel(kind, logits, step.targets, DEFAULT_SURROGATE, True)
             derived = stacked_loss(kind, logits, labels, want_grad=True)
             assert all(np.array_equal(a, b) for a, b in zip(planned, derived))
-        assert any(len(step.runs) > 1 for step in steps)
+        assert not all(step.real.all() for step in steps)
 
     def test_matches_array_split_reference(self):
         rng = np.random.default_rng(4)
@@ -394,6 +406,12 @@ class TestTrain:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(batch_size=1, loss_kind="cross_entropy")
+        for batch_size in (2.5, 8.0, np.float64(8.0), "8"):
+            with pytest.raises(FieldError, match="^batch_size must be an integer") as exc:
+                TrainConfig(batch_size=batch_size, loss_kind="cross_entropy")
+            assert exc.value.field == "batch_size"
+        for batch_size in (8, np.int64(8), 2**70):
+            assert TrainConfig(batch_size=batch_size, loss_kind="cross_entropy").batch_size == batch_size
         with pytest.raises(ValueError):
             TrainConfig(batch_size=8, loss_kind="mse")
         with pytest.raises(ValueError):
@@ -455,20 +473,32 @@ def stacked_trials(counts, hidden, n_trials, dim=4, base_seed=0, flip=0.1):
     return ds, tr, va, te, seeds, models
 
 
+PROTOCOL_COUNTS = (143, 71, 125)
+
+# Small shapes at dim 4 and batch size 8, then the reference protocol's
+# shape: dim 8, hidden (16,), whose (rows, 16) @ (16, 3) product BLAS rounds
+# by its row count.
+STACKED_CASES = [
+    pytest.param(kind, counts, hidden, 4, 8, id=f"hidden{h}-{kind}-counts{c}")
+    for h, hidden in enumerate([(), (4,), (4, 3)])
+    for c, (kind, counts) in enumerate([("cross_entropy", (30, 20, 25)),
+                                        ("auc_binary", (40, 25)),
+                                        ("auc_multiclass", (30, 20, 25))])
+] + [
+    pytest.param(kind, PROTOCOL_COUNTS, (16,), 8, batch_size, id=f"protocol-{kind}-b{batch_size}")
+    for kind in ("cross_entropy", "auc_multiclass") for batch_size in (8, 64)
+]
+
+
 class TestTrainStacked:
-    @pytest.mark.parametrize("kind, counts", [
-        ("cross_entropy", (30, 20, 25)),
-        ("auc_binary", (40, 25)),
-        ("auc_multiclass", (30, 20, 25)),
-    ])
-    @pytest.mark.parametrize("hidden", [(), (4,), (4, 3)])
-    def test_matches_per_trial_train(self, kind, counts, hidden):
-        # Batch size 8 splits these counts unevenly, so the trials' batches
+    @pytest.mark.parametrize("kind, counts, hidden, dim, batch_size", STACKED_CASES)
+    def test_matches_per_trial_train(self, kind, counts, hidden, dim, batch_size):
+        # These batch sizes split the counts unevenly, so the trials' batches
         # differ in size and in per-class counts from batch to batch.
-        ds, tr, va, te, seeds, models = stacked_trials(counts, hidden, n_trials=5)
+        ds, tr, va, te, seeds, models = stacked_trials(counts, hidden, n_trials=5, dim=dim)
         x, y = ds.features, ds.labels
-        configs = [TrainConfig(batch_size=8, loss_kind=kind, max_epochs=6, seed=s.shuffle)
-                   for s in seeds]
+        configs = [TrainConfig(batch_size=batch_size, loss_kind=kind, max_epochs=6,
+                               seed=s.shuffle) for s in seeds]
         run = train_stacked(MLPStack.of(models), x[tr], y[tr], x[va], y[va], configs)
         aurocs, errors = evaluate_auroc_stacked(run.model, x[te], y[te])
         assert run.errors == (None,) * 5 and errors == (None,) * 5
@@ -478,6 +508,24 @@ class TestTrainStacked:
             stacked = run.model.model(t)
             for a, b in zip(trained.weights + trained.biases, stacked.weights + stacked.biases):
                 assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("kind, batch_size", [("cross_entropy", 8), ("auc_multiclass", 64)])
+    def test_padding_adds_only_rounding(self, kind, batch_size):
+        # Padding batches to the trial's width changes only how BLAS rounds:
+        # after 40 epochs on the protocol's shape the checkpoints stay within
+        # 1e-12 of the plain textbook run's.
+        ds, tr, va, _, seeds, models = stacked_trials(PROTOCOL_COUNTS, (16,), n_trials=2, dim=8)
+        x, y = ds.features, ds.labels
+        configs = [TrainConfig(batch_size=batch_size, loss_kind=kind, max_epochs=40,
+                               seed=s.shuffle) for s in seeds]
+        run = train_stacked(MLPStack.of(models), x[tr], y[tr], x[va], y[va], configs)
+        assert run.errors == (None, None)
+        for t in range(2):
+            trained, _ = train(models[t], x[tr[t]], y[tr[t]], x[va[t]], y[va[t]], configs[t],
+                               padded=False)
+            stacked = run.model.model(t)
+            for a, b in zip(trained.weights + trained.biases, stacked.weights + stacked.biases):
+                assert np.max(np.abs(a - b)) <= 1e-12
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -560,9 +608,10 @@ class TestTrainStacked:
         ]
         index = np.broadcast_to(np.arange(240), (3, 1, 240))
         (step,) = _plan(index, sizes[:, None], x, y, config.loss_kind, 3)
-        bad_logits, bad_loss = _step(MLPStack.of(models), step, config)
-        assert not bad_logits.any()
-        assert bad_loss.tolist() == expected
+        stack = MLPStack.of(models)
+        failures = dict(_step(stack, stack.copy(), step, config))
+        assert "logits" not in failures
+        assert failures.get("loss", np.zeros(3, dtype=bool)).tolist() == expected
         assert expected == [L > 1e300, L > 1e306, L > 1e300]
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
