@@ -18,7 +18,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CsvError, EmptyFileError, FieldError, MissingColumnError, NonNumericCellError
+from .errors import (CsvError, EmptyFileError, FieldError, MissingColumnError, NonNumericCellError,
+                     _integer, _integer_fields)
+from .metrics import _class_labels
 
 __all__ = [
     "Dataset",
@@ -34,8 +36,9 @@ __all__ = [
 class Dataset:
     """Feature matrix, class-index labels, and optional class names.
 
-    Every class index in [0, n_classes) must actually occur; class counts
-    are retrievable via ``class_counts``.
+    Labels follow ``PredictionBatch``'s rule, and every class index in
+    [0, n_classes) must actually occur; class counts are retrievable via
+    ``class_counts``.
     """
 
     features: np.ndarray
@@ -45,23 +48,16 @@ class Dataset:
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
         if features.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {features.shape}")
         n, d = features.shape
         if n < 1 or d < 1:
             raise ValueError(f"need at least one sample and one feature, got {features.shape}")
-        if labels.shape != (n,):
-            raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
         if not np.all(np.isfinite(features)):
             raise ValueError("features must be finite (no NaN/inf)")
         if self.n_classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.n_classes}")
-        if labels.min() < 0 or labels.max() >= self.n_classes:
-            raise ValueError(
-                f"labels must lie in [0, {self.n_classes}), got range "
-                f"[{labels.min()}, {labels.max()}]"
-            )
+        labels = _class_labels(self.labels, self.n_classes, (n,))
         counts = np.bincount(labels, minlength=self.n_classes)
         if (counts == 0).any():
             missing = int(np.flatnonzero(counts == 0)[0])
@@ -102,11 +98,13 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.class_counts)
+        counts = tuple(self.class_counts)
         if len(counts) < 2:
             raise FieldError("class_counts", f"need at least 2 classes, got counts {counts}")
-        if any(c < 1 for c in counts):
-            raise FieldError("class_counts", f"class counts must be positive, got {counts}")
+        if not all(_integer(c) and c >= 1 for c in counts):
+            raise FieldError("class_counts",
+                             f"class counts must be positive integers, got {counts}")
+        _integer_fields(self, "dim", "seed")
         if self.dim < len(counts):
             raise FieldError(
                 "dim",
@@ -127,7 +125,7 @@ class SyntheticSpec:
             )
         if self.seed < 0:
             raise FieldError("seed", f"seed must be nonnegative, got {self.seed}")
-        object.__setattr__(self, "class_counts", counts)
+        object.__setattr__(self, "class_counts", tuple(map(int, counts)))
 
     @property
     def n_classes(self) -> int:

@@ -6,9 +6,14 @@ default ``BaseException.__reduce__`` does that for an error built as
 ``Error(message, ...)``: it calls the type with ``args``, which hold the
 message, and then restores ``__dict__``. ``FieldError``, whose first
 argument is not the message, defines its own.
+
+The package's one integer rule for sizes, counts and seeds sits next to
+``FieldError``, which its config checks raise.
 """
 
 from __future__ import annotations
+
+import numbers
 
 
 class RanklossError(Exception):
@@ -108,3 +113,17 @@ class ConfigError(RanklossError):
     def __init__(self, message: str, pointer: str = ""):
         super().__init__(message)
         self.pointer = pointer
+
+
+def _integer(value) -> bool:
+    """The integer rule: a Python or NumPy integer passes; a float does not,
+    even one that holds a whole number."""
+    return isinstance(value, numbers.Integral)
+
+
+def _integer_fields(config, *names: str) -> None:
+    """Raise ``FieldError`` for the first field in ``names`` of ``config`` that is not an integer."""
+    for name in names:
+        value = getattr(config, name)
+        if not _integer(value):
+            raise FieldError(name, f"{name} must be an integer, got {value!r}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import repeat
 from typing import Optional
@@ -27,7 +27,8 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset
-from .errors import DegenerateVarianceError, FieldError, RanklossError, TooSmallError, TrialError
+from .errors import (DegenerateVarianceError, FieldError, RanklossError, TooSmallError, TrialError,
+                     _integer, _integer_fields)
 from .losses import SurrogateParams
 from .network import MLPStack, TrainConfig, evaluate_auroc_stacked, init_model, train_stacked
 
@@ -71,6 +72,7 @@ class SplitSpec:
             raise FieldError("ratios", f"ratios must be positive, got {ratios}")
         if abs(sum(ratios) - 1.0) > 1e-9:
             raise FieldError("ratios", f"ratios must sum to 1, got {sum(ratios)}")
+        _integer_fields(self, "n_repeats", "base_seed")
         if self.n_repeats < 1:
             raise FieldError("n_repeats", f"n_repeats must be at least 1, got {self.n_repeats}")
         if self.base_seed < 0:
@@ -125,13 +127,13 @@ class ExperimentConfig:
         names = [a.name for a in arms]
         if len(set(names)) != len(names):
             raise FieldError("arms", f"arm names must be unique, got {names}")
-        hidden = tuple(int(d) for d in self.hidden_dims)
+        hidden = tuple(self.hidden_dims)
         if len(hidden) > 2:
             raise FieldError("hidden_dims", f"at most 2 hidden layers are supported, got {hidden}")
-        if any(d < 1 for d in hidden):
-            raise FieldError("hidden_dims", f"hidden dims must be positive, got {hidden}")
+        if not all(_integer(d) and d >= 1 for d in hidden):
+            raise FieldError("hidden_dims", f"hidden dims must be positive integers, got {hidden}")
         object.__setattr__(self, "arms", arms)
-        object.__setattr__(self, "hidden_dims", hidden)
+        object.__setattr__(self, "hidden_dims", tuple(map(int, hidden)))
 
     def check_classes(self, n_classes: int) -> None:
         """Reject arms that cannot train on a dataset with ``n_classes`` classes.
@@ -412,15 +414,6 @@ class ArmResult:
     std: Optional[float]
     ci: Optional[tuple[float, float]]
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "aurocs": list(self.aurocs),
-            "mean": self.mean,
-            "std": self.std,
-            "ci": list(self.ci) if self.ci is not None else None,
-        }
-
 
 @dataclass(frozen=True)
 class Comparison:
@@ -430,9 +423,6 @@ class Comparison:
     arm_b: str
     t: Optional[float]
     p: Optional[float]
-
-    def to_dict(self) -> dict:
-        return {"arm_a": self.arm_a, "arm_b": self.arm_b, "t": self.t, "p": self.p}
 
 
 @dataclass(frozen=True)
@@ -445,15 +435,11 @@ class AggregateReport:
     trial_seeds: tuple[TrialSeeds, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "arms": [a.to_dict() for a in self.arms],
-            "comparisons": [c.to_dict() for c in self.comparisons],
-            "n_repeats": self.n_repeats,
-            "trial_seeds": [
-                {"trial": i, "split": s.split, "init": s.init, "shuffle": s.shuffle}
-                for i, s in enumerate(self.trial_seeds)
-            ],
-        }
+        """The report as the manifest's keys: tuples stay tuples, which JSON
+        writes as lists, and each seed entry leads with its trial index."""
+        report = asdict(self)
+        report["trial_seeds"] = [{"trial": i, **s} for i, s in enumerate(report["trial_seeds"])]
+        return report
 
 
 def run_experiment(

@@ -37,7 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import EmptyClassError, FieldError
-from .metrics import PredictionBatch
+from .metrics import PredictionBatch, _class_labels
 
 __all__ = [
     "SurrogateParams",
@@ -305,11 +305,11 @@ def stacked_loss(
 ) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
     """Loss values (T,) and, when asked, d(value)/d(logits) for T padded batches.
 
-    Labels lie in [-1, C), where -1 marks a padding row; others raise
-    ``ValueError``. Every trial's batch must hold at least one sample of
-    each class the loss ranks; ``EmptyClassError`` names the first trial
-    that does not. The training engine checks its data once and calls
-    ``_kernel`` directly.
+    Labels follow ``PredictionBatch``'s rule but lie in [-1, C), where -1
+    marks a padding row; others raise ``ValueError``. Every trial's batch
+    must hold at least one sample of each class the loss ranks;
+    ``EmptyClassError`` names the first trial that does not. The training
+    engine checks its data once and calls ``_kernel`` directly.
 
     ``want_value=False`` is for callers that need only the gradient: the AUC
     kinds then return None for the value and skip the surrogate terms, a
@@ -320,16 +320,13 @@ def stacked_loss(
     gradients are the same bit for bit with and without it.
     """
     z = np.asarray(logits, dtype=np.float64)
-    shape = np.shape(labels)
-    if z.ndim != 3 or shape != z.shape[:2]:
-        raise ValueError(f"expected (T, P, C) logits and (T, P) labels, got {z.shape}, {shape}")
+    if z.ndim != 3:
+        raise ValueError(f"expected (T, P, C) logits, got shape {z.shape}")
+    y = _class_labels(labels, z.shape[2], z.shape[:2], low=-1)
     if kind == "auc_binary" and z.shape[2] != 2:
         raise ValueError(f"binary_auc_loss requires 2 classes, got {z.shape[2]}")
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
-    y = np.asarray(labels, dtype=np.int64)
-    if y.size and (y.min() < -1 or y.max() >= z.shape[2]):
-        raise ValueError(f"labels must lie in [-1, {z.shape[2]}), -1 marking padding")
     targets = _targets(kind, y[None], z.shape[2])[0]
     return _kernel(kind, z, targets, params, want_grad, want_value=want_value, pool=pool)
 

@@ -42,14 +42,35 @@ __all__ = [
 ]
 
 
+def _class_labels(labels, n_classes: int, shape: tuple, low: int = 0,
+                  name: str = "labels") -> np.ndarray:
+    """``labels`` as int64 class indices of the given ``shape``, each in
+    [``low``, ``n_classes``): the one label rule of every public entry that
+    takes class labels (``low`` = -1 admits the padding label of
+    ``losses.stacked_loss``). Integer dtypes pass, and so do floats that
+    hold whole numbers. Other floats, bool, str and object arrays, another
+    shape and values out of range raise ``ValueError``."""
+    y = np.asarray(labels)
+    if y.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {y.shape}")
+    kind = y.dtype.kind
+    if kind not in "iuf" or kind == "f" and not np.array_equal(np.floor(y), y):
+        got = "floats that are not whole numbers" if kind == "f" else f"dtype {y.dtype}"
+        raise ValueError(f"{name} must be integer class indices, got {got}")
+    if y.size and (y.min() < low or y.max() >= n_classes):
+        raise ValueError(f"{name} must lie in [{low}, {n_classes}), got range "
+                         f"[{y.min()}, {y.max()}]")
+    return y.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class PredictionBatch:
     """Per-sample scores and true class labels, the unit metrics and losses consume.
 
     ``scores`` is an (n_samples, n_classes) float matrix with one column per
     class, holding raw logits unless ``probabilities`` is set. ``labels``
-    holds integer class indices in [0, n_classes). Arrays are validated at
-    construction and must not be mutated afterwards.
+    holds class indices in [0, n_classes), checked by ``_class_labels``.
+    Arrays are validated at construction and must not be mutated afterwards.
     """
 
     scores: np.ndarray
@@ -58,34 +79,15 @@ class PredictionBatch:
 
     def __post_init__(self):
         scores = np.asarray(self.scores, dtype=np.float64)
-        labels = np.asarray(self.labels)
         if scores.ndim != 2:
             raise ValueError(f"scores must be 2-D (n_samples, n_classes), got shape {scores.shape}")
         if scores.shape[1] < 2:
             raise ValueError(f"need at least 2 score columns, got {scores.shape[1]}")
-        if labels.ndim != 1:
-            raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
-        if labels.shape[0] != scores.shape[0]:
-            raise ValueError(
-                f"labels length {labels.shape[0]} does not match scores rows {scores.shape[0]}"
-            )
-        if labels.dtype.kind == "f":
-            rounded = labels.astype(np.int64)
-            if not np.array_equal(rounded, labels):
-                raise ValueError("labels must be integers")
-            labels = rounded
-        elif labels.dtype.kind not in "iu":
-            raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
-        labels = labels.astype(np.int64)
         if scores.shape[0] == 0:
             raise ValueError("batch must contain at least one sample")
         if not np.all(np.isfinite(scores)):
             raise ValueError("scores must be finite (no NaN/inf)")
-        if labels.min() < 0 or labels.max() >= scores.shape[1]:
-            raise ValueError(
-                f"labels must lie in [0, {scores.shape[1]}), got range "
-                f"[{labels.min()}, {labels.max()}]"
-            )
+        labels = _class_labels(self.labels, scores.shape[1], scores.shape[:1])
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "labels", labels)
 

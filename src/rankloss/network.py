@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import FieldError, InfeasibleBatchError, NonFiniteError, RanklossError
+from .errors import (FieldError, InfeasibleBatchError, NonFiniteError, RanklossError, _integer,
+                     _integer_fields)
 from .losses import (
     DEFAULT_SURROGATE,
     LOSS_KINDS,
@@ -30,7 +31,7 @@ from .losses import (
     _Targets,
     stacked_loss,
 )
-from .metrics import _Ranking
+from .metrics import _class_labels, _Ranking
 
 __all__ = [
     "MLPModel",
@@ -90,8 +91,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.batch_size, (int, np.integer)):
-            raise FieldError("batch_size", f"batch_size must be an integer, got {self.batch_size!r}")
+        _integer_fields(self, "batch_size", "max_epochs", "seed")
         if self.batch_size < 2:
             raise FieldError("batch_size", f"batch_size must be at least 2, got {self.batch_size}")
         if self.loss_kind not in LOSS_KINDS:
@@ -111,11 +111,12 @@ class TrainConfig:
 
 def init_model(layer_dims: Sequence[int], seed: int) -> MLPModel:
     """Build a model with uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases."""
-    dims = tuple(int(d) for d in layer_dims)
+    dims = tuple(layer_dims)
     if len(dims) < 2:
         raise ValueError(f"need at least input and output dims, got {dims}")
-    if any(d < 1 for d in dims):
-        raise ValueError(f"layer dims must be positive, got {dims}")
+    if not all(_integer(d) and d >= 1 for d in dims):
+        raise ValueError(f"layer dims must be positive integers, got {dims}")
+    dims = tuple(map(int, dims))
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
@@ -193,7 +194,7 @@ def stratified_batches(labels, batch_size: int, seed: int, epoch: int) -> list[n
     or NumPy), the labels, then seed and epoch (``ValueError``), then
     ``_LabelGroups``'s ``InfeasibleBatchError``.
     """
-    if not isinstance(batch_size, (int, np.integer)):
+    if not _integer(batch_size):
         raise ValueError(f"batch_size must be an integer, got {batch_size!r}")
     groups = _LabelGroups(labels, batch_size)
     if seed < 0 or epoch < 0:
@@ -353,18 +354,14 @@ def _nonfinite_rows(values: np.ndarray) -> np.ndarray:
 
 def _check_stacked(model: MLPStack, features, labels, what: str):
     x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
     if x.ndim != 3 or x.shape[0] != model.n_models or x.shape[2] != model.layer_dims[0]:
         raise ValueError(
             f"{what} features must be ({model.n_models}, rows, {model.layer_dims[0]}), "
             f"got {x.shape}"
         )
-    if y.shape != x.shape[:2]:
-        raise ValueError(f"{what} labels must have shape {x.shape[:2]}, got {y.shape}")
+    y = _class_labels(labels, model.n_classes, x.shape[:2], name=f"{what} labels")
     if y.size == 0:
         raise ValueError(f"{what} partitions must be non-empty")
-    if y.min() < 0 or y.max() >= model.n_classes:
-        raise ValueError(f"{what} labels must lie in [0, {model.n_classes})")
     return x, y
 
 

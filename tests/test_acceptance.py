@@ -139,17 +139,28 @@ REFERENCE_CONFIG = {
 }
 
 
-def test_criterion_5_protocol_reproduction(tmp_path):
+def _compare(tmp_path, config):
+    """``compare`` of ``config`` at --jobs 1: (exit code, manifest text, seconds)."""
+    cfg_path = tmp_path / "config.json"
+    out_path = tmp_path / "manifest.json"
+    cfg_path.write_text(json.dumps(config))
+    start = time.perf_counter()
+    code = main(["compare", "--config", str(cfg_path), "--out", str(out_path), "--jobs", "1"])
+    elapsed = time.perf_counter() - start
+    return code, out_path.read_text(encoding="utf-8") if code == 0 else None, elapsed
+
+
+@pytest.fixture(scope="module")
+def reference_run(tmp_path_factory):
+    # The 100-trial reference run, shared by the tests that check its manifest.
+    return _compare(tmp_path_factory.mktemp("reference"), REFERENCE_CONFIG)
+
+
+def test_criterion_5_protocol_reproduction(reference_run):
     with criterion(5, "full 339-sample 3-class protocol produces a complete manifest"):
-        cfg_path = tmp_path / "protocol.json"
-        out_path = tmp_path / "protocol_manifest.json"
-        cfg_path.write_text(json.dumps(REFERENCE_CONFIG))
-        start = time.perf_counter()
-        code = main(["compare", "--config", str(cfg_path), "--out", str(out_path),
-                     "--jobs", "1"])
-        elapsed = time.perf_counter() - start
+        code, text, elapsed = reference_run
         assert code == 0
-        manifest = json.loads(out_path.read_text())
+        manifest = json.loads(text)
         assert len(manifest["arms"]) == 2
         for arm in manifest["arms"]:
             assert len(arm["aurocs"]) == 100
@@ -254,15 +265,12 @@ def test_criterion_8_parallel_determinism(tmp_path):
         assert manifests[0] == manifests[1] == manifests[2]
 
 
-def _assert_matches_golden(tmp_path, config, golden_path):
-    # The golden file was written by the CLI; only the wall-clock duration
-    # may differ between runs.
-    cfg_path = tmp_path / "golden.json"
-    out_path = tmp_path / "golden_manifest.json"
-    cfg_path.write_text(json.dumps(config))
-    code = main(["compare", "--config", str(cfg_path), "--out", str(out_path), "--jobs", "1"])
+def _assert_matches_golden(run, golden_path):
+    # ``run`` is a ``_compare`` result. The golden file was written by the
+    # CLI; only the wall-clock duration may differ between runs.
+    code, text, _ = run
     assert code == 0
-    fresh = _without_duration(out_path.read_text(encoding="utf-8"))
+    fresh = _without_duration(text)
     golden = _without_duration(golden_path.read_text(encoding="utf-8"))
     assert "duration_seconds" not in fresh and "duration_seconds" not in golden
     assert fresh == golden
@@ -270,19 +278,19 @@ def _assert_matches_golden(tmp_path, config, golden_path):
 
 def test_criterion_8_golden_manifest(tmp_path):
     with criterion(8, "a --jobs 1 manifest matches the committed golden bytes"):
-        _assert_matches_golden(tmp_path, CRITERION_8_CONFIG, GOLDEN_CRITERION_8)
+        _assert_matches_golden(_compare(tmp_path, CRITERION_8_CONFIG), GOLDEN_CRITERION_8)
 
 
 GOLDEN_REFERENCE = Path(__file__).parent / "golden" / "reference_manifest.json"
 
 
-def test_reference_golden_manifest(tmp_path):
+def test_reference_golden_manifest(reference_run):
     # The 100-trial reference protocol, README's config, at --jobs 1.
     (readme_config,) = JSON_BLOCKS
     assert (_parse_compare_config(json.loads(readme_config), None)[0]
             == _parse_compare_config(REFERENCE_CONFIG, None)[0])
     with criterion(8, "the reference protocol's manifest matches the committed golden bytes"):
-        _assert_matches_golden(tmp_path, REFERENCE_CONFIG, GOLDEN_REFERENCE)
+        _assert_matches_golden(reference_run, GOLDEN_REFERENCE)
 
 
 # Unstratified splits leave the per-class train counts ragged: the trials'
@@ -308,7 +316,7 @@ GOLDEN_UNSTRATIFIED = Path(__file__).parent / "golden" / "unstratified_manifest.
 
 def test_unstratified_golden_manifest(tmp_path):
     with criterion(8, "an unstratified --jobs 1 manifest matches the committed golden bytes"):
-        _assert_matches_golden(tmp_path, UNSTRATIFIED_CONFIG, GOLDEN_UNSTRATIFIED)
+        _assert_matches_golden(_compare(tmp_path, UNSTRATIFIED_CONFIG), GOLDEN_UNSTRATIFIED)
 
 
 def test_criterion_9_sampler_guarantee():

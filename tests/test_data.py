@@ -9,6 +9,7 @@ from rankloss import (
     Dataset,
     EmptyFileError,
     ExperimentConfig,
+    FieldError,
     MissingColumnError,
     NonNumericCellError,
     SplitSpec,
@@ -80,6 +81,15 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             SyntheticSpec(class_counts=(10, 10), dim=4,
                           class_mean_separation=1.0, noise_std=1.0, label_flip_prob=0.5)
+        # Counts, dim and seed are integers; a float is rejected, not truncated.
+        valid = dict(class_counts=(20, 30), dim=4, class_mean_separation=1.0, noise_std=1.0)
+        for field, value in (("class_counts", (20.5, 30)), ("class_counts", (20, 30.0)),
+                             ("dim", 4.0), ("seed", 1.5)):
+            with pytest.raises(FieldError) as exc:
+                SyntheticSpec(**{**valid, field: value})
+            assert exc.value.field == field
+        counts = SyntheticSpec(**{**valid, "class_counts": [np.int64(20), 30]}).class_counts
+        assert counts == (20, 30) and all(type(c) is int for c in counts)
 
 
 class TestCsv:

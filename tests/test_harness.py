@@ -10,6 +10,7 @@ from rankloss import (
     ArmConfig,
     DegenerateVarianceError,
     ExperimentConfig,
+    FieldError,
     SplitSpec,
     SyntheticSpec,
     TooSmallError,
@@ -172,6 +173,22 @@ class TestMonteCarloSplit:
             SplitSpec(ratios=(0.5, 0.2, 0.2))
         with pytest.raises(ValueError):
             SplitSpec(ratios=(0.6, -0.2, 0.6))
+
+
+def test_config_integer_fields():
+    # A float count or width is rejected naming its field, not truncated,
+    # and does not reach run_experiment's range().
+    for field, value in (("n_repeats", 2.5), ("n_repeats", 3.0), ("base_seed", 1.5)):
+        with pytest.raises(FieldError) as exc:
+            SplitSpec(**{field: value})
+        assert exc.value.field == field
+    arms = (ArmConfig("a", "cross_entropy", 8),)
+    for hidden in ((4.9,), (4, 3.0), ("4",)):
+        with pytest.raises(FieldError, match="^hidden dims must be positive integers") as exc:
+            ExperimentConfig(arms, SplitSpec(), hidden)
+        assert exc.value.field == "hidden_dims"
+    config = ExperimentConfig(arms, SplitSpec(n_repeats=np.int64(3)), [np.int32(4)])
+    assert config.hidden_dims == (4,) and type(config.hidden_dims[0]) is int
 
 
 class TestMeanCi:

@@ -5,13 +5,20 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rankloss import (
+    Dataset,
     EmptyClassError,
+    MLPStack,
     PredictionBatch,
+    TrainConfig,
     auroc_multiclass_ovr,
     auroc_pairwise,
     auroc_rank,
     auroc_rank_scores,
+    evaluate_auroc_stacked,
+    init_model,
+    stacked_loss,
     stratified_batches,
+    train_stacked,
 )
 from rankloss.metrics import _ranked_auroc, _Ranking
 
@@ -328,3 +335,46 @@ class TestPredictionBatch:
         batch = PredictionBatch(np.zeros((4, 3)), [0, 0, 1, 2])
         assert batch.class_counts().tolist() == [2, 1, 1]
         assert batch.n_samples == 4 and batch.n_classes == 3
+
+
+# Every public entry that takes class labels checks them by one rule
+# (``metrics._class_labels``). Each entry runs on 8 binary-labelled samples
+# and returns what its labels decide.
+_LABELS = np.array([0, 1, 0, 1, 1, 0, 0, 1])
+_FEATURES = np.random.default_rng(3).normal(size=(8, 2))
+
+
+def _stack():
+    return MLPStack.of([init_model([2, 3, 2], seed=1)])
+
+
+_LABEL_ENTRIES = {
+    "PredictionBatch": lambda y: auroc_rank(PredictionBatch(_FEATURES, y), 1).value,
+    "Dataset": lambda y: Dataset(_FEATURES, y, 2).labels,
+    "stacked_loss": lambda y: stacked_loss("auc_binary", _FEATURES[None], y[None], want_grad=True),
+    "train_stacked": lambda y: train_stacked(
+        _stack(), _FEATURES[None], y[None], _FEATURES[None], y[None],
+        [TrainConfig(batch_size=4, loss_kind="cross_entropy", max_epochs=2)]).model.params,
+    "evaluate_auroc_stacked": lambda y: evaluate_auroc_stacked(
+        _stack(), _FEATURES[None], y[None])[0],
+}
+
+
+@pytest.mark.parametrize("entry", list(_LABEL_ENTRIES))
+@pytest.mark.parametrize("labels", [
+    np.where(_LABELS == 1, 1.7, 0.0),
+    _LABELS.astype(bool),
+    _LABELS.astype(str),
+    _LABELS.astype(object),
+], ids=["float", "bool", "str", "object"])
+def test_entries_reject_labels_that_are_not_integers(entry, labels):
+    with pytest.raises(ValueError, match="labels must be integer"):
+        _LABEL_ENTRIES[entry](labels)
+
+
+@pytest.mark.parametrize("entry", list(_LABEL_ENTRIES))
+@pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.float64])
+def test_entries_take_integer_labels_of_any_dtype(entry, dtype):
+    # Integer dtypes and whole-number floats give what int64 labels give.
+    np.testing.assert_equal(_LABEL_ENTRIES[entry](_LABELS.astype(dtype)),
+                            _LABEL_ENTRIES[entry](_LABELS))

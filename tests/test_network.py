@@ -72,6 +72,11 @@ class TestInitModel:
             init_model([4], seed=0)
         with pytest.raises(ValueError):
             init_model([4, 0], seed=0)
+        # A float is not a layer width, even a whole one.
+        for dims in ([4, 4.9, 3], [4.0, 3], [4, np.float64(3.0)]):
+            with pytest.raises(ValueError, match="^layer dims must be positive integers"):
+                init_model(dims, seed=0)
+        assert init_model([np.int64(4), np.uint8(3)], seed=0).layer_dims == (4, 3)
 
 
 class TestForward:
@@ -418,6 +423,11 @@ class TestTrain:
             TrainConfig(batch_size=8, loss_kind="cross_entropy", max_epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=8, loss_kind="cross_entropy", learning_rate=-0.1)
+        for field, value in (("max_epochs", 2.5), ("max_epochs", 3.0), ("seed", 1.5),
+                             ("seed", np.float64(2.0))):
+            with pytest.raises(FieldError, match=f"^{field} must be an integer") as exc:
+                TrainConfig(batch_size=8, loss_kind="cross_entropy", **{field: value})
+            assert exc.value.field == field
 
 
 class TestMLPStack:
