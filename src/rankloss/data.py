@@ -57,6 +57,8 @@ class Dataset:
             raise ValueError("features must be finite (no NaN/inf)")
         if self.n_classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.n_classes}")
+        if not _integer(self.n_classes):
+            raise ValueError(f"n_classes must be an integer, got {self.n_classes!r}")
         labels = _class_labels(self.labels, self.n_classes, (n,))
         counts = np.bincount(labels, minlength=self.n_classes)
         if (counts == 0).any():

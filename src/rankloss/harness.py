@@ -165,6 +165,12 @@ class TrialSeeds:
 
 
 def trial_seeds(base_seed: int, trial: int) -> TrialSeeds:
+    """Trial ``trial``'s seeds; both arguments must be nonnegative integers
+    (``ValueError``)."""
+    if base_seed < 0 or trial < 0:
+        raise ValueError(f"base_seed and trial must be nonnegative, got {base_seed} and {trial}")
+    if not (_integer(base_seed) and _integer(trial)):
+        raise ValueError(f"base_seed and trial must be integers, got {base_seed!r} and {trial!r}")
     state = np.random.SeedSequence([int(base_seed), int(trial)]).generate_state(3)
     return TrialSeeds(split=int(state[0]), init=int(state[1]), shuffle=int(state[2]))
 

@@ -119,6 +119,8 @@ def init_model(layer_dims: Sequence[int], seed: int) -> MLPModel:
     dims = tuple(map(int, dims))
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    if not _integer(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     weights = []
     biases = []
@@ -190,15 +192,20 @@ def stratified_batches(labels, batch_size: int, seed: int, epoch: int) -> list[n
     index set and every batch holds at least one sample of every class. The
     batch count is floor(n / batch_size), clamped to the smallest class
     count (a remainder that cannot form a full batch is absorbed by the
-    others). Checks, in order: that ``batch_size`` is an integer (Python
-    or NumPy), the labels, then seed and epoch (``ValueError``), then
-    ``_LabelGroups``'s ``InfeasibleBatchError``.
+    others). A batch is ordered by class, in label order, and lists each
+    class's indices in the order that class's shuffle drew them; its rows
+    are not shuffled further. Checks, in order: that ``batch_size`` is an
+    integer (Python or NumPy), the labels, then that seed and epoch are
+    nonnegative integers (``ValueError``), then ``_LabelGroups``'s
+    ``InfeasibleBatchError``.
     """
     if not _integer(batch_size):
         raise ValueError(f"batch_size must be an integer, got {batch_size!r}")
     groups = _LabelGroups(labels, batch_size)
     if seed < 0 or epoch < 0:
         raise ValueError("seed and epoch must be nonnegative")
+    if not (_integer(seed) and _integer(epoch)):
+        raise ValueError(f"seed and epoch must be integers, got {seed!r} and {epoch!r}")
     if groups.error is not None:
         raise groups.error
     index, sizes = _batch_index([groups], [seed], epoch)
@@ -221,18 +228,20 @@ def _batch_index(groups: Sequence[_LabelGroups], seeds: Sequence[int],
     n_trials, n, n_batches = len(groups), groups[0].n, groups[0].n_batches
 
     # Each trial's stream: per class a permutation of its members and one
-    # of the batches, then (below) one shuffle per batch, in batch order.
-    rngs = [np.random.default_rng([int(seed), int(epoch)]) for seed in seeds]
+    # of the batches. Nothing shuffles within a batch: its loss and gradient
+    # are sums over its rows, so their order would change only rounding.
     shuffled = np.empty((n_trials, n), dtype=np.intp)
     placement = np.empty((n_trials, n_classes, n_batches), dtype=np.intp)
     ends = np.cumsum(counts, axis=1).tolist()
-    for t, (rng, trial) in enumerate(zip(rngs, groups)):
+    for t, (seed, trial) in enumerate(zip(seeds, groups)):
+        rng = np.random.default_rng([int(seed), int(epoch)])
         for c, (members, lo, hi) in enumerate(zip(trial.members, [0, *ends[t]], ends[t])):
             shuffled[t, lo:hi] = rng.permutation(members)
             placement[t, c] = rng.permutation(n_batches)
     # Class c is cut into chunks as np.array_split cuts it (the first
     # m % n_batches one longer), and chunk j joins batch placement[t, c, j].
-    # Each batch lists its classes in order, in its own row of width P.
+    # Each batch lists its classes in label order, each class's rows in the
+    # order its permutation drew them, in its own row of width P.
     q, r = np.divmod(counts, n_batches)
     chunk = q[:, :, None] + (np.arange(n_batches) < r[:, :, None])
     width = max(trial.width for trial in groups)
@@ -248,9 +257,6 @@ def _batch_index(groups: Sequence[_LabelGroups], seeds: Sequence[int],
     offset = np.repeat(shift.ravel(), chunk.ravel()).reshape(n_trials, n) + np.arange(n)
     index = np.zeros((n_trials, n_batches, width), dtype=np.intp)
     index.reshape(-1)[offset.ravel()] = shuffled.ravel()
-    for rng, batches, batch_sizes in zip(rngs, index, sizes.tolist()):
-        for batch, size in zip(batches, batch_sizes):
-            rng.shuffle(batch[:size])
     return index, sizes
 
 

@@ -215,6 +215,11 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             Dataset(features=np.zeros((3, 2)), labels=np.array([0, 0, 2]), n_classes=3)
 
+    @pytest.mark.parametrize("n_classes", [2.0, 2.5, np.float64(2.0)])
+    def test_rejects_float_n_classes(self, n_classes):
+        with pytest.raises(ValueError, match="^n_classes must be an integer, got "):
+            Dataset(features=np.zeros((2, 2)), labels=np.array([0, 1]), n_classes=n_classes)
+
     def test_rejects_non_finite(self):
         bad = np.zeros((2, 2))
         bad[0, 0] = np.nan

@@ -168,6 +168,12 @@ class TestMonteCarloSplit:
         with pytest.raises(TooSmallError):
             monte_carlo_split(22, labels, SplitSpec(base_seed=0), trial=0)
 
+    @pytest.mark.parametrize("trial", [1.5, 1.0, np.float64(1.0)])
+    def test_float_trial(self, trial):
+        labels = np.array([0, 1] * 10)
+        with pytest.raises(ValueError, match="^base_seed and trial must be integers, got "):
+            monte_carlo_split(20, labels, SplitSpec(), trial)
+
     def test_ratio_validation(self):
         with pytest.raises(ValueError):
             SplitSpec(ratios=(0.5, 0.2, 0.2))
@@ -295,6 +301,17 @@ class TestTrialSeeds:
         assert a != trial_seeds(3, 1)
         assert a != trial_seeds(4, 0)
         assert len({a.split, a.init, a.shuffle}) == 3
+        assert trial_seeds(np.int64(3), np.uint8(1)) == trial_seeds(3, 1)
+
+    @pytest.mark.parametrize("base_seed, trial, message", [
+        (0, 1.5, "base_seed and trial must be integers, got 0 and 1.5"),
+        (2.0, 1, "base_seed and trial must be integers, got 2.0 and 1"),
+        (0, -1, "base_seed and trial must be nonnegative, got 0 and -1"),
+    ])
+    def test_rejects_non_integers_and_negatives(self, base_seed, trial, message):
+        with pytest.raises(ValueError) as exc:
+            trial_seeds(base_seed, trial)
+        assert str(exc.value) == message
 
 
 class TestRunTrial:

@@ -31,6 +31,7 @@ from rankloss import (
 from rankloss.losses import DEFAULT_SURROGATE, _kernel
 from rankloss.network import _batch_index, _LabelGroups, _plan, _step
 
+import oracle
 from oracle import evaluate_auroc, multiclass_auc_loss, train
 
 
@@ -77,6 +78,11 @@ class TestInitModel:
             with pytest.raises(ValueError, match="^layer dims must be positive integers"):
                 init_model(dims, seed=0)
         assert init_model([np.int64(4), np.uint8(3)], seed=0).layer_dims == (4, 3)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(2.0)])
+    def test_float_seed(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer, got "):
+            init_model([4, 3], seed=seed)
 
 
 class TestForward:
@@ -146,6 +152,11 @@ class TestStratifiedBatches:
         ([0, 1] * 10, 2.5, 0, 0, ValueError, "batch_size must be an integer, got 2.5"),
         ([[0, 1], [1, 0]], np.float64(2.0), -1, 0, ValueError,
          "batch_size must be an integer, got np.float64(2.0)"),
+        ([0, 1] * 10, 4, 1.5, 0, ValueError, "seed and epoch must be integers, got 1.5 and 0"),
+        ([0, 1] * 10, 4, 0, np.float64(2.0), ValueError,
+         "seed and epoch must be integers, got 0 and np.float64(2.0)"),
+        ([[0, 1], [1, 0]], 2, 1.5, 0, ValueError, "labels must be a non-empty 1-D array"),
+        ([0, 0, 0, 0], 2, 1.0, 0, ValueError, "seed and epoch must be integers, got 1.0 and 0"),
     ])
     def test_boundary_errors(self, labels, batch_size, seed, epoch, error, message):
         # That batch_size is an integer is checked first, then the labels,
@@ -193,9 +204,16 @@ class TestStratifiedBatches:
         labels = np.array([0, 1, 2, 0, 0, 1, 2, 2, 0, 1, 0, 2, 0, 0, 1, 2, 0, 2, 1, 0])
         batches = stratified_batches(labels, 6, seed=11, epoch=3)
         assert [b.tolist() for b in batches] == [
-            [7, 13, 10, 4, 5, 17],
-            [2, 14, 6, 19, 9, 0, 3],
-            [12, 16, 18, 1, 11, 15, 8],
+            [10, 13, 4, 5, 17, 7],
+            [0, 3, 19, 9, 14, 2, 6],
+            [8, 12, 16, 1, 18, 15, 11],
+        ]
+        # The members are those the sampler drew when it still shuffled
+        # each batch's rows; only the order within a batch changed.
+        assert [set(b.tolist()) for b in batches] == [
+            {7, 13, 10, 4, 5, 17},
+            {2, 14, 6, 19, 9, 0, 3},
+            {12, 16, 18, 1, 11, 15, 8},
         ]
 
     def test_pinned_batches_clamped_count(self):
@@ -204,8 +222,13 @@ class TestStratifiedBatches:
         labels = np.array([0, 1, 1, 0, 2, 0, 0, 1, 0, 2, 0, 0, 1, 0, 1])
         batches = stratified_batches(labels, 4, seed=9, epoch=3)
         assert [b.tolist() for b in batches] == [
-            [10, 1, 0, 14, 9, 6, 3],
-            [4, 8, 2, 7, 5, 12, 13, 11],
+            [10, 6, 0, 3, 1, 14, 9],
+            [5, 8, 13, 11, 7, 12, 2, 4],
+        ]
+        # The same members as the in-batch shuffling sampler drew.
+        assert [set(b.tolist()) for b in batches] == [
+            {10, 1, 0, 14, 9, 6, 3},
+            {4, 8, 2, 7, 5, 12, 13, 11},
         ]
 
     @settings(max_examples=60, deadline=None)
@@ -291,10 +314,19 @@ class TestStratifiedBatches:
                     want = _reference_batches(labels, batch_size, seed, epoch)
                     assert len(got) == len(want)
                     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+                    # Batches are class-ordered, and hold the members the
+                    # sampler drew when it still shuffled each batch.
+                    shuffled = _reference_batches(labels, batch_size, seed, epoch,
+                                                  shuffle_rows=True)
+                    for a, b in zip(got, shuffled):
+                        assert (np.diff(labels[a]) >= 0).all()
+                        assert np.array_equal(np.sort(a), np.sort(b))
 
 
-def _reference_batches(labels, batch_size, seed, epoch):
-    """The sampler as first written: regroup, np.array_split, permutation."""
+def _reference_batches(labels, batch_size, seed, epoch, shuffle_rows=False):
+    """The sampler as first written: regroup, np.array_split; with
+    ``shuffle_rows``, a final permutation of each batch's rows, as the
+    sampler once drew."""
     classes, counts = np.unique(labels, return_counts=True)
     n_batches = min(max(1, labels.size // batch_size), int(counts.min()))
     rng = np.random.default_rng([seed, epoch])
@@ -304,7 +336,9 @@ def _reference_batches(labels, batch_size, seed, epoch):
         placement = rng.permutation(n_batches)
         for b, chunk in zip(placement, np.array_split(idx, n_batches)):
             members[b].append(chunk)
-    return [rng.permutation(np.concatenate(parts)) for parts in members]
+    if shuffle_rows:
+        return [rng.permutation(np.concatenate(parts)) for parts in members]
+    return [np.concatenate(parts) for parts in members]
 
 
 class TestTrain:
@@ -536,6 +570,33 @@ class TestTrainStacked:
             stacked = run.model.model(t)
             for a, b in zip(trained.weights + trained.biases, stacked.weights + stacked.biases):
                 assert np.max(np.abs(a - b)) <= 1e-12
+
+    @pytest.mark.parametrize("kind, batch_size", [("cross_entropy", 8), ("auc_multiclass", 64)])
+    def test_row_order_adds_only_rounding(self, kind, batch_size, monkeypatch):
+        # A batch's loss and gradient are sums over its rows, so their order
+        # changes only rounding: the per-trial trainer fed the same batches
+        # with their rows shuffled stays within 1e-12 of the engine's
+        # class-ordered run after 40 epochs on the protocol's shape.
+        rng = np.random.default_rng(0)
+        epochs = []
+
+        def shuffled_batches(*args):
+            epochs.append(args[-1])
+            return [rng.permutation(batch) for batch in stratified_batches(*args)]
+
+        monkeypatch.setattr(oracle, "stratified_batches", shuffled_batches)
+        ds, tr, va, _, seeds, models = stacked_trials(PROTOCOL_COUNTS, (16,), n_trials=2, dim=8)
+        x, y = ds.features, ds.labels
+        configs = [TrainConfig(batch_size=batch_size, loss_kind=kind, max_epochs=40,
+                               seed=s.shuffle) for s in seeds]
+        run = train_stacked(MLPStack.of(models), x[tr], y[tr], x[va], y[va], configs)
+        assert run.errors == (None, None)
+        for t in range(2):
+            trained, _ = train(models[t], x[tr[t]], y[tr[t]], x[va[t]], y[va[t]], configs[t])
+            stacked = run.model.model(t)
+            for a, b in zip(trained.weights + trained.biases, stacked.weights + stacked.biases):
+                assert np.max(np.abs(a - b)) <= 1e-12
+        assert epochs == list(range(40)) * 2
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
