@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (CsvError, EmptyFileError, FieldError, MissingColumnError, NonNumericCellError,
-                     _integer, _integer_fields)
+                     _check_integers, _integer, _integer_fields)
 from .metrics import _class_labels
 
 __all__ = [
@@ -55,10 +55,9 @@ class Dataset:
             raise ValueError(f"need at least one sample and one feature, got {features.shape}")
         if not np.all(np.isfinite(features)):
             raise ValueError("features must be finite (no NaN/inf)")
+        _check_integers(n_classes=self.n_classes)
         if self.n_classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.n_classes}")
-        if not _integer(self.n_classes):
-            raise ValueError(f"n_classes must be an integer, got {self.n_classes!r}")
         labels = _class_labels(self.labels, self.n_classes, (n,))
         counts = np.bincount(labels, minlength=self.n_classes)
         if (counts == 0).any():
@@ -106,7 +105,7 @@ class SyntheticSpec:
         if not all(_integer(c) and c >= 1 for c in counts):
             raise FieldError("class_counts",
                              f"class counts must be positive integers, got {counts}")
-        _integer_fields(self, "dim", "seed")
+        _integer_fields(self, dim=None, seed=0)
         if self.dim < len(counts):
             raise FieldError(
                 "dim",
@@ -125,8 +124,6 @@ class SyntheticSpec:
                 "label_flip_prob",
                 f"label_flip_prob must lie in [0, 0.5), got {self.label_flip_prob}",
             )
-        if self.seed < 0:
-            raise FieldError("seed", f"seed must be nonnegative, got {self.seed}")
         object.__setattr__(self, "class_counts", tuple(map(int, counts)))
 
     @property
@@ -143,8 +140,9 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 
     Rows are ordered by class (all of class 0, then class 1, ...); labels
     are flipped after feature generation, so a flipped sample keeps the
-    feature distribution of its original class. Flips that leave a class
-    with no samples raise ``FieldError`` for ``label_flip_prob``.
+    feature distribution of its original class. Draws that overflow to inf
+    raise ``FieldError`` for ``noise_std``, and flips that leave a class
+    with no samples for ``label_flip_prob``.
     """
     rng = np.random.default_rng(spec.seed)
     n_classes = spec.n_classes
@@ -160,6 +158,9 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         blocks.append(rng.normal(loc=means[c], scale=spec.noise_std, size=(count, spec.dim)))
         labels.extend([c] * count)
     features = np.vstack(blocks)
+    if not np.isfinite(features).all():
+        raise FieldError("noise_std", f"noise_std {spec.noise_std} with class_mean_separation "
+                                      f"{spec.class_mean_separation} draws non-finite features")
     labels = np.asarray(labels, dtype=np.int64)
 
     flip = rng.random(labels.size) < spec.label_flip_prob

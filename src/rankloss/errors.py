@@ -7,8 +7,8 @@ default ``BaseException.__reduce__`` does that for an error built as
 message, and then restores ``__dict__``. ``FieldError``, whose first
 argument is not the message, defines its own.
 
-The package's one integer rule for sizes, counts and seeds sits next to
-``FieldError``, which its config checks raise.
+The package's one integer rule for sizes, counts, seeds and worker counts,
+``_check_integers``, sits next to ``FieldError``, which its configs raise.
 """
 
 from __future__ import annotations
@@ -121,9 +121,25 @@ def _integer(value) -> bool:
     return isinstance(value, numbers.Integral)
 
 
-def _integer_fields(config, *names: str) -> None:
-    """Raise ``FieldError`` for the first field in ``names`` of ``config`` that is not an integer."""
-    for name in names:
-        value = getattr(config, name)
-        if not _integer(value):
-            raise FieldError(name, f"{name} must be an integer, got {value!r}")
+def _check_integers(low: int | None = None, /, **values) -> None:
+    """The integer rule, then the lower bound ``low`` (None: none), on the
+    named ``values``, as a ``ValueError`` worded one way: "seed and epoch must
+    be integers, got 1.5 and 0", then "... must be nonnegative, got -1 and 0"."""
+    if not all(map(_integer, values.values())):
+        rule = "an integer" if len(values) == 1 else "integers"
+    elif low is not None and any(v < low for v in values.values()):
+        rule = "nonnegative" if low == 0 else f"at least {low}"
+    else:
+        return
+    got = " and ".join(map(repr, values.values()))
+    raise ValueError(f"{' and '.join(values)} must be {rule}, got {got}")
+
+
+def _integer_fields(config, **lows: int | None) -> None:
+    """``_check_integers`` on each named field of ``config`` with its bound,
+    in order; a failure is a ``FieldError`` naming the field."""
+    for name, low in lows.items():
+        try:
+            _check_integers(low, **{name: getattr(config, name)})
+        except ValueError as exc:
+            raise FieldError(name, str(exc)) from None

@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import (DegenerateVarianceError, FieldError, RanklossError, TooSmallError, TrialError,
-                     _integer, _integer_fields)
+                     _check_integers, _integer, _integer_fields)
 from .losses import SurrogateParams
 from .network import MLPStack, TrainConfig, evaluate_auroc_stacked, init_model, train_stacked
 
@@ -72,11 +72,7 @@ class SplitSpec:
             raise FieldError("ratios", f"ratios must be positive, got {ratios}")
         if abs(sum(ratios) - 1.0) > 1e-9:
             raise FieldError("ratios", f"ratios must sum to 1, got {sum(ratios)}")
-        _integer_fields(self, "n_repeats", "base_seed")
-        if self.n_repeats < 1:
-            raise FieldError("n_repeats", f"n_repeats must be at least 1, got {self.n_repeats}")
-        if self.base_seed < 0:
-            raise FieldError("base_seed", f"base_seed must be nonnegative, got {self.base_seed}")
+        _integer_fields(self, n_repeats=1, base_seed=0)
         object.__setattr__(self, "ratios", ratios)
 
 
@@ -167,10 +163,7 @@ class TrialSeeds:
 def trial_seeds(base_seed: int, trial: int) -> TrialSeeds:
     """Trial ``trial``'s seeds; both arguments must be nonnegative integers
     (``ValueError``)."""
-    if base_seed < 0 or trial < 0:
-        raise ValueError(f"base_seed and trial must be nonnegative, got {base_seed} and {trial}")
-    if not (_integer(base_seed) and _integer(trial)):
-        raise ValueError(f"base_seed and trial must be integers, got {base_seed!r} and {trial!r}")
+    _check_integers(0, base_seed=base_seed, trial=trial)
     state = np.random.SeedSequence([int(base_seed), int(trial)]).generate_state(3)
     return TrialSeeds(split=int(state[0]), init=int(state[1]), shuffle=int(state[2]))
 
@@ -185,9 +178,11 @@ def monte_carlo_split(
 
     Sizes follow floor(ratio * n) for train and validation with the
     remainder as test; stratified mode applies that rule inside each class
-    and merges. ``TooSmallError`` is raised if any partition would receive
-    no samples (of some class, when stratified), or for fewer than 5 samples.
+    and merges. ``n`` must be an integer (``ValueError``). ``TooSmallError``
+    is raised if any partition would receive no samples (of some class, when
+    stratified), or for fewer than 5 samples.
     """
+    _check_integers(n=n)
     if n < 5:
         raise TooSmallError(f"need at least 5 samples to split, got {n}")
     rng = np.random.default_rng(trial_seeds(spec.base_seed, trial).split)
@@ -461,9 +456,11 @@ def run_experiment(
     workers times threads stays within the CPUs. Results are collected in
     trial order and are the same bit for bit at any thread count, so the
     report does not depend on the worker count. Arms that cannot train on
-    the dataset's classes raise ``FieldError`` (a ``ValueError``) before
-    any trial runs.
+    the dataset's classes raise ``FieldError`` (a ``ValueError``), and
+    ``jobs`` that is not an integer of at least 1 raises ``ValueError``,
+    before any trial runs.
     """
+    _check_integers(1, jobs=jobs)
     config.check_classes(dataset.n_classes)
     n_repeats = config.split.n_repeats
     n_cpus = _cpu_count()

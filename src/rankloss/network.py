@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (FieldError, InfeasibleBatchError, NonFiniteError, RanklossError, _integer,
-                     _integer_fields)
+from .errors import (FieldError, InfeasibleBatchError, NonFiniteError, RanklossError,
+                     _check_integers, _integer, _integer_fields)
 from .losses import (
     DEFAULT_SURROGATE,
     LOSS_KINDS,
@@ -91,22 +91,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _integer_fields(self, "batch_size", "max_epochs", "seed")
-        if self.batch_size < 2:
-            raise FieldError("batch_size", f"batch_size must be at least 2, got {self.batch_size}")
+        _integer_fields(self, batch_size=2, max_epochs=1, seed=0)
         if self.loss_kind not in LOSS_KINDS:
             raise FieldError(
                 "loss_kind", f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}"
             )
-        if self.max_epochs < 1:
-            raise FieldError("max_epochs", f"max_epochs must be at least 1, got {self.max_epochs}")
         # 0 is allowed so a no-op run can serve as an untrained control arm.
         if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
             raise FieldError(
                 "learning_rate", f"learning_rate must be nonnegative, got {self.learning_rate}"
             )
-        if self.seed < 0:
-            raise FieldError("seed", f"seed must be nonnegative, got {self.seed}")
 
 
 def init_model(layer_dims: Sequence[int], seed: int) -> MLPModel:
@@ -117,10 +111,7 @@ def init_model(layer_dims: Sequence[int], seed: int) -> MLPModel:
     if not all(_integer(d) and d >= 1 for d in dims):
         raise ValueError(f"layer dims must be positive integers, got {dims}")
     dims = tuple(map(int, dims))
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    if not _integer(seed):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    _check_integers(0, seed=seed)
     rng = np.random.default_rng(seed)
     weights = []
     biases = []
@@ -145,13 +136,7 @@ def _check_features(model: MLPModel, features: np.ndarray) -> np.ndarray:
 def forward(model: MLPModel, features: np.ndarray) -> np.ndarray:
     """Logits for a feature matrix: affine layers with ReLU between, linear out."""
     x = _check_features(model, features)
-    a = x
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        a = a @ w + b
-        if i < last:
-            a = np.maximum(a, 0.0)
-    return a
+    return _layers([w[None] for w in model.weights], [b[None] for b in model.biases], x[None])[0]
 
 
 class _LabelGroups:
@@ -195,17 +180,13 @@ def stratified_batches(labels, batch_size: int, seed: int, epoch: int) -> list[n
     others). A batch is ordered by class, in label order, and lists each
     class's indices in the order that class's shuffle drew them; its rows
     are not shuffled further. Checks, in order: that ``batch_size`` is an
-    integer (Python or NumPy), the labels, then that seed and epoch are
-    nonnegative integers (``ValueError``), then ``_LabelGroups``'s
-    ``InfeasibleBatchError``.
+    integer, the labels, then that seed and epoch are nonnegative integers
+    (all ``ValueError``, by ``errors._check_integers``), then
+    ``_LabelGroups``'s ``InfeasibleBatchError``.
     """
-    if not _integer(batch_size):
-        raise ValueError(f"batch_size must be an integer, got {batch_size!r}")
+    _check_integers(batch_size=batch_size)
     groups = _LabelGroups(labels, batch_size)
-    if seed < 0 or epoch < 0:
-        raise ValueError("seed and epoch must be nonnegative")
-    if not (_integer(seed) and _integer(epoch)):
-        raise ValueError(f"seed and epoch must be integers, got {seed!r} and {epoch!r}")
+    _check_integers(0, seed=seed, epoch=epoch)
     if groups.error is not None:
         raise groups.error
     index, sizes = _batch_index([groups], [seed], epoch)
@@ -371,16 +352,15 @@ def _check_stacked(model: MLPStack, features, labels, what: str):
     return x, y
 
 
-def _layers(weights, biases, a, inputs=None, out=None) -> np.ndarray:
+def _layers(weights, biases, a, inputs=None) -> np.ndarray:
     """Logits of the stacked layers on ``a`` (T, rows, fan_in): affine maps
-    with ReLU between, written to ``out`` when given. When ``inputs`` is a
-    list, each layer's input is appended to it; backprop reads each ReLU's
-    mask off the next input."""
+    with ReLU between. When ``inputs`` is a list, each layer's input is
+    appended to it; backprop reads each ReLU's mask off the next input."""
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
         if inputs is not None:
             inputs.append(a)
-        a = np.matmul(a, w, out=out if i == last else None)
+        a = np.matmul(a, w)
         a += b[:, None, :]
         if i < last:
             np.maximum(a, 0.0, out=a)

@@ -667,6 +667,13 @@ def _non_finite_gen_argv(tmp_path):
     return ["gen", "--spec", str(spec_path), "--out", str(tmp_path / "data.csv")]
 
 
+def _overflowing_gen_argv(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec = small_compare_config(tmp_path)["dataset"]["synthetic"]
+    spec_path.write_text(json.dumps({**spec, "noise_std": 1e308}))
+    return ["gen", "--spec", str(spec_path), "--out", str(tmp_path / "data.csv")]
+
+
 # (argv builder, exit code, message fragment): malformed input exits 2
 # before any trial runs, a runtime failure exits 3 naming the trial; neither
 # ends in a traceback.
@@ -718,6 +725,12 @@ MALFORMED_INPUTS = {
         2, "/split/ratios/0",
     ),
     "infinite_gen_noise_std": (_non_finite_gen_argv, 2, "/noise_std"),
+    # Finite, but the draws overflow to inf.
+    "overflowing_noise_std": (
+        _compare_argv(_compare_config_with(1e308, "dataset", "synthetic", "noise_std")),
+        2, "/dataset/synthetic/noise_std",
+    ),
+    "overflowing_gen_noise_std": (_overflowing_gen_argv, 2, "/noise_std"),
     "integer_past_float_range": (
         _compare_argv(_compare_config_with(10**400, "arms", 0, "learning_rate")),
         2, "/arms/0/learning_rate",

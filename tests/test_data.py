@@ -91,6 +91,16 @@ class TestGenerateSynthetic:
         counts = SyntheticSpec(**{**valid, "class_counts": [np.int64(20), 30]}).class_counts
         assert counts == (20, 30) and all(type(c) is int for c in counts)
 
+    def test_overflowing_draws(self):
+        # A finite noise_std whose draws overflow names the field; the
+        # largest finite separation alone still draws finite features.
+        spec = dict(class_counts=(40, 20), dim=3, seed=1)
+        with pytest.raises(FieldError, match="^noise_std 1e[+]308 with class_mean_separation") as exc:
+            generate_synthetic(SyntheticSpec(**spec, class_mean_separation=1.0, noise_std=1e308))
+        assert exc.value.field == "noise_std"
+        ds = generate_synthetic(SyntheticSpec(**spec, class_mean_separation=1.7e308, noise_std=1.0))
+        assert np.isfinite(ds.features).all()
+
 
 class TestCsv:
     def test_label_mapping_first_appearance(self, tmp_path):

@@ -29,7 +29,7 @@ from rankloss import (
     trial_seeds,
 )
 from rankloss.losses import DEFAULT_SURROGATE, _kernel
-from rankloss.network import _batch_index, _LabelGroups, _plan, _step
+from rankloss.network import _batch_index, _LabelGroups, _layers, _plan, _step
 
 import oracle
 from oracle import evaluate_auroc, multiclass_auc_loss, train
@@ -118,6 +118,22 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(model, np.zeros((3, 5)))
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_textbook_layers_and_stack(self, seed):
+        # The protocol's shape (8 features, 16 hidden, 3 classes, 339 rows):
+        # forward is bit for bit the textbook loop and the engine's stacked
+        # pass over a stack of one.
+        rng = np.random.default_rng(seed)
+        model = init_model([8, 16, 3], seed=seed)
+        model.biases = [rng.normal(size=b.shape) for b in model.biases]
+        x = rng.normal(size=(339, 8))
+        want = np.maximum(x @ model.weights[0] + model.biases[0], 0.0)
+        want = want @ model.weights[1] + model.biases[1]
+        stack = MLPStack.of([model])
+        got = forward(model, x)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, _layers(stack.weights, stack.biases, x[None])[0])
+
 
 class TestStratifiedBatches:
     def test_minimal_balanced(self):
@@ -138,9 +154,9 @@ class TestStratifiedBatches:
     @pytest.mark.parametrize("labels, batch_size, seed, epoch, error, message", [
         ([[0, 1], [1, 0]], 2, -1, 0, ValueError, "labels must be a non-empty 1-D array"),
         ([], 2, -1, 0, ValueError, "labels must be a non-empty 1-D array"),
-        ([0, 0, 0, 0], 2, -1, 0, ValueError, "seed and epoch must be nonnegative"),
-        ([0, 0, 0, 0], 2, 0, -1, ValueError, "seed and epoch must be nonnegative"),
-        ([0, 1, 0, 1], 0, -1, 0, ValueError, "seed and epoch must be nonnegative"),
+        ([0, 0, 0, 0], 2, -1, 0, ValueError, "seed and epoch must be nonnegative, got -1 and 0"),
+        ([0, 0, 0, 0], 2, 0, -1, ValueError, "seed and epoch must be nonnegative, got 0 and -1"),
+        ([0, 1, 0, 1], 0, -1, 0, ValueError, "seed and epoch must be nonnegative, got -1 and 0"),
         ([0, 0, 0, 0], 2, 0, 0, InfeasibleBatchError,
          "cannot form class-balanced batches from a single class"),
         ([0, 0, 0, 0], 0, 0, 0, InfeasibleBatchError,
