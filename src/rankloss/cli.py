@@ -29,7 +29,8 @@ import numpy as np
 
 from . import __version__
 from .data import SyntheticSpec, generate_synthetic, load_csv, load_scores_csv, save_csv
-from .errors import ConfigError, CsvError, EmptyClassError, FieldError, RanklossError, TrialError
+from .errors import (ConfigError, CsvError, EmptyClassError, FieldError, RanklossError, TrialError,
+                     _real)
 from .harness import ArmConfig, ExperimentConfig, SplitSpec, run_experiment
 from .losses import SurrogateParams
 from .metrics import PredictionBatch, auroc_multiclass_ovr, auroc_rank_scores
@@ -72,9 +73,7 @@ def _typed(value, kind, pointer):
         ok = False
     elif kind is float:
         ok = isinstance(value, (int, float))
-        # json.loads reads NaN, Infinity and 1e400 as non-finite floats, and
-        # an integer past the float range cannot become a float.
-        if ok and not abs(value) <= sys.float_info.max:
+        if ok and not _real(value):  # json.loads reads NaN, Infinity and 1e400 as floats
             raise ConfigError(f"{pointer}: expected a finite number", pointer=pointer)
         value = float(value) if ok else value
     else:

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (CsvError, EmptyFileError, FieldError, MissingColumnError, NonNumericCellError,
-                     _check_integers, _integer, _integer_fields)
+                     _POSITIVE, _check_fields, _check_integers, _integer, _real)
 from .metrics import _class_labels
 
 __all__ = [
@@ -105,25 +105,17 @@ class SyntheticSpec:
         if not all(_integer(c) and c >= 1 for c in counts):
             raise FieldError("class_counts",
                              f"class counts must be positive integers, got {counts}")
-        _integer_fields(self, dim=None, seed=0)
+        _check_fields(self, _integer, dim=None, seed=0)
         if self.dim < len(counts):
             raise FieldError(
                 "dim",
                 f"dim must be at least the class count ({len(counts)}) for "
                 f"equidistant mean placement, got {self.dim}",
             )
-        if self.class_mean_separation < 0:
-            raise FieldError(
-                "class_mean_separation",
-                f"separation must be nonnegative, got {self.class_mean_separation}",
-            )
-        if not self.noise_std > 0:
-            raise FieldError("noise_std", f"noise_std must be positive, got {self.noise_std}")
-        if not 0.0 <= self.label_flip_prob < 0.5:
-            raise FieldError(
-                "label_flip_prob",
-                f"label_flip_prob must lie in [0, 0.5), got {self.label_flip_prob}",
-            )
+        _check_fields(self, _real, class_mean_separation=0, noise_std=_POSITIVE, label_flip_prob=0)
+        if not self.label_flip_prob < 0.5:
+            raise FieldError("label_flip_prob",
+                             f"label_flip_prob must lie in [0, 0.5), got {self.label_flip_prob}")
         object.__setattr__(self, "class_counts", tuple(map(int, counts)))
 
     @property

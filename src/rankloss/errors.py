@@ -7,12 +7,13 @@ default ``BaseException.__reduce__`` does that for an error built as
 message, and then restores ``__dict__``. ``FieldError``, whose first
 argument is not the message, defines its own.
 
-The package's one integer rule for sizes, counts, seeds and worker counts,
-``_check_integers``, sits next to ``FieldError``, which its configs raise.
+The package's integer and real-number rules, and ``_check``, which words
+their failures, sit next to ``FieldError``, which its configs raise.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 
 
@@ -121,25 +122,39 @@ def _integer(value) -> bool:
     return isinstance(value, numbers.Integral)
 
 
-def _check_integers(low: int | None = None, /, **values) -> None:
-    """The integer rule, then the lower bound ``low`` (None: none), on the
-    named ``values``, as a ``ValueError`` worded one way: "seed and epoch must
-    be integers, got 1.5 and 0", then "... must be nonnegative, got -1 and 0"."""
-    if not all(map(_integer, values.values())):
-        rule = "an integer" if len(values) == 1 else "integers"
-    elif low is not None and any(v < low for v in values.values()):
-        rule = "nonnegative" if low == 0 else f"at least {low}"
+def _real(value) -> bool:
+    """The real-number rule: a finite Python or NumPy real passes, integers and
+    bool too; NaN, the infinities and an integer past the float range fail."""
+    try:
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+_WORDS = {_integer: ("an integer", "integers"), _real: ("a finite number", "finite numbers")}
+_POSITIVE = "positive"  # the lower bound "above 0"; a number N as the bound means "at least N"
+
+
+def _check(rule, low, names: str, *values, field: str | None = None) -> None:
+    """``rule`` (``_integer`` or ``_real``), then the lower bound ``low`` (None:
+    none), on ``values``, worded one way: "seed and epoch must be integers, got
+    1.5 and 0"; a ``FieldError`` for ``field`` if given, else a ``ValueError``."""
+    if not all(map(rule, values)):
+        wording = _WORDS[rule][len(values) > 1]
+    elif low is not None and not all(v > 0 if low is _POSITIVE else v >= low for v in values):
+        wording = "positive" if low is _POSITIVE else f"at least {low}" if low else "nonnegative"
     else:
         return
-    got = " and ".join(map(repr, values.values()))
-    raise ValueError(f"{' and '.join(values)} must be {rule}, got {got}")
+    message = f"{names} must be {wording}, got {' and '.join(map(repr, values))}"
+    raise ValueError(message) if field is None else FieldError(field, message)
 
 
-def _integer_fields(config, **lows: int | None) -> None:
-    """``_check_integers`` on each named field of ``config`` with its bound,
-    in order; a failure is a ``FieldError`` naming the field."""
+def _check_integers(low: int | None = None, /, **values) -> None:
+    """``_check`` of the integer rule on the named ``values``."""
+    _check(_integer, low, " and ".join(values), *values.values())
+
+
+def _check_fields(config, rule, /, **lows) -> None:
+    """``_check`` of ``rule`` and each named field's bound on that field of ``config``."""
     for name, low in lows.items():
-        try:
-            _check_integers(low, **{name: getattr(config, name)})
-        except ValueError as exc:
-            raise FieldError(name, str(exc)) from None
+        _check(rule, low, name, getattr(config, name), field=name)

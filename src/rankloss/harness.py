@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import (DegenerateVarianceError, FieldError, RanklossError, TooSmallError, TrialError,
-                     _check_integers, _integer, _integer_fields)
+                     _POSITIVE, _check, _check_fields, _check_integers, _integer, _real)
 from .losses import SurrogateParams
 from .network import MLPStack, TrainConfig, evaluate_auroc_stacked, init_model, train_stacked
 
@@ -65,14 +65,14 @@ class SplitSpec:
     base_seed: int = 0
 
     def __post_init__(self):
-        ratios = tuple(float(r) for r in self.ratios)
+        ratios = tuple(self.ratios)
         if len(ratios) != 3:
             raise FieldError("ratios", f"ratios must be (train, val, test), got {ratios}")
-        if any(r <= 0 for r in ratios):
-            raise FieldError("ratios", f"ratios must be positive, got {ratios}")
+        _check(_real, _POSITIVE, "ratios", *ratios, field="ratios")
+        ratios = tuple(map(float, ratios))
         if abs(sum(ratios) - 1.0) > 1e-9:
             raise FieldError("ratios", f"ratios must sum to 1, got {sum(ratios)}")
-        _integer_fields(self, n_repeats=1, base_seed=0)
+        _check_fields(self, _integer, n_repeats=1, base_seed=0)
         object.__setattr__(self, "ratios", ratios)
 
 

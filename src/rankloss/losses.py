@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import EmptyClassError, FieldError
+from .errors import EmptyClassError, _POSITIVE, _check, _check_fields, _real
 from .metrics import PredictionBatch, _class_labels
 
 __all__ = [
@@ -72,14 +72,7 @@ class SurrogateParams:
     x0: float = 0.0
 
     def __post_init__(self):
-        for name in ("k", "L", "x0"):
-            v = getattr(self, name)
-            if not np.isfinite(v):
-                raise FieldError(name, f"{name} must be finite, got {v}")
-        if self.k <= 0:
-            raise FieldError("k", f"growth rate k must be positive, got {self.k}")
-        if self.L <= 0:
-            raise FieldError("L", f"supremum L must be positive, got {self.L}")
+        _check_fields(self, _real, k=_POSITIVE, L=_POSITIVE, x0=None)
 
 
 DEFAULT_SURROGATE = SurrogateParams()
@@ -653,8 +646,10 @@ def finite_diff_check(
     with the analytic derivative; the relative error denominator is
     max(|analytic|, |numeric|, 1e-8).
     """
+    _check(_real, None, "h", h)
     if not 1e-7 <= h <= 1e-3:
         raise ValueError(f"step h must lie in [1e-7, 1e-3], got {h}")
+    _check(_real, 0, "tol", tol)
     analytic = loss_fn(batch, True).grad
     numeric = np.zeros_like(analytic)
     base = batch.scores

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyClassError
+from .errors import EmptyClassError, _check_integers
 
 __all__ = [
     "PredictionBatch",
@@ -294,8 +294,9 @@ def auroc_rank(batch: PredictionBatch, positive_class: int) -> AurocValue:
     """Binary AUROC of a two-class batch, scoring by the positive class column."""
     if batch.n_classes != 2:
         raise ValueError(f"auroc_rank requires a binary batch, got {batch.n_classes} classes")
+    _check_integers(positive_class=positive_class)
     if positive_class not in (0, 1):
-        raise ValueError(f"positive_class must be 0 or 1, got {positive_class}")
+        raise ValueError(f"positive_class must be 0 or 1, got {positive_class!r}")
     return _rank_batch(batch, [positive_class])[0]
 
 

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (FieldError, InfeasibleBatchError, NonFiniteError, RanklossError,
-                     _check_integers, _integer, _integer_fields)
+                     _check_fields, _check_integers, _integer, _real)
 from .losses import (
     DEFAULT_SURROGATE,
     LOSS_KINDS,
@@ -91,16 +91,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _integer_fields(self, batch_size=2, max_epochs=1, seed=0)
+        _check_fields(self, _integer, batch_size=2, max_epochs=1, seed=0)
         if self.loss_kind not in LOSS_KINDS:
             raise FieldError(
                 "loss_kind", f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}"
             )
         # 0 is allowed so a no-op run can serve as an untrained control arm.
-        if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
-            raise FieldError(
-                "learning_rate", f"learning_rate must be nonnegative, got {self.learning_rate}"
-            )
+        _check_fields(self, _real, learning_rate=0)
 
 
 def init_model(layer_dims: Sequence[int], seed: int) -> MLPModel:

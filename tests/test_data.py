@@ -101,6 +101,12 @@ class TestGenerateSynthetic:
         ds = generate_synthetic(SyntheticSpec(**spec, class_mean_separation=1.7e308, noise_std=1.0))
         assert np.isfinite(ds.features).all()
 
+    def test_nan_separation_names_its_field(self):
+        # Not the noise_std that the non-finite draws would otherwise blame.
+        with pytest.raises(FieldError) as exc:
+            SyntheticSpec((10, 10), 2, float("nan"), 1.0)
+        assert exc.value.field == "class_mean_separation"
+
 
 class TestCsv:
     def test_label_mapping_first_appearance(self, tmp_path):

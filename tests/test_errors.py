@@ -18,12 +18,16 @@ from rankloss import (
     NonFiniteError,
     NonNumericCellError,
     RanklossError,
+    PredictionBatch,
     SplitSpec,
+    SurrogateParams,
     SyntheticSpec,
     TooSmallError,
     TrainConfig,
     TrialError,
+    finite_diff_check,
     init_model,
+    loss_function,
     monte_carlo_split,
     run_experiment,
     stratified_batches,
@@ -131,3 +135,83 @@ def test_integer_rule(entry, value):
     assert type(exc.value) is error and str(exc.value) == message
     if field is not None:
         assert exc.value.field == field
+
+
+_BATCH = PredictionBatch(np.arange(8.0).reshape(4, 2), [0, 1, 0, 1])
+
+# Each entry that takes a real number: (call with the value, the FieldError
+# field or None for a plain ValueError, the message for a value the rule
+# rejects, a finite value below the entry's bound or None for no bound, and
+# its message). The step h keeps its own range past the real rule.
+REAL_ENTRIES = {
+    "SurrogateParams.k": (
+        lambda v: SurrogateParams(k=v), "k", "k must be a finite number, got {!r}", 0.0,
+        "k must be positive, got 0.0"),
+    "SurrogateParams.L": (
+        lambda v: SurrogateParams(L=v), "L", "L must be a finite number, got {!r}", -1.0,
+        "L must be positive, got -1.0"),
+    "SurrogateParams.x0": (
+        lambda v: SurrogateParams(x0=v), "x0", "x0 must be a finite number, got {!r}", None, None),
+    "TrainConfig.learning_rate": (
+        lambda v: TrainConfig(batch_size=8, loss_kind="cross_entropy", learning_rate=v),
+        "learning_rate", "learning_rate must be a finite number, got {!r}", -0.1,
+        "learning_rate must be nonnegative, got -0.1"),
+    "ArmConfig.learning_rate": (
+        lambda v: ArmConfig("a", "cross_entropy", 8, learning_rate=v), "learning_rate",
+        "learning_rate must be a finite number, got {!r}", -0.1,
+        "learning_rate must be nonnegative, got -0.1"),
+    "SyntheticSpec.class_mean_separation": (
+        lambda v: SyntheticSpec(**{**_SPEC, "class_mean_separation": v}), "class_mean_separation",
+        "class_mean_separation must be a finite number, got {!r}", -1.0,
+        "class_mean_separation must be nonnegative, got -1.0"),
+    "SyntheticSpec.noise_std": (
+        lambda v: SyntheticSpec(**{**_SPEC, "noise_std": v}), "noise_std",
+        "noise_std must be a finite number, got {!r}", 0.0, "noise_std must be positive, got 0.0"),
+    "SyntheticSpec.label_flip_prob": (
+        lambda v: SyntheticSpec(**_SPEC, label_flip_prob=v), "label_flip_prob",
+        "label_flip_prob must be a finite number, got {!r}", -0.1,
+        "label_flip_prob must be nonnegative, got -0.1"),
+    "SplitSpec.ratios": (
+        lambda v: SplitSpec(ratios=(v, 0.5, 0.5)), "ratios",
+        "ratios must be finite numbers, got {!r} and 0.5 and 0.5", 0.0,
+        "ratios must be positive, got 0.0 and 0.5 and 0.5"),
+    "finite_diff_check.h": (
+        lambda v: finite_diff_check(loss_function("cross_entropy"), _BATCH, h=v), None,
+        "h must be a finite number, got {!r}", 1e-8, "step h must lie in [1e-7, 1e-3], got 1e-08"),
+    "finite_diff_check.tol": (
+        lambda v: finite_diff_check(loss_function("cross_entropy"), _BATCH, tol=v), None,
+        "tol must be a finite number, got {!r}", -1.0, "tol must be nonnegative, got -1.0"),
+}
+
+
+@pytest.mark.parametrize("entry, value", [
+    (entry, value) for entry in sorted(REAL_ENTRIES)
+    for value in (float("nan"), float("inf"), -float("inf"), "1", None, "below")
+    if value != "below" or REAL_ENTRIES[entry][3] is not None
+])
+def test_real_rule(entry, value):
+    # The real-number rule runs first at every entry, so a NaN never slips
+    # past a bound (it compares false with everything), an infinity is
+    # rejected even where no bound applies, and a str or None never reaches
+    # a comparison (a TypeError). A config names its field; a function
+    # raises a plain ValueError.
+    call, field, message, below, below_message = REAL_ENTRIES[entry]
+    if value != "below":
+        message = message.format(value)
+    else:
+        value, message = below, below_message
+    error = ValueError if field is None else FieldError
+    with pytest.raises(error) as exc:
+        call(value)
+    assert type(exc.value) is error and str(exc.value) == message
+    if field is not None:
+        assert exc.value.field == field
+
+
+@pytest.mark.parametrize("value", [1, True, np.float32(2.5), np.int64(3), 1.7e308])
+def test_real_rule_takes_finite_reals(value):
+    # Integers, bool and NumPy scalars are real numbers; so is the largest
+    # float. An integer too large for a float is not.
+    assert SurrogateParams(k=value, L=value, x0=value).k == value
+    with pytest.raises(FieldError, match="^k must be a finite number, got 1000"):
+        SurrogateParams(k=10**400)

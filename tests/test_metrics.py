@@ -85,6 +85,15 @@ class TestRankEquivalence:
         assert err.value.class_index == 1 - present
         assert str(err.value) == f"no {empty_side} samples: AUROC is undefined"
 
+    @pytest.mark.parametrize("positive_class", [1.0, np.float64(0.0), "1", None])
+    def test_batch_wrapper_takes_an_integer_class(self, positive_class):
+        # A float or str class is rejected, not scored as the class it looks like.
+        with pytest.raises(ValueError) as err:
+            auroc_rank(random_batch(7, 50, 2), positive_class=positive_class)
+        assert str(err.value) == f"positive_class must be an integer, got {positive_class!r}"
+        with pytest.raises(ValueError, match="^positive_class must be 0 or 1, got 2$"):
+            auroc_rank(random_batch(7, 50, 2), positive_class=2)
+
     def test_batch_wrapper_requires_binary(self):
         with pytest.raises(ValueError):
             auroc_rank(random_batch(0, 30, 3), positive_class=0)
