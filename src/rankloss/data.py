@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (CsvError, EmptyFileError, FieldError, MissingColumnError, NonNumericCellError,
-                     _POSITIVE, _check_fields, _check_integers, _integer, _real)
+                     _POSITIVE, _check_fields, _check_integers, _integer, _real, _sequence_field)
 from .metrics import _class_labels
 
 __all__ = [
@@ -99,7 +99,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        counts = tuple(self.class_counts)
+        counts = _sequence_field(self, "class_counts")
         if len(counts) < 2:
             raise FieldError("class_counts", f"need at least 2 classes, got counts {counts}")
         if not all(_integer(c) and c >= 1 for c in counts):

@@ -7,14 +7,16 @@ default ``BaseException.__reduce__`` does that for an error built as
 message, and then restores ``__dict__``. ``FieldError``, whose first
 argument is not the message, defines its own.
 
-The package's integer and real-number rules, and ``_check``, which words
-their failures, sit next to ``FieldError``, which its configs raise.
+The package's integer, real-number and bool rules, and ``_check``, which
+words their failures, sit next to ``FieldError``, which its configs raise.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+
+import numpy as np
 
 
 class RanklossError(Exception):
@@ -131,12 +133,19 @@ def _real(value) -> bool:
         return False
 
 
-_WORDS = {_integer: ("an integer", "integers"), _real: ("a finite number", "finite numbers")}
+def _bool(value) -> bool:
+    """The bool rule: a Python or NumPy bool passes; 0, 1, None and a str such
+    as "no" do not, though Python would read them as true or false."""
+    return isinstance(value, (bool, np.bool_))
+
+
+_WORDS = {_integer: ("an integer", "integers"), _real: ("a finite number", "finite numbers"),
+          _bool: ("a bool", "bools")}
 _POSITIVE = "positive"  # the lower bound "above 0"; a number N as the bound means "at least N"
 
 
 def _check(rule, low, names: str, *values, field: str | None = None) -> None:
-    """``rule`` (``_integer`` or ``_real``), then the lower bound ``low`` (None:
+    """``rule`` (``_integer``, ``_real`` or ``_bool``), then the lower bound ``low`` (None:
     none), on ``values``, worded one way: "seed and epoch must be integers, got
     1.5 and 0"; a ``FieldError`` for ``field`` if given, else a ``ValueError``."""
     if not all(map(rule, values)):
@@ -158,3 +167,13 @@ def _check_fields(config, rule, /, **lows) -> None:
     """``_check`` of ``rule`` and each named field's bound on that field of ``config``."""
     for name, low in lows.items():
         _check(rule, low, name, getattr(config, name), field=name)
+
+
+def _sequence_field(config, name: str) -> tuple:
+    """Field ``name`` of ``config`` as a tuple, or a ``FieldError`` naming it
+    when the value is not a sequence (a bare number, say)."""
+    value = getattr(config, name)
+    try:
+        return tuple(value)
+    except TypeError:
+        raise FieldError(name, f"{name} must be a sequence, got {value!r}") from None

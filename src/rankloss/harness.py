@@ -28,7 +28,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import (DegenerateVarianceError, FieldError, RanklossError, TooSmallError, TrialError,
-                     _POSITIVE, _check, _check_fields, _check_integers, _integer, _real)
+                     _POSITIVE, _bool, _check, _check_fields, _check_integers, _integer, _real,
+                     _sequence_field)
 from .losses import SurrogateParams
 from .network import MLPStack, TrainConfig, evaluate_auroc_stacked, init_model, train_stacked
 
@@ -65,15 +66,17 @@ class SplitSpec:
     base_seed: int = 0
 
     def __post_init__(self):
-        ratios = tuple(self.ratios)
+        ratios = _sequence_field(self, "ratios")
         if len(ratios) != 3:
             raise FieldError("ratios", f"ratios must be (train, val, test), got {ratios}")
         _check(_real, _POSITIVE, "ratios", *ratios, field="ratios")
         ratios = tuple(map(float, ratios))
         if abs(sum(ratios) - 1.0) > 1e-9:
             raise FieldError("ratios", f"ratios must sum to 1, got {sum(ratios)}")
+        _check_fields(self, _bool, stratified=None)
         _check_fields(self, _integer, n_repeats=1, base_seed=0)
         object.__setattr__(self, "ratios", ratios)
+        object.__setattr__(self, "stratified", bool(self.stratified))
 
 
 @dataclass(frozen=True)
@@ -117,13 +120,13 @@ class ExperimentConfig:
     hidden_dims: tuple[int, ...] = (16,)
 
     def __post_init__(self):
-        arms = tuple(self.arms)
+        arms = _sequence_field(self, "arms")
         if not arms:
             raise FieldError("arms", "at least one arm is required")
         names = [a.name for a in arms]
         if len(set(names)) != len(names):
             raise FieldError("arms", f"arm names must be unique, got {names}")
-        hidden = tuple(self.hidden_dims)
+        hidden = _sequence_field(self, "hidden_dims")
         if len(hidden) > 2:
             raise FieldError("hidden_dims", f"at most 2 hidden layers are supported, got {hidden}")
         if not all(_integer(d) and d >= 1 for d in hidden):

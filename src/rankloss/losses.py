@@ -128,7 +128,7 @@ def _softmax_rows(arr: np.ndarray) -> np.ndarray:
     # Softmax along the last axis, unchecked; shared by the checked entry
     # point and the stacked kernels so both round the same way.
     e = np.exp(arr - _last_axis_max(arr))
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / _last_axis_sum(e)
 
 
 def _last_axis_max(arr: np.ndarray) -> np.ndarray:
@@ -138,6 +138,19 @@ def _last_axis_max(arr: np.ndarray) -> np.ndarray:
     out = arr[..., 0].copy()
     for c in range(1, arr.shape[-1]):
         np.maximum(out, arr[..., c], out=out)
+    return out[..., None]
+
+
+def _last_axis_sum(arr: np.ndarray) -> np.ndarray:
+    # sum(axis=-1, keepdims=True), bit for bit, by column adds as above.
+    # NumPy sums a row shorter than 8 left to right from 0 (which turns a
+    # -0.0 into 0.0), so running column adds from 0 round the same. From 8
+    # columns on it sums pairwise, so those rows keep its sum.
+    if arr.shape[-1] >= 8:
+        return arr.sum(axis=-1, keepdims=True)
+    out = arr[..., 0] + 0.0
+    for c in range(1, arr.shape[-1]):
+        out += arr[..., c]
     return out[..., None]
 
 
@@ -392,7 +405,8 @@ def _targets(kind: str, labels: np.ndarray, n_classes: int) -> list[_Targets]:
     w_pos, w_neg = n_pos.max(axis=2), n_neg.max(axis=2)
     pos_slot, neg_slot = np.arange(w_pos.max()), np.arange(w_neg.max())
     pos_at = np.where(pos_slot < n_pos[..., None], order[..., : pos_slot.size], rows)
-    neg_at = np.take_along_axis(order, np.minimum(n_pos[..., None] + neg_slot, rows - 1), axis=3)
+    starts = np.arange(0, order.size, rows).reshape(*order.shape[:3], 1)  # each row's flat start
+    neg_at = order.take(starts + np.minimum(n_pos[..., None] + neg_slot, rows - 1))
     neg_at = np.where(neg_slot < n_neg[..., None], neg_at, rows + 1)
     offset = (np.arange(n_trials) * (rows + 2))[:, None]
     pos_at += offset
@@ -416,7 +430,7 @@ def _targets(kind: str, labels: np.ndarray, n_classes: int) -> list[_Targets]:
 
 def _stacked_cross_entropy(z, targets, want_grad):
     zmax = _last_axis_max(z)
-    lse = zmax + np.log(np.exp(z - zmax).sum(axis=2, keepdims=True))
+    lse = zmax + np.log(_last_axis_sum(np.exp(z - zmax)))
     log_probs = z - lse
     value = -(np.where(targets.hit, log_probs, 0.0).sum(axis=(1, 2)) / targets.n)
     grad = None
@@ -472,7 +486,7 @@ def _stacked_auc(kind, z, targets, params, want_grad, want_value, pool):
     value = 1.0 - term_sum / n_terms if want_value else None
     if not want_grad:
         return value, None
-    inner = (g_s * probs).sum(axis=2, keepdims=True)
+    inner = _last_axis_sum(g_s * probs)
     return value, probs * (g_s - inner)
 
 

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyClassError, _check_integers
+from .errors import EmptyClassError, _bool, _check, _check_integers
 
 __all__ = [
     "PredictionBatch",
@@ -78,6 +78,7 @@ class PredictionBatch:
     probabilities: bool = False
 
     def __post_init__(self):
+        _check(_bool, None, "probabilities", self.probabilities)
         scores = np.asarray(self.scores, dtype=np.float64)
         if scores.ndim != 2:
             raise ValueError(f"scores must be 2-D (n_samples, n_classes), got shape {scores.shape}")
@@ -193,26 +194,31 @@ def auroc_pairwise(pos_scores, neg_scores) -> AurocValue:
     return AurocValue(value=value, n_pos=pos.size, n_neg=neg.size)
 
 
-def _midranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of finite values along the last axis, tied values
-    sharing the mean of their ranks: scipy.stats.rankdata's "average"
-    method, without importing scipy.stats, which takes over a second.
+def _sorted_midranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of finite values ``x`` (along the last axis) in its stable
+    sort order: the flat positions ``at`` of its entries in ``x``, and their
+    1-based ranks, tied values sharing the mean of their ranks. Put back at
+    ``at``, the ranks are scipy.stats.rankdata's "average" method, computed
+    without importing scipy.stats, which takes over a second.
 
     A run of ties at sorted positions a..b gets (a + b) / 2 + 1, a
-    half-integer, so sums of ranks are exact in any order.
+    half-integer, so sums of ranks are exact in any order. When no row has
+    a tie, each rank is its position plus one.
     """
-    order = np.argsort(x, axis=-1, kind="stable")
-    ordered = np.take_along_axis(x, order, axis=-1)
-    position = np.arange(x.shape[-1])
+    n = x.shape[-1]
+    at = np.argsort(x, axis=-1, kind="stable")
+    at += np.arange(0, x.size, n).reshape(*x.shape[:-1], 1)  # each row's flat start
+    ordered = x.take(at)
+    position = np.arange(n)
     starts = np.ones(x.shape, dtype=bool)
     np.not_equal(ordered[..., 1:], ordered[..., :-1], out=starts[..., 1:])
+    if starts.all():
+        return at, np.broadcast_to(position + 1.0, x.shape)
     ends = np.ones(x.shape, dtype=bool)
     ends[..., :-1] = starts[..., 1:]
     first = np.maximum.accumulate(np.where(starts, position, 0), axis=-1)
     last = np.minimum.accumulate(np.where(ends, position, position[-1])[..., ::-1], axis=-1)
-    ranks = np.empty(x.shape)
-    np.put_along_axis(ranks, order, (first + last[..., ::-1]) / 2.0 + 1.0, axis=-1)
-    return ranks
+    return at, (first + last[..., ::-1]) / 2.0 + 1.0
 
 
 def auroc_rank_scores(pos_scores, neg_scores) -> AurocValue:
@@ -237,9 +243,9 @@ def _ranked_auroc(x, pos, n_pos, n_neg) -> np.ndarray:
     flagged in ``pos`` against the rest, unchecked: row r needs ``n_pos[r]``
     >= 1 positives and ``n_neg[r]`` >= 1 negatives. Midranks are
     half-integers whose sums are exact in any order, so each row's value is
-    the one-row route's bit for bit."""
-    ranks = _midranks(x)
-    win_sum = np.where(pos, ranks, 0.0).sum(axis=1) - n_pos * (n_pos + 1) / 2.0
+    the one-row route's bit for bit. They are summed in sorted order."""
+    at, ranks = _sorted_midranks(x)
+    win_sum = np.where(pos.take(at), ranks, 0.0).sum(axis=1) - n_pos * (n_pos + 1) / 2.0
     return _auc_from_win_sum(win_sum, n_pos, n_neg)
 
 
@@ -312,6 +318,7 @@ def auroc_multiclass_ovr(batch: PredictionBatch, lenient: bool = False) -> Macro
     ``per_class`` entry is None and the mean is renormalized over the
     classes that remain.
     """
+    _check(_bool, None, "lenient", lenient)
     classes = range(batch.n_classes)
     if lenient:
         counts = batch.class_counts()

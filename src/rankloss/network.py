@@ -98,6 +98,9 @@ class TrainConfig:
             )
         # 0 is allowed so a no-op run can serve as an untrained control arm.
         _check_fields(self, _real, learning_rate=0)
+        if not isinstance(self.surrogate, SurrogateParams):
+            raise FieldError("surrogate",
+                             f"surrogate must be a SurrogateParams, got {self.surrogate!r}")
 
 
 def init_model(layer_dims: Sequence[int], seed: int) -> MLPModel:
@@ -133,7 +136,7 @@ def _check_features(model: MLPModel, features: np.ndarray) -> np.ndarray:
 def forward(model: MLPModel, features: np.ndarray) -> np.ndarray:
     """Logits for a feature matrix: affine layers with ReLU between, linear out."""
     x = _check_features(model, features)
-    return _layers([w[None] for w in model.weights], [b[None] for b in model.biases], x[None])[0]
+    return _layers(MLPStack.of([model]).blocks, _with_ones(x[None]))[0]
 
 
 class _LabelGroups:
@@ -223,13 +226,15 @@ def _batch_index(groups: Sequence[_LabelGroups], seeds: Sequence[int],
     q, r = np.divmod(counts, n_batches)
     chunk = q[:, :, None] + (np.arange(n_batches) < r[:, :, None])
     width = max(trial.width for trial in groups)
+    # placement[t, c, j] as a flat position into a (T, n_classes, n_batches) array.
+    at = placement + np.arange(0, placement.size, n_batches).reshape(n_trials, n_classes, 1)
     rows = np.empty_like(placement)  # rows[t, c, b]: how many rows class c gives batch b
-    np.put_along_axis(rows, placement, chunk, axis=2)
+    rows.put(at, chunk)
     sizes = rows.sum(axis=1)
     # Where class c starts in the flat index: its batch's row, then its slot.
     batch_start = (np.arange(n_trials)[:, None] * n_batches + np.arange(n_batches)) * width
     slot = batch_start[:, None, :] + np.cumsum(rows, axis=1) - rows
-    dest = np.take_along_axis(slot, placement, axis=2).reshape(n_trials, -1)
+    dest = slot.take(at).reshape(n_trials, -1)
     chunk = chunk.reshape(n_trials, -1)
     shift = dest - (np.cumsum(chunk, axis=1) - chunk)
     offset = np.repeat(shift.ravel(), chunk.ravel()).reshape(n_trials, n) + np.arange(n)
@@ -271,33 +276,34 @@ def _non_finite(what: str, epoch: int | None = None, batch: int | None = None) -
 class MLPStack:
     """T feed-forward nets of one shape, stacked for trial-batched training.
 
-    ``params`` (T, n_params) holds model t in row t: every layer's weights,
-    then every layer's biases. ``weights[i]`` (T, fan_in, fan_out) and
-    ``biases[i]`` (T, fan_out) are views of it, so one batched matmul runs
-    layer i of every model and one operation updates all the parameters.
-    ``layer_dims`` is a tuple, as ``MLPModel.layer_dims`` is.
+    ``params`` (T, n_params) holds model t in row t: layer by layer, one
+    (fan_in + 1, fan_out) block, the layer's weights with its biases as the
+    last row. ``blocks[i]`` (T, fan_in + 1, fan_out), ``weights[i]``
+    (T, fan_in, fan_out) and ``biases[i]`` (T, fan_out) are views of it, so
+    one batched matmul of inputs with a ones column runs layer i of every
+    model, weights and biases, and one operation updates all the
+    parameters. ``layer_dims`` is a tuple, as ``MLPModel.layer_dims`` is.
     """
 
-    __slots__ = ("layer_dims", "params", "weights", "biases")
+    __slots__ = ("layer_dims", "params", "blocks", "weights", "biases")
 
     def __init__(self, layer_dims: tuple[int, ...], params: np.ndarray):
         self.layer_dims, self.params = layer_dims, params
-        self.weights, self.biases, start = [], [], 0
+        self.blocks, start = [], 0
         for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-            stop = start + fan_in * fan_out
-            self.weights.append(params[:, start:stop].reshape(-1, fan_in, fan_out))
+            stop = start + (fan_in + 1) * fan_out
+            self.blocks.append(params[:, start:stop].reshape(-1, fan_in + 1, fan_out))
             start = stop
-        for fan_out in layer_dims[1:]:
-            self.biases.append(params[:, start:start + fan_out])
-            start += fan_out
+        self.weights = [block[:, :-1] for block in self.blocks]
+        self.biases = [block[:, -1] for block in self.blocks]
 
     @classmethod
     def of(cls, models: Sequence[MLPModel]) -> "MLPStack":
         dims = models[0].layer_dims
         if any(m.layer_dims != dims for m in models):
             raise ValueError("stacked models must share their layer dims")
-        return cls(dims, np.stack([np.concatenate([p.ravel() for p in m.weights + m.biases])
-                                   for m in models]))
+        return cls(dims, np.stack([np.concatenate([p.ravel() for layer in zip(m.weights, m.biases)
+                                                   for p in layer]) for m in models]))
 
     @property
     def n_models(self) -> int:
@@ -349,19 +355,29 @@ def _check_stacked(model: MLPStack, features, labels, what: str):
     return x, y
 
 
-def _layers(weights, biases, a, inputs=None) -> np.ndarray:
-    """Logits of the stacked layers on ``a`` (T, rows, fan_in): affine maps
-    with ReLU between. When ``inputs`` is a list, each layer's input is
-    appended to it; backprop reads each ReLU's mask off the next input."""
-    last = len(weights) - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
+def _with_ones(x: np.ndarray) -> np.ndarray:
+    """``x`` (..., n) with a last column of ones appended: (..., n + 1)."""
+    return np.concatenate([x, np.ones((*x.shape[:-1], 1))], axis=-1)
+
+
+def _layers(blocks, a, inputs=None) -> np.ndarray:
+    """Logits of the stacked layers on ``a`` (T, rows, fan_in + 1), whose
+    last column is 1: one matmul by each layer's block, weights and biases,
+    with ReLU between. Each hidden layer's output goes into a buffer whose
+    last column is 1, the next layer's input. When ``inputs`` is a list,
+    each layer's input is appended to it; backprop reads each ReLU's mask
+    off the next input."""
+    for block in blocks[:-1]:
         if inputs is not None:
             inputs.append(a)
-        a = np.matmul(a, w)
-        a += b[:, None, :]
-        if i < last:
-            np.maximum(a, 0.0, out=a)
-    return a
+        hidden = np.empty((*a.shape[:2], block.shape[2] + 1))
+        hidden[:, :, -1] = 1.0
+        np.matmul(a, block, out=hidden[:, :, :-1])
+        np.maximum(hidden, 0.0, out=hidden)  # max(1, 0) keeps the ones column
+        a = hidden
+    if inputs is not None:
+        inputs.append(a)
+    return np.matmul(a, blocks[-1])
 
 
 class _Scorer:
@@ -371,13 +387,14 @@ class _Scorer:
     is built, and each call scores a stack."""
 
     def __init__(self, model: MLPStack, features, labels):
-        self.x, y = _check_stacked(model, features, labels, "evaluation")
+        x, y = _check_stacked(model, features, labels, "evaluation")
+        self.x = _with_ones(x)
         # Binary: class 1 ranked against class 0; else one-vs-rest.
         n_classes = model.n_classes
         self.ranking = _Ranking(y, [1] if n_classes == 2 else range(n_classes))
 
     def __call__(self, model: MLPStack, epoch: int | None = None):
-        logits = _layers(model.weights, model.biases, self.x)
+        logits = _layers(model.blocks, self.x)
         errors = [_non_finite("evaluation logits", epoch) if bad else error
                   for bad, error in zip(_nonfinite_rows(logits), self.ranking.errors)]
         ok = np.array([error is None for error in errors])
@@ -408,8 +425,9 @@ def evaluate_auroc_stacked(
 
 @dataclass(frozen=True)
 class _Batch:
-    """One SGD step of a stack: ``x`` (T, P, n_features) holds each trial's
-    batch padded to the stack's width P with copies of its first row,
+    """One SGD step of a stack: ``x`` (T, P, n_features + 1) holds each
+    trial's batch, with its ones column, padded to the stack's width P with
+    copies of its first row,
     ``real`` (T, P) marks the batch's own rows, and ``targets`` is the
     loss's label data (``losses._targets``) of the batches' labels, padded
     with -1."""
@@ -456,15 +474,15 @@ def _step(stack: MLPStack, grads: MLPStack, batch: _Batch, config: TrainConfig, 
     has failed on them already.
     """
     inputs = []
-    logits = _layers(stack.weights, stack.biases, batch.x, inputs)
+    logits = _layers(stack.blocks, batch.x, inputs)
     values, delta = _kernel(config.loss_kind, logits, batch.targets, config.surrogate, True,
                             want_value=_value_needed(config, batch.x.shape[1]), pool=pool)
     for layer in range(len(inputs) - 1, -1, -1):
-        np.matmul(inputs[layer].transpose(0, 2, 1), delta, out=grads.weights[layer])
-        np.add.reduce(delta, axis=1, out=grads.biases[layer])
+        # The input's ones column makes the block's last row the bias gradient.
+        np.matmul(inputs[layer].transpose(0, 2, 1), delta, out=grads.blocks[layer])
         if layer:
             delta = delta @ stack.weights[layer].transpose(0, 2, 1)
-            delta *= inputs[layer] > 0.0
+            delta *= inputs[layer][:, :, :-1] > 0.0
     grads.params *= config.learning_rate
     stack.params -= grads.params
     failures = []
@@ -522,6 +540,7 @@ def train_stacked(
     ):
         raise ValueError("need one TrainConfig per model, equal in everything but the seed")
     train_x, train_y = _check_stacked(model, train_x, train_y, "training")
+    train_x = _with_ones(train_x)
     validate = _Scorer(model, val_x, val_y)
 
     every = range(model.n_models)
@@ -539,7 +558,7 @@ def train_stacked(
 
     work, best = model.copy(), model.copy()
     best_auroc = np.full(model.n_models, -np.inf)
-    logits = _layers(work.weights, work.biases, train_x)
+    logits = _layers(work.blocks, train_x)
     fail(_nonfinite_rows(logits), "initial logits")
     fail_each([_missing_class(config.loss_kind, np.bincount(y, minlength=model.n_classes))
                for y in train_y])

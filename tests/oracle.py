@@ -218,13 +218,15 @@ class TrainHistory:
 
 def _forward_cached(model: MLPModel, x: np.ndarray):
     # Returns logits plus per-layer inputs and pre-activations for backprop.
+    # Each layer is [a, 1] @ [W; b], the products the engine computes.
     inputs = []
     pre_acts = []
     a = x
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        a = np.column_stack([a, np.ones(len(a))])
         inputs.append(a)
-        z = a @ w + b[..., None, :]
+        z = a @ np.vstack([w, b])
         pre_acts.append(z)
         a = np.maximum(z, 0.0) if i < last else z
     return a, inputs, pre_acts
@@ -235,11 +237,11 @@ def _backprop(model: MLPModel, inputs, pre_acts, grad_logits):
     grads_b = [None] * len(model.biases)
     delta = grad_logits
     for layer in range(len(model.weights) - 1, -1, -1):
-        grads_w[layer] = np.swapaxes(inputs[layer], -1, -2) @ delta
-        grads_b[layer] = delta.sum(axis=-2)
+        # The ones column makes the product's last row the bias gradient.
+        grads = inputs[layer].T @ delta
+        grads_w[layer], grads_b[layer] = grads[:-1], grads[-1]
         if layer > 0:
-            weights_t = np.swapaxes(model.weights[layer], -1, -2)
-            delta = (delta @ weights_t) * (pre_acts[layer - 1] > 0.0)
+            delta = (delta @ model.weights[layer].T) * (pre_acts[layer - 1] > 0.0)
     return grads_w, grads_b
 
 

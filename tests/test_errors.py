@@ -25,6 +25,7 @@ from rankloss import (
     TooSmallError,
     TrainConfig,
     TrialError,
+    auroc_multiclass_ovr,
     finite_diff_check,
     init_model,
     loss_function,
@@ -215,3 +216,67 @@ def test_real_rule_takes_finite_reals(value):
     assert SurrogateParams(k=value, L=value, x0=value).k == value
     with pytest.raises(FieldError, match="^k must be a finite number, got 1000"):
         SurrogateParams(k=10**400)
+
+
+_OVR_BATCH = PredictionBatch(np.eye(3), [0, 1, 2])
+
+# Each entry that takes a bool: (call with the value, the FieldError field
+# or None for a plain ValueError).
+BOOL_ENTRIES = {
+    "SplitSpec.stratified": (lambda v: SplitSpec(stratified=v), "stratified"),
+    "auroc_multiclass_ovr.lenient": (lambda v: auroc_multiclass_ovr(_OVR_BATCH, lenient=v), None),
+    "PredictionBatch.probabilities": (
+        lambda v: PredictionBatch(np.eye(3), [0, 1, 2], probabilities=v), None),
+}
+
+
+@pytest.mark.parametrize("value", ["no", 1, None, 0.0])
+@pytest.mark.parametrize("entry", sorted(BOOL_ENTRIES))
+def test_bool_rule(entry, value):
+    # A truthy str, an integer or None is not read as a flag: "no" used to
+    # split stratified and score leniently.
+    call, field = BOOL_ENTRIES[entry]
+    name = entry.split(".")[1]
+    error = ValueError if field is None else FieldError
+    with pytest.raises(error) as exc:
+        call(value)
+    assert type(exc.value) is error and str(exc.value) == f"{name} must be a bool, got {value!r}"
+    if field is not None:
+        assert exc.value.field == field
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
+@pytest.mark.parametrize("entry", sorted(BOOL_ENTRIES))
+def test_bool_rule_takes_python_and_numpy_bools(entry, value):
+    BOOL_ENTRIES[entry][0](value)
+
+
+def test_split_spec_stores_a_python_bool():
+    assert type(SplitSpec(stratified=np.False_).stratified) is bool
+
+
+@pytest.mark.parametrize("value", [None, {"k": 20.0}, 20.0])
+@pytest.mark.parametrize("config", [
+    lambda v: TrainConfig(batch_size=8, loss_kind="auc_binary", surrogate=v),
+    lambda v: ArmConfig("a", "auc_binary", 8, surrogate=v),
+], ids=["TrainConfig", "ArmConfig"])
+def test_surrogate_must_be_surrogate_params(config, value):
+    # None used to pass and end in an AttributeError inside the loss kernel.
+    with pytest.raises(FieldError) as exc:
+        config(value)
+    assert exc.value.field == "surrogate"
+    assert str(exc.value) == f"surrogate must be a SurrogateParams, got {value!r}"
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda v: SplitSpec(ratios=v), "ratios"),
+    (lambda v: SyntheticSpec(v, 2, 1.0, 1.0), "class_counts"),
+    (lambda v: ExperimentConfig(_EXPERIMENT.arms, SplitSpec(), v), "hidden_dims"),
+    (lambda v: ExperimentConfig(v, SplitSpec()), "arms"),
+], ids=["ratios", "class_counts", "hidden_dims", "arms"])
+def test_sequence_fields_reject_a_bare_value(call, field):
+    # A bare number used to end in "TypeError: 'int' object is not iterable".
+    with pytest.raises(FieldError) as exc:
+        call(4)
+    assert exc.value.field == field
+    assert str(exc.value) == f"{field} must be a sequence, got 4"

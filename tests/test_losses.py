@@ -24,7 +24,7 @@ from rankloss import (
     softmax,
 )
 import rankloss.losses
-from rankloss.losses import PAIR_BLOCK, _block_logistic, stacked_loss
+from rankloss.losses import PAIR_BLOCK, _block_logistic, _last_axis_sum, stacked_loss
 
 import oracle
 from conftest import random_batch
@@ -78,6 +78,21 @@ class TestSoftmax:
         probs = softmax(rng.normal(size=(50, 4)))
         assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
         assert (probs > 0).all()
+
+
+@pytest.mark.parametrize("shape", [(10, 69, 3), (2, 2400, 2), (50, 4)]
+                         + [(7, 30, c) for c in range(2, 10)])
+def test_last_axis_sum_is_numpy_sum_bit_for_bit(shape):
+    # Column adds below 8 columns, NumPy's sum from 8 on (the shapes cover
+    # both sides): the same bits as sum(axis=-1, keepdims=True), signed
+    # zeros included, on values of either sign spread over 60 binades.
+    rng = np.random.default_rng(shape[-1])
+    for _ in range(20):
+        x = rng.normal(size=shape) * np.exp2(rng.integers(-30, 30, size=shape))
+        x[rng.random(size=shape) < 0.1] = rng.choice([0.0, -0.0])
+        x[0] = -0.0
+        got, want = _last_axis_sum(x), x.sum(axis=-1, keepdims=True)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestBinaryAucLoss:

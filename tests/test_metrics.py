@@ -103,7 +103,7 @@ class TestCrossLibrary:
     def test_midranks_match_scipy_rankdata(self):
         from scipy.stats import rankdata
 
-        from rankloss.metrics import _midranks
+        from rankloss.metrics import _sorted_midranks
 
         rng = np.random.default_rng(5)
         for seed in range(300):
@@ -111,7 +111,10 @@ class TestCrossLibrary:
             shape = (n,) if seed % 2 else (int(rng.integers(1, 5)), n)
             x = np.round(rng.normal(size=shape), seed % 3)  # heavy ties
             x[x == 0] = rng.choice([0.0, -0.0], size=int((x == 0).sum()))
-            assert np.array_equal(_midranks(x), rankdata(x, method="average", axis=-1))
+            at, sorted_ranks = _sorted_midranks(x)
+            ranks = np.empty(x.shape)
+            ranks.put(at, sorted_ranks)
+            assert np.array_equal(ranks, rankdata(x, method="average", axis=-1))
 
     def test_rank_rows_match_rank_scores(self):
         # The rows kernel on a stack of splits equals the one-row route and
@@ -124,6 +127,28 @@ class TestCrossLibrary:
         got = _ranked_auroc(scores, positives, n_pos, 40 - n_pos)
         for row, flags, value in zip(scores, positives, got):
             assert value == auroc_rank_scores(row[flags], row[~flags]).value
+            assert value == auroc_pairwise(row[flags], row[~flags]).value
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_ranked_rows_match_pairwise_with_and_without_ties(self, ties):
+        # Rows without a tie take the ranks as positions plus one; rows of
+        # scores rounded to one digit are full of ties and take midranks.
+        from rankloss.metrics import _sorted_midranks
+
+        rng = np.random.default_rng(9)
+        scores = rng.normal(size=(30, 50))
+        if ties:
+            scores = np.round(scores, 0)
+        ordered = np.sort(scores, axis=1)
+        has_tie = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        assert has_tie.all() if ties else not has_tie.any()
+        at, ranks = _sorted_midranks(scores)
+        assert np.array_equal(ranks[0], np.arange(1.0, 51.0)) != ties
+        positives = rng.random(size=(30, 50)) < 0.3
+        positives[:, :2] = [True, False]
+        n_pos = positives.sum(axis=1)
+        got = _ranked_auroc(scores, positives, n_pos, 50 - n_pos)
+        for row, flags, value in zip(scores, positives, got):
             assert value == auroc_pairwise(row[flags], row[~flags]).value
 
     def test_matches_sklearn_binary(self):

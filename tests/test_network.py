@@ -121,18 +121,24 @@ class TestForward:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_matches_textbook_layers_and_stack(self, seed):
         # The protocol's shape (8 features, 16 hidden, 3 classes, 339 rows):
-        # forward is bit for bit the textbook loop and the engine's stacked
-        # pass over a stack of one.
+        # forward is bit for bit the textbook loop with each bias folded into
+        # its weight block, [a, 1] @ [W; b], and the engine's stacked pass
+        # over a stack of one. The fold moves only rounding from a @ W + b.
         rng = np.random.default_rng(seed)
         model = init_model([8, 16, 3], seed=seed)
         model.biases = [rng.normal(size=b.shape) for b in model.biases]
         x = rng.normal(size=(339, 8))
-        want = np.maximum(x @ model.weights[0] + model.biases[0], 0.0)
-        want = want @ model.weights[1] + model.biases[1]
+        ones = np.ones((339, 1))
+        blocks = [np.vstack([w, b]) for w, b in zip(model.weights, model.biases)]
+        want = np.maximum(np.hstack([x, ones]) @ blocks[0], 0.0)
+        want = np.hstack([want, ones]) @ blocks[1]
         stack = MLPStack.of([model])
         got = forward(model, x)
         assert np.array_equal(got, want)
-        assert np.array_equal(got, _layers(stack.weights, stack.biases, x[None])[0])
+        assert np.array_equal(got, _layers(stack.blocks, np.hstack([x, ones])[None])[0])
+        unfolded = np.maximum(x @ model.weights[0] + model.biases[0], 0.0)
+        unfolded = unfolded @ model.weights[1] + model.biases[1]
+        assert np.max(np.abs(got - unfolded)) <= 1e-12
 
 
 class TestStratifiedBatches:
@@ -483,8 +489,9 @@ class TestTrain:
 class TestMLPStack:
     @pytest.mark.parametrize("hidden", [(), (4,), (4, 3)])
     def test_params_layout(self, hidden):
-        # Row t of params is model t's weights, then its biases, layer by
-        # layer; the stack's weights and biases are views of those columns.
+        # Row t of params is model t's blocks, layer by layer, each the
+        # layer's weights and then its biases as the last row; the stack's
+        # blocks, weights and biases are views of those columns.
         dims = (5, *hidden, 3)
         rng = np.random.default_rng(0)
         models = [init_model(dims, seed) for seed in range(3)]
@@ -501,13 +508,17 @@ class TestMLPStack:
         layers = list(zip(dims[:-1], dims[1:]))
         assert [w.shape for w in stack.weights] == [(3, *shape) for shape in layers]
         assert [b.shape for b in stack.biases] == [(3, fan_out) for _, fan_out in layers]
+        assert [b.shape for b in stack.blocks] == [(3, fan_in + 1, fan_out)
+                                                   for fan_in, fan_out in layers]
         # Distinct values written through params show where each view sits.
         stack.params[:] = np.arange(stack.params.size).reshape(stack.params.shape)
         start = 0
-        for view in stack.weights + stack.biases:
-            assert np.shares_memory(view, stack.params)
-            width = view[0].size
-            assert np.array_equal(view, stack.params[:, start : start + width].reshape(view.shape))
+        for block, w, b in zip(stack.blocks, stack.weights, stack.biases):
+            for view in (block, w, b):
+                assert np.shares_memory(view, stack.params)
+            width = block[0].size
+            assert np.array_equal(block, stack.params[:, start : start + width].reshape(block.shape))
+            assert np.array_equal(w, block[:, :-1]) and np.array_equal(b, block[:, -1])
             start += width
         assert start == stack.params.shape[1]
 
@@ -517,7 +528,7 @@ class TestMLPStack:
         copy = stack.copy()
         assert copy.layer_dims == stack.layer_dims
         assert copy.params.tobytes() == stack.params.tobytes()
-        for array in [copy.params, *copy.weights, *copy.biases]:
+        for array in [copy.params, *copy.blocks, *copy.weights, *copy.biases]:
             assert not np.shares_memory(array, stack.params)
 
 
@@ -694,7 +705,9 @@ class TestTrainStacked:
             for t, (m, size) in enumerate(zip(models, sizes))
         ]
         index = np.broadcast_to(np.arange(240), (3, 1, 240))
-        (step,) = _plan(index, sizes[:, None], x, y, config.loss_kind, 3)
+        ones = np.ones((3, 240, 1))
+        (step,) = _plan(index, sizes[:, None], np.concatenate([x, ones], axis=2), y,
+                        config.loss_kind, 3)
         stack = MLPStack.of(models)
         failures = dict(_step(stack, stack.copy(), step, config))
         assert "logits" not in failures
