@@ -51,7 +51,6 @@ from .losses import (
     loss_function,
     multiclass_auc_loss,
     softmax,
-    stacked_loss,
 )
 from .network import (
     MLPModel,
@@ -94,7 +93,7 @@ __all__ = [
     # losses
     "SurrogateParams", "DEFAULT_SURROGATE", "LossOutput", "GradCheckReport",
     "LOSS_KINDS", "logistic", "softmax", "binary_auc_loss", "multiclass_auc_loss",
-    "cross_entropy_loss", "loss_function", "finite_diff_check", "stacked_loss",
+    "cross_entropy_loss", "loss_function", "finite_diff_check",
     # network
     "MLPModel", "TrainConfig", "init_model", "forward", "stratified_batches", "train",
     "MLPStack", "StackedTraining", "train_stacked", "evaluate_auroc_stacked",

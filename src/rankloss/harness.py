@@ -95,6 +95,8 @@ class ArmConfig:
     surrogate: SurrogateParams = TrainConfig.surrogate
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise FieldError("name", f"name must be a str, got {self.name!r}")
         if not self.name:
             raise FieldError("name", "arm name must be non-empty")
         self.train_config(seed=0)
@@ -123,9 +125,14 @@ class ExperimentConfig:
         arms = _sequence_field(self, "arms")
         if not arms:
             raise FieldError("arms", "at least one arm is required")
+        for i, arm in enumerate(arms):
+            if not isinstance(arm, ArmConfig):
+                raise FieldError(f"arms/{i}", f"arms/{i} must be an ArmConfig, got {arm!r}")
         names = [a.name for a in arms]
         if len(set(names)) != len(names):
             raise FieldError("arms", f"arm names must be unique, got {names}")
+        if not isinstance(self.split, SplitSpec):
+            raise FieldError("split", f"split must be a SplitSpec, got {self.split!r}")
         hidden = _sequence_field(self, "hidden_dims")
         if len(hidden) > 2:
             raise FieldError("hidden_dims", f"at most 2 hidden layers are supported, got {hidden}")

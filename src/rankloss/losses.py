@@ -16,8 +16,8 @@ are derived analytically via f'(x) = (k/L) f(x) (L - f(x)) chained through
 softmax. ``finite_diff_check`` verifies any loss gradient against central
 differences.
 
-Each loss has one implementation, the kernel behind ``stacked_loss``, which
-computes it for a stack of padded batches, one per trial, as training needs.
+Each loss has one implementation, ``_kernel``, which computes it for a
+stack of padded batches, one per trial, as the training engine needs.
 The per-batch functions (``binary_auc_loss``, ``multiclass_auc_loss``,
 ``cross_entropy_loss`` and ``loss_function``'s callables) run it on a stack
 of one. The pairwise kinds walk each pair grid in blocks of ``PAIR_BLOCK``
@@ -37,7 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import EmptyClassError, _POSITIVE, _check, _check_fields, _real
-from .metrics import PredictionBatch, _class_labels
+from .metrics import PredictionBatch
 
 __all__ = [
     "SurrogateParams",
@@ -53,7 +53,6 @@ __all__ = [
     "loss_function",
     "finite_diff_check",
     "PAIR_BLOCK",
-    "stacked_loss",
 ]
 
 LOSS_KINDS = ("cross_entropy", "auc_binary", "auc_multiclass")
@@ -296,26 +295,14 @@ Each class's pair grid is walked in blocks of whole trials, or of positive
 rows of one trial, that hold at most this many pairs (or one row, if a row
 is longer). Its workspace then stays cache-sized however large the batches
 or the block of trials, and blocking changes no gradient bit. A thread of
-the ``stacked_loss`` pool gets pairs only if it gets at least this many."""
+``_kernel``'s pool gets pairs only if it gets at least this many."""
 
 
-def stacked_loss(
-    kind: str,
-    logits: np.ndarray,
-    labels,
-    params: SurrogateParams = DEFAULT_SURROGATE,
-    want_grad: bool = False,
-    *,
-    want_value: bool = True,
-    pool=None,
-) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """Loss values (T,) and, when asked, d(value)/d(logits) for T padded batches.
-
-    Labels follow ``PredictionBatch``'s rule but lie in [-1, C), where -1
-    marks a padding row; others raise ``ValueError``. Every trial's batch
-    must hold at least one sample of each class the loss ranks;
-    ``EmptyClassError`` names the first trial that does not. The training
-    engine checks its data once and calls ``_kernel`` directly.
+def _kernel(kind, z, targets, params, want_grad, *, want_value=True, pool=None):
+    """Loss values (T,) and, when ``want_grad``, d(value)/d(logits) of T
+    padded batches: float64 logits ``z`` (T, P, C) and their labels'
+    ``_Targets``. Unchecked: callers check the labels and, for
+    ``auc_binary``, that C is 2.
 
     ``want_value=False`` is for callers that need only the gradient: the AUC
     kinds then return None for the value and skip the surrogate terms, a
@@ -325,20 +312,6 @@ def stacked_loss(
     compute their pair grids on its threads (see ``_grid_tasks``). Values and
     gradients are the same bit for bit with and without it.
     """
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 3:
-        raise ValueError(f"expected (T, P, C) logits, got shape {z.shape}")
-    y = _class_labels(labels, z.shape[2], z.shape[:2], low=-1)
-    if kind == "auc_binary" and z.shape[2] != 2:
-        raise ValueError(f"binary_auc_loss requires 2 classes, got {z.shape[2]}")
-    if kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
-    targets = _targets(kind, y[None], z.shape[2])[0]
-    return _kernel(kind, z, targets, params, want_grad, want_value=want_value, pool=pool)
-
-
-def _kernel(kind, z, targets, params, want_grad, *, want_value=True, pool=None):
-    """``stacked_loss`` of checked float64 logits and their labels' ``_Targets``."""
     if kind == "cross_entropy":
         return _stacked_cross_entropy(z, targets, want_grad)
     return _stacked_auc(kind, z, targets, params, want_grad, want_value, pool)
@@ -364,7 +337,7 @@ class _ClassPairs:
 
 @dataclass(frozen=True)
 class _Targets:
-    """What ``stacked_loss`` reads off the (T, P) labels of a stack of padded
+    """What ``_kernel`` reads off the (T, P) labels of a stack of padded
     batches. Cross entropy: the real-row mask ``valid`` (T, P, 1), the real
     rows per trial ``n`` and the one-hot labels ``hit`` (T, P, C). AUC kinds:
     one ``_ClassPairs`` per class ranked."""

@@ -42,14 +42,12 @@ __all__ = [
 ]
 
 
-def _class_labels(labels, n_classes: int, shape: tuple, low: int = 0,
-                  name: str = "labels") -> np.ndarray:
+def _class_labels(labels, n_classes: int, shape: tuple, name: str = "labels") -> np.ndarray:
     """``labels`` as int64 class indices of the given ``shape``, each in
-    [``low``, ``n_classes``): the one label rule of every public entry that
-    takes class labels (``low`` = -1 admits the padding label of
-    ``losses.stacked_loss``). Integer dtypes pass, and so do floats that
-    hold whole numbers. Other floats, bool, str and object arrays, another
-    shape and values out of range raise ``ValueError``."""
+    [0, ``n_classes``): the one label rule of every public entry that takes
+    class labels. Integer dtypes pass, and so do floats that hold whole
+    numbers. Other floats, bool, str and object arrays, another shape and
+    values out of range raise ``ValueError``."""
     y = np.asarray(labels)
     if y.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {y.shape}")
@@ -57,8 +55,8 @@ def _class_labels(labels, n_classes: int, shape: tuple, low: int = 0,
     if kind not in "iuf" or kind == "f" and not np.array_equal(np.floor(y), y):
         got = "floats that are not whole numbers" if kind == "f" else f"dtype {y.dtype}"
         raise ValueError(f"{name} must be integer class indices, got {got}")
-    if y.size and (y.min() < low or y.max() >= n_classes):
-        raise ValueError(f"{name} must lie in [{low}, {n_classes}), got range "
+    if y.size and (y.min() < 0 or y.max() >= n_classes):
+        raise ValueError(f"{name} must lie in [0, {n_classes}), got range "
                          f"[{y.min()}, {y.max()}]")
     return y.astype(np.int64, copy=False)
 

@@ -29,7 +29,6 @@ from .losses import (
     _softmax_rows,
     _targets,
     _Targets,
-    stacked_loss,
 )
 from .metrics import _class_labels, _Ranking
 
@@ -269,8 +268,9 @@ def _non_finite(what: str, epoch: int | None = None, batch: int | None = None) -
 # step is then one forward pass, one loss call and one backprop pass over
 # the stack. No kernel reduces across trials, so a trial's arithmetic does
 # not depend on which other trials share its stack.
-# Data is checked once per run, so the steps call the unchecked code behind
-# ``stratified_batches`` and ``stacked_loss``: ``_batch_index``, ``_kernel``.
+# Data is checked once per run, so the initial loss and the steps call the
+# unchecked code behind ``stratified_batches`` and the per-batch losses:
+# ``_batch_index``, ``losses._targets`` and ``losses._kernel``.
 
 
 class MLPStack:
@@ -533,12 +533,18 @@ def train_stacked(
 
     ``pool`` is passed on to every loss call, whose pairwise kernel may run
     on its threads; the result does not depend on it.
+
+    Before any work, the configs must fit the stack (``ValueError``): one
+    per model, equal in everything but the seed, and an ``auc_binary``
+    loss needs a 2-class model.
     """
     config = configs[0]
     if len(configs) != model.n_models or any(
         replace(c, seed=config.seed) != config for c in configs
     ):
         raise ValueError("need one TrainConfig per model, equal in everything but the seed")
+    if config.loss_kind == "auc_binary" and model.n_classes != 2:
+        raise ValueError(f"binary_auc_loss requires 2 classes, got {model.n_classes}")
     train_x, train_y = _check_stacked(model, train_x, train_y, "training")
     train_x = _with_ones(train_x)
     validate = _Scorer(model, val_x, val_y)
@@ -564,8 +570,9 @@ def train_stacked(
                for y in train_y])
     values, ok = np.zeros(model.n_models), ~failed
     if ok.any() and _value_needed(config, train_y.shape[1]):
-        values[ok] = stacked_loss(config.loss_kind, logits[ok], train_y[ok], config.surrogate,
-                                  pool=pool)[0]
+        targets = _targets(config.loss_kind, train_y[ok][None], model.n_classes)[0]
+        values[ok] = _kernel(config.loss_kind, logits[ok], targets, config.surrogate, False,
+                             pool=pool)[0]
     fail(~np.isfinite(values), "initial loss")
     groups = [_LabelGroups(y, config.batch_size) for y in train_y]
     fail_each([trial.error for trial in groups])

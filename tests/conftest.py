@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rankloss import PredictionBatch
+from rankloss import DEFAULT_SURROGATE, PredictionBatch
+from rankloss.losses import _kernel, _targets
 
 
 def pairwise_oracle(pos, neg):
@@ -36,6 +37,14 @@ def random_batch(seed, n, n_classes, scale=1.0):
     return PredictionBatch(scale * rng.normal(size=(n, n_classes)), labels)
 
 
+def kernel_loss(kind, logits, labels, params=DEFAULT_SURROGATE, want_grad=False, *,
+                want_value=True, pool=None):
+    """The loss kernel on a stack of padded batches, as the training engine
+    calls it: logits (T, P, C) and labels (T, P), -1 marking padding."""
+    targets = _targets(kind, np.asarray(labels)[None], logits.shape[2])[0]
+    return _kernel(kind, logits, targets, params, want_grad, want_value=want_value, pool=pool)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
@@ -43,7 +52,7 @@ def rng():
 
 @pytest.fixture
 def task_counts(monkeypatch):
-    """The number of tasks each AUC ``stacked_loss`` call cut its pair
+    """The number of tasks each AUC ``kernel_loss`` call cut its pair
     grids into, in call order (1 when it ran serially)."""
     import rankloss.losses
 

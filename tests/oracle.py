@@ -11,7 +11,7 @@ gives the plain textbook run.
 ``evaluate_auroc`` scores a model by the pairwise AUROC definition
 (``auroc_pairwise``), not by the package's rank-sum kernel. The
 package computes every loss with its blocked kernel
-(``rankloss.losses.stacked_loss``) and trains every trial in its
+(``rankloss.losses._kernel``) and trains every trial in its
 trial-batched engine (``rankloss.network.train_stacked``); the tests hold
 both to these functions bit for bit, error for error.
 """

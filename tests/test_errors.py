@@ -268,6 +268,22 @@ def test_surrogate_must_be_surrogate_params(config, value):
     assert str(exc.value) == f"surrogate must be a SurrogateParams, got {value!r}"
 
 
+@pytest.mark.parametrize("call, field, message", [
+    (lambda v: ExperimentConfig(_EXPERIMENT.arms, v), "split", "split must be a SplitSpec"),
+    (lambda v: ExperimentConfig((*_EXPERIMENT.arms, v), SplitSpec()), "arms/1",
+     "arms/1 must be an ArmConfig"),
+    (lambda v: ArmConfig(v, "cross_entropy", 8), "name", "name must be a str"),
+], ids=["split", "arm", "name"])
+@pytest.mark.parametrize("value", [None, 5, {"n_repeats": 1}])
+def test_composite_fields_must_have_their_type(call, field, message, value):
+    # ExperimentConfig((5,), SplitSpec()) used to end in an AttributeError,
+    # and a split of None or an int arm name was accepted.
+    with pytest.raises(FieldError) as exc:
+        call(value)
+    assert exc.value.field == field
+    assert str(exc.value) == f"{message}, got {value!r}"
+
+
 @pytest.mark.parametrize("call, field", [
     (lambda v: SplitSpec(ratios=v), "ratios"),
     (lambda v: SyntheticSpec(v, 2, 1.0, 1.0), "class_counts"),

@@ -16,7 +16,6 @@ from rankloss import (
     auroc_rank_scores,
     evaluate_auroc_stacked,
     init_model,
-    stacked_loss,
     stratified_batches,
     train_stacked,
 )
@@ -385,7 +384,6 @@ def _stack():
 _LABEL_ENTRIES = {
     "PredictionBatch": lambda y: auroc_rank(PredictionBatch(_FEATURES, y), 1).value,
     "Dataset": lambda y: Dataset(_FEATURES, y, 2).labels,
-    "stacked_loss": lambda y: stacked_loss("auc_binary", _FEATURES[None], y[None], want_grad=True),
     "train_stacked": lambda y: train_stacked(
         _stack(), _FEATURES[None], y[None], _FEATURES[None], y[None],
         [TrainConfig(batch_size=4, loss_kind="cross_entropy", max_epochs=2)]).model.params,

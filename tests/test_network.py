@@ -23,7 +23,6 @@ from rankloss import (
     generate_synthetic,
     init_model,
     monte_carlo_split,
-    stacked_loss,
     stratified_batches,
     train_stacked,
     trial_seeds,
@@ -32,6 +31,7 @@ from rankloss.losses import DEFAULT_SURROGATE, _kernel
 from rankloss.network import _batch_index, _LabelGroups, _layers, _plan, _step
 
 import oracle
+from conftest import kernel_loss
 from oracle import evaluate_auroc, multiclass_auc_loss, train
 
 
@@ -294,8 +294,8 @@ class TestStratifiedBatches:
     def test_step_plan(self, kind, counts, batch_size):
         # Each step holds every trial's batch of that step, in trial order,
         # padded to the trials' width sum_c ceil(m_c / n_batches) with
-        # copies of its first row; its label data is what stacked_loss
-        # derives from those batches' labels, padded with -1, itself.
+        # copies of its first row; its label data is what losses._targets
+        # derives from those batches' labels, padded with -1, on its own.
         ds = generate_synthetic(SyntheticSpec(class_counts=counts, dim=8,
                                               class_mean_separation=2.0, noise_std=1.0,
                                               label_flip_prob=0.05, seed=42))
@@ -320,7 +320,7 @@ class TestStratifiedBatches:
                 labels[t, : rows.size] = y[t, rows]
             logits = rng.normal(size=labels.shape + (len(counts),))
             planned = _kernel(kind, logits, step.targets, DEFAULT_SURROGATE, True)
-            derived = stacked_loss(kind, logits, labels, want_grad=True)
+            derived = kernel_loss(kind, logits, labels, want_grad=True)
             assert all(np.array_equal(a, b) for a, b in zip(planned, derived))
         assert not all(step.real.all() for step in steps)
 
@@ -728,11 +728,11 @@ class TestTrainStacked:
         initial_calls = []
 
         def spy(*args, **kwargs):
-            if len(args) < 5:  # an SGD step asks for the gradient
+            if not args[4]:  # want_grad: an SGD step asks for the gradient
                 initial_calls.append(args[0])
-            return stacked_loss(*args, **kwargs)
+            return _kernel(*args, **kwargs)
 
-        monkeypatch.setattr(rankloss.network, "stacked_loss", spy)
+        monkeypatch.setattr(rankloss.network, "_kernel", spy)
         rng = np.random.default_rng(2)
         models = [init_model((4, 5, 3), seed) for seed in range(2)]
         x, val_x = rng.normal(size=(2, rows, 4)), rng.normal(size=(2, 12, 4))
@@ -753,6 +753,28 @@ class TestTrainStacked:
         assert [None if e is None else str(e) for e in run.errors] == expected
         initial = "initial loss became non-finite"
         assert (expected[0] == initial) == (L == 1e308 or (L == 1e305 and rows == 240))
+
+    @pytest.mark.parametrize("L", [1.0, 1e306])
+    def test_binary_loss_needs_two_classes_before_any_work(self, L, monkeypatch):
+        # One check per run, before any forward pass: at L = 1, where no
+        # initial loss is computed, a 3-class model used to reach its first
+        # SGD step and fail inside NumPy's matmul.
+        import rankloss.network
+
+        def no_layers(*args, **kwargs):
+            raise AssertionError("the run did work before its checks")
+
+        monkeypatch.setattr(rankloss.network, "_layers", no_layers)
+        rng = np.random.default_rng(0)
+        model = init_model((4, 5, 3), seed=0)
+        x, y = rng.normal(size=(30, 4)), np.arange(30) % 3
+        config = TrainConfig(batch_size=8, loss_kind="auc_binary",
+                             surrogate=SurrogateParams(L=L))
+        message = "^binary_auc_loss requires 2 classes, got 3$"
+        with pytest.raises(ValueError, match=message):
+            train_stacked(MLPStack.of([model]), x[None], y[None], x[None], y[None], [config])
+        with pytest.raises(ValueError, match=message):
+            rankloss.train(model, x, y, x, y, config)
 
     @pytest.mark.parametrize("kind", ["cross_entropy", "auc_multiclass"])
     def test_mixed_class_and_batch_counts_match_per_trial_train(self, kind):
