@@ -53,7 +53,6 @@ from .losses import (
     softmax,
 )
 from .network import (
-    MLPModel,
     MLPStack,
     StackedTraining,
     TrainConfig,
@@ -95,8 +94,8 @@ __all__ = [
     "LOSS_KINDS", "logistic", "softmax", "binary_auc_loss", "multiclass_auc_loss",
     "cross_entropy_loss", "loss_function", "finite_diff_check",
     # network
-    "MLPModel", "TrainConfig", "init_model", "forward", "stratified_batches", "train",
-    "MLPStack", "StackedTraining", "train_stacked", "evaluate_auroc_stacked",
+    "MLPStack", "TrainConfig", "init_model", "forward", "stratified_batches", "train",
+    "StackedTraining", "train_stacked", "evaluate_auroc_stacked",
     # harness
     "SplitSpec", "ArmConfig", "ExperimentConfig", "TrialSeeds", "ArmResult",
     "Comparison", "AggregateReport", "trial_seeds", "monte_carlo_split",

@@ -290,8 +290,11 @@ def trial_blocks(n_repeats: int, jobs: int, n_cpus: int) -> list[range]:
     """Contiguous blocks of trial indices, one per worker.
 
     There are min(jobs, n_repeats, n_cpus) workers, at least one; block
-    sizes differ by at most one.
+    sizes differ by at most one. ``n_repeats`` and ``jobs`` must be
+    integers of at least 1 and ``n_cpus`` a nonnegative one (``ValueError``).
     """
+    _check_integers(1, n_repeats=n_repeats, jobs=jobs)
+    _check_integers(0, n_cpus=n_cpus)
     workers = max(1, min(jobs, n_repeats, n_cpus))
     bounds = [n_repeats * i // workers for i in range(workers + 1)]
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]

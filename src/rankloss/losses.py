@@ -77,6 +77,13 @@ class SurrogateParams:
 DEFAULT_SURROGATE = SurrogateParams()
 
 
+def _check_params(params) -> None:
+    """The public entries' check of their surrogate parameters' type, worded
+    as ``TrainConfig.surrogate``'s."""
+    if not isinstance(params, SurrogateParams):
+        raise ValueError(f"params must be a SurrogateParams, got {params!r}")
+
+
 @dataclass(frozen=True)
 class LossOutput:
     """Scalar loss value plus, when requested, d(value)/d(logit) per entry.
@@ -96,6 +103,7 @@ def logistic(x, params: SurrogateParams = DEFAULT_SURROGATE):
     Evaluated in a branch-on-sign form so arguments with |k (x - x0)| in the
     hundreds neither overflow nor land on the wrong branch.
     """
+    _check_params(params)
     scalar = np.ndim(x) == 0
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
@@ -264,6 +272,7 @@ def cross_entropy_loss(batch: PredictionBatch, want_grad: bool = False) -> LossO
 def _one_batch(kind, name, batch: PredictionBatch, params, want_grad) -> LossOutput:
     """``_kernel`` of one batch, a stack of one trial, once the batch has
     passed the per-batch checks, which raise the per-batch messages."""
+    _check_params(params)
     if kind == "auc_binary" and batch.n_classes != 2:
         raise ValueError(f"binary_auc_loss requires 2 classes, got {batch.n_classes}")
     _require_logits(batch, name)
@@ -598,6 +607,7 @@ LossFn = Callable[[PredictionBatch, bool], LossOutput]
 
 def loss_function(kind: str, params: SurrogateParams = DEFAULT_SURROGATE) -> LossFn:
     """Bind a loss kind and surrogate parameters into a (batch, want_grad) callable."""
+    _check_params(params)
     if kind == "cross_entropy":
         return lambda batch, want_grad=False: cross_entropy_loss(batch, want_grad)
     if kind == "auc_binary":

@@ -1,8 +1,9 @@
 """Minimal feed-forward classifier, plain SGD, and a stratified batch sampler.
 
 The model is a small MLP (ReLU hidden layers, linear output) producing raw
-logits; the losses own the softmax. Training is deterministic: the same
-data, config, and seeds yield bit-identical weights.
+logits; the losses own the softmax. One type, ``MLPStack``, holds one net
+or a stack of them in one flat ``params`` array. Training is deterministic:
+the same data, config, and seeds yield bit-identical weights.
 
 The sampler guarantees every emitted batch contains at least one sample of
 every class present in the training labels, which the pairwise ranking
@@ -13,7 +14,8 @@ satisfiable; emitted batches then run larger than requested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,45 +35,99 @@ from .losses import (
 from .metrics import _class_labels, _Ranking
 
 __all__ = [
-    "MLPModel",
+    "MLPStack",
     "TrainConfig",
     "init_model",
     "forward",
     "stratified_batches",
     "train",
-    "MLPStack",
     "StackedTraining",
     "train_stacked",
     "evaluate_auroc_stacked",
 ]
 
 
-@dataclass
-class MLPModel:
-    """Weights and biases of a feed-forward net.
+@dataclass(frozen=True, eq=False, slots=True)
+class MLPStack:
+    """Feed-forward nets of one shape: one net, or T stacked for trial-batched training.
 
-    ``layer_dims`` runs input -> hidden... -> n_classes. Mutated only by the
-    training run that owns it; copies are cheap via ``copy()``.
+    ``params`` holds a net layer by layer, one (fan_in + 1, fan_out) block
+    per layer, the layer's weights with its biases as the last row. It is
+    (n_params,) for one net (``init_model``; ``MLPStack(layer_dims)`` is one
+    net of zeros) and (T, n_params) for a stack, whose row t is net t
+    (``of``). ``blocks[i]`` (..., fan_in + 1, fan_out), ``weights[i]``
+    (..., fan_in, fan_out) and ``biases[i]`` (..., fan_out) are views of it
+    with the same leading shape, built once here, so one batched matmul of
+    inputs with a ones column runs layer i of every net, weights and
+    biases, and one operation updates all the parameters. Write through
+    them; the class is frozen, so rebinding a field, which would cut the
+    views from ``params``, raises. ``layer_dims`` must be two or more
+    positive integers (``ValueError``) and is stored as a tuple of ints.
     """
 
     layer_dims: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    params: Optional[np.ndarray] = None
+    blocks: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    weights: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    biases: tuple[np.ndarray, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        dims = tuple(self.layer_dims)
+        if len(dims) < 2:
+            raise ValueError(f"need at least input and output dims, got {dims}")
+        if not all(_integer(d) and d >= 1 for d in dims):
+            raise ValueError(f"layer dims must be positive integers, got {dims}")
+        dims = tuple(map(int, dims))
+        shapes = [(fan_in + 1, fan_out) for fan_in, fan_out in zip(dims[:-1], dims[1:])]
+        ends = list(accumulate(rows * cols for rows, cols in shapes))
+        params = np.zeros(ends[-1]) if self.params is None else self.params
+        if params.ndim not in (1, 2) or params.shape[-1] != ends[-1]:
+            raise ValueError(f"params must be ({ends[-1]},) or (T, {ends[-1]}), got {params.shape}")
+        blocks = tuple(params[..., end - rows * cols:end].reshape(*params.shape[:-1], rows, cols)
+                       for (rows, cols), end in zip(shapes, ends))
+        for name, value in (("layer_dims", dims), ("params", params), ("blocks", blocks),
+                            ("weights", tuple(block[..., :-1, :] for block in blocks)),
+                            ("biases", tuple(block[..., -1, :] for block in blocks))):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # Pickled or deep-copied apart, the views would no longer be of params.
+        return MLPStack, (self.layer_dims, self.params)
+
+    @classmethod
+    def of(cls, models: Sequence["MLPStack"]) -> "MLPStack":
+        """The stack whose row t is ``models[t]``, a copy of each net."""
+        if not models:
+            raise ValueError("MLPStack.of needs at least one net")
+        for model in models:
+            _check_kind(model, False, "MLPStack.of")
+        if any(m.layer_dims != models[0].layer_dims for m in models):
+            raise ValueError("stacked models must share their layer dims")
+        return cls(models[0].layer_dims, np.stack([m.params for m in models]))
+
+    @property
+    def n_models(self) -> int:
+        """A stack's net count T."""
+        return self.params.shape[0]
 
     @property
     def n_classes(self) -> int:
         return self.layer_dims[-1]
 
-    @property
-    def input_dim(self) -> int:
-        return self.layer_dims[0]
+    def model(self, t: int) -> "MLPStack":
+        """A copy of a stack's net t."""
+        return MLPStack(self.layer_dims, self.params[t].copy())
 
-    def copy(self) -> "MLPModel":
-        return MLPModel(
-            layer_dims=self.layer_dims,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+    def copy(self) -> "MLPStack":
+        return MLPStack(self.layer_dims, self.params.copy())
+
+
+def _check_kind(model, stacked: bool, entry: str) -> None:
+    """``ValueError`` unless ``model`` is a stack (``stacked``) or one net."""
+    if not isinstance(model, MLPStack) or model.params.ndim != 1 + stacked:
+        got = f"{model.params.ndim}-D params" if isinstance(model, MLPStack) else type(model).__name__
+        want = "a stack of nets (2-D params)" if stacked else "one net (1-D params)"
+        raise ValueError(f"{entry} takes {want}, got {got}")
 
 
 @dataclass(frozen=True)
@@ -102,40 +158,33 @@ class TrainConfig:
                              f"surrogate must be a SurrogateParams, got {self.surrogate!r}")
 
 
-def init_model(layer_dims: Sequence[int], seed: int) -> MLPModel:
-    """Build a model with uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases."""
-    dims = tuple(layer_dims)
-    if len(dims) < 2:
-        raise ValueError(f"need at least input and output dims, got {dims}")
-    if not all(_integer(d) and d >= 1 for d in dims):
-        raise ValueError(f"layer dims must be positive integers, got {dims}")
-    dims = tuple(map(int, dims))
+def init_model(layer_dims: Sequence[int], seed: int) -> MLPStack:
+    """One net with uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases."""
+    model = MLPStack(layer_dims)
     _check_integers(0, seed=seed)
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MLPModel(layer_dims=dims, weights=weights, biases=biases)
+    for w in model.weights:
+        bound = 1.0 / np.sqrt(w.shape[0])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return model
 
 
-def _check_features(model: MLPModel, features: np.ndarray) -> np.ndarray:
+def _check_features(model: MLPStack, features: np.ndarray) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {x.shape}")
-    if x.shape[1] != model.input_dim:
+    if x.shape[1] != model.layer_dims[0]:
         raise ValueError(
-            f"feature width {x.shape[1]} does not match model input dim {model.input_dim}"
+            f"feature width {x.shape[1]} does not match model input dim {model.layer_dims[0]}"
         )
     return x
 
 
-def forward(model: MLPModel, features: np.ndarray) -> np.ndarray:
-    """Logits for a feature matrix: affine layers with ReLU between, linear out."""
+def forward(model: MLPStack, features: np.ndarray) -> np.ndarray:
+    """Logits of one net for a feature matrix: affine layers with ReLU between, linear out."""
+    _check_kind(model, False, "forward")
     x = _check_features(model, features)
-    return _layers(MLPStack.of([model]).blocks, _with_ones(x[None]))[0]
+    return _layers([block[None] for block in model.blocks], _with_ones(x[None]))[0]
 
 
 class _LabelGroups:
@@ -273,58 +322,6 @@ def _non_finite(what: str, epoch: int | None = None, batch: int | None = None) -
 # ``_batch_index``, ``losses._targets`` and ``losses._kernel``.
 
 
-class MLPStack:
-    """T feed-forward nets of one shape, stacked for trial-batched training.
-
-    ``params`` (T, n_params) holds model t in row t: layer by layer, one
-    (fan_in + 1, fan_out) block, the layer's weights with its biases as the
-    last row. ``blocks[i]`` (T, fan_in + 1, fan_out), ``weights[i]``
-    (T, fan_in, fan_out) and ``biases[i]`` (T, fan_out) are views of it, so
-    one batched matmul of inputs with a ones column runs layer i of every
-    model, weights and biases, and one operation updates all the
-    parameters. ``layer_dims`` is a tuple, as ``MLPModel.layer_dims`` is.
-    """
-
-    __slots__ = ("layer_dims", "params", "blocks", "weights", "biases")
-
-    def __init__(self, layer_dims: tuple[int, ...], params: np.ndarray):
-        self.layer_dims, self.params = layer_dims, params
-        self.blocks, start = [], 0
-        for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-            stop = start + (fan_in + 1) * fan_out
-            self.blocks.append(params[:, start:stop].reshape(-1, fan_in + 1, fan_out))
-            start = stop
-        self.weights = [block[:, :-1] for block in self.blocks]
-        self.biases = [block[:, -1] for block in self.blocks]
-
-    @classmethod
-    def of(cls, models: Sequence[MLPModel]) -> "MLPStack":
-        dims = models[0].layer_dims
-        if any(m.layer_dims != dims for m in models):
-            raise ValueError("stacked models must share their layer dims")
-        return cls(dims, np.stack([np.concatenate([p.ravel() for layer in zip(m.weights, m.biases)
-                                                   for p in layer]) for m in models]))
-
-    @property
-    def n_models(self) -> int:
-        return self.params.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.layer_dims[-1]
-
-    def model(self, t: int) -> MLPModel:
-        """A copy of model t."""
-        return MLPModel(
-            layer_dims=self.layer_dims,
-            weights=[w[t].copy() for w in self.weights],
-            biases=[b[t].copy() for b in self.biases],
-        )
-
-    def copy(self) -> "MLPStack":
-        return MLPStack(self.layer_dims, self.params.copy())
-
-
 @dataclass(frozen=True)
 class StackedTraining:
     """Outcome of ``train_stacked``.
@@ -420,6 +417,7 @@ def evaluate_auroc_stacked(
     undefined. A failed model's AUROC is NaN. NumPy's overflow and
     invalid-value warnings are silenced: the ``NonFiniteError`` reports them.
     """
+    _check_kind(model, True, "evaluate_auroc_stacked")
     return _Scorer(model, features, labels)(model, epoch)
 
 
@@ -483,8 +481,8 @@ def _step(stack: MLPStack, grads: MLPStack, batch: _Batch, config: TrainConfig, 
         if layer:
             delta = delta @ stack.weights[layer].transpose(0, 2, 1)
             delta *= inputs[layer][:, :, :-1] > 0.0
-    grads.params *= config.learning_rate
-    stack.params -= grads.params
+    np.multiply(grads.params, config.learning_rate, out=grads.params)
+    np.subtract(stack.params, grads.params, out=stack.params)
     failures = []
     if not np.isfinite(logits).all():
         real = np.where(batch.real[:, :, None], logits, 0.0)
@@ -534,15 +532,16 @@ def train_stacked(
     ``pool`` is passed on to every loss call, whose pairwise kernel may run
     on its threads; the result does not depend on it.
 
-    Before any work, the configs must fit the stack (``ValueError``): one
-    per model, equal in everything but the seed, and an ``auc_binary``
-    loss needs a 2-class model.
+    Before any work, ``model`` must be a stack and the configs must fit it
+    (``ValueError``): one per model, equal in everything but the seed, and
+    an ``auc_binary`` loss needs a 2-class model.
     """
-    config = configs[0]
+    _check_kind(model, True, "train_stacked")
     if len(configs) != model.n_models or any(
-        replace(c, seed=config.seed) != config for c in configs
+        replace(c, seed=configs[0].seed) != configs[0] for c in configs
     ):
         raise ValueError("need one TrainConfig per model, equal in everything but the seed")
+    config = configs[0]
     if config.loss_kind == "auc_binary" and model.n_classes != 2:
         raise ValueError(f"binary_auc_loss requires 2 classes, got {model.n_classes}")
     train_x, train_y = _check_stacked(model, train_x, train_y, "training")
@@ -613,23 +612,24 @@ def train_stacked(
 
 
 def train(
-    model: MLPModel,
+    model: MLPStack,
     train_x: np.ndarray,
     train_y: np.ndarray,
     val_x: np.ndarray,
     val_y: np.ndarray,
     config: TrainConfig,
-) -> tuple[MLPModel, None]:
-    """``train_stacked`` of one model: its best-validation checkpoint, or the
+) -> tuple[MLPStack, None]:
+    """``train_stacked`` of one net: its best-validation checkpoint, or the
     trial's error raised.
 
     Returns ``(checkpoint, None)``, the (model, history) pair of the former
     per-trial trainer without a history, for callers written against it:
     the benchmark's reference check (``perfbench/worker.py``) is one.
     """
+    _check_kind(model, False, "train")
     run = train_stacked(
-        MLPStack.of([model]), np.asarray(train_x)[None], np.asarray(train_y)[None],
-        np.asarray(val_x)[None], np.asarray(val_y)[None], [config],
+        MLPStack(model.layer_dims, model.params[None]), np.asarray(train_x)[None],
+        np.asarray(train_y)[None], np.asarray(val_x)[None], np.asarray(val_y)[None], [config],
     )
     if run.errors[0] is not None:
         raise run.errors[0]

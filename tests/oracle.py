@@ -29,7 +29,7 @@ from rankloss import (
     EmptyClassError,
     ExperimentConfig,
     LossOutput,
-    MLPModel,
+    MLPStack,
     PredictionBatch,
     RanklossError,
     SurrogateParams,
@@ -216,7 +216,7 @@ class TrainHistory:
         return self.val_auroc[self.best_epoch]
 
 
-def _forward_cached(model: MLPModel, x: np.ndarray):
+def _forward_cached(model: MLPStack, x: np.ndarray):
     # Returns logits plus per-layer inputs and pre-activations for backprop.
     # Each layer is [a, 1] @ [W; b], the products the engine computes.
     inputs = []
@@ -232,7 +232,7 @@ def _forward_cached(model: MLPModel, x: np.ndarray):
     return a, inputs, pre_acts
 
 
-def _backprop(model: MLPModel, inputs, pre_acts, grad_logits):
+def _backprop(model: MLPStack, inputs, pre_acts, grad_logits):
     grads_w = [None] * len(model.weights)
     grads_b = [None] * len(model.biases)
     delta = grad_logits
@@ -251,7 +251,7 @@ def _require_finite(values, what: str, epoch: int | None = None, batch: int | No
 
 
 def evaluate_auroc(
-    model: MLPModel, features: np.ndarray, labels: np.ndarray, epoch: int | None = None
+    model: MLPStack, features: np.ndarray, labels: np.ndarray, epoch: int | None = None
 ) -> float:
     """Exact AUROC of the model's softmax scores on one partition, by the
     pairwise definition.
@@ -279,7 +279,7 @@ def evaluate_auroc(
 
 @np.errstate(over="ignore", invalid="ignore")
 def train(
-    model: MLPModel,
+    model: MLPStack,
     train_x: np.ndarray,
     train_y: np.ndarray,
     val_x: np.ndarray,
@@ -287,7 +287,7 @@ def train(
     config: TrainConfig,
     *,
     padded: bool = True,
-) -> tuple[MLPModel, TrainHistory]:
+) -> tuple[MLPStack, TrainHistory]:
     """SGD over stratified batches, returning the best-validation checkpoint.
 
     The input model is left untouched; training happens on a copy. After

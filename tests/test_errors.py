@@ -26,12 +26,16 @@ from rankloss import (
     TrainConfig,
     TrialError,
     auroc_multiclass_ovr,
+    binary_auc_loss,
     finite_diff_check,
     init_model,
+    logistic,
     loss_function,
     monte_carlo_split,
+    multiclass_auc_loss,
     run_experiment,
     stratified_batches,
+    trial_blocks,
     trial_seeds,
 )
 
@@ -111,6 +115,10 @@ INTEGER_ENTRIES = {
     "run_experiment.jobs": (
         lambda v: run_experiment(_DATA, _EXPERIMENT, jobs=v), None,
         "jobs must be an integer, got {!r}", 0, "jobs must be at least 1, got 0"),
+    "trial_blocks": (
+        lambda v: trial_blocks(10, v, 2), None,
+        "n_repeats and jobs must be integers, got 10 and {!r}", 0,
+        "n_repeats and jobs must be at least 1, got 10 and 0"),
     "monte_carlo_split.n": (
         lambda v: monte_carlo_split(v, None, SplitSpec(stratified=False), 0), None,
         "n must be an integer, got {!r}", 4, "need at least 5 samples to split, got 4"),
@@ -266,6 +274,24 @@ def test_surrogate_must_be_surrogate_params(config, value):
         config(value)
     assert exc.value.field == "surrogate"
     assert str(exc.value) == f"surrogate must be a SurrogateParams, got {value!r}"
+
+
+@pytest.mark.parametrize("value", [None, "x", {"k": 20.0}, 20.0])
+@pytest.mark.parametrize("call", [
+    lambda v: binary_auc_loss(_BATCH, v),
+    lambda v: multiclass_auc_loss(_BATCH, v, True),
+    lambda v: loss_function("auc_binary", v),
+    lambda v: loss_function("cross_entropy", v),
+    lambda v: logistic(0.1, v),
+], ids=["binary_auc_loss", "multiclass_auc_loss", "loss_function", "loss_function_ce",
+        "logistic"])
+def test_loss_params_must_be_surrogate_params(call, value):
+    # The check TrainConfig.surrogate has, as a ValueError; these used to end
+    # in an AttributeError on params.x0. loss_function fails when it binds.
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"params must be a SurrogateParams, got {value!r}"
 
 
 @pytest.mark.parametrize("call, field, message", [

@@ -454,6 +454,16 @@ class TestTrialBlocks:
                 sizes = [len(b) for b in blocks]
                 assert max(sizes) - min(sizes) <= 1
 
+    @pytest.mark.parametrize("n_cpus, message", [
+        (-1, "n_cpus must be nonnegative, got -1"), (2.0, "n_cpus must be an integer, got 2.0"),
+        ("2", "n_cpus must be an integer, got '2'")])
+    def test_n_cpus_is_a_nonnegative_integer(self, n_cpus, message):
+        # INTEGER_ENTRIES in test_errors.py checks n_repeats and jobs; 0 CPUs
+        # (an unknown count) still gives one block.
+        with pytest.raises(ValueError) as exc:
+            trial_blocks(10, 2, n_cpus)
+        assert str(exc.value) == message
+
 
 class TestTrialBatching:
     def test_block_invariance(self):

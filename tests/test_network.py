@@ -1,3 +1,5 @@
+import pickle
+from copy import deepcopy
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +11,6 @@ import rankloss
 from rankloss import (
     FieldError,
     InfeasibleBatchError,
-    MLPModel,
     MLPStack,
     NonFiniteError,
     PredictionBatch,
@@ -87,30 +88,23 @@ class TestInitModel:
 
 class TestForward:
     def test_zero_weights_zero_logits(self):
-        model = MLPModel(
-            layer_dims=(3, 2),
-            weights=[np.zeros((3, 2))],
-            biases=[np.zeros(2)],
-        )
+        model = MLPStack((3, 2))
         assert np.all(forward(model, np.random.default_rng(0).normal(size=(4, 3))) == 0.0)
 
     def test_identity_layer(self):
-        model = MLPModel(
-            layer_dims=(2, 2),
-            weights=[np.eye(2)],
-            biases=[np.zeros(2)],
-        )
+        model = MLPStack((2, 2))
+        model.weights[0][:] = np.eye(2)
         x = np.array([[1.0, -2.0], [0.5, 3.0]])
         assert np.array_equal(forward(model, x), x)
 
     def test_hand_computed(self):
         # x = [1, 2]; pre1 = [1*1 + 2*2 + 0.5, -1 + 0 - 0.5] = [5.5, -1.5];
         # relu -> [5.5, 0]; logits = [5.5, 5.5*2 + 1] = [5.5, 12.0].
-        model = MLPModel(
-            layer_dims=(2, 2, 2),
-            weights=[np.array([[1.0, -1.0], [2.0, 0.0]]), np.array([[1.0, 2.0], [3.0, 4.0]])],
-            biases=[np.array([0.5, -0.5]), np.array([0.0, 1.0])],
-        )
+        model = MLPStack((2, 2, 2))
+        model.weights[0][:] = [[1.0, -1.0], [2.0, 0.0]]
+        model.weights[1][:] = [[1.0, 2.0], [3.0, 4.0]]
+        model.biases[0][:] = [0.5, -0.5]
+        model.biases[1][:] = [0.0, 1.0]
         assert forward(model, np.array([[1.0, 2.0]])).tolist() == [[5.5, 12.0]]
 
     def test_width_mismatch(self):
@@ -126,7 +120,8 @@ class TestForward:
         # over a stack of one. The fold moves only rounding from a @ W + b.
         rng = np.random.default_rng(seed)
         model = init_model([8, 16, 3], seed=seed)
-        model.biases = [rng.normal(size=b.shape) for b in model.biases]
+        for b in model.biases:
+            b[:] = rng.normal(size=b.shape)
         x = rng.normal(size=(339, 8))
         ones = np.ones((339, 1))
         blocks = [np.vstack([w, b]) for w, b in zip(model.weights, model.biases)]
@@ -437,7 +432,7 @@ class TestTrain:
 
     @staticmethod
     def _one_input_model():
-        return MLPModel(layer_dims=(1, 2), weights=[np.zeros((1, 2))], biases=[np.zeros(2)])
+        return MLPStack((1, 2))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_divergence_in_only_batch_caught_by_validation_pass(self):
@@ -530,6 +525,99 @@ class TestMLPStack:
         assert copy.params.tobytes() == stack.params.tobytes()
         for array in [copy.params, *copy.blocks, *copy.weights, *copy.biases]:
             assert not np.shares_memory(array, stack.params)
+
+    @pytest.mark.parametrize("hidden", [(), (4,), (4, 3)])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_init_model_keeps_its_draws(self, hidden, seed):
+        # One net's params are its layers' [W; b] blocks raveled in turn:
+        # the same uniform draws, in the same order, as independent weight
+        # matrices and zero bias vectors gave.
+        dims = (5, *hidden, 3)
+        rng = np.random.default_rng(seed)
+        parts = []
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            bound = 1.0 / np.sqrt(fan_in)
+            parts += [rng.uniform(-bound, bound, size=(fan_in, fan_out)).ravel(), np.zeros(fan_out)]
+        model = init_model(dims, seed)
+        assert model.params.shape == (sum(p.size for p in parts),)
+        assert model.params.tobytes() == np.concatenate(parts).tobytes()
+
+    @pytest.mark.parametrize("name", ["params", "blocks", "weights", "biases"])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["net", "stack"])
+    def test_fields_cannot_be_rebound(self, name, stacked):
+        # A rebound field would no longer be a view of params (or params
+        # no longer the views' base), so the class is frozen; writes go
+        # through the views.
+        model = init_model((5, 4, 3), seed=0)
+        if stacked:
+            model = MLPStack.of([model, model])
+        with pytest.raises(AttributeError):
+            setattr(model, name, getattr(model, name))
+        model.biases[0][...] = 2.0
+        model.weights[-1][...] = 3.0
+        assert np.array_equal(model.blocks[0][..., -1, :], model.biases[0])
+        assert np.count_nonzero(model.params == 2.0) == model.biases[0].size
+        assert np.count_nonzero(model.params == 3.0) == model.weights[-1].size
+
+    def test_views_survive_pickle_and_deepcopy(self):
+        stack = MLPStack.of([init_model((5, 4, 3), seed) for seed in range(2)])
+        for copy in (pickle.loads(pickle.dumps(stack)), deepcopy(stack)):
+            assert copy.params.tobytes() == stack.params.tobytes()
+            assert not np.shares_memory(copy.params, stack.params)
+            for view in (*copy.blocks, *copy.weights, *copy.biases):
+                assert np.shares_memory(view, copy.params)
+
+    def test_of_needs_nets_of_one_shape(self):
+        net = init_model((5, 3), seed=0)
+        with pytest.raises(ValueError, match="^MLPStack.of needs at least one net$"):
+            MLPStack.of([])
+        with pytest.raises(ValueError, match="^stacked models must share their layer dims$"):
+            MLPStack.of([net, init_model((5, 2, 3), seed=0)])
+        with pytest.raises(ValueError, match=r"^MLPStack.of takes one net \(1-D params\), got "
+                                             r"2-D params$"):
+            MLPStack.of([MLPStack.of([net, net])])
+
+    def test_layer_dims_checked_and_stored_as_a_tuple(self):
+        # The layout's own rule, which init_model now reaches through it: a
+        # too-short dims tuple used to end in an IndexError.
+        with pytest.raises(ValueError, match=r"^need at least input and output dims, got \(4,\)$"):
+            MLPStack((4,))
+        with pytest.raises(ValueError, match="^layer dims must be positive integers"):
+            MLPStack((4, 3.0))
+        net = MLPStack([np.int64(4), 3])
+        assert net.layer_dims == (4, 3) and type(net.layer_dims[0]) is int
+        assert MLPStack.of([net, init_model((4, 3), seed=0)]).params.shape == (2, 15)
+
+    @pytest.mark.parametrize("shape", [(17,), (2, 19), (2, 1, 18), ()])
+    def test_params_must_fit_the_layer_dims(self, shape):
+        with pytest.raises(ValueError, match=r"^params must be \(18,\) or \(T, 18\), got "):
+            MLPStack((5, 3), np.zeros(shape))
+
+    @pytest.mark.parametrize("entry", ["forward", "train", "train_stacked",
+                                       "evaluate_auroc_stacked"])
+    def test_each_entry_takes_its_kind(self, entry):
+        # forward and train take one net, the stacked entries a stack; the
+        # other kind is a ValueError before any work.
+        net = init_model((4, 3), seed=0)
+        x, y = np.zeros((6, 4)), np.arange(6) % 3
+        config = TrainConfig(batch_size=3, loss_kind="cross_entropy", max_epochs=1)
+        calls = {
+            "forward": lambda m: forward(m, x),
+            "train": lambda m: rankloss.train(m, x, y, x, y, config),
+            "train_stacked": lambda m: train_stacked(m, x[None], y[None], x[None], y[None],
+                                                     [config]),
+            "evaluate_auroc_stacked": lambda m: evaluate_auroc_stacked(m, x[None], y[None]),
+        }
+        stacked = entry.endswith("_stacked")
+        right, wrong = (MLPStack.of([net]), net) if stacked else (net, MLPStack.of([net]))
+        calls[entry](right)
+        want = ("a stack of nets (2-D params), got 1-D params" if stacked
+                else "one net (1-D params), got 2-D params")
+        for model, got in ((wrong, want), (None, want.split(", got")[0] + ", got NoneType")):
+            with pytest.raises(ValueError) as exc:
+                calls[entry](model)
+            assert type(exc.value) is ValueError
+            assert str(exc.value) == f"{entry} takes {got}"
 
 
 def stacked_trials(counts, hidden, n_trials, dim=4, base_seed=0, flip=0.1):
@@ -775,6 +863,19 @@ class TestTrainStacked:
             train_stacked(MLPStack.of([model]), x[None], y[None], x[None], y[None], [config])
         with pytest.raises(ValueError, match=message):
             rankloss.train(model, x, y, x, y, config)
+
+    @pytest.mark.parametrize("configs", [[], [0], [0, 0, 0], [0, 1]], ids=[
+        "none", "too_few", "too_many", "differing"])
+    def test_configs_must_fit_the_stack(self, configs):
+        # One config per model, equal in everything but the seed; no
+        # configs at all used to end in an IndexError.
+        stack = MLPStack.of([init_model((4, 3), seed) for seed in range(2)])
+        x, y = np.zeros((2, 6, 4)), np.tile(np.arange(6) % 3, (2, 1))
+        configs = [TrainConfig(batch_size=3, loss_kind="cross_entropy", max_epochs=1 + c,
+                               seed=t) for t, c in enumerate(configs)]
+        with pytest.raises(ValueError, match="^need one TrainConfig per model, equal in "
+                                             "everything but the seed$"):
+            train_stacked(stack, x, y, x, y, configs)
 
     @pytest.mark.parametrize("kind", ["cross_entropy", "auc_multiclass"])
     def test_mixed_class_and_batch_counts_match_per_trial_train(self, kind):
