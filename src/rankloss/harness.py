@@ -10,15 +10,14 @@ count.
 An arm's trials train together in the trial-batched engine
 (``train_stacked``), each bit for bit as it would alone, and the report is
 what running the trials one by one would give, errors included. Workers
-take contiguous blocks of trials, and each block gets a thread pool of the
-CPUs the workers leave free for its pairwise loss kernels.
+take contiguous blocks of trials, and each block's engine calls may split
+an arm's trials across the CPUs the workers leave free.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -246,9 +245,9 @@ def _run_block(
     split or else the first failing arm in config order, its training
     before its test scoring.
 
-    The pairwise loss kernels get a pool of ``threads`` threads, which
-    starts a thread only when a kernel splits its work. The pool is shut
-    down before this returns, so no thread outlives the block.
+    Each engine call gets ``threads``, so a large-batch pairwise-loss arm
+    trains its trials in up to that many parts at once; the engine shuts
+    its threads down before it returns, so no thread outlives the block.
     """
     splits, split_error = [], None
     for trial in trials:
@@ -261,26 +260,25 @@ def _run_block(
     dims = (dataset.n_features, *config.hidden_dims, dataset.n_classes)
     per_call = max(1, STACKED_VALUES // (dataset.n_samples * max(dims)))
     results = np.empty((len(splits), len(config.arms)))
-    with ThreadPoolExecutor(threads) as pool:
-        for lo in range(0, len(splits), per_call):
-            block = trials[lo : lo + per_call]
-            train_idx, val_idx, test_idx = (np.stack(p) for p in zip(*splits[lo : lo + per_call]))
-            seeds = [trial_seeds(config.split.base_seed, t) for t in block]
-            start = MLPStack.of([init_model(dims, s.init) for s in seeds])
-            first_error = [None] * len(block)  # per trial: (arm name, error), in arm order
-            for j, arm in enumerate(config.arms):
-                run = train_stacked(start, x[train_idx], y[train_idx], x[val_idx], y[val_idx],
-                                    [arm.train_config(s.shuffle) for s in seeds], pool=pool)
-                aurocs, test_errors = evaluate_auroc_stacked(run.model, x[test_idx], y[test_idx])
-                results[lo : lo + len(block), j] = aurocs
-                for i, error in enumerate(run.errors):
-                    error = error if error is not None else test_errors[i]
-                    if first_error[i] is None and error is not None:
-                        first_error[i] = (arm.name, error)
-            for trial, failed in zip(block, first_error):
-                if failed is not None:
-                    arm_name, error = failed
-                    raise _trial_error(trial, error, arm_name) from error
+    for lo in range(0, len(splits), per_call):
+        block = trials[lo : lo + per_call]
+        train_idx, val_idx, test_idx = (np.stack(p) for p in zip(*splits[lo : lo + per_call]))
+        seeds = [trial_seeds(config.split.base_seed, t) for t in block]
+        start = MLPStack.of([init_model(dims, s.init) for s in seeds])
+        first_error = [None] * len(block)  # per trial: (arm name, error), in arm order
+        for j, arm in enumerate(config.arms):
+            run = train_stacked(start, x[train_idx], y[train_idx], x[val_idx], y[val_idx],
+                                [arm.train_config(s.shuffle) for s in seeds], threads=threads)
+            aurocs, test_errors = evaluate_auroc_stacked(run.model, x[test_idx], y[test_idx])
+            results[lo : lo + len(block), j] = aurocs
+            for i, error in enumerate(run.errors):
+                error = error if error is not None else test_errors[i]
+                if first_error[i] is None and error is not None:
+                    first_error[i] = (arm.name, error)
+        for trial, failed in zip(block, first_error):
+            if failed is not None:
+                arm_name, error = failed
+                raise _trial_error(trial, error, arm_name) from error
     if split_error is not None:
         raise _trial_error(*split_error) from split_error[1]
     return results
@@ -465,10 +463,10 @@ def run_experiment(
 
     Trials run in ``trial_blocks(n_repeats, jobs, <usable CPUs>)``, one
     worker process per block when there is more than one, and each block
-    has usable CPUs // blocks threads for its pairwise loss kernels, so
-    workers times threads stays within the CPUs. Results are collected in
-    trial order and are the same bit for bit at any thread count, so the
-    report does not depend on the worker count. Arms that cannot train on
+    has usable CPUs // blocks threads for its engine calls, so workers times
+    threads stays within the CPUs. Results are collected in trial order and
+    are the same bit for bit at any thread count, so the report does not
+    depend on the worker count. Arms that cannot train on
     the dataset's classes raise ``FieldError`` (a ``ValueError``), and
     ``jobs`` that is not an integer of at least 1 raises ``ValueError``,
     before any trial runs.

@@ -303,11 +303,12 @@ PAIR_BLOCK = 1 << 16
 Each class's pair grid is walked in blocks of whole trials, or of positive
 rows of one trial, that hold at most this many pairs (or one row, if a row
 is longer). Its workspace then stays cache-sized however large the batches
-or the block of trials, and blocking changes no gradient bit. A thread of
-``_kernel``'s pool gets pairs only if it gets at least this many."""
+or the block of trials, and blocking changes no gradient bit. The training
+engine splits a stack of trials across threads only if its steps can hold
+this many pairs per trial and class (``network.train_stacked``)."""
 
 
-def _kernel(kind, z, targets, params, want_grad, *, want_value=True, pool=None):
+def _kernel(kind, z, targets, params, want_grad, *, want_value=True):
     """Loss values (T,) and, when ``want_grad``, d(value)/d(logits) of T
     padded batches: float64 logits ``z`` (T, P, C) and their labels'
     ``_Targets``. Unchecked: callers check the labels and, for
@@ -317,13 +318,12 @@ def _kernel(kind, z, targets, params, want_grad, *, want_value=True, pool=None):
     kinds then return None for the value and skip the surrogate terms, a
     third of the pairwise kernel's work. Cross entropy always computes it.
 
-    ``pool``, a ``concurrent.futures.ThreadPoolExecutor``, lets the AUC kinds
-    compute their pair grids on its threads (see ``_grid_tasks``). Values and
-    gradients are the same bit for bit with and without it.
+    Serial: it runs on the calling thread, and threads share the trials of
+    a stack, not its pair grids (see ``network.train_stacked``).
     """
     if kind == "cross_entropy":
         return _stacked_cross_entropy(z, targets, want_grad)
-    return _stacked_auc(kind, z, targets, params, want_grad, want_value, pool)
+    return _stacked_auc(kind, z, targets, params, want_grad, want_value)
 
 
 @dataclass(frozen=True)
@@ -424,27 +424,14 @@ def _stacked_cross_entropy(z, targets, want_grad):
     return value, grad
 
 
-def _stacked_auc(kind, z, targets, params, want_grad, want_value, pool):
+def _stacked_auc(kind, z, targets, params, want_grad, want_value):
     probs = _softmax_rows(z)
     grids = [_PairGrid(probs[:, :, pairs.c], pairs, want_value, want_grad)
              for pairs in targets.pairs]
-    tasks = _grid_tasks(grids, pool)
-    # One workspace per task, allocated on this thread: glibc gives each
-    # thread a heap of its own, which keeps blocks freed there.
     size = max(g.block_trials * g.block_rows * g.neg.shape[2] for g in grids)
-    work = np.empty((len(tasks), 2 + (want_value and want_grad), size))
-    if len(tasks) == 1:
-        for grid, lo, hi in tasks[0]:
-            grid.walk(lo, hi, params, work[0])
-    else:
-        errstate, errcall = np.geterr(), np.geterrcall()  # pool threads do not inherit them
-
-        def run(task, work):
-            with np.errstate(call=errcall, **errstate):
-                for grid, lo, hi in task:
-                    grid.walk(lo, hi, params, work)
-
-        list(pool.map(run, tasks, work))
+    work = np.empty((2 + (want_value and want_grad), size))
+    for grid in grids:
+        grid.walk(params, work)
 
     if kind == "auc_binary":
         mean, g_p, n_pairs = grids[0].result()
@@ -472,49 +459,14 @@ def _stacked_auc(kind, z, targets, params, want_grad, want_value, pool):
     return value, probs * (g_s - inner)
 
 
-def _grid_tasks(grids, pool):
-    """The grids' (class, trial) units cut into pool tasks, each a list of
-    (grid, lo, hi) trial ranges. One task holds every grid whole when there
-    is no pool or too little work to share.
-
-    Only large batches split: some class's grid must hold at least
-    ``PAIR_BLOCK`` pairs per trial. Smaller grids share blocks across
-    trials, and the calls that have many of them (the full training set's
-    initial loss, say) are too few to pay for the threads and the second
-    workspace. There are then min(threads, padded pairs // ``PAIR_BLOCK``,
-    units) tasks, so each thread gets at least a block of pairs; below two
-    the call runs serially. Units, class by class and trial by trial, go to
-    the task their first pair falls in when the padded pairs are cut into
-    equal shares. A unit's sums depend only on its own pairs, and tasks
-    write disjoint rows, so the split changes no bit.
-    """
-    n_trials = grids[0].pos.shape[0]
-    sizes = [g.pos.shape[1] * g.neg.shape[2] for g in grids]  # padded pairs per trial
-    total = n_trials * sum(sizes)
-    # The executor has no public accessor for its thread count.
-    threads = 1 if pool is None or max(sizes) < PAIR_BLOCK else pool._max_workers
-    n_tasks = min(threads, total // PAIR_BLOCK, n_trials * len(grids))
-    if n_tasks < 2:
-        return [[(grid, 0, n_trials) for grid in grids]]
-    tasks = [[] for _ in range(n_tasks)]
-    start = 0
-    for grid, size in zip(grids, sizes):
-        task = (start + size * np.arange(n_trials)) * n_tasks // total
-        cuts = [0, *(np.flatnonzero(np.diff(task)) + 1).tolist(), n_trials]
-        for lo, hi in zip(cuts, cuts[1:]):
-            tasks[task[lo]].append((grid, lo, hi))
-        start += size * n_trials
-    return [task for task in tasks if task]
-
-
 class _PairGrid:
     """Class-c positives against every other real row, for each trial.
 
     Positives and negatives are gathered, in batch order, into (T, w_pos)
     and (T, w_neg) blocks whose padding holds -inf and +inf (see
     ``_ClassPairs``): a padded pair then has difference -inf, whose term and
-    slope are exactly 0. ``walk`` computes the sums of a range of trials,
-    and ``result`` reads them out once every trial has been walked.
+    slope are exactly 0. ``walk`` computes the sums of every trial, and
+    ``result`` reads them out.
     """
 
     def __init__(self, scores, pairs: _ClassPairs, want_value, want_grad):
@@ -535,10 +487,10 @@ class _PairGrid:
         self.row_sums = np.empty((n_trials, w_pos))
         self.col_sums = np.zeros((n_trials, w_neg))
 
-    def walk(self, lo, hi, params, work):
-        """The sums of trials lo..hi-1, which are all this writes.
+    def walk(self, params, work):
+        """The sums of every trial.
 
-        The (hi - lo, w_pos, w_neg) pair grid is walked in blocks of
+        The (T, w_pos, w_neg) pair grid is walked in blocks of
         ``PAIR_BLOCK`` pairs, computed in place in ``work``: two buffers of a
         block's size, three for value and slope. Slope sums round as NumPy
         rounds them for one lone batch. NumPy sums a contiguous row
@@ -550,11 +502,12 @@ class _PairGrid:
         whichever trials share them.
         """
         pos, neg, n_neg = self.pos, self.neg, self.pairs.n_neg
-        w_pos, w_neg = pos.shape[1], neg.shape[2]
-        block_trials, block_rows = min(hi - lo, self.block_trials), self.block_rows
-        for t0, r0 in itertools.product(range(lo, hi, block_trials), range(0, w_pos, block_rows)):
-            ts, rs = slice(t0, min(t0 + block_trials, hi)), slice(r0, r0 + block_rows)
-            shape = (ts.stop - t0, min(block_rows, w_pos - r0), w_neg)
+        n_trials, w_pos, w_neg = pos.shape[0], pos.shape[1], neg.shape[2]
+        block_trials, block_rows = self.block_trials, self.block_rows
+        for t0, r0 in itertools.product(range(0, n_trials, block_trials),
+                                        range(0, w_pos, block_rows)):
+            ts, rs = slice(t0, t0 + block_trials), slice(r0, r0 + block_rows)
+            shape = (min(block_trials, n_trials - t0), min(block_rows, w_pos - r0), w_neg)
             buf = work[:, : shape[0] * shape[1] * w_neg].reshape(-1, *shape)
             # The slope overwrites the difference, and so does d when no
             # slope is asked for; the terms take the last buffer.

@@ -14,12 +14,16 @@ satisfiable; emitted batches then run larger than requested.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
+from . import losses
 from .errors import (FieldError, InfeasibleBatchError, NonFiniteError, RanklossError,
                      _check_fields, _check_integers, _integer, _real)
 from .losses import (
@@ -459,7 +463,7 @@ def _value_needed(config: TrainConfig, rows: int) -> bool:
             or config.surrogate.L * rows**2 > np.finfo(float).max)
 
 
-def _step(stack: MLPStack, grads: MLPStack, batch: _Batch, config: TrainConfig, pool=None
+def _step(stack: MLPStack, grads: MLPStack, batch: _Batch, config: TrainConfig
           ) -> list[tuple[str, np.ndarray]]:
     """One SGD step of every trial of ``stack`` on its batch in ``batch``,
     in place. ``grads``, a stack of the same shape, is scratch.
@@ -474,7 +478,7 @@ def _step(stack: MLPStack, grads: MLPStack, batch: _Batch, config: TrainConfig, 
     inputs = []
     logits = _layers(stack.blocks, batch.x, inputs)
     values, delta = _kernel(config.loss_kind, logits, batch.targets, config.surrogate, True,
-                            want_value=_value_needed(config, batch.x.shape[1]), pool=pool)
+                            want_value=_value_needed(config, batch.x.shape[1]))
     for layer in range(len(inputs) - 1, -1, -1):
         # The input's ones column makes the block's last row the bias gradient.
         np.matmul(inputs[layer].transpose(0, 2, 1), delta, out=grads.blocks[layer])
@@ -501,7 +505,7 @@ def train_stacked(
     val_y: np.ndarray,
     configs: Sequence[TrainConfig],
     *,
-    pool=None,
+    threads: int = 1,
 ) -> StackedTraining:
     """Train every model of the stack by SGD over stratified batches, model t
     on ``train_x[t]``, ``train_y[t]`` with ``configs[t]``, and return each
@@ -529,18 +533,31 @@ def train_stacked(
     invalid-value warnings are silenced, as that arithmetic is expected and
     the trial's error already reports it.
 
-    ``pool`` is passed on to every loss call, whose pairwise kernel may run
-    on its threads; the result does not depend on it.
+    A pairwise-loss stack of width P with P**2 / 4 >= ``losses.PAIR_BLOCK``
+    trains as min(``threads``, trials) contiguous parts: each epoch runs the
+    first on the calling thread and the others on a thread pool that is
+    shut down before this returns. Every part runs under the caller's NumPy
+    error state and handler, with the two warnings above silenced. A trial
+    trains bit for bit whichever trials share its stack, so the result does
+    not depend on ``threads``.
 
-    Before any work, ``model`` must be a stack and the configs must fit it
-    (``ValueError``): one per model, equal in everything but the seed, and
-    an ``auc_binary`` loss needs a 2-class model.
+    Before any work, ``model`` must be a stack, ``configs`` a sequence of
+    ``TrainConfig`` ("configs[0] must be a TrainConfig, got None") that fits
+    it, and ``threads`` an integer of at least 1 (all ``ValueError``): one
+    config per model, equal in everything but the seed, and an
+    ``auc_binary`` loss needs a 2-class model.
     """
     _check_kind(model, True, "train_stacked")
+    if not isinstance(configs, Sequence):
+        raise ValueError(f"configs must be a sequence of TrainConfig, got {configs!r}")
+    for i, c in enumerate(configs):
+        if not isinstance(c, TrainConfig):
+            raise ValueError(f"configs[{i}] must be a TrainConfig, got {c!r}")
     if len(configs) != model.n_models or any(
         replace(c, seed=configs[0].seed) != configs[0] for c in configs
     ):
         raise ValueError("need one TrainConfig per model, equal in everything but the seed")
+    _check_integers(1, threads=threads)
     config = configs[0]
     if config.loss_kind == "auc_binary" and model.n_classes != 2:
         raise ValueError(f"binary_auc_loss requires 2 classes, got {model.n_classes}")
@@ -570,42 +587,64 @@ def train_stacked(
     values, ok = np.zeros(model.n_models), ~failed
     if ok.any() and _value_needed(config, train_y.shape[1]):
         targets = _targets(config.loss_kind, train_y[ok][None], model.n_classes)[0]
-        values[ok] = _kernel(config.loss_kind, logits[ok], targets, config.surrogate, False,
-                             pool=pool)[0]
+        values[ok] = _kernel(config.loss_kind, logits[ok], targets, config.surrogate, False)[0]
     fail(~np.isfinite(values), "initial loss")
     groups = [_LabelGroups(y, config.batch_size) for y in train_y]
     fail_each([trial.error for trial in groups])
 
     # The trials left step in stacks of equal class count, batch count and
-    # width, each with its own scratch stack for the updates.
+    # width P. A pairwise-loss stack whose batches can hold PAIR_BLOCK pairs
+    # per trial and class is cut into contiguous parts, one per thread. Each
+    # part has its own scratch stack for the updates.
     keyed: dict[tuple[int, int, int], list[int]] = {}
     for t in np.flatnonzero(~failed).tolist():
         keyed.setdefault((groups[t].counts.size, groups[t].n_batches, groups[t].width),
                          []).append(t)
-    stacks = [(trials, MLPStack(model.layer_dims, np.empty((len(trials), model.params.shape[1]))))
-              for trials in keyed.values()]
+    stacks, n_params = [], model.params.shape[1]
+    for (_, _, width), trials in keyed.items():
+        split = config.loss_kind != "cross_entropy" and width * width >= 4 * losses.PAIR_BLOCK
+        n_parts = min(threads, len(trials)) if split else 1
+        cuts = [len(trials) * i // n_parts for i in range(n_parts + 1)]
+        stacks.append([(trials[lo:hi], MLPStack(model.layer_dims, np.empty((hi - lo, n_params))))
+                       for lo, hi in zip(cuts, cuts[1:])])
     seeds = [c.seed for c in configs]
-    for epoch in range(config.max_epochs):
-        if failed.all():
-            break
-        for trials, grads in stacks:
-            if failed[trials].all():
-                continue
+    state, errcall = np.geterr(), np.geterrcall()
+
+    def train_part(trials, grads, epoch):
+        # One epoch of a part's trials, whose failures it returns as
+        # (batch, what, flags). Pool threads start with NumPy's default
+        # error state, so each part runs under this call's.
+        with np.errstate(call=errcall, **state):
             pick = trials if len(trials) < model.n_models else slice(None)
             index, sizes = _batch_index([groups[t] for t in trials], [seeds[t] for t in trials],
                                         epoch)
             steps = _plan(index, sizes, train_x[pick], train_y[pick], config.loss_kind,
                           model.n_classes)
             part = MLPStack(model.layer_dims, work.params[pick])
-            for batch, step in enumerate(steps):
-                for what, bad in _step(part, grads, step, config, pool):
-                    fail(bad, what, epoch, batch, trials)
+            failures = [(batch, what, bad) for batch, step in enumerate(steps)
+                        for what, bad in _step(part, grads, step, config)]
             work.params[pick] = part.params
-        aurocs, val_errors = validate(work, epoch)
-        fail_each(val_errors)
-        improved = ~failed & (aurocs > best_auroc)
-        np.copyto(best.params, work.params, where=improved[:, None])
-        best_auroc = np.where(improved, aurocs, best_auroc)
+        return failures
+
+    n_pool = max(map(len, stacks), default=1) - 1
+    with ThreadPoolExecutor(n_pool) if n_pool else nullcontext() as pool:
+        for epoch in range(config.max_epochs):
+            if failed.all():
+                break
+            for parts in stacks:
+                parts = [part for part in parts if not failed[part[0]].all()]
+                if not parts:
+                    continue
+                later = [pool.submit(train_part, *part, epoch) for part in parts[1:]]
+                done = [train_part(*parts[0], epoch), *(future.result() for future in later)]
+                for (trials, _), failures in zip(parts, done):
+                    for batch, what, bad in failures:
+                        fail(bad, what, epoch, batch, trials)
+            aurocs, val_errors = validate(work, epoch)
+            fail_each(val_errors)
+            improved = ~failed & (aurocs > best_auroc)
+            np.copyto(best.params, work.params, where=improved[:, None])
+            best_auroc = np.where(improved, aurocs, best_auroc)
 
     best.params[failed] = model.params[failed]
     return StackedTraining(model=best, errors=tuple(errors))

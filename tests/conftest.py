@@ -38,11 +38,11 @@ def random_batch(seed, n, n_classes, scale=1.0):
 
 
 def kernel_loss(kind, logits, labels, params=DEFAULT_SURROGATE, want_grad=False, *,
-                want_value=True, pool=None):
+                want_value=True):
     """The loss kernel on a stack of padded batches, as the training engine
     calls it: logits (T, P, C) and labels (T, P), -1 marking padding."""
     targets = _targets(kind, np.asarray(labels)[None], logits.shape[2])[0]
-    return _kernel(kind, logits, targets, params, want_grad, want_value=want_value, pool=pool)
+    return _kernel(kind, logits, targets, params, want_grad, want_value=want_value)
 
 
 @pytest.fixture
@@ -51,18 +51,19 @@ def rng():
 
 
 @pytest.fixture
-def task_counts(monkeypatch):
-    """The number of tasks each AUC ``kernel_loss`` call cut its pair
-    grids into, in call order (1 when it ran serially)."""
-    import rankloss.losses
+def step_threads(monkeypatch):
+    """The ident of the thread that ran each ``network._step`` call, in
+    call order; ``len(set(...))`` counts the threads a run stepped on."""
+    import threading
 
-    counts = []
-    original = rankloss.losses._grid_tasks
+    import rankloss.network
 
-    def spy(grids, pool):
-        tasks = original(grids, pool)
-        counts.append(len(tasks))
-        return tasks
+    idents = []
+    original = rankloss.network._step
 
-    monkeypatch.setattr(rankloss.losses, "_grid_tasks", spy)
-    return counts
+    def spy(*args, **kwargs):
+        idents.append(threading.get_ident())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rankloss.network, "_step", spy)
+    return idents

@@ -171,6 +171,22 @@ class TestCompareCommand:
         out = capsys.readouterr().out
         assert "ce_b8" in out and "auc_b16" in out
 
+    def test_constant_equal_arms_have_no_t_test(self, tmp_path, capsys):
+        # Blobs 20 noise widths apart: both arms score an AUROC of 1.0 in
+        # every trial, so the t statistic is 0/0 (DegenerateVarianceError).
+        # The comparison is written with null t and p, and the summary's
+        # p column reads n/a.
+        config = small_compare_config(tmp_path)
+        config["dataset"]["synthetic"]["class_mean_separation"] = 20.0
+        code, out_path = run_compare(tmp_path, config)
+        assert code == 0
+        manifest = json.loads(out_path.read_text())
+        assert [arm["aurocs"] for arm in manifest["arms"]] == [[1.0] * 4] * 2
+        assert manifest["comparisons"] == [{"arm_a": "ce_b8", "arm_b": "auc_b16",
+                                            "t": None, "p": None}]
+        row = capsys.readouterr().out.splitlines()[2]
+        assert row.split() == ["auc_b16", "1.0000", "[1.0000,", "1.0000]", "n/a"]
+
     def test_unstratified_jobs_do_not_change_bytes(self, tmp_path):
         # The dataset and splits of tests/golden/unstratified_manifest.json:
         # the ce_b8 arm has 4 batches in trials 1 and 3 and 5 in the others,
@@ -458,7 +474,8 @@ def test_one_job_loads_no_multiprocessing(tmp_path):
 
 def large_batch_config(n_repeats=2, epochs=2):
     # Binary blobs whose 1200-row train set is one full batch per epoch:
-    # 900 x 300 pairs per class, enough to split across two threads.
+    # 900 x 300 pairs per class, enough to split the trials across two
+    # threads.
     config = small_compare_config(None, n_repeats=n_repeats, epochs=epochs)
     config["dataset"]["synthetic"].update(class_counts=[1500, 500], dim=8, label_flip_prob=0.1)
     config["model"]["hidden_dims"] = [16]
@@ -471,26 +488,28 @@ def large_batch_config(n_repeats=2, epochs=2):
     return config
 
 
-def _compare_with_cpus(monkeypatch, task_counts, tmp_path, config, cpus, name):
+def _compare_with_cpus(monkeypatch, step_threads, tmp_path, config, cpus, name):
     # run_compare with the harness seeing ``cpus`` usable CPUs, which at
-    # --jobs 1 gives the block that many pair-kernel threads. Returns the
-    # exit code, the manifest path and the most tasks one loss call split into.
+    # --jobs 1 gives the block's engine calls that many threads. Returns the
+    # exit code, the manifest path and the number of threads that stepped.
     import rankloss.harness
 
-    task_counts.clear()
+    step_threads.clear()
     with monkeypatch.context() as mp:
         mp.setattr(rankloss.harness, "_cpu_count", lambda: cpus)
         code, out_path = run_compare(tmp_path, config, name=name)
-    return code, out_path, max(task_counts, default=0)
+    return code, out_path, len(set(step_threads))
 
 
 class TestThreadedPairKernel:
-    def test_manifest_bytes_match_one_thread(self, tmp_path, monkeypatch, task_counts):
+    def test_manifest_bytes_match_one_thread(self, tmp_path, monkeypatch, step_threads):
+        # Each arm's two trials train in two parts on two threads, and the
+        # manifest is the one-thread manifest.
         config = large_batch_config()
         manifests = []
         for cpus in (1, 2):
             code, out_path, split = _compare_with_cpus(
-                monkeypatch, task_counts, tmp_path, config, cpus, f"cpus{cpus}")
+                monkeypatch, step_threads, tmp_path, config, cpus, f"cpus{cpus}")
             assert code == 0 and split == cpus
             manifest = json.loads(out_path.read_text())
             del manifest["duration_seconds"]
@@ -498,9 +517,9 @@ class TestThreadedPairKernel:
         assert manifests[0] == manifests[1]
 
     def test_diverging_arm_reports_as_one_thread(self, tmp_path, capsys, monkeypatch,
-                                                 task_counts):
-        # The kernel's threads run under the engine's errstate: exit 3, the
-        # same one-line error as on one thread, and no NumPy RuntimeWarning.
+                                                 step_threads):
+        # Each part runs under the engine's errstate: exit 3, the same
+        # one-line error as on one thread, and no NumPy RuntimeWarning.
         config = large_batch_config(epochs=1)
         config["dataset"]["synthetic"]["class_counts"] = [3000, 1000]
         config["arms"][0]["learning_rate"] = 1e200
@@ -509,7 +528,7 @@ class TestThreadedPairKernel:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 code, _, split = _compare_with_cpus(
-                    monkeypatch, task_counts, tmp_path, config, cpus, f"diverge{cpus}")
+                    monkeypatch, step_threads, tmp_path, config, cpus, f"diverge{cpus}")
             assert code == 3 and split == cpus
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
             err = capsys.readouterr().err

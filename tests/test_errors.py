@@ -5,6 +5,7 @@ import pytest
 
 from rankloss import (
     ArmConfig,
+    AurocValue,
     ConfigError,
     CsvError,
     Dataset,
@@ -28,13 +29,22 @@ from rankloss import (
     auroc_multiclass_ovr,
     binary_auc_loss,
     finite_diff_check,
+    MLPStack,
+    evaluate_auroc_stacked,
+    forward,
     init_model,
+    load_csv,
+    load_scores_csv,
     logistic,
     loss_function,
+    mean_ci,
     monte_carlo_split,
     multiclass_auc_loss,
     run_experiment,
+    softmax,
     stratified_batches,
+    t_test,
+    train_stacked,
     trial_blocks,
     trial_seeds,
 )
@@ -73,6 +83,11 @@ _SPEC = dict(class_counts=(10, 10), dim=2, class_mean_separation=1.0, noise_std=
 _DATA = Dataset(np.arange(20.0).reshape(10, 2), [0, 1] * 5, 2)
 _EXPERIMENT = ExperimentConfig((ArmConfig("ce", "cross_entropy", 4, max_epochs=1),),
                                SplitSpec(n_repeats=1))
+_STACK = MLPStack.of([init_model((2, 2), seed) for seed in range(2)])
+_STACKED_X, _STACKED_Y = np.zeros((2, 4, 2)), np.tile([0, 1, 0, 1], (2, 1))
+_STACKED_DATA = (_STACKED_X, _STACKED_Y, _STACKED_X, _STACKED_Y)
+_STACKED_CONFIGS = [TrainConfig(batch_size=2, loss_kind="cross_entropy", max_epochs=1, seed=t)
+                    for t in range(2)]
 
 # Each entry that takes a count, seed or worker count: (call with the value,
 # the FieldError field or None for a plain ValueError, the message for a
@@ -122,6 +137,9 @@ INTEGER_ENTRIES = {
     "monte_carlo_split.n": (
         lambda v: monte_carlo_split(v, None, SplitSpec(stratified=False), 0), None,
         "n must be an integer, got {!r}", 4, "need at least 5 samples to split, got 4"),
+    "train_stacked.threads": (
+        lambda v: train_stacked(_STACK, *_STACKED_DATA, _STACKED_CONFIGS, threads=v), None,
+        "threads must be an integer, got {!r}", 0, "threads must be at least 1, got 0"),
 }
 
 
@@ -322,3 +340,102 @@ def test_sequence_fields_reject_a_bare_value(call, field):
         call(4)
     assert exc.value.field == field
     assert str(exc.value) == f"{field} must be a sequence, got 4"
+
+
+_NAN = float("nan")
+
+# Public-boundary checks outside the rule tables: (call, given a scratch
+# directory; error type; message, where {dir} is that directory).
+BOUNDARY_CHECKS = {
+    "PredictionBatch 1-D scores": (
+        lambda d: PredictionBatch(np.zeros(3), [0, 1, 0]), ValueError,
+        "scores must be 2-D (n_samples, n_classes), got shape (3,)"),
+    "PredictionBatch one column": (
+        lambda d: PredictionBatch(np.zeros((3, 1)), [0, 0, 0]), ValueError,
+        "need at least 2 score columns, got 1"),
+    "PredictionBatch no rows": (
+        lambda d: PredictionBatch(np.zeros((0, 2)), []), ValueError,
+        "batch must contain at least one sample"),
+    "Dataset 1-D features": (
+        lambda d: Dataset(np.zeros(4), [0, 1, 0, 1], 2), ValueError,
+        "features must be 2-D, got shape (4,)"),
+    "Dataset empty features": (
+        lambda d: Dataset(np.zeros((0, 2)), [], 2), ValueError,
+        "need at least one sample and one feature, got (0, 2)"),
+    "Dataset class_names": (
+        lambda d: Dataset(np.zeros((4, 1)), [0, 1, 0, 1], 2, class_names=("a",)), ValueError,
+        "class_names length 1 does not match n_classes 2"),
+    "forward 1-D features": (
+        lambda d: forward(init_model((2, 2), 0), np.zeros(2)), ValueError,
+        "features must be 2-D, got shape (2,)"),
+    "train_stacked feature shape": (
+        lambda d: train_stacked(_STACK, np.zeros((2, 4, 3)), *_STACKED_DATA[1:], _STACKED_CONFIGS),
+        ValueError, "training features must be (2, rows, 2), got (2, 4, 3)"),
+    "train_stacked empty partition": (
+        lambda d: train_stacked(_STACK, np.zeros((2, 0, 2)), np.zeros((2, 0), dtype=int),
+                                *_STACKED_DATA[2:], _STACKED_CONFIGS),
+        ValueError, "training partitions must be non-empty"),
+    "evaluate_auroc_stacked feature shape": (
+        lambda d: evaluate_auroc_stacked(_STACK, np.zeros((3, 4, 2)), np.zeros((3, 4), dtype=int)),
+        ValueError, "evaluation features must be (2, rows, 2), got (3, 4, 2)"),
+    "evaluate_auroc_stacked empty partition": (
+        lambda d: evaluate_auroc_stacked(_STACK, np.zeros((2, 0, 2)), np.zeros((2, 0), dtype=int)),
+        ValueError, "evaluation partitions must be non-empty"),
+    "monte_carlo_split label shape": (
+        lambda d: monte_carlo_split(10, [0, 1] * 4, SplitSpec(), 0), ValueError,
+        "labels must have shape (10,), got (8,)"),
+    "mean_ci non-finite": (
+        lambda d: mean_ci([1.0, _NAN]), ValueError, "values must be finite"),
+    "t_test one value": (
+        lambda d: t_test([1.0], [1.0, 2.0]), ValueError, "each sample needs at least 2 values"),
+    "t_test non-finite": (
+        lambda d: t_test([1.0, 2.0], [1.0, _NAN]), ValueError, "samples must be finite"),
+    "ExperimentConfig no arms": (
+        lambda d: ExperimentConfig((), SplitSpec()), FieldError, "at least one arm is required"),
+    "ExperimentConfig duplicate names": (
+        lambda d: ExperimentConfig(_EXPERIMENT.arms * 2, SplitSpec()), FieldError,
+        "arm names must be unique, got ['ce', 'ce']"),
+    "ExperimentConfig 3 hidden layers": (
+        lambda d: ExperimentConfig(_EXPERIMENT.arms, SplitSpec(), (4, 4, 4)), FieldError,
+        "at most 2 hidden layers are supported, got (4, 4, 4)"),
+    "ArmConfig empty name": (
+        lambda d: ArmConfig("", "cross_entropy", 8), FieldError, "arm name must be non-empty"),
+    "SplitSpec 2 ratios": (
+        lambda d: SplitSpec(ratios=(0.5, 0.5)), FieldError,
+        "ratios must be (train, val, test), got (0.5, 0.5)"),
+    "softmax non-finite": (
+        lambda d: softmax([0.0, _NAN]), ValueError, "softmax requires finite input"),
+    "softmax 3-D": (
+        lambda d: softmax(np.zeros((2, 2, 2))), ValueError,
+        "softmax expects a vector or matrix, got shape (2, 2, 2)"),
+    "logistic non-finite": (
+        lambda d: logistic(_NAN), ValueError, "logistic requires finite input"),
+    "AurocValue 1.5": (
+        lambda d: AurocValue(1.5, 1, 1), ValueError, "AUROC must lie in [0, 1], got 1.5"),
+    "AurocValue no positives": (
+        lambda d: AurocValue(0.5, 0, 1), ValueError,
+        "AUROC requires at least one positive and one negative"),
+    "load_csv label only": (
+        lambda d: load_csv(_write(d / "labels.csv", "y\n0\n1\n"), "y"), MissingColumnError,
+        "{dir}/labels.csv: no value columns besides the label"),
+    "load_scores_csv label a": (
+        lambda d: load_scores_csv(_write(d / "scores.csv", "s0,s1,y\n0.1,0.9,a\n"), "y"),
+        NonNumericCellError,
+        "{dir}/scores.csv: row 0, column 'y': label 'a' is not an integer class index"),
+}
+
+
+def _write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("entry", sorted(BOUNDARY_CHECKS))
+def test_boundary_checks_raise_their_documented_error(entry, tmp_path):
+    # Checks at the public entries that no other test reaches: each raises
+    # its documented type with its own message.
+    call, error, message = BOUNDARY_CHECKS[entry]
+    with pytest.raises(error) as exc:
+        call(tmp_path)
+    assert type(exc.value) is error
+    assert str(exc.value) == message.format(dir=tmp_path)

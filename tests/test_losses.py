@@ -1,7 +1,8 @@
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,18 +11,23 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from rankloss import (
+    DEFAULT_SURROGATE,
     LOSS_KINDS,
     EmptyClassError,
+    MLPStack,
     PredictionBatch,
     SurrogateParams,
+    TrainConfig,
     auroc_pairwise,
     binary_auc_loss,
     cross_entropy_loss,
     finite_diff_check,
+    init_model,
     logistic,
     loss_function,
     multiclass_auc_loss,
     softmax,
+    train_stacked,
 )
 import rankloss.losses
 from rankloss.losses import PAIR_BLOCK, _block_logistic, _last_axis_sum
@@ -517,137 +523,178 @@ def test_stacked_loss_names_trial_missing_a_class():
         kernel_loss("auc_binary", np.zeros((2, 4, 2)), labels)
 
 
-def _padded_stack(rng, n_trials, rows, n_classes, lone=None):
-    # Each trial's batch: every class present, a random size, its rows
-    # scattered among padding rows (label -1).
-    labels = np.full((n_trials, rows), -1)
-    for t in range(n_trials):
-        size = int(rng.integers(n_classes, rows + 1))
-        y = rng.integers(0, n_classes, size=size)
-        if lone is not None:
-            y[:] = 1 - lone
-        y[:n_classes] = np.arange(n_classes)
-        rng.shuffle(y)
-        labels[t, np.sort(rng.choice(rows, size=size, replace=False))] = y
-    return labels
+# ------------------------------------------------ the pairwise losses on threads
+#
+# The kernel is serial: the training engine cuts a pairwise-loss stack whose
+# steps hold PAIR_BLOCK pairs per trial and class into parts, one per
+# thread. These check, through train_stacked(threads=), that training such
+# a stack on threads changes no bit. They keep the names they had when the
+# kernel itself split its pair grids across a thread pool.
 
 
-def _assert_same_bits(serial, pooled):
-    for a, b in zip(serial, pooled):
-        assert (a is None and b is None) or np.array_equal(a, b)
+def _train(kind, labels, features, threads, *, epochs=2, batch_size=None,
+           params=DEFAULT_SURROGATE, model=None):
+    """``train_stacked`` of one (dim, 4, classes) net per trial on
+    ``features`` (T, n, dim) and ``labels`` (T, n), scored on the same
+    rows, at ``threads``: the checkpoints' bytes and each trial's error as
+    text."""
+    n_trials, n, dim = features.shape
+    if model is None:
+        n_classes = 2 if kind == "auc_binary" else int(labels.max()) + 1
+        model = MLPStack.of([init_model((dim, 4, n_classes), t) for t in range(n_trials)])
+    configs = [TrainConfig(batch_size=batch_size or n, loss_kind=kind, max_epochs=epochs,
+                           surrogate=params, seed=t) for t in range(n_trials)]
+    run = train_stacked(model, features, labels, features, labels, configs, threads=threads)
+    return run.model.params.tobytes(), [None if e is None else f"{type(e).__name__}: {e}"
+                                        for e in run.errors]
 
 
-@settings(max_examples=60, deadline=None)
+def _blobs(rng, labels, dim=3):
+    return labels[..., None] + rng.normal(size=(*labels.shape, dim))
+
+
+@settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_stacked_loss_pool_matches_serial(data):
-    # Values and gradients with a 2- or 3-thread pool equal the serial
-    # kernel's bit for bit, whatever the split of (class, trial) units.
+    # Checkpoints and errors on 2 or 3 threads equal 1 thread's byte for
+    # byte, however the stacks are cut: 1 to 4 trials of ragged labels
+    # (each trial its own class counts, so their batch counts and widths,
+    # and so their stacks, can differ) at block sizes that split small
+    # batches too.
     n_classes = data.draw(st.integers(2, 4))
     kind = data.draw(st.sampled_from(["auc_multiclass"] + ["auc_binary"] * (n_classes == 2)))
     n_trials = data.draw(st.integers(1, 4))
-    rows = data.draw(st.integers(n_classes, 40))
+    rows = data.draw(st.integers(n_classes + 4, 40))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    scale = data.draw(st.sampled_from([0.1, 1.0, 30.0]))
-    logits = scale * rng.normal(size=(n_trials, rows, n_classes))
-    lone = data.draw(st.sampled_from([None, 0, 1])) if n_classes == 2 else None
-    labels = _padded_stack(rng, n_trials, rows, n_classes, lone)
-    params = SurrogateParams(k=data.draw(st.sampled_from([1.0, 20.0, 500.0])))
+    labels = rng.integers(0, n_classes, size=(n_trials, rows))
+    labels[:, :n_classes] = np.arange(n_classes)
+    labels = rng.permuted(labels, axis=1)
+    batch_size = data.draw(st.sampled_from([n_classes + 2, rows]))
     block = data.draw(st.sampled_from([7, 40, PAIR_BLOCK]))
     threads = data.draw(st.sampled_from([2, 3]))
-    want_value = data.draw(st.booleans())
-
-    with pytest.MonkeyPatch.context() as mp, ThreadPoolExecutor(threads) as pool:
+    features = _blobs(rng, labels)
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rankloss.losses, "PAIR_BLOCK", block)
-        for want_grad in (True, False):
-            serial = kernel_loss(kind, logits, labels, params, want_grad, want_value=want_value)
-            pooled = kernel_loss(kind, logits, labels, params, want_grad, want_value=want_value,
-                                 pool=pool)
-            _assert_same_bits(serial, pooled)
+        serial = _train(kind, labels, features, 1, batch_size=batch_size)
+        assert _train(kind, labels, features, threads, batch_size=batch_size) == serial
 
 
 @pytest.mark.parametrize("n_trials", [1, 2, 3, 4])
 @pytest.mark.parametrize("kind", ["auc_binary", "auc_multiclass"])
-def test_stacked_loss_pool_splits_large_batches(kind, n_trials, task_counts):
-    # At the default block size a large batch splits wherever there are two
-    # (class, trial) units, and the split changes no bit.
+def test_stacked_loss_pool_splits_large_batches(kind, n_trials, step_threads):
+    # At the default block size a full batch of 720 rows holds PAIR_BLOCK
+    # pairs per class, so 2 threads cut the stack into min(2, trials) parts.
+    # Their threads are gone when train_stacked returns, and the
+    # checkpoints are 1 thread's byte for byte.
     n_classes = 2 if kind == "auc_binary" else 3
     rng = np.random.default_rng(n_trials)
-    logits = rng.normal(size=(n_trials, 720, n_classes))
     labels = np.tile(np.arange(720) % n_classes, (n_trials, 1))
-    labels[:, rng.choice(720, size=40, replace=False)] = -1
-    with ThreadPoolExecutor(2) as pool:
-        for want_value in (True, False):
-            serial = kernel_loss(kind, logits, labels, want_grad=True, want_value=want_value)
-            pooled = kernel_loss(kind, logits, labels, want_grad=True, want_value=want_value,
-                                 pool=pool)
-            _assert_same_bits(serial, pooled)
-    units = n_trials * (1 if kind == "auc_binary" else n_classes)
-    assert task_counts == [1, 1 if units == 1 else 2] * 2
+    features = _blobs(rng, labels)
+    serial = _train(kind, labels, features, 1)
+    step_threads.clear()
+    before = threading.active_count()
+    assert _train(kind, labels, features, 2) == serial
+    assert threading.active_count() == before
+    assert len(set(step_threads)) == min(2, n_trials)
+    assert threading.get_ident() in step_threads
+
+
+def test_stacked_loss_pool_survives_thread_switches(monkeypatch, step_threads):
+    # Parts write disjoint rows of the shared weight stack. With 8 parts, 7
+    # of them on pool threads, more than most machines' CPUs, and the
+    # interpreter switching threads every microsecond, a lost or crossed
+    # update would change the checkpoints from 1 thread's. Each part takes
+    # every step for its trial, so there are 8 times the serial steps.
+    rng = np.random.default_rng(4)
+    labels = rng.permuted(np.tile(np.arange(48) % 3, (8, 1)), axis=1)
+    features = _blobs(rng, labels)
+    monkeypatch.setattr(rankloss.losses, "PAIR_BLOCK", 7)
+    serial = _train("auc_multiclass", labels, features, 1, epochs=20, batch_size=12)
+    serial_steps = len(step_threads)
+    step_threads.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = _train("auc_multiclass", labels, features, 8, epochs=20, batch_size=12)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    assert len(step_threads) == 8 * serial_steps and len(set(step_threads)) > 1
 
 
 @pytest.mark.parametrize("n_trials", [4, 100])
-def test_stacked_loss_pool_skips_small_batches(n_trials, task_counts):
-    # Grids smaller than a block per trial stay on the calling thread, however
-    # many trials add up: a 64-row step, or the initial loss on the reference
-    # protocol's 203 training rows.
+def test_stacked_loss_pool_skips_small_batches(n_trials, step_threads):
+    # A stack of the reference protocol's shape, B=64 batches of 203
+    # training rows with ~1k pairs per trial and class, steps on the
+    # calling thread alone, however many trials it holds.
     rng = np.random.default_rng(2)
-    for rows in (64, 203):
-        labels = np.tile(np.arange(rows) % 3, (n_trials, 1))
-        with ThreadPoolExecutor(2) as pool:
-            kernel_loss("auc_multiclass", rng.normal(size=(n_trials, rows, 3)), labels, pool=pool)
-    assert task_counts == [1, 1]
+    labels = np.tile(np.arange(203) % 3, (n_trials, 1))
+    _train("auc_multiclass", labels, _blobs(rng, labels), 2, epochs=1, batch_size=64)
+    assert set(step_threads) == {threading.get_ident()}
 
 
 @pytest.mark.parametrize("kind", ["auc_binary", "auc_multiclass"])
-def test_stacked_loss_pool_names_the_same_trial(kind, monkeypatch):
-    # The empty-class check runs on the whole stack before any split, so the
-    # error names the same (global) trial with and without the pool.
+def test_stacked_loss_pool_names_the_same_trial(kind, monkeypatch, step_threads):
+    # Trial 2's training labels lack class 1, so it fails before any step
+    # with the loss's EmptyClassError, and the other three train in two
+    # parts: the same errors, at the same trials, and the same bytes as on
+    # one thread.
     labels = np.tile(np.arange(12) % 2, (4, 1))
-    labels[2] = np.where(labels[2] == 1, 0, labels[2])
+    labels[2] = 0
     monkeypatch.setattr(rankloss.losses, "PAIR_BLOCK", 7)
-    logits = np.random.default_rng(0).normal(size=(4, 12, 2))
-    with pytest.raises(EmptyClassError) as serial:
-        kernel_loss(kind, logits, labels, want_grad=True)
-    with ThreadPoolExecutor(2) as pool, pytest.raises(EmptyClassError) as pooled:
-        kernel_loss(kind, logits, labels, want_grad=True, pool=pool)
-    assert str(pooled.value) == str(serial.value)
-    assert "trial 2" in str(pooled.value)
+    features = _blobs(np.random.default_rng(0), labels)
+    serial = _train(kind, labels, features, 1)
+    step_threads.clear()
+    assert _train(kind, labels, features, 2) == serial
+    assert len(set(step_threads)) == 2
+    missing = ("batch has no positive (label 1) samples" if kind == "auc_binary"
+               else "batch has no samples of class 1")
+    assert serial[1] == [None, None, f"EmptyClassError: {missing}", None]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_stacked_loss_pool_threads_keep_the_callers_errstate(monkeypatch, task_counts):
+def test_stacked_loss_pool_threads_keep_the_callers_errstate(monkeypatch, step_threads):
     # With k L beyond the float range, slopes that underflow to 0 become
-    # 0 * inf on the pool's threads: silent under the caller's errstate,
-    # and reported as it would be on the calling thread without it.
+    # 0 * inf, NaN weights that the validation pass reports. Pool threads
+    # start with NumPy's default error state, so each part runs under the
+    # call's: the engine's silenced overflow and invalid values, so no
+    # RuntimeWarning from any thread and the same failure as on one thread,
+    # and the caller's own settings, so its underflow handler hears every
+    # part. The nets rank every positive below every negative, so the
+    # initial loss is finite and each trial underflows in its first step.
     params = SurrogateParams(k=1000.0, L=1e308)
-    logits = np.zeros((2, 12, 2))
-    logits[:, :, 1] = np.where(np.arange(12) % 2 == 1, 40.0, -40.0)
     labels = np.tile(np.arange(12) % 2, (2, 1))
+    features = np.where(labels == 1, -1.0, 1.0)[..., None]
+    model = MLPStack.of([MLPStack((1, 2))] * 2)
+    model.weights[0][:, 0, 1] = 40.0
     monkeypatch.setattr(rankloss.losses, "PAIR_BLOCK", 7)
-    with ThreadPoolExecutor(2) as pool:
-        with warnings.catch_warnings():
+    runs, heard = [], []
+    for threads in (1, 2):
+        step_threads.clear()
+        heard.clear()
+        with warnings.catch_warnings(), np.errstate(
+                under="call", call=lambda *_: heard.append(threading.get_ident())):
             warnings.simplefilter("error")
-            with np.errstate(over="ignore", invalid="ignore"):
-                _, grad = kernel_loss("auc_binary", logits, labels, params, True, pool=pool)
-        assert np.isnan(grad).all()
-        with pytest.warns(RuntimeWarning, match="invalid value"):
-            kernel_loss("auc_binary", logits, labels, params, True, pool=pool)
-    assert task_counts == [2, 2]
+            runs.append(_train("auc_binary", labels, features, threads, params=params,
+                               model=model))
+        assert len(set(step_threads)) == threads
+        assert set(heard) == set(step_threads)
+    assert runs[0] == runs[1]
+    assert runs[0][1] == ["NonFiniteError: evaluation logits became non-finite at epoch 0"] * 2
 
 
 @pytest.mark.parametrize("kind", ["auc_binary", "auc_multiclass"])
-def test_stacked_loss_pool_temporaries_bounded(kind, task_counts):
-    # Each of the two threads works in one block-sized workspace, so two
-    # trials of the full 2400-row batch stay under the serial bound.
+def test_stacked_loss_pool_temporaries_bounded(kind, step_threads):
+    # Each part's kernel works in one block-sized workspace, so two trials
+    # of the full 2400-row batch trained on two threads stay under the
+    # bound of one kernel call.
     rng = np.random.default_rng(0)
-    logits = rng.normal(size=(2, 2400, 2))
     labels = np.tile((np.arange(2400) % 4 == 0).astype(np.int64), (2, 1))
-    with ThreadPoolExecutor(2) as pool:
-        tracemalloc.start()
-        try:
-            kernel_loss(kind, logits, labels, want_grad=True, pool=pool)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert task_counts == [2]
+    features = _blobs(rng, labels, dim=2)
+    tracemalloc.start()
+    try:
+        _train(kind, labels, features, 2, epochs=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(set(step_threads)) == 2
     assert peak < 8e6

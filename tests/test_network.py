@@ -877,6 +877,26 @@ class TestTrainStacked:
                                              "everything but the seed$"):
             train_stacked(stack, x, y, x, y, configs)
 
+    @pytest.mark.parametrize("configs, message", [
+        ([None], "configs[0] must be a TrainConfig, got None"),
+        ([{"batch_size": 3}], "configs[0] must be a TrainConfig, got {'batch_size': 3}"),
+        (TrainConfig(batch_size=3, loss_kind="cross_entropy"),
+         "configs must be a sequence of TrainConfig, got TrainConfig(batch_size=3, "
+         "loss_kind='cross_entropy', max_epochs=40, learning_rate=0.1, "
+         "surrogate=SurrogateParams(k=20.0, L=1.0, x0=0.0), seed=0)"),
+    ], ids=["none", "dict", "bare"])
+    def test_configs_checked_by_type(self, configs, message):
+        # A None or dict config used to end in an AttributeError from
+        # dataclasses.replace, and a bare TrainConfig in a TypeError from len.
+        stack = MLPStack.of([init_model((4, 3), 0)])
+        x, y = np.zeros((1, 6, 4)), np.tile(np.arange(6) % 3, (1, 1))
+        with pytest.raises(ValueError) as exc:
+            train_stacked(stack, x, y, x, y, configs)
+        assert type(exc.value) is ValueError and str(exc.value) == message
+        if isinstance(configs, list):
+            with pytest.raises(ValueError, match=r"^configs\[0\] must be a TrainConfig"):
+                rankloss.train(init_model((4, 3), 0), x[0], y[0], x[0], y[0], configs[0])
+
     @pytest.mark.parametrize("kind", ["cross_entropy", "auc_multiclass"])
     def test_mixed_class_and_batch_counts_match_per_trial_train(self, kind):
         # Unstratified splits: every trial has its own per-class train
