@@ -124,7 +124,8 @@ def _build_arm(values, pointer) -> ArmConfig:
 
 def _parse_compare_config(doc, seed_override):
     """Validate a `compare` document: (resolved config echo, synthetic spec or
-    None for a CSV source, experiment)."""
+    None for a CSV source, experiment). ``seed_override`` is None or
+    ``_seed_override``'s (seed, pointer)."""
     top = _parse(doc, "", _COMPARE)
     sources = _parse(top["dataset"], "/dataset", _DATASET)
     if (sources["synthetic"] is None) == (sources["csv"] is None):
@@ -133,13 +134,14 @@ def _parse_compare_config(doc, seed_override):
         )
     split = _parse(top["split"], "/split", _SPLIT)
     if seed_override is not None:
-        split["base_seed"] = seed_override
+        split["base_seed"] = seed_override[0]
     model = _parse(top["model"], "/model", _MODEL)
     if len(top["arms"]) < 2:
         raise ConfigError("/arms: at least two arms are required", pointer="/arms")
     arms = [_parse(a, f"/arms/{i}", _ARM) for i, a in enumerate(top["arms"])]
 
-    split_spec = _checked(lambda f: f"/split/{f}", lambda: SplitSpec(**split))
+    split_spec = _checked(_seed_pointer("/split", "base_seed", seed_override),
+                          lambda: SplitSpec(**split))
     arm_configs = tuple(_build_arm(a, f"/arms/{i}") for i, a in enumerate(arms))
     if sources["synthetic"] is not None:
         synthetic = _parse(sources["synthetic"], "/dataset/synthetic", _SYNTHETIC)
@@ -160,16 +162,27 @@ def _experiment_pointer(field: str) -> str:
     return "/model/hidden_dims" if field == "hidden_dims" else f"/{field}"
 
 
-def _env_seed() -> int | None:
+def _seed_override(flag: int | None = None) -> tuple[int, str] | None:
+    """The seed that overrides the config's, with where it came from:
+    ``--seed`` if given, else RANKLOSS_SEED if set, else None."""
+    if flag is not None:
+        return flag, "--seed"
     raw = os.environ.get("RANKLOSS_SEED")
     if raw is None:
         return None
     try:
-        return int(raw)
+        return int(raw), "RANKLOSS_SEED"
     except ValueError:
         raise ConfigError(
             f"RANKLOSS_SEED: expected an integer, got {raw!r}", pointer="RANKLOSS_SEED"
         ) from None
+
+
+def _seed_pointer(prefix: str, seed_field: str, seed_override):
+    """The pointer of a field under ``prefix``: the override's source for an
+    overridden ``seed_field``, as the config does not hold that value."""
+    return lambda f: (seed_override[1] if seed_override is not None and f == seed_field
+                      else f"{prefix}/{f}")
 
 
 def _cmd_metric(args) -> int:
@@ -234,8 +247,7 @@ def _cmd_compare(args) -> int:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"/: config is not valid JSON: {exc}", pointer="/") from exc
 
-    seed_override = args.seed if args.seed is not None else _env_seed()
-    config, synthetic, experiment = _parse_compare_config(doc, seed_override)
+    config, synthetic, experiment = _parse_compare_config(doc, _seed_override(args.seed))
     if synthetic is not None:
         dataset = _checked(
             lambda f: f"/dataset/synthetic/{f}", lambda: generate_synthetic(synthetic)
@@ -273,10 +285,11 @@ def _cmd_gen(args) -> int:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"/: spec is not valid JSON: {exc}", pointer="/") from exc
     values = _parse(doc, "", _SYNTHETIC)
-    env_seed = _env_seed()
-    if env_seed is not None:
-        values["seed"] = env_seed
-    dataset = _checked(lambda f: f"/{f}", lambda: generate_synthetic(SyntheticSpec(**values)))
+    seed_override = _seed_override()
+    if seed_override is not None:
+        values["seed"] = seed_override[0]
+    dataset = _checked(_seed_pointer("", "seed", seed_override),
+                       lambda: generate_synthetic(SyntheticSpec(**values)))
     save_csv(dataset, args.out)
     print(f"wrote {dataset.n_samples} samples x {dataset.n_features} features to {args.out}")
     return 0

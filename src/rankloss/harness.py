@@ -30,7 +30,8 @@ from .errors import (DegenerateVarianceError, FieldError, RanklossError, TooSmal
                      _POSITIVE, _bool, _check, _check_fields, _check_integers, _integer, _real,
                      _sequence_field)
 from .losses import SurrogateParams
-from .network import MLPStack, TrainConfig, evaluate_auroc_stacked, init_model, train_stacked
+from .network import (MLPStack, TrainConfig, _label_classes, evaluate_auroc_stacked, init_model,
+                      train_stacked)
 
 __all__ = [
     "SplitSpec",
@@ -216,8 +217,8 @@ def monte_carlo_split(
         if y.shape != (n,):
             raise ValueError(f"labels must have shape ({n},), got {y.shape}")
         parts: list[list[np.ndarray]] = [[], [], []]
-        for c in np.unique(y):
-            chunks = cut(rng.permutation(np.flatnonzero(y == c)), f"class {c}: ")
+        for c, members in zip(*_label_classes(y)):
+            chunks = cut(rng.permutation(members), f"class {c}: ")
             for part, chunk in zip(parts, chunks):
                 part.append(chunk)
         train_idx = np.concatenate(parts[0])

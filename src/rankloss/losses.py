@@ -384,8 +384,7 @@ def _targets(kind: str, labels: np.ndarray, n_classes: int) -> list[_Targets]:
                               class_index=classes[k])
     # Positives lead each trial's order and negatives follow, both in batch
     # order; both are padded with their pad slot, and offset by trial.
-    w_pos, w_neg = n_pos.max(axis=2), n_neg.max(axis=2)
-    pos_slot, neg_slot = np.arange(w_pos.max()), np.arange(w_neg.max())
+    pos_slot, neg_slot = np.arange(n_pos.max()), np.arange(n_neg.max())
     pos_at = np.where(pos_slot < n_pos[..., None], order[..., : pos_slot.size], rows)
     starts = np.arange(0, order.size, rows).reshape(*order.shape[:3], 1)  # each row's flat start
     neg_at = order.take(starts + np.minimum(n_pos[..., None] + neg_slot, rows - 1))
@@ -393,10 +392,39 @@ def _targets(kind: str, labels: np.ndarray, n_classes: int) -> list[_Targets]:
     offset = (np.arange(n_trials) * (rows + 2))[:, None]
     pos_at += offset
     neg_at += offset
+    return _class_pairs(classes, pos_at, n_pos, neg_at, n_neg)
+
+
+def _run_targets(kind: str, counts: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
+                 rows: int) -> list[_Targets]:
+    """``_targets`` of an AUC kind, bit for bit, for batches whose labels run
+    in class order, derived by arithmetic with no sort: batch b of trial t
+    holds ``counts[c, b, t]`` rows of class c from row ``starts[c, b, t]``
+    on, ``sizes[b, t]`` real rows in all, padded to ``rows``. Unchecked:
+    every class must have rows in every batch.
+    """
+    classes = [1] if kind == "auc_binary" else list(range(counts.shape[0]))
+    n_pos, starts = counts[classes], starts[classes][..., None]
+    n_neg = sizes - n_pos
+    offset = (np.arange(sizes.shape[1]) * (rows + 2))[:, None]
+    # Class c's positives are its run; its negatives are the real rows
+    # before the run and after it, in batch order.
+    slot = np.arange(n_pos.max())
+    pos_at = np.where(slot < n_pos[..., None], starts + slot, rows) + offset
+    slot = np.arange(n_neg.max())
+    neg_at = slot + n_pos[..., None] * (slot >= starts)
+    neg_at = np.where(slot < n_neg[..., None], neg_at, rows + 1) + offset
+    return _class_pairs(classes, pos_at, n_pos, neg_at, n_neg)
+
+
+def _class_pairs(classes, pos_at, n_pos, neg_at, n_neg) -> list[_Targets]:
+    """The AUC ``_Targets`` of each batch b: per class ``classes[k]``, the
+    flat positions ``pos_at[k, b]`` and ``neg_at[k, b]`` (T, width), cut to
+    the widest trial's counts ``n_pos[k, b]`` and ``n_neg[k, b]`` (T,)."""
+    w_pos, w_neg = n_pos.max(axis=2).tolist(), n_neg.max(axis=2).tolist()
     pos_counts, neg_counts = n_pos.tolist(), n_neg.tolist()
-    w_pos, w_neg = w_pos.tolist(), w_neg.tolist()
     steps = []
-    for b in range(n_batches):
+    for b in range(n_pos.shape[1]):
         pairs = []
         for k, c in enumerate(classes):
             counts = list(zip(pos_counts[k][b], neg_counts[k][b]))

@@ -15,7 +15,6 @@ satisfiable; emitted batches then run larger than requested.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
@@ -32,6 +31,7 @@ from .losses import (
     SurrogateParams,
     _kernel,
     _missing_class,
+    _run_targets,
     _softmax_rows,
     _targets,
     _Targets,
@@ -191,6 +191,26 @@ def forward(model: MLPStack, features: np.ndarray) -> np.ndarray:
     return _layers([block[None] for block in model.blocks], _with_ones(x[None]))[0]
 
 
+def _label_classes(labels: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``np.unique`` of 1-D ``labels``, and each class c's members
+    ``np.flatnonzero(labels == c)``, from one stable sort. Like ``np.unique``,
+    each class is given as its first label in index order, and the NaNs (or
+    NaTs) are one class, which ``==`` finds no members of. (``np.unique``
+    imports ``numpy.ma``, which nothing else here needs.)"""
+    order = np.argsort(labels, kind="stable")
+    ranked = labels[order]
+    n = ranked.size  # NaN and NaT sort last
+    if ranked.dtype.kind in "cfmM":
+        n -= int(np.isnan(ranked).sum())
+    firsts, members = [], []
+    if n:
+        cuts = (np.flatnonzero(ranked[1:n] != ranked[: n - 1]) + 1).tolist()
+        firsts, members = order[[0, *cuts]].tolist(), np.split(order[:n], cuts)
+    if n < ranked.size:
+        firsts, members = [*firsts, order[n:].min()], [*members, order[:0]]
+    return labels[firsts], members
+
+
 class _LabelGroups:
     """Training labels, checked and grouped once for a run's epochs: each
     observed class's members and count, the batch count at ``batch_size``,
@@ -203,7 +223,7 @@ class _LabelGroups:
         if y.ndim != 1 or y.size == 0:
             raise ValueError("labels must be a non-empty 1-D array")
         self.n = y.size
-        self.members = [np.flatnonzero(y == c) for c in np.unique(y)]
+        self.members = _label_classes(y)[1]
         counts = [m.size for m in self.members]
         self.counts = np.array(counts)
         n_classes, self.n_batches, self.width, self.error = len(counts), 0, 0, None
@@ -241,20 +261,22 @@ def stratified_batches(labels, batch_size: int, seed: int, epoch: int) -> list[n
     _check_integers(0, seed=seed, epoch=epoch)
     if groups.error is not None:
         raise groups.error
-    index, sizes = _batch_index([groups], [seed], epoch)
+    index, sizes, _, _ = _batch_index([groups], [seed], epoch)
     return [row[:size] for row, size in zip(index[0], sizes[0].tolist())]
 
 
-def _batch_index(groups: Sequence[_LabelGroups], seeds: Sequence[int],
-                 epoch: int) -> tuple[np.ndarray, np.ndarray]:
+def _batch_index(groups: Sequence[_LabelGroups], seeds: Sequence[int], epoch: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``stratified_batches`` of every trial t, for ``groups[t]`` and ``seeds[t]``.
 
     Unchecked: the groups must be feasible and share their sample count,
     number of classes and batch count, and the seeds and epoch must be
     nonnegative; the per-class counts m_tc may differ. Returns ``index``
     (T, n_batches, P), whose row b of trial t starts with that trial's batch
-    b and is zero-padded to P, the largest ``width`` of the groups, and the
-    batch sizes (T, n_batches).
+    b and is zero-padded to P, the largest ``width`` of the groups, the
+    batch sizes (T, n_batches), and the class runs (T, n_classes,
+    n_batches): batch b of trial t holds ``rows[t, c, b]`` rows of its c-th
+    class from row ``starts[t, c, b]`` on.
     """
     counts = np.stack([trial.counts for trial in groups])
     n_classes = counts.shape[1]
@@ -285,14 +307,15 @@ def _batch_index(groups: Sequence[_LabelGroups], seeds: Sequence[int],
     sizes = rows.sum(axis=1)
     # Where class c starts in the flat index: its batch's row, then its slot.
     batch_start = (np.arange(n_trials)[:, None] * n_batches + np.arange(n_batches)) * width
-    slot = batch_start[:, None, :] + np.cumsum(rows, axis=1) - rows
+    starts = np.cumsum(rows, axis=1) - rows
+    slot = batch_start[:, None, :] + starts
     dest = slot.take(at).reshape(n_trials, -1)
     chunk = chunk.reshape(n_trials, -1)
     shift = dest - (np.cumsum(chunk, axis=1) - chunk)
     offset = np.repeat(shift.ravel(), chunk.ravel()).reshape(n_trials, n) + np.arange(n)
     index = np.zeros((n_trials, n_batches, width), dtype=np.intp)
     index.reshape(-1)[offset.ravel()] = shuffled.ravel()
-    return index, sizes
+    return index, sizes, rows, starts
 
 
 def _non_finite(what: str, epoch: int | None = None, batch: int | None = None) -> NonFiniteError:
@@ -323,7 +346,11 @@ def _non_finite(what: str, epoch: int | None = None, batch: int | None = None) -
 # not depend on which other trials share its stack.
 # Data is checked once per run, so the initial loss and the steps call the
 # unchecked code behind ``stratified_batches`` and the per-batch losses:
-# ``_batch_index``, ``losses._targets`` and ``losses._kernel``.
+# ``_batch_index`` and ``losses._kernel``. A batch lists its classes in
+# label order, so an AUC step's label data, which rows are each class's
+# positives and negatives, is read off the sampler's class runs by
+# ``losses._run_targets``. The initial loss, whose rows are in any order,
+# and cross entropy derive theirs from the labels by ``losses._targets``.
 
 
 @dataclass(frozen=True)
@@ -431,26 +458,35 @@ class _Batch:
     trial's batch, with its ones column, padded to the stack's width P with
     copies of its first row,
     ``real`` (T, P) marks the batch's own rows, and ``targets`` is the
-    loss's label data (``losses._targets``) of the batches' labels, padded
-    with -1."""
+    loss's label data of the batches' labels, padded with -1, as
+    ``losses._targets`` derives it."""
 
     x: np.ndarray
     real: np.ndarray
     targets: _Targets
 
 
-def _plan(index, sizes, train_x, train_y, kind: str, n_classes: int) -> list[_Batch]:
-    """The steps, one per batch b, whose batches are the rows
-    ``index[t, b, :sizes[t, b]]`` of ``train_x[t]`` and ``train_y[t]``,
+def _plan(batches, train_x, train_y, kind: str, n_classes: int) -> list[_Batch]:
+    """The steps, one per batch b, of ``_batch_index``'s ``batches``: the
+    rows ``index[t, b, :sizes[t, b]]`` of ``train_x[t]`` and ``train_y[t]``,
     padded as ``_Batch`` holds them. The loss's label data is derived for
-    every batch at once."""
-    index = index.transpose(1, 0, 2)  # (n_batches, T, P)
-    real = np.arange(index.shape[2]) < sizes.T[:, :, None]
-    index = np.where(real, index, index[:, :, :1])
-    trial = np.arange(index.shape[1])[:, None]
-    labels = np.where(real, train_y[trial, index], -1)
-    return [_Batch(x, rows, targets) for x, rows, targets
-            in zip(train_x[trial, index], real, _targets(kind, labels, n_classes))]
+    every batch at once: an AUC kind's from the class runs, which give
+    label k's rows, since an AUC stack's trials hold every class (a trial
+    missing one fails before it joins a stack); cross entropy's from the
+    labels, as a trial may miss a class."""
+    index, sizes, rows, starts = batches
+    n_trials, n, width = train_x.shape[0], train_x.shape[1], index.shape[2]
+    real = np.arange(width) < sizes.T[:, :, None]  # (n_batches, T, P)
+    index = index.transpose(1, 0, 2)
+    flat = np.where(real, index, index[:, :, :1]) + (np.arange(n_trials) * n)[:, None]
+    x = train_x.reshape(n_trials * n, -1).take(flat, axis=0)
+    if kind == "cross_entropy":
+        labels = np.where(real, train_y.reshape(-1).take(flat), -1)
+        targets = _targets(kind, labels, n_classes)
+    else:
+        targets = _run_targets(kind, rows.transpose(1, 2, 0), starts.transpose(1, 2, 0),
+                               sizes.T, width)
+    return [_Batch(*step) for step in zip(x, real, targets)]
 
 
 def _value_needed(config: TrainConfig, rows: int) -> bool:
@@ -616,9 +652,8 @@ def train_stacked(
         # error state, so each part runs under this call's.
         with np.errstate(call=errcall, **state):
             pick = trials if len(trials) < model.n_models else slice(None)
-            index, sizes = _batch_index([groups[t] for t in trials], [seeds[t] for t in trials],
-                                        epoch)
-            steps = _plan(index, sizes, train_x[pick], train_y[pick], config.loss_kind,
+            batches = _batch_index([groups[t] for t in trials], [seeds[t] for t in trials], epoch)
+            steps = _plan(batches, train_x[pick], train_y[pick], config.loss_kind,
                           model.n_classes)
             part = MLPStack(model.layer_dims, work.params[pick])
             failures = [(batch, what, bad) for batch, step in enumerate(steps)
@@ -627,6 +662,8 @@ def train_stacked(
         return failures
 
     n_pool = max(map(len, stacks), default=1) - 1
+    if n_pool:  # imported only here: most runs split no stack
+        from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(n_pool) if n_pool else nullcontext() as pool:
         for epoch in range(config.max_epochs):
             if failed.all():

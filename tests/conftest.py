@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rankloss import DEFAULT_SURROGATE, PredictionBatch
+from rankloss import (DEFAULT_SURROGATE, MLPStack, PredictionBatch, TrainConfig, init_model,
+                      train_stacked)
 from rankloss.losses import _kernel, _targets
 
 
@@ -67,3 +68,25 @@ def step_threads(monkeypatch):
 
     monkeypatch.setattr(rankloss.network, "_step", spy)
     return idents
+
+
+def train_on_threads(kind, labels, features, threads, *, epochs=2, batch_size=None,
+                     params=DEFAULT_SURROGATE, model=None):
+    """``train_stacked`` of one (dim, 4, classes) net per trial on
+    ``features`` (T, n, dim) and ``labels`` (T, n), scored on the same
+    rows, at ``threads``: the checkpoints' bytes and each trial's error as
+    text."""
+    n_trials, n, dim = features.shape
+    if model is None:
+        n_classes = 2 if kind == "auc_binary" else int(labels.max()) + 1
+        model = MLPStack.of([init_model((dim, 4, n_classes), t) for t in range(n_trials)])
+    configs = [TrainConfig(batch_size=batch_size or n, loss_kind=kind, max_epochs=epochs,
+                           surrogate=params, seed=t) for t in range(n_trials)]
+    run = train_stacked(model, features, labels, features, labels, configs, threads=threads)
+    return run.model.params.tobytes(), [None if e is None else f"{type(e).__name__}: {e}"
+                                        for e in run.errors]
+
+
+def blobs(rng, labels, dim=3):
+    """Features (T, n, dim) around each row's label."""
+    return labels[..., None] + rng.normal(size=(*labels.shape, dim))

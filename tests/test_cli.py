@@ -451,26 +451,32 @@ class TestWithoutScipy:
 _IMPORT_PROBE = """
 import json, sys
 from rankloss.cli import main
-imported = "multiprocessing" in sys.modules
+names = json.loads(sys.argv[2])
+imported = [name for name in names if name in sys.modules]
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps({"codes": codes, "after_import": imported,
-                  "after_runs": "multiprocessing" in sys.modules}))
+                  "after_runs": [name for name in names if name in sys.modules]}))
 """
 
 
 def test_one_job_loads_no_multiprocessing(tmp_path):
-    # Only --jobs > 1 starts worker processes, so neither importing the CLI
-    # nor a --jobs 1 compare imports multiprocessing.
+    # Neither importing the CLI nor a --jobs 1 compare on a stratified
+    # config imports what such a run never uses: multiprocessing, which
+    # only --jobs > 1 needs; concurrent.futures, which only a stack split
+    # across threads or --jobs > 1 needs; and numpy.ma, which np.unique
+    # would import.
     (tmp_path / "c.json").write_text(json.dumps(small_compare_config(tmp_path)))
     argvs = [["compare", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "m.json"),
               "--jobs", "1"]]
     src = str(Path(rankloss.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
-                          env=env, capture_output=True, text=True, timeout=300)
+    names = ["multiprocessing", "concurrent.futures", "numpy.ma"]
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs),
+                           json.dumps(names)], env=env, capture_output=True, text=True,
+                          timeout=300)
     assert done.returncode == 0, done.stderr
     probe = json.loads(done.stdout.strip().splitlines()[-1])
-    assert probe == {"codes": [0], "after_import": False, "after_runs": False}
+    assert probe == {"codes": [0], "after_import": [], "after_runs": []}
 
 def large_batch_config(n_repeats=2, epochs=2):
     # Binary blobs whose 1200-row train set is one full batch per epoch:
@@ -706,9 +712,10 @@ MALFORMED_INPUTS = {
         _compare_argv(lambda p: _three_class_compare(p, batch_sizes=(2, 8))),
         2, "/arms/0/batch_size",
     ),
+    # The config holds no such seed, so the error points at the flag.
     "negative_seed_flag": (
         lambda p: [*_compare_argv(small_compare_config)(p), "--seed", "-1"],
-        2, "/split/base_seed",
+        2, "error: --seed: base_seed must be nonnegative, got -1",
     ),
     "nan_score": (_metric_argv("score,target\n0.1,0\nnan,1\n"), 2, "row 1, column 'score'"),
     "inf_score": (_metric_argv("score,target\n-inf,0\n0.3,1\n"), 2, "row 0, column 'score'"),
@@ -763,3 +770,24 @@ def test_malformed_input_exit_codes(case, tmp_path, capsys):
     code = main(build_argv(tmp_path))  # returns; an exception fails the case
     assert code == expected_code
     assert fragment in capsys.readouterr().err
+
+
+def _gen_argv(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(small_compare_config(tmp_path)["dataset"]["synthetic"]))
+    return ["gen", "--spec", str(spec_path), "--out", str(tmp_path / "data.csv")]
+
+
+@pytest.mark.parametrize("build_argv, flag, message", [
+    (_compare_argv(small_compare_config), (), "RANKLOSS_SEED: base_seed must be nonnegative"),
+    (_gen_argv, (), "RANKLOSS_SEED: seed must be nonnegative"),
+    # The flag overrides the variable, so its error is the flag's.
+    (_compare_argv(small_compare_config), ("--seed", "-3"), "--seed: base_seed must be nonnegative"),
+], ids=["compare_env", "gen_env", "compare_flag_over_env"])
+def test_negative_seed_override_points_at_its_source(build_argv, flag, message, tmp_path,
+                                                     monkeypatch, capsys):
+    # A negative RANKLOSS_SEED or --seed exits 2, naming where the seed came
+    # from: the config holds no such value.
+    monkeypatch.setenv("RANKLOSS_SEED", "-2")
+    assert main([*build_argv(tmp_path), *flag]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}, got -")

@@ -1,8 +1,6 @@
 import math
-import sys
 import threading
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -11,29 +9,24 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from rankloss import (
-    DEFAULT_SURROGATE,
     LOSS_KINDS,
     EmptyClassError,
-    MLPStack,
     PredictionBatch,
     SurrogateParams,
-    TrainConfig,
     auroc_pairwise,
     binary_auc_loss,
     cross_entropy_loss,
     finite_diff_check,
-    init_model,
     logistic,
     loss_function,
     multiclass_auc_loss,
     softmax,
-    train_stacked,
 )
 import rankloss.losses
 from rankloss.losses import PAIR_BLOCK, _block_logistic, _last_axis_sum
 
 import oracle
-from conftest import kernel_loss, random_batch
+from conftest import blobs, kernel_loss, random_batch, train_on_threads
 
 
 class TestLogistic:
@@ -529,54 +522,8 @@ def test_stacked_loss_names_trial_missing_a_class():
 # steps hold PAIR_BLOCK pairs per trial and class into parts, one per
 # thread. These check, through train_stacked(threads=), that training such
 # a stack on threads changes no bit. They keep the names they had when the
-# kernel itself split its pair grids across a thread pool.
-
-
-def _train(kind, labels, features, threads, *, epochs=2, batch_size=None,
-           params=DEFAULT_SURROGATE, model=None):
-    """``train_stacked`` of one (dim, 4, classes) net per trial on
-    ``features`` (T, n, dim) and ``labels`` (T, n), scored on the same
-    rows, at ``threads``: the checkpoints' bytes and each trial's error as
-    text."""
-    n_trials, n, dim = features.shape
-    if model is None:
-        n_classes = 2 if kind == "auc_binary" else int(labels.max()) + 1
-        model = MLPStack.of([init_model((dim, 4, n_classes), t) for t in range(n_trials)])
-    configs = [TrainConfig(batch_size=batch_size or n, loss_kind=kind, max_epochs=epochs,
-                           surrogate=params, seed=t) for t in range(n_trials)]
-    run = train_stacked(model, features, labels, features, labels, configs, threads=threads)
-    return run.model.params.tobytes(), [None if e is None else f"{type(e).__name__}: {e}"
-                                        for e in run.errors]
-
-
-def _blobs(rng, labels, dim=3):
-    return labels[..., None] + rng.normal(size=(*labels.shape, dim))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_stacked_loss_pool_matches_serial(data):
-    # Checkpoints and errors on 2 or 3 threads equal 1 thread's byte for
-    # byte, however the stacks are cut: 1 to 4 trials of ragged labels
-    # (each trial its own class counts, so their batch counts and widths,
-    # and so their stacks, can differ) at block sizes that split small
-    # batches too.
-    n_classes = data.draw(st.integers(2, 4))
-    kind = data.draw(st.sampled_from(["auc_multiclass"] + ["auc_binary"] * (n_classes == 2)))
-    n_trials = data.draw(st.integers(1, 4))
-    rows = data.draw(st.integers(n_classes + 4, 40))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    labels = rng.integers(0, n_classes, size=(n_trials, rows))
-    labels[:, :n_classes] = np.arange(n_classes)
-    labels = rng.permuted(labels, axis=1)
-    batch_size = data.draw(st.sampled_from([n_classes + 2, rows]))
-    block = data.draw(st.sampled_from([7, 40, PAIR_BLOCK]))
-    threads = data.draw(st.sampled_from([2, 3]))
-    features = _blobs(rng, labels)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rankloss.losses, "PAIR_BLOCK", block)
-        serial = _train(kind, labels, features, 1, batch_size=batch_size)
-        assert _train(kind, labels, features, threads, batch_size=batch_size) == serial
+# kernel itself split its pair grids across a thread pool, until they join
+# the thread tests in tests/test_network.py::TestTrainStacked.
 
 
 @pytest.mark.parametrize("n_trials", [1, 2, 3, 4])
@@ -589,37 +536,14 @@ def test_stacked_loss_pool_splits_large_batches(kind, n_trials, step_threads):
     n_classes = 2 if kind == "auc_binary" else 3
     rng = np.random.default_rng(n_trials)
     labels = np.tile(np.arange(720) % n_classes, (n_trials, 1))
-    features = _blobs(rng, labels)
-    serial = _train(kind, labels, features, 1)
+    features = blobs(rng, labels)
+    serial = train_on_threads(kind, labels, features, 1)
     step_threads.clear()
     before = threading.active_count()
-    assert _train(kind, labels, features, 2) == serial
+    assert train_on_threads(kind, labels, features, 2) == serial
     assert threading.active_count() == before
     assert len(set(step_threads)) == min(2, n_trials)
     assert threading.get_ident() in step_threads
-
-
-def test_stacked_loss_pool_survives_thread_switches(monkeypatch, step_threads):
-    # Parts write disjoint rows of the shared weight stack. With 8 parts, 7
-    # of them on pool threads, more than most machines' CPUs, and the
-    # interpreter switching threads every microsecond, a lost or crossed
-    # update would change the checkpoints from 1 thread's. Each part takes
-    # every step for its trial, so there are 8 times the serial steps.
-    rng = np.random.default_rng(4)
-    labels = rng.permuted(np.tile(np.arange(48) % 3, (8, 1)), axis=1)
-    features = _blobs(rng, labels)
-    monkeypatch.setattr(rankloss.losses, "PAIR_BLOCK", 7)
-    serial = _train("auc_multiclass", labels, features, 1, epochs=20, batch_size=12)
-    serial_steps = len(step_threads)
-    step_threads.clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = _train("auc_multiclass", labels, features, 8, epochs=20, batch_size=12)
-    finally:
-        sys.setswitchinterval(interval)
-    assert threaded == serial
-    assert len(step_threads) == 8 * serial_steps and len(set(step_threads)) > 1
 
 
 @pytest.mark.parametrize("n_trials", [4, 100])
@@ -629,7 +553,7 @@ def test_stacked_loss_pool_skips_small_batches(n_trials, step_threads):
     # calling thread alone, however many trials it holds.
     rng = np.random.default_rng(2)
     labels = np.tile(np.arange(203) % 3, (n_trials, 1))
-    _train("auc_multiclass", labels, _blobs(rng, labels), 2, epochs=1, batch_size=64)
+    train_on_threads("auc_multiclass", labels, blobs(rng, labels), 2, epochs=1, batch_size=64)
     assert set(step_threads) == {threading.get_ident()}
 
 
@@ -642,44 +566,14 @@ def test_stacked_loss_pool_names_the_same_trial(kind, monkeypatch, step_threads)
     labels = np.tile(np.arange(12) % 2, (4, 1))
     labels[2] = 0
     monkeypatch.setattr(rankloss.losses, "PAIR_BLOCK", 7)
-    features = _blobs(np.random.default_rng(0), labels)
-    serial = _train(kind, labels, features, 1)
+    features = blobs(np.random.default_rng(0), labels)
+    serial = train_on_threads(kind, labels, features, 1)
     step_threads.clear()
-    assert _train(kind, labels, features, 2) == serial
+    assert train_on_threads(kind, labels, features, 2) == serial
     assert len(set(step_threads)) == 2
     missing = ("batch has no positive (label 1) samples" if kind == "auc_binary"
                else "batch has no samples of class 1")
     assert serial[1] == [None, None, f"EmptyClassError: {missing}", None]
-
-
-def test_stacked_loss_pool_threads_keep_the_callers_errstate(monkeypatch, step_threads):
-    # With k L beyond the float range, slopes that underflow to 0 become
-    # 0 * inf, NaN weights that the validation pass reports. Pool threads
-    # start with NumPy's default error state, so each part runs under the
-    # call's: the engine's silenced overflow and invalid values, so no
-    # RuntimeWarning from any thread and the same failure as on one thread,
-    # and the caller's own settings, so its underflow handler hears every
-    # part. The nets rank every positive below every negative, so the
-    # initial loss is finite and each trial underflows in its first step.
-    params = SurrogateParams(k=1000.0, L=1e308)
-    labels = np.tile(np.arange(12) % 2, (2, 1))
-    features = np.where(labels == 1, -1.0, 1.0)[..., None]
-    model = MLPStack.of([MLPStack((1, 2))] * 2)
-    model.weights[0][:, 0, 1] = 40.0
-    monkeypatch.setattr(rankloss.losses, "PAIR_BLOCK", 7)
-    runs, heard = [], []
-    for threads in (1, 2):
-        step_threads.clear()
-        heard.clear()
-        with warnings.catch_warnings(), np.errstate(
-                under="call", call=lambda *_: heard.append(threading.get_ident())):
-            warnings.simplefilter("error")
-            runs.append(_train("auc_binary", labels, features, threads, params=params,
-                               model=model))
-        assert len(set(step_threads)) == threads
-        assert set(heard) == set(step_threads)
-    assert runs[0] == runs[1]
-    assert runs[0][1] == ["NonFiniteError: evaluation logits became non-finite at epoch 0"] * 2
 
 
 @pytest.mark.parametrize("kind", ["auc_binary", "auc_multiclass"])
@@ -689,10 +583,10 @@ def test_stacked_loss_pool_temporaries_bounded(kind, step_threads):
     # bound of one kernel call.
     rng = np.random.default_rng(0)
     labels = np.tile((np.arange(2400) % 4 == 0).astype(np.int64), (2, 1))
-    features = _blobs(rng, labels, dim=2)
+    features = blobs(rng, labels, dim=2)
     tracemalloc.start()
     try:
-        _train(kind, labels, features, 2, epochs=1)
+        train_on_threads(kind, labels, features, 2, epochs=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

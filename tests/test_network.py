@@ -1,4 +1,7 @@
 import pickle
+import sys
+import threading
+import warnings
 from copy import deepcopy
 from dataclasses import replace
 
@@ -28,11 +31,12 @@ from rankloss import (
     train_stacked,
     trial_seeds,
 )
-from rankloss.losses import DEFAULT_SURROGATE, _kernel
-from rankloss.network import _batch_index, _LabelGroups, _layers, _plan, _step
+import rankloss.losses
+from rankloss.losses import DEFAULT_SURROGATE, PAIR_BLOCK, _kernel, _targets
+from rankloss.network import _batch_index, _label_classes, _LabelGroups, _layers, _plan, _step
 
 import oracle
-from conftest import kernel_loss
+from conftest import blobs, kernel_loss, train_on_threads
 from oracle import evaluate_auroc, multiclass_auc_loss, train
 
 
@@ -271,15 +275,19 @@ class TestStratifiedBatches:
             return
         groups = [_LabelGroups(y, batch_size) for y in labels]
         assert all(trial.error is None for trial in groups)
-        index, sizes = _batch_index(groups, seeds, epoch)
+        index, sizes, runs, starts = _batch_index(groups, seeds, epoch)
         n_batches = len(want[0])
         width = sum(-(-m // n_batches) for m in counts)
         assert index.shape == (n_trials, n_batches, width)
         assert sizes.tolist() == [[b.size for b in trial] for trial in want]
-        for rows, trial_sizes, trial in zip(index, sizes, want):
-            for row, size, batch in zip(rows, trial_sizes, trial):
+        # Batch b of trial t holds runs[t, c, b] rows of class c from row
+        # starts[t, c, b] on.
+        assert np.array_equal(starts, np.cumsum(runs, axis=1) - runs)
+        for y, rows, trial_sizes, trial, trial_runs in zip(labels, index, sizes, want, runs):
+            for row, size, batch, batch_runs in zip(rows, trial_sizes, trial, trial_runs.T):
                 assert np.array_equal(row[:size], batch)
                 assert not row[size:].any()
+                assert np.array_equal(y[batch], np.repeat(np.arange(len(counts)), batch_runs))
 
     @pytest.mark.parametrize("kind, counts, batch_size", [
         ("cross_entropy", (143, 71, 125), 8),
@@ -298,8 +306,8 @@ class TestStratifiedBatches:
                        for t in range(6)])
         x, y = ds.features[tr], ds.labels[tr]
         seeds = [trial_seeds(0, t).shuffle for t in range(6)]
-        index, sizes = _batch_index([_LabelGroups(labels, batch_size) for labels in y], seeds, 2)
-        steps = _plan(index, sizes, x, y, kind, len(counts))
+        batches = _batch_index([_LabelGroups(labels, batch_size) for labels in y], seeds, 2)
+        steps = _plan(batches, x, y, kind, len(counts))
         want = [stratified_batches(labels, batch_size, seed, 2) for labels, seed in zip(y, seeds)]
         assert len(steps) == len(want[0])
         width = sum(-(-m // len(want[0])) for m in np.bincount(y[0]))
@@ -318,6 +326,53 @@ class TestStratifiedBatches:
             derived = kernel_loss(kind, logits, labels, want_grad=True)
             assert all(np.array_equal(a, b) for a, b in zip(planned, derived))
         assert not all(step.real.all() for step in steps)
+
+    @pytest.mark.parametrize("kind, counts, batch_size, clamped", [
+        ("auc_binary", [(60, 25), (58, 27), (63, 22)], 8, False),
+        ("auc_binary", [(40, 3), (3, 40), (40, 3)], 4, True),
+        ("auc_multiclass", [(143, 71, 125), (140, 75, 124), (150, 68, 121)], 64, False),
+        ("auc_multiclass", [(30, 4, 26), (28, 4, 28), (31, 4, 25)], 4, True),
+        ("auc_multiclass", [(20, 9, 30, 22), (22, 9, 28, 22), (19, 10, 30, 22)], 16, False),
+    ])
+    def test_class_run_targets_equal_sorted_targets(self, kind, counts, batch_size, clamped):
+        # The engine reads an AUC kind's targets off the sampler's class
+        # runs. They equal, field for field, what losses._targets derives by
+        # sorting the labels of the same class-ordered batches, for trials
+        # whose class counts, and so per-batch counts, differ.
+        rng = np.random.default_rng(0)
+        labels = np.stack([rng.permutation(np.repeat(np.arange(len(c)), c)) for c in counts])
+        groups = [_LabelGroups(y, batch_size) for y in labels]
+        batches = _batch_index(groups, range(len(counts)), 1)
+        index, sizes, runs, _ = batches
+        assert (index.shape[1] < labels.shape[1] // batch_size) == clamped
+        assert (runs != runs[:1]).any()
+        steps = _plan(batches, np.zeros((*labels.shape, 1)), labels, kind, len(counts[0]))
+        real = np.arange(index.shape[2]) < sizes[:, :, None]
+        padded = np.where(real, np.take_along_axis(labels[:, None], index, axis=2), -1)
+        sorted_targets = _targets(kind, padded.transpose(1, 0, 2), len(counts[0]))
+        assert len(steps) == len(sorted_targets) == index.shape[1]
+        for step, want in zip(steps, sorted_targets):
+            assert len(step.targets.pairs) == len(want.pairs)
+            for got, expected in zip(step.targets.pairs, want.pairs):
+                assert got.c == expected.c
+                for name in ("pos_at", "neg_at", "n_pos", "n_neg"):
+                    assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+                assert got.widths == expected.widths and got.singles == expected.singles
+
+    @pytest.mark.parametrize("labels", [
+        [2, 0, 1, 0, 2, 1], [-3, 5, -3], list("bab"), [0.5, np.nan, -1.0, np.nan, 0.5],
+        np.array(["2020-01-02", "NaT", "2020-01-01", "NaT"], dtype="datetime64[D]"),
+        [complex(np.nan, 0), 1j, complex(0, np.nan), 1j], [np.nan, np.nan],
+    ])
+    def test_label_classes_are_np_unique(self, labels):
+        # The sampler and monte_carlo_split group labels into np.unique's
+        # classes, in its order, without calling it (it imports numpy.ma):
+        # NaNs (or NaTs) are one class, which == finds no members of.
+        y = np.asarray(labels)
+        classes, members = _label_classes(y)
+        want = np.unique(y)
+        assert classes.dtype == want.dtype and list(map(str, classes)) == list(map(str, want))
+        assert [m.tolist() for m in members] == [np.flatnonzero(y == c).tolist() for c in want]
 
     def test_matches_array_split_reference(self):
         rng = np.random.default_rng(4)
@@ -776,14 +831,15 @@ class TestTrainStacked:
         # The step may skip the AUC value only where it is finite anyway. A
         # batch of 240 rows has 80 x 160 pairs per class, enough for a term
         # sum near L / 2 per pair to overflow at L = 1e305; 24 rows are not.
-        # With L = 1e308 both overflow, with L = 1 neither does.
+        # With L = 1e308 both overflow, with L = 1 neither does. Each batch
+        # lists its classes in label order, as the sampler's do.
         sizes = np.array([240, 24, 240])
         rng = np.random.default_rng(2)
         models = [init_model((4, 5, 3), seed) for seed in range(3)]
         x = rng.normal(size=(3, 240, 4))
         y = np.full((3, 240), -1)
         for t, size in enumerate(sizes):
-            y[t, :size] = rng.permutation(np.arange(size) % 3)
+            y[t, :size] = np.sort(rng.permutation(np.arange(size) % 3))
         config = TrainConfig(batch_size=8, loss_kind="auc_multiclass",
                              surrogate=SurrogateParams(L=L))
         expected = [
@@ -793,9 +849,10 @@ class TestTrainStacked:
             for t, (m, size) in enumerate(zip(models, sizes))
         ]
         index = np.broadcast_to(np.arange(240), (3, 1, 240))
+        runs = np.repeat(sizes // 3, 3).reshape(3, 3, 1)
+        batches = index, sizes[:, None], runs, np.cumsum(runs, axis=1) - runs
         ones = np.ones((3, 240, 1))
-        (step,) = _plan(index, sizes[:, None], np.concatenate([x, ones], axis=2), y,
-                        config.loss_kind, 3)
+        (step,) = _plan(batches, np.concatenate([x, ones], axis=2), y, config.loss_kind, 3)
         stack = MLPStack.of(models)
         failures = dict(_step(stack, stack.copy(), step, config))
         assert "logits" not in failures
@@ -991,3 +1048,83 @@ class TestTrainStacked:
             assert np.array_equal(a, b)
         with pytest.raises(NonFiniteError, match="^logits became non-finite at epoch 0, batch 1$"):
             rankloss.train(*args, replace(config, learning_rate=1e200))
+
+    # A pairwise-loss stack whose steps hold PAIR_BLOCK pairs per trial and
+    # class trains in parts of its trials, one per thread. Training on
+    # threads changes no bit.
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_threads_match_one_thread(self, data):
+        # Checkpoints and errors on 2 or 3 threads equal 1 thread's byte for
+        # byte, however the stacks are cut: 1 to 4 trials of ragged labels
+        # (each trial its own class counts, so their batch counts and widths,
+        # and so their stacks, can differ) at block sizes that split small
+        # batches too.
+        n_classes = data.draw(st.integers(2, 4))
+        kind = data.draw(st.sampled_from(["auc_multiclass"] + ["auc_binary"] * (n_classes == 2)))
+        n_trials = data.draw(st.integers(1, 4))
+        rows = data.draw(st.integers(n_classes + 4, 40))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        labels = rng.integers(0, n_classes, size=(n_trials, rows))
+        labels[:, :n_classes] = np.arange(n_classes)
+        labels = rng.permuted(labels, axis=1)
+        batch_size = data.draw(st.sampled_from([n_classes + 2, rows]))
+        block = data.draw(st.sampled_from([7, 40, PAIR_BLOCK]))
+        threads = data.draw(st.sampled_from([2, 3]))
+        features = blobs(rng, labels)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rankloss.losses, "PAIR_BLOCK", block)
+            serial = train_on_threads(kind, labels, features, 1, batch_size=batch_size)
+            assert train_on_threads(kind, labels, features, threads, batch_size=batch_size) == serial
+
+    def test_threads_survive_thread_switches(self, monkeypatch, step_threads):
+        # Parts write disjoint rows of the shared weight stack. With 8 parts, 7
+        # of them on pool threads, more than most machines' CPUs, and the
+        # interpreter switching threads every microsecond, a lost or crossed
+        # update would change the checkpoints from 1 thread's. Each part takes
+        # every step for its trial, so there are 8 times the serial steps.
+        rng = np.random.default_rng(4)
+        labels = rng.permuted(np.tile(np.arange(48) % 3, (8, 1)), axis=1)
+        features = blobs(rng, labels)
+        monkeypatch.setattr(rankloss.losses, "PAIR_BLOCK", 7)
+        serial = train_on_threads("auc_multiclass", labels, features, 1, epochs=20, batch_size=12)
+        serial_steps = len(step_threads)
+        step_threads.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = train_on_threads("auc_multiclass", labels, features, 8, epochs=20, batch_size=12)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+        assert len(step_threads) == 8 * serial_steps and len(set(step_threads)) > 1
+
+    def test_threads_keep_the_callers_errstate(self, monkeypatch, step_threads):
+        # With k L beyond the float range, slopes that underflow to 0 become
+        # 0 * inf, NaN weights that the validation pass reports. Pool threads
+        # start with NumPy's default error state, so each part runs under the
+        # call's: the engine's silenced overflow and invalid values, so no
+        # RuntimeWarning from any thread and the same failure as on one thread,
+        # and the caller's own settings, so its underflow handler hears every
+        # part. The nets rank every positive below every negative, so the
+        # initial loss is finite and each trial underflows in its first step.
+        params = SurrogateParams(k=1000.0, L=1e308)
+        labels = np.tile(np.arange(12) % 2, (2, 1))
+        features = np.where(labels == 1, -1.0, 1.0)[..., None]
+        model = MLPStack.of([MLPStack((1, 2))] * 2)
+        model.weights[0][:, 0, 1] = 40.0
+        monkeypatch.setattr(rankloss.losses, "PAIR_BLOCK", 7)
+        runs, heard = [], []
+        for threads in (1, 2):
+            step_threads.clear()
+            heard.clear()
+            with warnings.catch_warnings(), np.errstate(
+                    under="call", call=lambda *_: heard.append(threading.get_ident())):
+                warnings.simplefilter("error")
+                runs.append(train_on_threads("auc_binary", labels, features, threads, params=params,
+                                   model=model))
+            assert len(set(step_threads)) == threads
+            assert set(heard) == set(step_threads)
+        assert runs[0] == runs[1]
+        assert runs[0][1] == ["NonFiniteError: evaluation logits became non-finite at epoch 0"] * 2
