@@ -361,9 +361,8 @@ def _targets(kind: str, labels: np.ndarray, n_classes: int) -> list[_Targets]:
     """The ``_Targets`` of ``labels[b]`` for each b of a (batches, T, P) label
     array, derived for all the batches at once. An AUC kind sorts each
     trial's rows once by (positive, negative, padding) per class ranked.
-
-    Raises ``EmptyClassError`` for the first batch, class and trial, in that
-    order, with no positive or no negative.
+    Unchecked: for an AUC kind, every batch of every trial must hold a
+    positive and a negative of each class ranked (``_missing_class``).
     """
     n_batches, n_trials, rows = labels.shape
     if kind == "cross_entropy":
@@ -376,12 +375,6 @@ def _targets(kind: str, labels: np.ndarray, n_classes: int) -> list[_Targets]:
     key += labels < 0
     order = np.argsort(key, axis=3, kind="stable")
     n_pos, n_neg = (key == 0).sum(axis=3), (key == 1).sum(axis=3)  # (classes, batches, T)
-    empty = ((n_pos == 0) | (n_neg == 0)).transpose(1, 0, 2)
-    if empty.any():
-        b, k, t = np.unravel_index(np.argmax(empty), empty.shape)
-        which = "no" if n_pos[k, b, t] == 0 else "only"
-        raise EmptyClassError(f"trial {t}: batch has {which} samples of class {classes[k]}",
-                              class_index=classes[k])
     # Positives lead each trial's order and negatives follow, both in batch
     # order; both are padded with their pad slot, and offset by trial.
     pos_slot, neg_slot = np.arange(n_pos.max()), np.arange(n_neg.max())

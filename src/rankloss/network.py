@@ -212,7 +212,8 @@ def _label_classes(labels: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
 
 
 class _LabelGroups:
-    """Training labels, checked and grouped once for a run's epochs: each
+    """Training labels, checked and grouped once for a run's epochs (a
+    non-empty 1-D array with no NaN or NaT, else ``ValueError``): each
     observed class's members and count, the batch count at ``batch_size``,
     the widest batch's row count ``width`` = sum_c ceil(m_c / n_batches),
     and the ``InfeasibleBatchError`` sampling them raises, or None (and
@@ -224,6 +225,8 @@ class _LabelGroups:
             raise ValueError("labels must be a non-empty 1-D array")
         self.n = y.size
         self.members = _label_classes(y)[1]
+        if not all(m.size for m in self.members):  # only NaN or NaT equals no label
+            raise ValueError("labels must not contain NaN or NaT")
         counts = [m.size for m in self.members]
         self.counts = np.array(counts)
         n_classes, self.n_batches, self.width, self.error = len(counts), 0, 0, None
@@ -338,12 +341,14 @@ def _non_finite(what: str, epoch: int | None = None, batch: int | None = None) -
 # trial runs its layers on exactly P_t rows: the batch, padded with copies
 # of its first row, which the loss labels -1 and gives a gradient of
 # exactly 0 (a copy overflows only where the real row does). "Alone" means
-# padded so, and the oracle pads the same way. ``train_stacked`` steps the
-# trials with equal class count, batch count and P_t as one stack
-# (stratified splits make every trial alike, so there is one), and each
-# step is then one forward pass, one loss call and one backprop pass over
-# the stack. No kernel reduces across trials, so a trial's arithmetic does
-# not depend on which other trials share its stack.
+# padded so, and the oracle pads the same way. ``train_stacked`` trains
+# each group of trials of equal class count, batch count and P_t, or each
+# thread's part of one, by a call of its own (stratified splits make one
+# group), so its epoch loop steps one stack: per step one forward pass, one
+# loss call and one backprop pass. A failed trial steps on, masked; a group
+# of AUC trials missing a class, or of unbatchable ones, never steps. No
+# kernel reduces across trials, so a trial's arithmetic does not depend on
+# which other trials share its stack.
 # Data is checked once per run, so the initial loss and the steps call the
 # unchecked code behind ``stratified_batches`` and the per-batch losses:
 # ``_batch_index`` and ``losses._kernel``. A batch lists its classes in
@@ -409,13 +414,11 @@ def _layers(blocks, a, inputs=None) -> np.ndarray:
 
 
 class _Scorer:
-    """``evaluate_auroc_stacked`` on one partition, for stacks of models of
-    one shape: the checks and the labels' ranking (``metrics._Ranking``:
-    class flags, counts and undefined-AUROC errors) are done once, when it
-    is built, and each call scores a stack."""
+    """``evaluate_auroc_stacked`` on ``_check_stacked``'s ``x`` and ``y``: its
+    ones column and the labels' ranking (``metrics._Ranking``: class flags,
+    counts and undefined-AUROC errors) are built once; each call scores a stack."""
 
-    def __init__(self, model: MLPStack, features, labels):
-        x, y = _check_stacked(model, features, labels, "evaluation")
+    def __init__(self, model: MLPStack, x: np.ndarray, y: np.ndarray):
         self.x = _with_ones(x)
         # Binary: class 1 ranked against class 0; else one-vs-rest.
         n_classes = model.n_classes
@@ -449,7 +452,7 @@ def evaluate_auroc_stacked(
     invalid-value warnings are silenced: the ``NonFiniteError`` reports them.
     """
     _check_kind(model, True, "evaluate_auroc_stacked")
-    return _Scorer(model, features, labels)(model, epoch)
+    return _Scorer(model, *_check_stacked(model, features, labels, "evaluation"))(model, epoch)
 
 
 @dataclass(frozen=True)
@@ -471,8 +474,8 @@ def _plan(batches, train_x, train_y, kind: str, n_classes: int) -> list[_Batch]:
     rows ``index[t, b, :sizes[t, b]]`` of ``train_x[t]`` and ``train_y[t]``,
     padded as ``_Batch`` holds them. The loss's label data is derived for
     every batch at once: an AUC kind's from the class runs, which give
-    label k's rows, since an AUC stack's trials hold every class (a trial
-    missing one fails before it joins a stack); cross entropy's from the
+    label k's rows, since an AUC stack's trials hold every class (a stack
+    missing one never steps); cross entropy's from the
     labels, as a trial may miss a class."""
     index, sizes, rows, starts = batches
     n_trials, n, width = train_x.shape[0], train_x.shape[1], index.shape[2]
@@ -560,22 +563,23 @@ def train_stacked(
     ``EmptyClassError``); a non-finite initial loss; the sampler's
     ``InfeasibleBatchError``; then per step non-finite logits or loss,
     naming the epoch and batch, and per epoch the validation scoring's
-    error. A trial that fails before its first step joins no stack. A step
-    that makes a weight non-finite is caught by the next forward pass,
-    batch or validation, whose logits it poisons. The error
+    error. A step that makes a weight non-finite is caught by the next
+    forward pass, batch or validation, whose logits it poisons. The error
     is recorded, the other trials train on, and the failed trial stays in
     its stack, masked: no kernel reduces across trials, so its non-finite
     values reach no other trial's arithmetic. NumPy's overflow and
     invalid-value warnings are silenced, as that arithmetic is expected and
     the trial's error already reports it.
 
-    A pairwise-loss stack of width P with P**2 / 4 >= ``losses.PAIR_BLOCK``
-    trains as min(``threads``, trials) contiguous parts: each epoch runs the
-    first on the calling thread and the others on a thread pool that is
-    shut down before this returns. Every part runs under the caller's NumPy
-    error state and handler, with the two warnings above silenced. A trial
-    trains bit for bit whichever trials share its stack, so the result does
-    not depend on ``threads``.
+    The trials are first cut into parts, each trained by a call of its own
+    and merged by trial index: a group per class count, batch count and
+    batch width P (trials the sampler cannot batch form their own and never
+    step), and a pairwise-loss group with P**2 / 4 >= ``losses.PAIR_BLOCK``
+    cut into min(``threads``, trials) contiguous parts that run at once, the
+    first on the calling thread and the others on a thread pool shut down
+    before this returns, each under the caller's NumPy error state and
+    handler. A trial trains bit for bit whichever trials share its stack,
+    so the result does not depend on ``threads``.
 
     Before any work, ``model`` must be a stack, ``configs`` a sequence of
     ``TrainConfig`` ("configs[0] must be a TrainConfig, got None") that fits
@@ -598,21 +602,34 @@ def train_stacked(
     if config.loss_kind == "auc_binary" and model.n_classes != 2:
         raise ValueError(f"binary_auc_loss requires 2 classes, got {model.n_classes}")
     train_x, train_y = _check_stacked(model, train_x, train_y, "training")
+    val_x, val_y = _check_stacked(model, val_x, val_y, "evaluation")
+    groups = [_LabelGroups(y, config.batch_size) for y in train_y]
+
+    keyed: dict[tuple[int, int, int], list[int]] = {}
+    for t, trial in enumerate(groups):
+        keyed.setdefault((trial.counts.size, trial.n_batches, trial.width), []).append(t)
+    parts = []
+    for (_, _, width), trials in keyed.items():
+        split = config.loss_kind != "cross_entropy" and width * width >= 4 * losses.PAIR_BLOCK
+        n_parts = min(threads, len(trials)) if split else 1
+        cuts = [len(trials) * i // n_parts for i in range(n_parts + 1)]
+        parts.append([trials[lo:hi] for lo, hi in zip(cuts, cuts[1:])])
+    if sum(map(len, parts)) > 1:
+        return _train_parts(parts, model, train_x, train_y, val_x, val_y, configs)
+
     train_x = _with_ones(train_x)
     validate = _Scorer(model, val_x, val_y)
-
-    every = range(model.n_models)
     errors: list[Optional[RanklossError]] = [None] * model.n_models
     failed = np.zeros(model.n_models, dtype=bool)
 
-    def fail_each(trial_errors, trials=every) -> None:
-        for t, error in zip(trials, trial_errors):
+    def fail_each(trial_errors) -> None:
+        for t, error in enumerate(trial_errors):
             if error is not None and not failed[t]:
                 errors[t], failed[t] = error, True
 
-    def fail(bad: np.ndarray, what: str, epoch=None, batch=None, trials=every) -> None:
+    def fail(bad: np.ndarray, what: str, epoch=None, batch=None) -> None:
         if bad.any():
-            fail_each([_non_finite(what, epoch, batch) if b else None for b in bad], trials)
+            fail_each([_non_finite(what, epoch, batch) if b else None for b in bad])
 
     work, best = model.copy(), model.copy()
     best_auroc = np.full(model.n_models, -np.inf)
@@ -625,66 +642,54 @@ def train_stacked(
         targets = _targets(config.loss_kind, train_y[ok][None], model.n_classes)[0]
         values[ok] = _kernel(config.loss_kind, logits[ok], targets, config.surrogate, False)[0]
     fail(~np.isfinite(values), "initial loss")
-    groups = [_LabelGroups(y, config.batch_size) for y in train_y]
     fail_each([trial.error for trial in groups])
 
-    # The trials left step in stacks of equal class count, batch count and
-    # width P. A pairwise-loss stack whose batches can hold PAIR_BLOCK pairs
-    # per trial and class is cut into contiguous parts, one per thread. Each
-    # part has its own scratch stack for the updates.
-    keyed: dict[tuple[int, int, int], list[int]] = {}
-    for t in np.flatnonzero(~failed).tolist():
-        keyed.setdefault((groups[t].counts.size, groups[t].n_batches, groups[t].width),
-                         []).append(t)
-    stacks, n_params = [], model.params.shape[1]
-    for (_, _, width), trials in keyed.items():
-        split = config.loss_kind != "cross_entropy" and width * width >= 4 * losses.PAIR_BLOCK
-        n_parts = min(threads, len(trials)) if split else 1
-        cuts = [len(trials) * i // n_parts for i in range(n_parts + 1)]
-        stacks.append([(trials[lo:hi], MLPStack(model.layer_dims, np.empty((hi - lo, n_params))))
-                       for lo, hi in zip(cuts, cuts[1:])])
+    grads = MLPStack(model.layer_dims, np.empty_like(model.params))
     seeds = [c.seed for c in configs]
-    state, errcall = np.geterr(), np.geterrcall()
-
-    def train_part(trials, grads, epoch):
-        # One epoch of a part's trials, whose failures it returns as
-        # (batch, what, flags). Pool threads start with NumPy's default
-        # error state, so each part runs under this call's.
-        with np.errstate(call=errcall, **state):
-            pick = trials if len(trials) < model.n_models else slice(None)
-            batches = _batch_index([groups[t] for t in trials], [seeds[t] for t in trials], epoch)
-            steps = _plan(batches, train_x[pick], train_y[pick], config.loss_kind,
-                          model.n_classes)
-            part = MLPStack(model.layer_dims, work.params[pick])
-            failures = [(batch, what, bad) for batch, step in enumerate(steps)
-                        for what, bad in _step(part, grads, step, config)]
-            work.params[pick] = part.params
-        return failures
-
-    n_pool = max(map(len, stacks), default=1) - 1
-    if n_pool:  # imported only here: most runs split no stack
-        from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(n_pool) if n_pool else nullcontext() as pool:
-        for epoch in range(config.max_epochs):
-            if failed.all():
-                break
-            for parts in stacks:
-                parts = [part for part in parts if not failed[part[0]].all()]
-                if not parts:
-                    continue
-                later = [pool.submit(train_part, *part, epoch) for part in parts[1:]]
-                done = [train_part(*parts[0], epoch), *(future.result() for future in later)]
-                for (trials, _), failures in zip(parts, done):
-                    for batch, what, bad in failures:
-                        fail(bad, what, epoch, batch, trials)
-            aurocs, val_errors = validate(work, epoch)
-            fail_each(val_errors)
-            improved = ~failed & (aurocs > best_auroc)
-            np.copyto(best.params, work.params, where=improved[:, None])
-            best_auroc = np.where(improved, aurocs, best_auroc)
+    for epoch in range(config.max_epochs):
+        if failed.all():
+            break
+        steps = _plan(_batch_index(groups, seeds, epoch), train_x, train_y, config.loss_kind,
+                      model.n_classes)
+        for batch, step in enumerate(steps):
+            for what, bad in _step(work, grads, step, config):
+                fail(bad, what, epoch, batch)
+        aurocs, val_errors = validate(work, epoch)
+        fail_each(val_errors)
+        improved = ~failed & (aurocs > best_auroc)
+        np.copyto(best.params, work.params, where=improved[:, None])
+        best_auroc = np.where(improved, aurocs, best_auroc)
 
     best.params[failed] = model.params[failed]
     return StackedTraining(model=best, errors=tuple(errors))
+
+
+def _train_parts(parts, model, train_x, train_y, val_x, val_y, configs) -> StackedTraining:
+    """``train_stacked`` of each part (trial indices) of each group in ``parts``, merged."""
+    best, errors = np.empty_like(model.params), {}
+    state, errcall = np.geterr(), np.geterrcall()
+
+    def train_part(trials):
+        # Pool threads start with NumPy's default error state, so each part
+        # runs under this call's. Consecutive trials are passed as views.
+        at = slice(trials[0], trials[-1] + 1) if trials[-1] - trials[0] < len(trials) else trials
+        with np.errstate(call=errcall, **state):
+            return train_stacked(MLPStack(model.layer_dims, model.params[at]), train_x[at],
+                                 train_y[at], val_x[at], val_y[at],
+                                 [configs[t] for t in trials])
+
+    n_pool = max(map(len, parts)) - 1
+    if n_pool:  # imported only here: most runs split no stack
+        from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(n_pool) if n_pool else nullcontext() as pool:
+        for group in parts:
+            later = [pool.submit(train_part, trials) for trials in group[1:]]
+            runs = [train_part(group[0]), *(future.result() for future in later)]
+            for trials, run in zip(group, runs):
+                best[trials] = run.model.params
+                errors.update(zip(trials, run.errors))
+    return StackedTraining(model=MLPStack(model.layer_dims, best),
+                           errors=tuple(errors[t] for t in range(model.n_models)))
 
 
 def train(

@@ -494,36 +494,49 @@ def large_batch_config(n_repeats=2, epochs=2):
     return config
 
 
-def _compare_with_cpus(monkeypatch, step_threads, tmp_path, config, cpus, name):
+def _compare_with_cpus(monkeypatch, tmp_path, config, cpus, name):
     # run_compare with the harness seeing ``cpus`` usable CPUs, which at
     # --jobs 1 gives the block's engine calls that many threads. Returns the
-    # exit code, the manifest path and the number of threads that stepped.
-    import rankloss.harness
+    # exit code, the manifest path and, per loss kind (one per arm), the
+    # number of threads whose ``network._step`` calls stepped that arm.
+    import threading
 
-    step_threads.clear()
+    import rankloss.harness
+    import rankloss.network
+
+    stepped = {}
+    step = rankloss.network._step
+
+    def spy(stack, grads, batch, config):
+        stepped.setdefault(config.loss_kind, set()).add(threading.get_ident())
+        return step(stack, grads, batch, config)
+
     with monkeypatch.context() as mp:
         mp.setattr(rankloss.harness, "_cpu_count", lambda: cpus)
+        mp.setattr(rankloss.network, "_step", spy)
         code, out_path = run_compare(tmp_path, config, name=name)
-    return code, out_path, len(set(step_threads))
+    return code, out_path, {kind: len(idents) for kind, idents in stepped.items()}
 
 
 class TestThreadedPairKernel:
-    def test_manifest_bytes_match_one_thread(self, tmp_path, monkeypatch, step_threads):
-        # Each arm's two trials train in two parts on two threads, and the
-        # manifest is the one-thread manifest.
+    # Each arm's two trials train in two parts, one per thread. The threads
+    # are counted per arm: the two arms' pools may or may not reuse each
+    # other's thread idents.
+
+    def test_manifest_bytes_match_one_thread(self, tmp_path, monkeypatch):
+        # The manifest is the one-thread manifest.
         config = large_batch_config()
         manifests = []
         for cpus in (1, 2):
-            code, out_path, split = _compare_with_cpus(
-                monkeypatch, step_threads, tmp_path, config, cpus, f"cpus{cpus}")
-            assert code == 0 and split == cpus
+            code, out_path, stepped = _compare_with_cpus(
+                monkeypatch, tmp_path, config, cpus, f"cpus{cpus}")
+            assert code == 0 and stepped == {"auc_binary": cpus, "auc_multiclass": cpus}
             manifest = json.loads(out_path.read_text())
             del manifest["duration_seconds"]
             manifests.append(json.dumps(manifest))
         assert manifests[0] == manifests[1]
 
-    def test_diverging_arm_reports_as_one_thread(self, tmp_path, capsys, monkeypatch,
-                                                 step_threads):
+    def test_diverging_arm_reports_as_one_thread(self, tmp_path, capsys, monkeypatch):
         # Each part runs under the engine's errstate: exit 3, the same
         # one-line error as on one thread, and no NumPy RuntimeWarning.
         config = large_batch_config(epochs=1)
@@ -533,9 +546,9 @@ class TestThreadedPairKernel:
         for cpus in (1, 2):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                code, _, split = _compare_with_cpus(
-                    monkeypatch, step_threads, tmp_path, config, cpus, f"diverge{cpus}")
-            assert code == 3 and split == cpus
+                code, _, stepped = _compare_with_cpus(
+                    monkeypatch, tmp_path, config, cpus, f"diverge{cpus}")
+            assert code == 3 and stepped == {"auc_binary": cpus, "auc_multiclass": cpus}
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
             err = capsys.readouterr().err
             assert "RuntimeWarning" not in err

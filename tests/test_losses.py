@@ -510,12 +510,6 @@ def test_stacked_loss_temporaries_bounded(kind):
     assert peak < 8e6
 
 
-def test_stacked_loss_names_trial_missing_a_class():
-    labels = np.array([[0, 1, 1, -1], [1, 1, 1, 1]])
-    with pytest.raises(EmptyClassError, match="trial 1"):
-        kernel_loss("auc_binary", np.zeros((2, 4, 2)), labels)
-
-
 # ------------------------------------------------ the pairwise losses on threads
 #
 # The kernel is serial: the training engine cuts a pairwise-loss stack whose
@@ -523,7 +517,8 @@ def test_stacked_loss_names_trial_missing_a_class():
 # thread. These check, through train_stacked(threads=), that training such
 # a stack on threads changes no bit. They keep the names they had when the
 # kernel itself split its pair grids across a thread pool, until they join
-# the thread tests in tests/test_network.py::TestTrainStacked.
+# the thread tests in tests/test_network.py::TestTrainStacked, as the rest
+# of them have.
 
 
 @pytest.mark.parametrize("n_trials", [1, 2, 3, 4])
@@ -544,36 +539,6 @@ def test_stacked_loss_pool_splits_large_batches(kind, n_trials, step_threads):
     assert threading.active_count() == before
     assert len(set(step_threads)) == min(2, n_trials)
     assert threading.get_ident() in step_threads
-
-
-@pytest.mark.parametrize("n_trials", [4, 100])
-def test_stacked_loss_pool_skips_small_batches(n_trials, step_threads):
-    # A stack of the reference protocol's shape, B=64 batches of 203
-    # training rows with ~1k pairs per trial and class, steps on the
-    # calling thread alone, however many trials it holds.
-    rng = np.random.default_rng(2)
-    labels = np.tile(np.arange(203) % 3, (n_trials, 1))
-    train_on_threads("auc_multiclass", labels, blobs(rng, labels), 2, epochs=1, batch_size=64)
-    assert set(step_threads) == {threading.get_ident()}
-
-
-@pytest.mark.parametrize("kind", ["auc_binary", "auc_multiclass"])
-def test_stacked_loss_pool_names_the_same_trial(kind, monkeypatch, step_threads):
-    # Trial 2's training labels lack class 1, so it fails before any step
-    # with the loss's EmptyClassError, and the other three train in two
-    # parts: the same errors, at the same trials, and the same bytes as on
-    # one thread.
-    labels = np.tile(np.arange(12) % 2, (4, 1))
-    labels[2] = 0
-    monkeypatch.setattr(rankloss.losses, "PAIR_BLOCK", 7)
-    features = blobs(np.random.default_rng(0), labels)
-    serial = train_on_threads(kind, labels, features, 1)
-    step_threads.clear()
-    assert train_on_threads(kind, labels, features, 2) == serial
-    assert len(set(step_threads)) == 2
-    missing = ("batch has no positive (label 1) samples" if kind == "auc_binary"
-               else "batch has no samples of class 1")
-    assert serial[1] == [None, None, f"EmptyClassError: {missing}", None]
 
 
 @pytest.mark.parametrize("kind", ["auc_binary", "auc_multiclass"])

@@ -186,6 +186,27 @@ class TestStratifiedBatches:
             stratified_batches(np.array(labels), batch_size, seed, epoch)
         assert type(exc.value) is error and str(exc.value) == message
 
+    @pytest.mark.parametrize("missing", [np.nan, complex(np.nan, 1), np.datetime64("NaT", "D")],
+                             ids=["float", "complex", "datetime"])
+    @pytest.mark.parametrize("batch_size", [4, 2])
+    def test_nan_labels_rejected_before_the_seed(self, missing, batch_size):
+        # NaN and NaT equal no label, so their class would have no members:
+        # a ValueError of the labels check, before the seed's, rather than
+        # a division by a batch count of 0 or an InfeasibleBatchError that
+        # counts the NaN class.
+        labels = np.array([np.nan, 1, 0, 1, 0, 1, 0, 1, np.nan, 1, 0, 0])
+        if isinstance(missing, np.datetime64):
+            labels = np.datetime64("2020-01-01", "D") + np.nan_to_num(labels).astype(int)
+        labels = labels.astype(np.asarray(missing).dtype)
+        labels[[0, 8]] = missing
+        for seed in (3, -1):
+            with pytest.raises(ValueError, match="^labels must not contain NaN or NaT$"):
+                stratified_batches(labels, batch_size, seed, 1)
+        # monte_carlo_split keeps its own error for them.
+        with pytest.raises(rankloss.TooSmallError,
+                           match=r"^class .*: the train partition would receive no samples"):
+            monte_carlo_split(labels.size, labels, SplitSpec(), 0)
+
     @pytest.mark.parametrize("batch_size", [5, np.int64(5), np.uint8(5), np.int32(5)])
     def test_integer_batch_sizes(self, batch_size):
         # Python and NumPy integers give the same batches; a Python integer
@@ -1078,12 +1099,41 @@ class TestTrainStacked:
             serial = train_on_threads(kind, labels, features, 1, batch_size=batch_size)
             assert train_on_threads(kind, labels, features, threads, batch_size=batch_size) == serial
 
+    @pytest.mark.parametrize("n_trials", [4, 100])
+    def test_threads_skip_small_batches(self, n_trials, step_threads):
+        # A stack of the reference protocol's shape, B=64 batches of 203
+        # training rows with ~1k pairs per trial and class, steps on the
+        # calling thread alone, however many trials it holds.
+        rng = np.random.default_rng(2)
+        labels = np.tile(np.arange(203) % 3, (n_trials, 1))
+        train_on_threads("auc_multiclass", labels, blobs(rng, labels), 2, epochs=1, batch_size=64)
+        assert set(step_threads) == {threading.get_ident()}
+
+    @pytest.mark.parametrize("kind", ["auc_binary", "auc_multiclass"])
+    def test_threads_name_the_same_trial(self, kind, monkeypatch, step_threads):
+        # Trial 2's training labels lack class 1, so it fails before any step
+        # with the loss's EmptyClassError, and the other three train in two
+        # parts: the same errors, at the same trials, and the same bytes as on
+        # one thread.
+        labels = np.tile(np.arange(12) % 2, (4, 1))
+        labels[2] = 0
+        monkeypatch.setattr(rankloss.losses, "PAIR_BLOCK", 7)
+        features = blobs(np.random.default_rng(0), labels)
+        serial = train_on_threads(kind, labels, features, 1)
+        step_threads.clear()
+        assert train_on_threads(kind, labels, features, 2) == serial
+        assert len(set(step_threads)) == 2
+        missing = ("batch has no positive (label 1) samples" if kind == "auc_binary"
+                   else "batch has no samples of class 1")
+        assert serial[1] == [None, None, f"EmptyClassError: {missing}", None]
+
     def test_threads_survive_thread_switches(self, monkeypatch, step_threads):
-        # Parts write disjoint rows of the shared weight stack. With 8 parts, 7
-        # of them on pool threads, more than most machines' CPUs, and the
-        # interpreter switching threads every microsecond, a lost or crossed
-        # update would change the checkpoints from 1 thread's. Each part takes
-        # every step for its trial, so there are 8 times the serial steps.
+        # Each part trains as a call of its own, merged by trial index. With
+        # 8 parts, 7 of them on pool threads, more than most machines' CPUs,
+        # and the interpreter switching threads every microsecond, a lost or
+        # crossed result would change the checkpoints from 1 thread's. Each
+        # part takes every step for its trial, so there are 8 times the
+        # serial steps.
         rng = np.random.default_rng(4)
         labels = rng.permuted(np.tile(np.arange(48) % 3, (8, 1)), axis=1)
         features = blobs(rng, labels)
