@@ -122,10 +122,6 @@ class SyntheticSpec:
     def n_classes(self) -> int:
         return len(self.class_counts)
 
-    @property
-    def n_samples(self) -> int:
-        return sum(self.class_counts)
-
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Deterministically draw the dataset described by ``spec``.

@@ -276,6 +276,7 @@ def _assert_matches_golden(run, golden_path):
     assert fresh == golden
 
 
+@pytest.mark.blas
 def test_criterion_8_golden_manifest(tmp_path):
     with criterion(8, "a --jobs 1 manifest matches the committed golden bytes"):
         _assert_matches_golden(_compare(tmp_path, CRITERION_8_CONFIG), GOLDEN_CRITERION_8)
@@ -284,6 +285,7 @@ def test_criterion_8_golden_manifest(tmp_path):
 GOLDEN_REFERENCE = Path(__file__).parent / "golden" / "reference_manifest.json"
 
 
+@pytest.mark.blas
 def test_reference_golden_manifest(reference_run):
     # The 100-trial reference protocol, README's config, at --jobs 1.
     (readme_config,) = JSON_BLOCKS
@@ -314,6 +316,7 @@ UNSTRATIFIED_CONFIG = {
 GOLDEN_UNSTRATIFIED = Path(__file__).parent / "golden" / "unstratified_manifest.json"
 
 
+@pytest.mark.blas
 def test_unstratified_golden_manifest(tmp_path):
     with criterion(8, "an unstratified --jobs 1 manifest matches the committed golden bytes"):
         _assert_matches_golden(_compare(tmp_path, UNSTRATIFIED_CONFIG), GOLDEN_UNSTRATIFIED)

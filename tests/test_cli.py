@@ -518,6 +518,7 @@ def _compare_with_cpus(monkeypatch, tmp_path, config, cpus, name):
     return code, out_path, {kind: len(idents) for kind, idents in stepped.items()}
 
 
+@pytest.mark.blas
 class TestThreadedPairKernel:
     # Each arm's two trials train in two parts, one per thread. The threads
     # are counted per arm: the two arms' pools may or may not reuse each

@@ -466,6 +466,7 @@ class TestTrialBlocks:
 
 
 class TestTrialBatching:
+    @pytest.mark.blas
     def test_block_invariance(self):
         # A trial's result does not depend on which trials share its block.
         ds = tiny_dataset(counts=(30, 20, 25), sep=1.5, flip=0.1)
@@ -476,6 +477,7 @@ class TestTrialBatching:
         for a, b in zip(short.arms, long.arms):
             assert a.aurocs == b.aurocs[:3]
 
+    @pytest.mark.blas
     def test_block_invariance_unstratified(self):
         # The ce arm's batch count is 5 in trials 0, 4, 5 and 6 but 4 in
         # trials 1-3: the engine steps each batch count as its own stack,
@@ -577,6 +579,7 @@ class TestTrialBatching:
         with pytest.raises(TrialError, match=r"^trial 0, arm diverges: NonFiniteError: "):
             run_experiment(ds, config)
 
+    @pytest.mark.blas
     def test_thread_pool_ends_with_the_block(self, monkeypatch, step_threads):
         # With a CPU left over at --jobs 1 the block's engine calls get 2
         # threads, so the arm's 3 trials train in 2 parts, whose threads are

@@ -1,5 +1,4 @@
 import math
-import threading
 import tracemalloc
 
 import numpy as np
@@ -26,7 +25,7 @@ import rankloss.losses
 from rankloss.losses import PAIR_BLOCK, _block_logistic, _last_axis_sum
 
 import oracle
-from conftest import blobs, kernel_loss, random_batch, train_on_threads
+from conftest import kernel_loss, random_batch
 
 
 class TestLogistic:
@@ -509,51 +508,3 @@ def test_stacked_loss_temporaries_bounded(kind):
         tracemalloc.stop()
     assert peak < 8e6
 
-
-# ------------------------------------------------ the pairwise losses on threads
-#
-# The kernel is serial: the training engine cuts a pairwise-loss stack whose
-# steps hold PAIR_BLOCK pairs per trial and class into parts, one per
-# thread. These check, through train_stacked(threads=), that training such
-# a stack on threads changes no bit. They keep the names they had when the
-# kernel itself split its pair grids across a thread pool, until they join
-# the thread tests in tests/test_network.py::TestTrainStacked, as the rest
-# of them have.
-
-
-@pytest.mark.parametrize("n_trials", [1, 2, 3, 4])
-@pytest.mark.parametrize("kind", ["auc_binary", "auc_multiclass"])
-def test_stacked_loss_pool_splits_large_batches(kind, n_trials, step_threads):
-    # At the default block size a full batch of 720 rows holds PAIR_BLOCK
-    # pairs per class, so 2 threads cut the stack into min(2, trials) parts.
-    # Their threads are gone when train_stacked returns, and the
-    # checkpoints are 1 thread's byte for byte.
-    n_classes = 2 if kind == "auc_binary" else 3
-    rng = np.random.default_rng(n_trials)
-    labels = np.tile(np.arange(720) % n_classes, (n_trials, 1))
-    features = blobs(rng, labels)
-    serial = train_on_threads(kind, labels, features, 1)
-    step_threads.clear()
-    before = threading.active_count()
-    assert train_on_threads(kind, labels, features, 2) == serial
-    assert threading.active_count() == before
-    assert len(set(step_threads)) == min(2, n_trials)
-    assert threading.get_ident() in step_threads
-
-
-@pytest.mark.parametrize("kind", ["auc_binary", "auc_multiclass"])
-def test_stacked_loss_pool_temporaries_bounded(kind, step_threads):
-    # Each part's kernel works in one block-sized workspace, so two trials
-    # of the full 2400-row batch trained on two threads stay under the
-    # bound of one kernel call.
-    rng = np.random.default_rng(0)
-    labels = np.tile((np.arange(2400) % 4 == 0).astype(np.int64), (2, 1))
-    features = blobs(rng, labels, dim=2)
-    tracemalloc.start()
-    try:
-        train_on_threads(kind, labels, features, 2, epochs=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(set(step_threads)) == 2
-    assert peak < 8e6

@@ -1,6 +1,7 @@
 import pickle
 import sys
 import threading
+import tracemalloc
 import warnings
 from copy import deepcopy
 from dataclasses import replace
@@ -726,6 +727,7 @@ STACKED_CASES = [
 
 
 class TestTrainStacked:
+    @pytest.mark.blas
     @pytest.mark.parametrize("kind, counts, hidden, dim, batch_size", STACKED_CASES)
     def test_matches_per_trial_train(self, kind, counts, hidden, dim, batch_size):
         # These batch sizes split the counts unevenly, so the trials' batches
@@ -744,6 +746,7 @@ class TestTrainStacked:
             for a, b in zip(trained.weights + trained.biases, stacked.weights + stacked.biases):
                 assert np.array_equal(a, b)
 
+    @pytest.mark.blas
     @pytest.mark.parametrize("kind, batch_size", [("cross_entropy", 8), ("auc_multiclass", 64)])
     def test_padding_adds_only_rounding(self, kind, batch_size):
         # Padding batches to the trial's width changes only how BLAS rounds:
@@ -762,6 +765,7 @@ class TestTrainStacked:
             for a, b in zip(trained.weights + trained.biases, stacked.weights + stacked.biases):
                 assert np.max(np.abs(a - b)) <= 1e-12
 
+    @pytest.mark.blas
     @pytest.mark.parametrize("kind, batch_size", [("cross_entropy", 8), ("auc_multiclass", 64)])
     def test_row_order_adds_only_rounding(self, kind, batch_size, monkeypatch):
         # A batch's loss and gradient are sums over its rows, so their order
@@ -1074,6 +1078,7 @@ class TestTrainStacked:
     # class trains in parts of its trials, one per thread. Training on
     # threads changes no bit.
 
+    @pytest.mark.blas
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_threads_match_one_thread(self, data):
@@ -1099,6 +1104,46 @@ class TestTrainStacked:
             serial = train_on_threads(kind, labels, features, 1, batch_size=batch_size)
             assert train_on_threads(kind, labels, features, threads, batch_size=batch_size) == serial
 
+    @pytest.mark.blas
+    @pytest.mark.parametrize("n_trials", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["auc_binary", "auc_multiclass"])
+    def test_threads_split_large_batches(self, kind, n_trials, step_threads):
+        # At the default block size a full batch of 720 rows holds PAIR_BLOCK
+        # pairs per class, so 2 threads cut the stack into min(2, trials) parts.
+        # Their threads are gone when train_stacked returns, and the
+        # checkpoints are 1 thread's byte for byte.
+        n_classes = 2 if kind == "auc_binary" else 3
+        rng = np.random.default_rng(n_trials)
+        labels = np.tile(np.arange(720) % n_classes, (n_trials, 1))
+        features = blobs(rng, labels)
+        serial = train_on_threads(kind, labels, features, 1)
+        step_threads.clear()
+        before = threading.active_count()
+        assert train_on_threads(kind, labels, features, 2) == serial
+        assert threading.active_count() == before
+        assert len(set(step_threads)) == min(2, n_trials)
+        assert threading.get_ident() in step_threads
+
+    @pytest.mark.blas
+    @pytest.mark.parametrize("kind", ["auc_binary", "auc_multiclass"])
+    def test_threads_temporaries_bounded(self, kind, step_threads):
+        # Each part's kernel works in one block-sized workspace, so two trials
+        # of the full 2400-row batch trained on two threads stay under the
+        # bound of one kernel call (test_losses.py's
+        # test_stacked_loss_temporaries_bounded).
+        rng = np.random.default_rng(0)
+        labels = np.tile((np.arange(2400) % 4 == 0).astype(np.int64), (2, 1))
+        features = blobs(rng, labels, dim=2)
+        tracemalloc.start()
+        try:
+            train_on_threads(kind, labels, features, 2, epochs=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(set(step_threads)) == 2
+        assert peak < 8e6
+
+    @pytest.mark.blas
     @pytest.mark.parametrize("n_trials", [4, 100])
     def test_threads_skip_small_batches(self, n_trials, step_threads):
         # A stack of the reference protocol's shape, B=64 batches of 203
@@ -1109,6 +1154,7 @@ class TestTrainStacked:
         train_on_threads("auc_multiclass", labels, blobs(rng, labels), 2, epochs=1, batch_size=64)
         assert set(step_threads) == {threading.get_ident()}
 
+    @pytest.mark.blas
     @pytest.mark.parametrize("kind", ["auc_binary", "auc_multiclass"])
     def test_threads_name_the_same_trial(self, kind, monkeypatch, step_threads):
         # Trial 2's training labels lack class 1, so it fails before any step
@@ -1127,6 +1173,7 @@ class TestTrainStacked:
                    else "batch has no samples of class 1")
         assert serial[1] == [None, None, f"EmptyClassError: {missing}", None]
 
+    @pytest.mark.blas
     def test_threads_survive_thread_switches(self, monkeypatch, step_threads):
         # Each part trains as a call of its own, merged by trial index. With
         # 8 parts, 7 of them on pool threads, more than most machines' CPUs,
@@ -1150,6 +1197,7 @@ class TestTrainStacked:
         assert threaded == serial
         assert len(step_threads) == 8 * serial_steps and len(set(step_threads)) > 1
 
+    @pytest.mark.blas
     def test_threads_keep_the_callers_errstate(self, monkeypatch, step_threads):
         # With k L beyond the float range, slopes that underflow to 0 become
         # 0 * inf, NaN weights that the validation pass reports. Pool threads
