@@ -326,7 +326,7 @@ def _kernel(kind, z, targets, params, want_grad, *, want_value=True):
     return _stacked_auc(kind, z, targets, params, want_grad, want_value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _ClassPairs:
     """Where class c's positives and negatives sit in each trial's padded
     row of scores: flat positions into (T, P + 2) rows whose slot P holds
@@ -344,7 +344,7 @@ class _ClassPairs:
     singles: list
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Targets:
     """What ``_kernel`` reads off the (T, P) labels of a stack of padded
     batches. Cross entropy: the real-row mask ``valid`` (T, P, 1), the real
@@ -403,10 +403,14 @@ def _run_targets(kind: str, counts: np.ndarray, starts: np.ndarray, sizes: np.nd
     # Class c's positives are its run; its negatives are the real rows
     # before the run and after it, in batch order.
     slot = np.arange(n_pos.max())
-    pos_at = np.where(slot < n_pos[..., None], starts + slot, rows) + offset
+    pos_at = starts + slot
+    np.copyto(pos_at, rows, where=slot >= n_pos[..., None])
+    pos_at += offset
     slot = np.arange(n_neg.max())
-    neg_at = slot + n_pos[..., None] * (slot >= starts)
-    neg_at = np.where(slot < n_neg[..., None], neg_at, rows + 1) + offset
+    neg_at = n_pos[..., None] * (slot >= starts)
+    neg_at += slot
+    np.copyto(neg_at, rows + 1, where=slot >= n_neg[..., None])
+    neg_at += offset
     return _class_pairs(classes, pos_at, n_pos, neg_at, n_neg)
 
 

@@ -214,21 +214,23 @@ def _label_classes(labels: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
 class _LabelGroups:
     """Training labels, checked and grouped once for a run's epochs (a
     non-empty 1-D array with no NaN or NaT, else ``ValueError``): each
-    observed class's members and count, the batch count at ``batch_size``,
-    the widest batch's row count ``width`` = sum_c ceil(m_c / n_batches),
-    and the ``InfeasibleBatchError`` sampling them raises, or None (and
-    then ``n_batches`` and ``width`` are 0)."""
+    observed class's count, ``order``, the members of each class in turn
+    (classes in label order, members in index order), the batch count at
+    ``batch_size``, the widest batch's row count ``width`` = sum_c ceil(m_c
+    / n_batches), and the ``InfeasibleBatchError`` sampling them raises, or
+    None (and then ``n_batches`` and ``width`` are 0)."""
 
     def __init__(self, labels, batch_size: int):
         y = np.asarray(labels)
         if y.ndim != 1 or y.size == 0:
             raise ValueError("labels must be a non-empty 1-D array")
         self.n = y.size
-        self.members = _label_classes(y)[1]
-        if not all(m.size for m in self.members):  # only NaN or NaT equals no label
+        members = _label_classes(y)[1]
+        if not all(m.size for m in members):  # only NaN or NaT equals no label
             raise ValueError("labels must not contain NaN or NaT")
-        counts = [m.size for m in self.members]
+        counts = [m.size for m in members]
         self.counts = np.array(counts)
+        self.order = np.concatenate(members)
         n_classes, self.n_batches, self.width, self.error = len(counts), 0, 0, None
         if n_classes < 2:
             self.error = InfeasibleBatchError(
@@ -264,59 +266,72 @@ def stratified_batches(labels, batch_size: int, seed: int, epoch: int) -> list[n
     _check_integers(0, seed=seed, epoch=epoch)
     if groups.error is not None:
         raise groups.error
-    index, sizes, _, _ = _batch_index([groups], [seed], epoch)
+    index, sizes, _, _ = _batch_index([groups], [seed], [epoch])
     return [row[:size] for row, size in zip(index[0], sizes[0].tolist())]
 
 
-def _batch_index(groups: Sequence[_LabelGroups], seeds: Sequence[int], epoch: int
+def _batch_index(groups: Sequence[_LabelGroups], seeds: Sequence[int], epochs: Sequence[int]
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``stratified_batches`` of every trial t, for ``groups[t]`` and ``seeds[t]``.
+    """``stratified_batches`` of every row r, for ``groups[r]``, ``seeds[r]``
+    and ``epochs[r]``: a row is one epoch of one trial, so one call samples
+    a chunk of epochs of a stack of trials.
 
     Unchecked: the groups must be feasible and share their sample count,
-    number of classes and batch count, and the seeds and epoch must be
-    nonnegative; the per-class counts m_tc may differ. Returns ``index``
-    (T, n_batches, P), whose row b of trial t starts with that trial's batch
-    b and is zero-padded to P, the largest ``width`` of the groups, the
-    batch sizes (T, n_batches), and the class runs (T, n_classes,
-    n_batches): batch b of trial t holds ``rows[t, c, b]`` rows of its c-th
-    class from row ``starts[t, c, b]`` on.
+    number of classes and batch count, and the seeds and epochs must be
+    nonnegative; the per-class counts m_rc may differ. Returns ``index``
+    (R, n_batches, P), whose row b of row r starts with that row's batch b
+    and is zero-padded to P, the largest ``width`` of the groups, the batch
+    sizes (R, n_batches), and the class runs (R, n_classes, n_batches):
+    batch b of row r holds ``rows[r, c, b]`` rows of its c-th class from
+    row ``starts[r, c, b]`` on.
     """
     counts = np.stack([trial.counts for trial in groups])
     n_classes = counts.shape[1]
-    n_trials, n, n_batches = len(groups), groups[0].n, groups[0].n_batches
+    n_rows, n, n_batches = len(groups), groups[0].n, groups[0].n_batches
 
-    # Each trial's stream: per class a permutation of its members and one
-    # of the batches. Nothing shuffles within a batch: its loss and gradient
-    # are sums over its rows, so their order would change only rounding.
-    shuffled = np.empty((n_trials, n), dtype=np.intp)
-    placement = np.empty((n_trials, n_classes, n_batches), dtype=np.intp)
+    # Each row's stream: per class a permutation of its members and one of
+    # the batches. ``Generator.permutation`` copies and shuffles the copy,
+    # so shuffling the members and batch numbers in place, in the output,
+    # draws the same stream. Nothing shuffles within a batch: its loss and
+    # gradient are sums over its rows, so their order would change only
+    # rounding.
+    shuffled = np.stack([trial.order for trial in groups])
+    placement = np.empty((n_rows, n_classes, n_batches), dtype=np.intp)
+    placement[...] = np.arange(n_batches)
     ends = np.cumsum(counts, axis=1).tolist()
-    for t, (seed, trial) in enumerate(zip(seeds, groups)):
+    for r, (seed, epoch, order, places) in enumerate(zip(seeds, epochs, shuffled, placement)):
         rng = np.random.default_rng([int(seed), int(epoch)])
-        for c, (members, lo, hi) in enumerate(zip(trial.members, [0, *ends[t]], ends[t])):
-            shuffled[t, lo:hi] = rng.permutation(members)
-            placement[t, c] = rng.permutation(n_batches)
+        for lo, hi, place in zip([0, *ends[r]], ends[r], places):
+            rng.shuffle(order[lo:hi])
+            rng.shuffle(place)
     # Class c is cut into chunks as np.array_split cuts it (the first
-    # m % n_batches one longer), and chunk j joins batch placement[t, c, j].
+    # m % n_batches one longer), and chunk j joins batch placement[r, c, j].
     # Each batch lists its classes in label order, each class's rows in the
     # order its permutation drew them, in its own row of width P.
-    q, r = np.divmod(counts, n_batches)
-    chunk = q[:, :, None] + (np.arange(n_batches) < r[:, :, None])
+    # The arrays are updated in place: a chunk of epochs makes them large.
+    q, rem = np.divmod(counts, n_batches)
+    chunk = (np.arange(n_batches) < rem[:, :, None]).astype(np.intp)
+    chunk += q[:, :, None]
     width = max(trial.width for trial in groups)
-    # placement[t, c, j] as a flat position into a (T, n_classes, n_batches) array.
-    at = placement + np.arange(0, placement.size, n_batches).reshape(n_trials, n_classes, 1)
-    rows = np.empty_like(placement)  # rows[t, c, b]: how many rows class c gives batch b
+    # placement[r, c, j], in place, as a flat position into a (R,
+    # n_classes, n_batches) array.
+    at = placement
+    at += np.arange(0, placement.size, n_batches).reshape(n_rows, n_classes, 1)
+    rows = np.empty_like(placement)  # rows[r, c, b]: how many rows class c gives batch b
     rows.put(at, chunk)
     sizes = rows.sum(axis=1)
-    # Where class c starts in the flat index: its batch's row, then its slot.
-    batch_start = (np.arange(n_trials)[:, None] * n_batches + np.arange(n_batches)) * width
-    starts = np.cumsum(rows, axis=1) - rows
-    slot = batch_start[:, None, :] + starts
-    dest = slot.take(at).reshape(n_trials, -1)
-    chunk = chunk.reshape(n_trials, -1)
-    shift = dest - (np.cumsum(chunk, axis=1) - chunk)
-    offset = np.repeat(shift.ravel(), chunk.ravel()).reshape(n_trials, n) + np.arange(n)
-    index = np.zeros((n_trials, n_batches, width), dtype=np.intp)
+    starts = np.cumsum(rows, axis=1)
+    starts -= rows
+    # Where chunk j of class c starts in the flat index: its batch's row,
+    # then its class's slot, less the chunk's own start in ``shuffled``.
+    dest = (np.arange(n_rows)[:, None] * n_batches + np.arange(n_batches)) * width
+    dest = (dest[:, None, :] + starts).take(at).reshape(n_rows, -1)
+    chunk = chunk.reshape(n_rows, -1)
+    dest -= np.cumsum(chunk, axis=1)
+    dest += chunk
+    offset = np.repeat(dest.ravel(), chunk.ravel()).reshape(n_rows, n)
+    offset += np.arange(n)
+    index = np.zeros((n_rows, n_batches, width), dtype=np.intp)
     index.reshape(-1)[offset.ravel()] = shuffled.ravel()
     return index, sizes, rows, starts
 
@@ -351,11 +366,26 @@ def _non_finite(what: str, epoch: int | None = None, batch: int | None = None) -
 # which other trials share its stack.
 # Data is checked once per run, so the initial loss and the steps call the
 # unchecked code behind ``stratified_batches`` and the per-batch losses:
-# ``_batch_index`` and ``losses._kernel``. A batch lists its classes in
+# ``_batch_index`` and ``losses._kernel``. The sampler and the step plan
+# cost the same few dozen NumPy calls however small the stack, so they run
+# once per chunk of epochs: a chunk's batches are drawn by one
+# ``_batch_index`` call, one row per (epoch, trial), and planned by one
+# ``_plan`` call, with K = PLAN_ROWS // (T * n_batches * P) epochs per
+# chunk (at least 1, at most ``max_epochs``). A plan holds each step's
+# gather indices and label data; each step gathers its own padded rows,
+# so no chunk's features are held at once. The epochs still run one at a
+# time: a stack whose trials have all failed stops stepping at once, and
+# the errors are met in the same order. A batch lists its classes in
 # label order, so an AUC step's label data, which rows are each class's
 # positives and negatives, is read off the sampler's class runs by
 # ``losses._run_targets``. The initial loss, whose rows are in any order,
 # and cross entropy derive theirs from the labels by ``losses._targets``.
+
+PLAN_ROWS = 1 << 14
+"""Padded batch rows, summed over a stack's trials and steps, that the
+engine samples and plans at a time (``train_stacked``): a chunk of epochs,
+rounded down to whole epochs and never less than one. The plan's index
+arrays and label data grow with it, not with the run's length."""
 
 
 @dataclass(frozen=True)
@@ -455,41 +485,58 @@ def evaluate_auroc_stacked(
     return _Scorer(model, *_check_stacked(model, features, labels, "evaluation"))(model, epoch)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Batch:
-    """One SGD step of a stack: ``x`` (T, P, n_features + 1) holds each
-    trial's batch, with its ones column, padded to the stack's width P with
-    copies of its first row,
-    ``real`` (T, P) marks the batch's own rows, and ``targets`` is the
-    loss's label data of the batches' labels, padded with -1, as
-    ``losses._targets`` derives it."""
+    """One SGD step of a stack of T trials: ``rows`` (T, P) indexes each
+    trial's batch, padded to the stack's width P with copies of its first
+    row, in ``source``, the stack's training rows with their ones column
+    (T * n, n_features + 1), trial t's from row t * n on; ``real`` (T, P)
+    marks the batch's own rows, and ``targets`` is the loss's label data of
+    the batches' labels, padded with -1, as ``losses._targets`` derives it."""
 
-    x: np.ndarray
+    source: np.ndarray
+    rows: np.ndarray
     real: np.ndarray
     targets: _Targets
 
+    @property
+    def x(self) -> np.ndarray:
+        """The padded batches (T, P, n_features + 1), gathered on each read."""
+        return self.source.take(self.rows, axis=0)
+
 
 def _plan(batches, train_x, train_y, kind: str, n_classes: int) -> list[_Batch]:
-    """The steps, one per batch b, of ``_batch_index``'s ``batches``: the
-    rows ``index[t, b, :sizes[t, b]]`` of ``train_x[t]`` and ``train_y[t]``,
-    padded as ``_Batch`` holds them. The loss's label data is derived for
-    every batch at once: an AUC kind's from the class runs, which give
-    label k's rows, since an AUC stack's trials hold every class (a stack
-    missing one never steps); cross entropy's from the
-    labels, as a trial may miss a class."""
+    """The steps of ``_batch_index``'s ``batches`` of K epochs of a stack of
+    T trials, whose rows run epoch by epoch, each epoch's trial by trial:
+    step k * n_batches + b is batch b of epoch k, the rows
+    ``index[k * T + t, b, :sizes[k * T + t, b]]`` of ``train_x[t]`` (T, n,
+    n_features + 1) and ``train_y[t]``, padded as ``_Batch`` holds them. The
+    gather indices and the loss's label data are derived for every step at
+    once: an AUC kind's label data from the class runs, which give label
+    k's rows, since an AUC stack's trials hold every class (a stack missing
+    one never steps); cross entropy's from the labels, as a trial may miss
+    a class."""
     index, sizes, rows, starts = batches
-    n_trials, n, width = train_x.shape[0], train_x.shape[1], index.shape[2]
-    real = np.arange(width) < sizes.T[:, :, None]  # (n_batches, T, P)
-    index = index.transpose(1, 0, 2)
-    flat = np.where(real, index, index[:, :, :1]) + (np.arange(n_trials) * n)[:, None]
-    x = train_x.reshape(n_trials * n, -1).take(flat, axis=0)
+    n_trials, n = train_x.shape[:2]
+    n_epochs, n_batches, width = index.shape[0] // n_trials, *index.shape[1:]
+    n_steps = n_epochs * n_batches
+    # From rows (epoch, trial) by batch to steps (epoch, batch) by trial.
+    index = index.reshape(n_epochs, n_trials, n_batches, width).transpose(0, 2, 1, 3)
+    index = index.reshape(n_steps, n_trials, width)
+    sizes = sizes.reshape(n_epochs, n_trials, n_batches).transpose(0, 2, 1).reshape(n_steps, -1)
+    real = np.arange(width) < sizes[:, :, None]  # (steps, T, P)
+    flat = np.where(real, index, index[:, :, :1])
+    flat += (np.arange(n_trials) * n)[:, None]
     if kind == "cross_entropy":
-        labels = np.where(real, train_y.reshape(-1).take(flat), -1)
+        labels = train_y.reshape(-1).take(flat)
+        labels[~real] = -1
         targets = _targets(kind, labels, n_classes)
     else:
-        targets = _run_targets(kind, rows.transpose(1, 2, 0), starts.transpose(1, 2, 0),
-                               sizes.T, width)
-    return [_Batch(*step) for step in zip(x, real, targets)]
+        runs = [a.reshape(n_epochs, n_trials, -1, n_batches).transpose(2, 0, 3, 1)
+                .reshape(-1, n_steps, n_trials) for a in (rows, starts)]
+        targets = _run_targets(kind, *runs, sizes, width)
+    source = train_x.reshape(n_trials * n, -1)
+    return [_Batch(source, *step) for step in zip(flat, real, targets)]
 
 
 def _value_needed(config: TrainConfig, rows: int) -> bool:
@@ -502,8 +549,8 @@ def _value_needed(config: TrainConfig, rows: int) -> bool:
             or config.surrogate.L * rows**2 > np.finfo(float).max)
 
 
-def _step(stack: MLPStack, grads: MLPStack, batch: _Batch, config: TrainConfig
-          ) -> list[tuple[str, np.ndarray]]:
+def _step(stack: MLPStack, grads: MLPStack, batch: _Batch, config: TrainConfig,
+          want_value: bool) -> list[tuple[str, np.ndarray]]:
     """One SGD step of every trial of ``stack`` on its batch in ``batch``,
     in place. ``grads``, a stack of the same shape, is scratch.
 
@@ -511,13 +558,13 @@ def _step(stack: MLPStack, grads: MLPStack, batch: _Batch, config: TrainConfig
     rows have non-finite logits, then ("loss", flags) when some trial's
     loss value is non-finite, each flagging those trials. Their updates are
     garbage, which no other trial's arithmetic reads. The loss value is
-    computed only where ``_value_needed``; a trial with non-finite logits
-    has failed on them already.
+    computed only where ``want_value``, the call's ``_value_needed``; a
+    trial with non-finite logits has failed on them already.
     """
     inputs = []
     logits = _layers(stack.blocks, batch.x, inputs)
     values, delta = _kernel(config.loss_kind, logits, batch.targets, config.surrogate, True,
-                            want_value=_value_needed(config, batch.x.shape[1]))
+                            want_value=want_value)
     for layer in range(len(inputs) - 1, -1, -1):
         # The input's ones column makes the block's last row the bias gradient.
         np.matmul(inputs[layer].transpose(0, 2, 1), delta, out=grads.blocks[layer])
@@ -646,13 +693,23 @@ def train_stacked(
 
     grads = MLPStack(model.layer_dims, np.empty_like(model.params))
     seeds = [c.seed for c in configs]
+    n_batches, width = groups[0].n_batches, groups[0].width
+    want_value = _value_needed(config, width)
+    epoch_rows = model.n_models * n_batches * width  # 0 for a stack that never steps
+    chunk = min(config.max_epochs, max(1, PLAN_ROWS // max(1, epoch_rows)))
+    planned: list[_Batch] = []
     for epoch in range(config.max_epochs):
         if failed.all():
             break
-        steps = _plan(_batch_index(groups, seeds, epoch), train_x, train_y, config.loss_kind,
-                      model.n_classes)
-        for batch, step in enumerate(steps):
-            for what, bad in _step(work, grads, step, config):
+        if epoch % chunk == 0:
+            planned.clear()  # the last chunk's plan is freed before the next is made
+            epochs = range(epoch, min(epoch + chunk, config.max_epochs))
+            planned = _plan(_batch_index(groups * len(epochs), seeds * len(epochs),
+                                         [e for e in epochs for _ in seeds]),
+                            train_x, train_y, config.loss_kind, model.n_classes)
+        first = (epoch % chunk) * n_batches
+        for batch in range(n_batches):
+            for what, bad in _step(work, grads, planned[first + batch], config, want_value):
                 fail(bad, what, epoch, batch)
         aurocs, val_errors = validate(work, epoch)
         fail_each(val_errors)

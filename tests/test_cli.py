@@ -507,9 +507,9 @@ def _compare_with_cpus(monkeypatch, tmp_path, config, cpus, name):
     stepped = {}
     step = rankloss.network._step
 
-    def spy(stack, grads, batch, config):
+    def spy(stack, grads, batch, config, *args):
         stepped.setdefault(config.loss_kind, set()).add(threading.get_ident())
-        return step(stack, grads, batch, config)
+        return step(stack, grads, batch, config, *args)
 
     with monkeypatch.context() as mp:
         mp.setattr(rankloss.harness, "_cpu_count", lambda: cpus)

@@ -34,7 +34,8 @@ from rankloss import (
 )
 import rankloss.losses
 from rankloss.losses import DEFAULT_SURROGATE, PAIR_BLOCK, _kernel, _targets
-from rankloss.network import _batch_index, _label_classes, _LabelGroups, _layers, _plan, _step
+from rankloss.network import (_batch_index, _label_classes, _LabelGroups, _layers, _plan, _step,
+                              _value_needed)
 
 import oracle
 from conftest import blobs, kernel_loss, train_on_threads
@@ -297,7 +298,7 @@ class TestStratifiedBatches:
             return
         groups = [_LabelGroups(y, batch_size) for y in labels]
         assert all(trial.error is None for trial in groups)
-        index, sizes, runs, starts = _batch_index(groups, seeds, epoch)
+        index, sizes, runs, starts = _batch_index(groups, seeds, [epoch] * n_trials)
         n_batches = len(want[0])
         width = sum(-(-m // n_batches) for m in counts)
         assert index.shape == (n_trials, n_batches, width)
@@ -310,6 +311,35 @@ class TestStratifiedBatches:
                 assert np.array_equal(row[:size], batch)
                 assert not row[size:].any()
                 assert np.array_equal(y[batch], np.repeat(np.arange(len(counts)), batch_runs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_classes=st.integers(2, 4),
+        rows=st.integers(0, 40),
+        n_trials=st.integers(1, 4),
+        extra=st.integers(0, 10),
+        epochs=st.lists(st.integers(0, 2**20), min_size=1, max_size=5),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_index_chunk_equals_per_epoch_calls(self, n_classes, rows, n_trials, extra,
+                                                      epochs, data_seed):
+        # The engine samples a chunk of epochs in one call, one row per
+        # (epoch, trial). Each epoch's rows equal, field by field, that
+        # epoch's own call, for trials whose class counts, and so widths,
+        # differ, and for any epochs in any order, repeats included.
+        rng = np.random.default_rng(data_seed)
+        labels = rng.integers(0, n_classes, size=(n_trials, n_classes + rows))
+        labels[:, :n_classes] = np.arange(n_classes)
+        groups = [_LabelGroups(y, n_classes + extra) for y in rng.permuted(labels, axis=1)]
+        groups = [g for g in groups if g.n_batches == groups[0].n_batches]
+        seeds = rng.integers(0, 2**32, size=len(groups)).tolist()
+        chunk = _batch_index(groups * len(epochs), seeds * len(epochs),
+                             [e for e in epochs for _ in seeds])
+        for k, epoch in enumerate(epochs):
+            alone = _batch_index(groups, seeds, [epoch] * len(groups))
+            for got, want in zip(chunk, alone, strict=True):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got[k * len(groups):(k + 1) * len(groups)], want)
 
     @pytest.mark.parametrize("kind, counts, batch_size", [
         ("cross_entropy", (143, 71, 125), 8),
@@ -328,7 +358,7 @@ class TestStratifiedBatches:
                        for t in range(6)])
         x, y = ds.features[tr], ds.labels[tr]
         seeds = [trial_seeds(0, t).shuffle for t in range(6)]
-        batches = _batch_index([_LabelGroups(labels, batch_size) for labels in y], seeds, 2)
+        batches = _batch_index([_LabelGroups(labels, batch_size) for labels in y], seeds, [2] * 6)
         steps = _plan(batches, x, y, kind, len(counts))
         want = [stratified_batches(labels, batch_size, seed, 2) for labels, seed in zip(y, seeds)]
         assert len(steps) == len(want[0])
@@ -364,7 +394,7 @@ class TestStratifiedBatches:
         rng = np.random.default_rng(0)
         labels = np.stack([rng.permutation(np.repeat(np.arange(len(c)), c)) for c in counts])
         groups = [_LabelGroups(y, batch_size) for y in labels]
-        batches = _batch_index(groups, range(len(counts)), 1)
+        batches = _batch_index(groups, range(len(counts)), [1] * len(counts))
         index, sizes, runs, _ = batches
         assert (index.shape[1] < labels.shape[1] // batch_size) == clamped
         assert (runs != runs[:1]).any()
@@ -726,6 +756,32 @@ STACKED_CASES = [
 ]
 
 
+def chunked(monkeypatch, budget, train):
+    """``train()`` with the engine's plan budget ``network.PLAN_ROWS`` at
+    ``budget`` (None keeps the default): its result, and how many epochs
+    each of the ``_batch_index`` calls sampled."""
+    import rankloss.network
+
+    lengths = []
+    sample = rankloss.network._batch_index
+
+    def spy(groups, seeds, epochs):
+        lengths.append(len(set(epochs)))
+        return sample(groups, seeds, epochs)
+
+    with monkeypatch.context() as mp:
+        if budget is not None:
+            mp.setattr(rankloss.network, "PLAN_ROWS", budget)
+        mp.setattr(rankloss.network, "_batch_index", spy)
+        return train(), lengths
+
+
+def outcome(run):
+    """A ``train_stacked`` result as bytes and text: the checkpoints and each trial's error."""
+    return run.model.params.tobytes(), [None if e is None else f"{type(e).__name__}: {e}"
+                                        for e in run.errors]
+
+
 class TestTrainStacked:
     @pytest.mark.blas
     @pytest.mark.parametrize("kind, counts, hidden, dim, batch_size", STACKED_CASES)
@@ -849,15 +905,102 @@ class TestTrainStacked:
         for a, b in zip(models[1].weights + models[1].biases, failed.weights + failed.biases):
             assert np.array_equal(a, b)
 
+    @pytest.mark.blas
+    @pytest.mark.parametrize("case", ["protocol-cross_entropy-b8", "protocol-auc_multiclass-b64",
+                                      "auc_binary", "ragged", "threads-1024"])
+    def test_chunks_change_no_bit(self, case, monkeypatch):
+        # The engine samples and plans a chunk of epochs per call. The
+        # checkpoints and errors are the same bytes at one epoch per chunk,
+        # at the default budget and with every epoch in one chunk: on the
+        # protocol's shape, where the default is 7 or 8 epochs per chunk
+        # (at 7, the last chunk is short); on a small binary stack; on
+        # unstratified trials, which form ragged groups and of which two
+        # fail; and on two 1024-row trials split over two threads.
+        if case == "threads-1024":
+            labels = np.tile(np.arange(1024) % 2, (2, 1))
+            features = blobs(np.random.default_rng(0), labels)
+            epochs, default = 20, [16, 4] * 2  # per thread part: 16 epochs, then 4
+            train = lambda: train_on_threads("auc_binary", labels, features, 2, epochs=epochs)
+        else:
+            if case == "ragged":
+                ds = generate_synthetic(SyntheticSpec(
+                    class_counts=(30, 20, 10), dim=4, class_mean_separation=1.5, noise_std=1.0,
+                    label_flip_prob=0.1, seed=4))
+                spec = SplitSpec(stratified=False)
+                splits = [monte_carlo_split(ds.n_samples, ds.labels, spec, t) for t in range(6)]
+                tr, va, _ = (np.stack(p) for p in zip(*splits))
+                seeds = [trial_seeds(0, t) for t in range(6)]
+                models = [init_model((4, 5, 3), s.init) for s in seeds]
+                kind, batch_size, epochs, default = "auc_multiclass", 8, 7, None
+            elif case == "auc_binary":
+                ds, tr, va, _, seeds, models = stacked_trials((40, 25), (4,), n_trials=4)
+                kind, batch_size, epochs, default = "auc_binary", 8, 7, [7]
+            else:
+                ds, tr, va, _, seeds, models = stacked_trials(PROTOCOL_COUNTS, (16,),
+                                                              n_trials=10, dim=8)
+                kind, batch_size = case.split("-")[1], int(case.split("-b")[1])
+                epochs = 40
+                default = [8] * 5 if kind == "auc_multiclass" else [7] * 5 + [5]
+            x, y = ds.features, ds.labels
+            train_y, val_y = y[tr], y[va]
+            if case == "ragged":
+                train_y[1][train_y[1] == 2] = 0  # fails before any step
+                val_y[4][val_y[4] == 1] = 0  # fails its first validation
+            configs = [TrainConfig(batch_size=batch_size, loss_kind=kind, max_epochs=epochs,
+                                   seed=s.shuffle) for s in seeds]
+            train = lambda: outcome(train_stacked(MLPStack.of(models), x[tr], train_y, x[va],
+                                                  val_y, configs))
+        one, lengths = chunked(monkeypatch, 1, train)
+        assert set(lengths) == {1}
+        whole, lengths = chunked(monkeypatch, 1 << 62, train)
+        assert whole == one and set(lengths) == {epochs}
+        got, lengths = chunked(monkeypatch, None, train)
+        assert got == one
+        if default is not None:
+            assert sorted(lengths) == sorted(default)
+        if case == "ragged":
+            assert [e is None for e in one[1]] == [True, False, True, True, False, True]
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
-    @pytest.mark.parametrize("L", [1.0, 1e305, 1e308])
+    @pytest.mark.parametrize("budget", [1, None])
+    def test_failures_inside_a_chunk(self, budget, monkeypatch, step_threads):
+        # Each trial's training features are scaled up until an SGD step
+        # overflows its logits, trial t's in epoch 1 + t. At the default
+        # budget all 8 epochs are one chunk, so every trial fails inside it.
+        # Each fails at the epoch and batch where it fails alone, keeps its
+        # initial weights, and once all have failed the stack stops
+        # stepping, after epoch 3, as with one epoch per chunk.
+        ds, tr, va, _, seeds, models = stacked_trials((30, 20, 25), (4,), n_trials=3)
+        x, y = ds.features, ds.labels
+        train_x = x[tr] * np.array([1e20, 1e15, 1e10])[:, None, None]
+        configs = [TrainConfig(batch_size=8, loss_kind="cross_entropy", max_epochs=8,
+                               seed=s.shuffle) for s in seeds]
+        run, lengths = chunked(monkeypatch, budget, lambda: train_stacked(
+            MLPStack.of(models), train_x, y[tr], x[va], y[va], configs))
+        assert lengths == ([1] * 4 if budget == 1 else [8])
+        for t in range(3):
+            with pytest.raises(NonFiniteError) as expected:
+                train(models[t], train_x[t], y[tr[t]], x[va[t]], y[va[t]], configs[t])
+            error = run.errors[t]
+            assert type(error) is NonFiniteError and str(error) == str(expected.value)
+            assert (error.epoch, error.batch) == (expected.value.epoch, expected.value.batch)
+            assert np.array_equal(run.model.params[t], models[t].params)
+        assert [e.epoch for e in run.errors] == [1, 2, 3]
+        n_batches = len(stratified_batches(y[tr[0]], 8, 0, 0))
+        assert len(step_threads) == 4 * n_batches
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("L", [1.0, 3e303, 4e303, 3e304, 1e305, 3e306, 1e308])
     def test_step_flags_loss_exactly_where_train_would(self, L):
-        # The step may skip the AUC value only where it is finite anyway. A
-        # batch of 240 rows has 80 x 160 pairs per class, enough for a term
-        # sum near L / 2 per pair to overflow at L = 1e305; 24 rows are not.
-        # With L = 1e308 both overflow, with L = 1 neither does. Each batch
-        # lists its classes in label order, as the sampler's do.
+        # The step may skip the AUC value only where it is finite anyway: the
+        # engine works out once per call whether the value is needed, from
+        # the stack's width of 240 rows, which L > 3.1e303 makes it. A batch
+        # of 240 rows has 80 x 160 pairs per class, enough for a term sum
+        # near L / 2 per pair to overflow from L = 3e304; 24 rows overflow
+        # from L = 3e306. With L = 1 neither does. Each batch lists its
+        # classes in label order, as the sampler's do.
         sizes = np.array([240, 24, 240])
         rng = np.random.default_rng(2)
         models = [init_model((4, 5, 3), seed) for seed in range(3)]
@@ -879,10 +1022,12 @@ class TestTrainStacked:
         ones = np.ones((3, 240, 1))
         (step,) = _plan(batches, np.concatenate([x, ones], axis=2), y, config.loss_kind, 3)
         stack = MLPStack.of(models)
-        failures = dict(_step(stack, stack.copy(), step, config))
+        want_value = _value_needed(config, 240)
+        failures = dict(_step(stack, stack.copy(), step, config, want_value))
         assert "logits" not in failures
         assert failures.get("loss", np.zeros(3, dtype=bool)).tolist() == expected
-        assert expected == [L > 1e300, L > 1e306, L > 1e300]
+        assert expected == [L >= 3e304, L >= 3e306, L >= 3e304]
+        assert want_value == (L > 3.2e303)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -1142,6 +1287,32 @@ class TestTrainStacked:
             tracemalloc.stop()
         assert len(set(step_threads)) == 2
         assert peak < 8e6
+
+    @pytest.mark.parametrize("kind, batch_size", [("cross_entropy", 8), ("auc_multiclass", 64)])
+    def test_chunk_temporaries_bounded(self, kind, batch_size, monkeypatch):
+        # On the protocol's stack of 10 trials the default budget plans 7 or
+        # 8 epochs at a time, and their index arrays and label data raise
+        # one call's traced peak by ~0.6 MB over a call that plans one epoch
+        # at a time. It stays within 1 MB of it.
+        ds, tr, va, _, seeds, models = stacked_trials(PROTOCOL_COUNTS, (16,), n_trials=10, dim=8)
+        x, y = ds.features, ds.labels
+        configs = [TrainConfig(batch_size=batch_size, loss_kind=kind, max_epochs=16,
+                               seed=s.shuffle) for s in seeds]
+        args = MLPStack.of(models), x[tr], y[tr], x[va], y[va], configs
+        train_stacked(*args)  # warms up
+
+        def traced():
+            tracemalloc.start()
+            try:
+                train_stacked(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, _ = chunked(monkeypatch, 1, traced)
+        peak, lengths = chunked(monkeypatch, None, traced)
+        assert max(lengths) in (7, 8)
+        assert peak < one + 1e6
 
     @pytest.mark.blas
     @pytest.mark.parametrize("n_trials", [4, 100])
