@@ -331,16 +331,17 @@ class _ClassPairs:
     """Where class c's positives and negatives sit in each trial's padded
     row of scores: flat positions into (T, P + 2) rows whose slot P holds
     -inf and slot P + 1 +inf, which pad each trial's positives and
-    negatives to the widest trial's. Also the counts, the distinct negative
-    counts (``widths``) and the distinct positive counts of trials with one
-    negative (``singles``)."""
+    negatives to the widest trial's. Also the counts, the runs of
+    consecutive trials with equal negative counts (``runs``, (lo, hi,
+    n_neg) each, in trial order) and the distinct positive counts of
+    trials with one negative (``singles``)."""
 
     c: int
     pos_at: np.ndarray
     n_pos: np.ndarray
     neg_at: np.ndarray
     n_neg: np.ndarray
-    widths: list
+    runs: list
     singles: list
 
 
@@ -424,12 +425,13 @@ def _class_pairs(classes, pos_at, n_pos, neg_at, n_neg) -> list[_Targets]:
     for b in range(n_pos.shape[1]):
         pairs = []
         for k, c in enumerate(classes):
-            counts = list(zip(pos_counts[k][b], neg_counts[k][b]))
+            negs = neg_counts[k][b]
+            cuts = [t for t in range(1, len(negs)) if negs[t] != negs[t - 1]]
             pairs.append(_ClassPairs(
                 c, pos_at[k, b, :, : w_pos[k][b]], n_pos[k, b],
                 neg_at[k, b, :, : w_neg[k][b]], n_neg[k, b],
-                widths=sorted({q for _, q in counts}),
-                singles=sorted({p for p, q in counts if q == 1}),
+                runs=[(lo, hi, negs[lo]) for lo, hi in zip([0, *cuts], [*cuts, len(negs)])],
+                singles=sorted({p for p, q in zip(pos_counts[k][b], negs) if q == 1}),
             ))
         steps.append(_Targets(pairs=tuple(pairs)))
     return steps
@@ -520,13 +522,13 @@ class _PairGrid:
         block's size, three for value and slope. Slope sums round as NumPy
         rounds them for one lone batch. NumPy sums a contiguous row
         pairwise, in an order set by its length, so each row is summed over
-        exactly its trial's n_neg columns, per group of trials with equal
-        n_neg. Columns add row by row, so a block's first row takes the
-        running column sums before its rows are added. A trial's term sum
-        adds one row sum per block, and its blocks hold the same pairs
-        whichever trials share them.
+        exactly its trial's n_neg columns, per run of consecutive trials
+        with equal n_neg, into its slice of the row sums. Columns add row by
+        row, so a block's first row takes the running column sums before its
+        rows are added. A trial's term sum adds one row sum per block, and
+        its blocks hold the same pairs whichever trials share them.
         """
-        pos, neg, n_neg = self.pos, self.neg, self.pairs.n_neg
+        pos, neg = self.pos, self.neg
         n_trials, w_pos, w_neg = pos.shape[0], pos.shape[1], neg.shape[2]
         block_trials, block_rows = self.block_trials, self.block_rows
         for t0, r0 in itertools.product(range(0, n_trials, block_trials),
@@ -547,13 +549,11 @@ class _PairGrid:
                 self.term_sums[ts] += terms.reshape(shape[0], -1).sum(axis=1)
             if not self.want_grad:
                 continue
-            for width in self.pairs.widths:
-                group = n_neg[ts] == width
-                if group.all():
-                    self.row_sums[ts, rs] = slope[:, :, :width].sum(axis=2)
-                    break
-                if group.any():
-                    self.row_sums[ts, rs][group] = slope[group, :, :width].sum(axis=2)
+            for lo, hi, width in self.pairs.runs:
+                lo, hi = max(lo, t0), min(hi, t0 + shape[0])
+                if lo < hi:
+                    np.add.reduce(slope[lo - t0:hi - t0, :, :width], axis=2,
+                                  out=self.row_sums[lo:hi, rs])
             slope[:, 0] += self.col_sums[ts]
             np.add.reduce(slope, axis=1, out=self.col_sums[ts])
 

@@ -14,6 +14,7 @@ satisfiable; emitted batches then run larger than requested.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -21,6 +22,7 @@ from itertools import accumulate
 from typing import Optional
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import losses
 from .errors import (FieldError, InfeasibleBatchError, NonFiniteError, RanklossError,
@@ -289,19 +291,19 @@ def _batch_index(groups: Sequence[_LabelGroups], seeds: Sequence[int], epochs: S
     n_classes = counts.shape[1]
     n_rows, n, n_batches = len(groups), groups[0].n, groups[0].n_batches
 
-    # Each row's stream: per class a permutation of its members and one of
-    # the batches. ``Generator.permutation`` copies and shuffles the copy,
-    # so shuffling the members and batch numbers in place, in the output,
-    # draws the same stream. Nothing shuffles within a batch: its loss and
-    # gradient are sums over its rows, so their order would change only
-    # rounding.
+    # Each row's stream, ``default_rng([seed, epoch])``: per class a
+    # permutation of its members and one of the batches.
+    # ``Generator.permutation`` copies and shuffles the copy, so shuffling
+    # the members and batch numbers in place, in the output, draws the same
+    # stream. Nothing shuffles within a batch: its loss and gradient are
+    # sums over its rows, so their order would change only rounding.
     shuffled = np.stack([trial.order for trial in groups])
     placement = np.empty((n_rows, n_classes, n_batches), dtype=np.intp)
     placement[...] = np.arange(n_batches)
     ends = np.cumsum(counts, axis=1).tolist()
-    for r, (seed, epoch, order, places) in enumerate(zip(seeds, epochs, shuffled, placement)):
-        rng = np.random.default_rng([int(seed), int(epoch)])
-        for lo, hi, place in zip([0, *ends[r]], ends[r], places):
+    for rng, order, places, row_ends in zip(_row_generators(seeds, epochs), shuffled,
+                                            placement, ends):
+        for lo, hi, place in zip([0, *row_ends], row_ends, places):
             rng.shuffle(order[lo:hi])
             rng.shuffle(place)
     # Class c is cut into chunks as np.array_split cuts it (the first
@@ -334,6 +336,114 @@ def _batch_index(groups: Sequence[_LabelGroups], seeds: Sequence[int], epochs: S
     index = np.zeros((n_rows, n_batches, width), dtype=np.intp)
     index.reshape(-1)[offset.ravel()] = shuffled.ravel()
     return index, sizes, rows, starts
+
+
+# NumPy's ``SeedSequence`` hash (O'Neill's ``seed_seq`` design), which
+# ``default_rng([seed, epoch])`` runs once per row, run for a chunk's rows at
+# once: the same uint32 arithmetic, one array operation per step of the
+# hash for all the rows. A hash step multiplies by a running constant,
+# init * mult**i mod 2**32, the same for every row. NumPy wraps array
+# arithmetic silently but warns when a scalar multiply wraps, so every
+# product here has an array operand.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # the pool's hash
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state's
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """The running constants init * mult**i mod 2**32, i < n, as uint32."""
+    out = [init]
+    while len(out) < n:
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = value ^ xor
+    value *= mult
+    value ^= value >> 16
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_L
+    out -= y * _MIX_R
+    out ^= out >> 16
+    return out
+
+
+# The pool's first 17 constants: four to hash the first entropy words into
+# the pool, then three per pool word that mixes into the other three. Those
+# are laid out per source word by destination, with 0 in the source's own
+# slot, whose result is discarded.
+_POOL_CONSTANTS = _hash_constants(_INIT_A, _MULT_A, 17)
+_CROSS_XOR, _CROSS_MULT = (
+    np.array([np.insert(_POOL_CONSTANTS[4 + 3 * src + first:][:3], src, 0) for src in range(4)])
+    for first in (0, 1)
+)
+_STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 9)
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(words).generate_state(4, np.uint64)`` for the uint32
+    words of each row of ``entropy`` (R, L), L >= 4, whose rows of fewer
+    than 4 words are padded with zeros, as the hash pads them: (R, 4)."""
+    a = _POOL_CONSTANTS
+    pool = _hashmix(entropy[:, :4], a[:4], a[1:5])
+    for src in range(4):
+        # Each other pool word in turn mixes in a hash of this one, which
+        # none of them changes.
+        word = pool[:, src].copy()
+        pool = _mix(pool, _hashmix(word[:, None], _CROSS_XOR[src], _CROSS_MULT[src]))
+        pool[:, src] = word
+    if entropy.shape[1] > 4:  # words past the pool mix into each pool word
+        a = _hash_constants(int(a[-1]), _MULT_A, 4 * (entropy.shape[1] - 4) + 1)
+        for src in range(4, entropy.shape[1]):
+            at = 4 * (src - 4)
+            pool = _mix(pool, _hashmix(entropy[:, src, None], a[at:at + 4], a[at + 1:at + 5]))
+    b = _STATE_CONSTANTS
+    state = _hashmix(np.tile(pool, 2), b[:-1], b[1:])
+    # Words 2i and 2i + 1 are the low and high halves of uint64 i.
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedState(ISeedSequence):
+    """A seed sequence that hands out one precomputed ``generate_state(4,
+    np.uint64)``, which is all ``np.random.PCG64`` asks of one."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def _uint32_words(n: int) -> list[int]:
+    """A nonnegative integer's uint32 words, least significant first, as
+    ``SeedSequence`` splits it: [0] for 0."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _row_generators(seeds: Sequence[int], epochs: Sequence[int]) -> list[np.random.Generator]:
+    """``np.random.default_rng([seed, epoch])`` of each row, the same
+    stream: the rows' seed states come from one ``_seed_states`` call per
+    entropy length (rows whose seed and epoch fit in 32 bits are one)."""
+    entropy = [_uint32_words(int(seed)) + _uint32_words(int(epoch))
+               for seed, epoch in zip(seeds, epochs)]
+    by_length: dict[int, list[int]] = {}
+    for r, words in enumerate(entropy):
+        by_length.setdefault(max(4, len(words)), []).append(r)
+    states = np.empty((len(entropy), 4), dtype=np.uint64)
+    for length, rows in by_length.items():
+        padded = [entropy[r] + [0] * (length - len(entropy[r])) for r in rows]
+        states[rows] = _seed_states(np.array(padded, dtype=np.uint32))
+    return [np.random.Generator(np.random.PCG64(_SeedState(state))) for state in states]
 
 
 def _non_finite(what: str, epoch: int | None = None, batch: int | None = None) -> NonFiniteError:
@@ -423,18 +533,27 @@ def _with_ones(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x, np.ones((*x.shape[:-1], 1))], axis=-1)
 
 
-def _layers(blocks, a, inputs=None) -> np.ndarray:
+def _hidden_buffers(blocks, shape: tuple[int, int]) -> list[np.ndarray]:
+    """One output buffer (T, rows, fan_out + 1) per hidden layer of
+    ``blocks``, for inputs of ``shape`` (T, rows), its last column set to 1."""
+    buffers = [np.empty((*shape, block.shape[2] + 1)) for block in blocks[:-1]]
+    for hidden in buffers:
+        hidden[:, :, -1] = 1.0
+    return buffers
+
+
+def _layers(blocks, a, inputs=None, buffers=None) -> np.ndarray:
     """Logits of the stacked layers on ``a`` (T, rows, fan_in + 1), whose
     last column is 1: one matmul by each layer's block, weights and biases,
-    with ReLU between. Each hidden layer's output goes into a buffer whose
-    last column is 1, the next layer's input. When ``inputs`` is a list,
-    each layer's input is appended to it; backprop reads each ReLU's mask
-    off the next input."""
-    for block in blocks[:-1]:
+    with ReLU between. Each hidden layer's output goes into its buffer in
+    ``buffers`` (``_hidden_buffers`` of ``a``'s (T, rows); made here when
+    None), the next layer's input. When ``inputs`` is a list, each layer's input
+    is appended to it; backprop reads each ReLU's mask off the next input."""
+    if buffers is None:
+        buffers = _hidden_buffers(blocks, a.shape[:2])
+    for block, hidden in zip(blocks[:-1], buffers):
         if inputs is not None:
             inputs.append(a)
-        hidden = np.empty((*a.shape[:2], block.shape[2] + 1))
-        hidden[:, :, -1] = 1.0
         np.matmul(a, block, out=hidden[:, :, :-1])
         np.maximum(hidden, 0.0, out=hidden)  # max(1, 0) keeps the ones column
         a = hidden
@@ -453,12 +572,17 @@ class _Scorer:
         # Binary: class 1 ranked against class 0; else one-vs-rest.
         n_classes = model.n_classes
         self.ranking = _Ranking(y, [1] if n_classes == 2 else range(n_classes))
+        self.ok = np.array([error is None for error in self.ranking.errors])
 
     def __call__(self, model: MLPStack, epoch: int | None = None):
         logits = _layers(model.blocks, self.x)
-        errors = [_non_finite("evaluation logits", epoch) if bad else error
-                  for bad, error in zip(_nonfinite_rows(logits), self.ranking.errors)]
-        ok = np.array([error is None for error in errors])
+        errors, ok = self.ranking.errors, self.ok
+        # A finite sum has finite terms; an overflowing one is checked entry
+        # by entry.
+        if not math.isfinite(logits.sum()):
+            errors = [_non_finite("evaluation logits", epoch) if bad else error
+                      for bad, error in zip(_nonfinite_rows(logits), errors)]
+            ok = np.array([error is None for error in errors])
         values = np.full(model.n_models, np.nan)
         if ok.any():
             keep = slice(None) if ok.all() else ok
@@ -550,19 +674,23 @@ def _value_needed(config: TrainConfig, rows: int) -> bool:
 
 
 def _step(stack: MLPStack, grads: MLPStack, batch: _Batch, config: TrainConfig,
-          want_value: bool) -> list[tuple[str, np.ndarray]]:
+          want_value: bool, buffers=None) -> list[tuple[str, np.ndarray]]:
     """One SGD step of every trial of ``stack`` on its batch in ``batch``,
-    in place. ``grads``, a stack of the same shape, is scratch.
+    in place. ``grads``, a stack of the same shape, is scratch, and so are
+    ``buffers``, the hidden layers' ``_hidden_buffers`` (made here when
+    None).
 
     Returns the step's failures: ("logits", flags) when some trial's real
     rows have non-finite logits, then ("loss", flags) when some trial's
     loss value is non-finite, each flagging those trials. Their updates are
     garbage, which no other trial's arithmetic reads. The loss value is
     computed only where ``want_value``, the call's ``_value_needed``; a
-    trial with non-finite logits has failed on them already.
+    trial with non-finite logits has failed on them already. Each array is
+    screened by its sum, which is finite only when every entry is, and
+    checked entry by entry only when the sum is not.
     """
     inputs = []
-    logits = _layers(stack.blocks, batch.x, inputs)
+    logits = _layers(stack.blocks, batch.x, inputs, buffers)
     values, delta = _kernel(config.loss_kind, logits, batch.targets, config.surrogate, True,
                             want_value=want_value)
     for layer in range(len(inputs) - 1, -1, -1):
@@ -574,10 +702,11 @@ def _step(stack: MLPStack, grads: MLPStack, batch: _Batch, config: TrainConfig,
     np.multiply(grads.params, config.learning_rate, out=grads.params)
     np.subtract(stack.params, grads.params, out=stack.params)
     failures = []
-    if not np.isfinite(logits).all():
+    if not math.isfinite(logits.sum()) and not np.isfinite(logits).all():
         real = np.where(batch.real[:, :, None], logits, 0.0)
         failures.append(("logits", _nonfinite_rows(real)))
-    if values is not None and not np.isfinite(values).all():
+    if (values is not None and not math.isfinite(values.sum())
+            and not np.isfinite(values).all()):
         failures.append(("loss", ~np.isfinite(values)))
     return failures
 
@@ -695,6 +824,7 @@ def train_stacked(
     seeds = [c.seed for c in configs]
     n_batches, width = groups[0].n_batches, groups[0].width
     want_value = _value_needed(config, width)
+    buffers = _hidden_buffers(work.blocks, (model.n_models, width))
     epoch_rows = model.n_models * n_batches * width  # 0 for a stack that never steps
     chunk = min(config.max_epochs, max(1, PLAN_ROWS // max(1, epoch_rows)))
     planned: list[_Batch] = []
@@ -709,7 +839,8 @@ def train_stacked(
                             train_x, train_y, config.loss_kind, model.n_classes)
         first = (epoch % chunk) * n_batches
         for batch in range(n_batches):
-            for what, bad in _step(work, grads, planned[first + batch], config, want_value):
+            for what, bad in _step(work, grads, planned[first + batch], config, want_value,
+                                   buffers):
                 fail(bad, what, epoch, batch)
         aurocs, val_errors = validate(work, epoch)
         fail_each(val_errors)

@@ -452,23 +452,49 @@ def test_stacked_loss_matches_per_batch(data):
         assert np.array_equal(one.grad, out.grad)
 
 
+def _interleaved_labels(rng):
+    # Trials whose class-0 counts run 13, 5, 13, 4, 5, 1, 1 and class-1
+    # counts 4, 3, 2, 12, 1, 8, 2, each in its own order and padded to 18
+    # rows: every class's negative counts change from trial to trial and come
+    # back, on both sides of 8 (NumPy sums a row of 8 or more pairwise), and
+    # each class has trials with one negative.
+    labels = np.full((7, 18), -1)
+    for t, (zeros, ones) in enumerate(zip([13, 5, 13, 4, 5, 1, 1], [4, 3, 2, 12, 1, 8, 2])):
+        labels[t, : zeros + ones] = [0] * zeros + [1] * ones
+        labels[t] = rng.permutation(labels[t])
+    return labels
+
+
 @pytest.mark.parametrize("block", [1, 7, PAIR_BLOCK])
 @pytest.mark.parametrize("kind", LOSS_KINDS)
 def test_stacked_loss_gradient_without_value(kind, block, monkeypatch):
     # Skipping the value leaves the gradient's bits alone; the AUC kinds
-    # then return no value, cross entropy its usual one.
+    # then return no value, cross entropy its usual one. Either way each
+    # trial's gradient is bit for bit a one-trial call's, also where the
+    # trials sharing a pair block differ in their negative counts (the
+    # second stack), whose rows the pair kernel sums per run of equal
+    # counts; its value is the same mean summed in another order.
     rng = np.random.default_rng(11)
-    logits = rng.normal(size=(3, 14, 2))
-    labels = np.tile(np.arange(14) % 2, (3, 1))
-    labels[1, 9:] = -1
+    tiled = np.tile(np.arange(14) % 2, (3, 1))
+    tiled[1, 9:] = -1
     monkeypatch.setattr(rankloss.losses, "PAIR_BLOCK", block)
-    values, grad = kernel_loss(kind, logits, labels, want_grad=True)
-    no_value, same_grad = kernel_loss(kind, logits, labels, want_grad=True, want_value=False)
-    assert np.array_equal(grad, same_grad)
-    if kind == "cross_entropy":
-        assert np.array_equal(values, no_value)
-    else:
-        assert no_value is None
+    for labels in (tiled, _interleaved_labels(rng)):
+        logits = rng.normal(size=(*labels.shape, 2))
+        values, grad = kernel_loss(kind, logits, labels, want_grad=True)
+        no_value, same_grad = kernel_loss(kind, logits, labels, want_grad=True, want_value=False)
+        assert np.array_equal(grad, same_grad)
+        if kind == "cross_entropy":
+            assert np.array_equal(values, no_value)
+        else:
+            assert no_value is None
+        for t in range(labels.shape[0]):
+            for want_value in (True, False):
+                value, one = kernel_loss(kind, logits[t:t + 1], labels[t:t + 1], want_grad=True,
+                                         want_value=want_value)
+                assert np.array_equal(one[0], grad[t])
+                assert (value is None) == (not want_value and kind != "cross_entropy")
+                if value is not None:
+                    assert abs(value[0] - values[t]) <= 1e-15
 
 
 def test_stacked_loss_pair_limit_only_chunks(monkeypatch):

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rankloss
@@ -34,8 +34,8 @@ from rankloss import (
 )
 import rankloss.losses
 from rankloss.losses import DEFAULT_SURROGATE, PAIR_BLOCK, _kernel, _targets
-from rankloss.network import (_batch_index, _label_classes, _LabelGroups, _layers, _plan, _step,
-                              _value_needed)
+from rankloss.network import (_batch_index, _label_classes, _LabelGroups, _layers, _plan,
+                              _row_generators, _Scorer, _step, _value_needed)
 
 import oracle
 from conftest import blobs, kernel_loss, train_on_threads
@@ -52,6 +52,11 @@ def separable_blobs(seed=1, counts=(40, 40), sep=6.0):
 def split_arrays(ds, base_seed=0, trial=0):
     tr, va, _ = monte_carlo_split(ds.n_samples, ds.labels, SplitSpec(base_seed=base_seed), trial)
     return ds.features[tr], ds.labels[tr], ds.features[va], ds.labels[va]
+
+
+# Seeds and epochs of one, two and three or more uint32 words.
+_WORDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                   st.integers(2**64, 2**200))
 
 
 class TestInitModel:
@@ -341,6 +346,25 @@ class TestStratifiedBatches:
                 assert got.dtype == want.dtype
                 assert np.array_equal(got[k * len(groups):(k + 1) * len(groups)], want)
 
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(_WORDS, _WORDS), min_size=1, max_size=6))
+    @example(rows=[(0, 0), (2**32 - 1, 2**32 - 1), (2**32, 2**32), (2**64 + 1, 2**64 + 1)])
+    @example(rows=[(3, 2**64 + 1), (2**32, 0), (0, 7), (2**32 - 1, 2**32), (2**200, 1)])
+    def test_row_generators_are_default_rng(self, rows):
+        # The sampler seeds a chunk's rows from one pass of SeedSequence's
+        # hash per entropy length, for seeds and epochs of one, two or more
+        # uint32 words, mixed in one chunk. Each row's generator is
+        # default_rng([seed, epoch]), state and stream, and the hash's
+        # wrapping uint32 arithmetic raises no warning.
+        seeds, epochs = zip(*rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            generators = _row_generators(seeds, epochs)
+        for (seed, epoch), rng in zip(rows, generators, strict=True):
+            want = np.random.default_rng([seed, epoch])
+            assert rng.bit_generator.state == want.bit_generator.state
+            assert np.array_equal(rng.permutation(20), want.permutation(20))
+
     @pytest.mark.parametrize("kind, counts, batch_size", [
         ("cross_entropy", (143, 71, 125), 8),
         ("auc_multiclass", (143, 71, 125), 64),
@@ -409,7 +433,7 @@ class TestStratifiedBatches:
                 assert got.c == expected.c
                 for name in ("pos_at", "neg_at", "n_pos", "n_neg"):
                     assert np.array_equal(getattr(got, name), getattr(expected, name)), name
-                assert got.widths == expected.widths and got.singles == expected.singles
+                assert got.runs == expected.runs and got.singles == expected.singles
 
     @pytest.mark.parametrize("labels", [
         [2, 0, 1, 0, 2, 1], [-3, 5, -3], list("bab"), [0.5, np.nan, -1.0, np.nan, 0.5],
@@ -904,6 +928,73 @@ class TestTrainStacked:
         failed = run.model.model(1)
         for a, b in zip(models[1].weights + models[1].biases, failed.weights + failed.biases):
             assert np.array_equal(a, b)
+
+    def test_minus_inf_logit_off_the_hit_fails_on_logits(self, monkeypatch):
+        # Trial 1 has one training row of features (-1.5e308, 0), and every
+        # net's first feature weighs 1 in each class, so that row's logits
+        # start near -1.5e308 each. A learning rate of 1e-307 lets only that
+        # row move a weight: its first step grows the two non-hit weights
+        # to about 1.6 and shrinks the hit's below 0. From its next batch
+        # on, the row's non-hit logits are -inf and its hit logit finite,
+        # so its cross-entropy value is finite. The step still fails on its
+        # logits, at the epoch and batch where the per-trial trainer does.
+        import rankloss.network
+
+        rng = np.random.default_rng(4)
+        y = np.tile(np.arange(24) % 3, (3, 1))
+        x = np.stack([np.zeros(y.shape), rng.normal(size=y.shape)], axis=2)
+        val_x = x.copy()
+        x[1, 2, 0] = -1.5e308  # a training row of class 2
+        models = [init_model((2, 3), seed) for seed in range(3)]
+        for model in models:
+            model.weights[0][0] = 1.0
+        configs = [TrainConfig(batch_size=8, loss_kind="cross_entropy", max_epochs=3,
+                               learning_rate=1e-307, seed=seed) for seed in range(3)]
+        steps = []
+
+        def spy(*args, **kwargs):
+            values, grad = _kernel(*args, **kwargs)
+            if args[4]:  # want_grad: an SGD step
+                steps.append((np.isfinite(args[1][1]).all(), np.isfinite(values[1])))
+            return values, grad
+
+        monkeypatch.setattr(rankloss.network, "_kernel", spy)
+        run = train_stacked(MLPStack.of(models), x, y, val_x, y, configs)
+        with pytest.raises(NonFiniteError) as expected:
+            train(models[1], x[1], y[1], val_x[1], y[1], configs[1])
+        error = run.errors[1]
+        assert str(error) == str(expected.value)
+        assert str(error).startswith("logits became non-finite at epoch 1")
+        assert (error.epoch, error.batch) == (expected.value.epoch, expected.value.batch)
+        assert run.errors[0] is None and run.errors[2] is None
+        # Trial 1's first step with non-finite logits has a finite value.
+        assert (False, True) in steps and (False, False) not in steps
+
+    @pytest.mark.parametrize("kind", ["cross_entropy", "auc_multiclass"])
+    @pytest.mark.parametrize("logit", [1e308, -1e308])
+    def test_finite_logits_whose_sum_overflows_pass(self, kind, logit):
+        # Every logit is +-1e308, finite, but their sum is +-inf: the sum
+        # screen falls through to the entry-by-entry check, so a step
+        # records no failure and validation scores every trial.
+        rng = np.random.default_rng(5)
+        models = [init_model((4, 5, 3), seed) for seed in range(3)]
+        for model in models:
+            model.weights[-1][:] = 0.0
+            model.biases[-1][:] = logit
+        stack = MLPStack.of(models)
+        x, y = rng.normal(size=(3, 12, 4)), np.tile(np.arange(12) % 3, (3, 1))
+        index = np.broadcast_to(np.arange(12), (3, 1, 12))
+        runs = np.full((3, 3, 1), 4)
+        batches = index, np.full((3, 1), 12), runs, np.cumsum(runs, axis=1) - runs
+        (step,) = _plan(batches, np.concatenate([x, np.ones((3, 12, 1))], axis=2), y, kind, 3)
+        config = TrainConfig(batch_size=12, loss_kind=kind)
+        with np.errstate(over="ignore", invalid="ignore"):  # as train_stacked runs a step
+            logits = _layers(stack.blocks, step.x)
+            assert np.isfinite(logits).all() and logits.sum() == logit * np.inf
+            aurocs, errors = _Scorer(stack, x, y)(stack, 0)
+            assert _step(stack.copy(), stack.copy(), step, config, True) == []
+        assert errors == (None,) * 3
+        assert aurocs.tolist() == [evaluate_auroc(m, x[t], y[t]) for t, m in enumerate(models)]
 
     @pytest.mark.blas
     @pytest.mark.parametrize("case", ["protocol-cross_entropy-b8", "protocol-auc_multiclass-b64",
