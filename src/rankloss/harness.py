@@ -247,8 +247,8 @@ def _run_block(
     before its test scoring.
 
     Each engine call gets ``threads``, so a large-batch pairwise-loss arm
-    trains its trials in up to that many parts at once, each an engine call
-    of its own; no thread outlives the call, so none outlives the block.
+    trains its trials in up to that many parts at once, each a stack of its
+    own; no thread outlives the call, so none outlives the block.
     """
     splits, split_error = [], None
     for trial in trials:

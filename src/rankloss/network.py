@@ -68,7 +68,9 @@ class MLPStack:
     biases, and one operation updates all the parameters. Write through
     them; the class is frozen, so rebinding a field, which would cut the
     views from ``params``, raises. ``layer_dims`` must be two or more
-    positive integers (``ValueError``) and is stored as a tuple of ints.
+    positive integers (``ValueError``) and is stored as a tuple of ints;
+    ``params`` must be a float64 ``np.ndarray``, or a view of one
+    (``ValueError``).
     """
 
     layer_dims: tuple[int, ...]
@@ -87,6 +89,9 @@ class MLPStack:
         shapes = [(fan_in + 1, fan_out) for fan_in, fan_out in zip(dims[:-1], dims[1:])]
         ends = list(accumulate(rows * cols for rows, cols in shapes))
         params = np.zeros(ends[-1]) if self.params is None else self.params
+        if not isinstance(params, np.ndarray) or params.dtype != np.float64:
+            got = f"{params.dtype} array" if isinstance(params, np.ndarray) else type(params).__name__
+            raise ValueError(f"params must be a float64 array, got {got}")
         if params.ndim not in (1, 2) or params.shape[-1] != ends[-1]:
             raise ValueError(f"params must be ({ends[-1]},) or (T, {ends[-1]}), got {params.shape}")
         blocks = tuple(params[..., end - rows * cols:end].reshape(*params.shape[:-1], rows, cols)
@@ -468,13 +473,12 @@ def _non_finite(what: str, epoch: int | None = None, batch: int | None = None) -
 # exactly 0 (a copy overflows only where the real row does). "Alone" means
 # padded so, and the oracle pads the same way. ``train_stacked`` trains
 # each group of trials of equal class count, batch count and P_t, or each
-# thread's part of one, by a call of its own (stratified splits make one
-# group), so its epoch loop steps one stack: per step one forward pass, one
-# loss call and one backprop pass. A failed trial steps on, masked; a group
-# of AUC trials missing a class, or of unbatchable ones, never steps. No
-# kernel reduces across trials, so a trial's arithmetic does not depend on
-# which other trials share its stack.
-# Data is checked once per run, so the initial loss and the steps call the
+# thread's part of one, as one stack (stratified splits make one group):
+# per step one forward pass, one loss call and one backprop pass. A failed
+# trial steps on, masked; a group of AUC trials missing a class, or of
+# unbatchable ones, never steps. No kernel reduces across trials, so a
+# trial's arithmetic does not depend on which other trials share its stack.
+# Data is checked once per call, so the initial loss and the steps call the
 # unchecked code behind ``stratified_batches`` and the per-batch losses:
 # ``_batch_index`` and ``losses._kernel``. The sampler and the step plan
 # cost the same few dozen NumPy calls however small the stack, so they run
@@ -509,6 +513,12 @@ class StackedTraining:
 
     model: MLPStack
     errors: tuple[Optional[RanklossError], ...]
+
+
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite. A finite sum has finite
+    terms, so only a sum that is not finite is checked entry by entry."""
+    return math.isfinite(a.sum()) or bool(np.isfinite(a).all())
 
 
 def _nonfinite_rows(values: np.ndarray) -> np.ndarray:
@@ -577,9 +587,7 @@ class _Scorer:
     def __call__(self, model: MLPStack, epoch: int | None = None):
         logits = _layers(model.blocks, self.x)
         errors, ok = self.ranking.errors, self.ok
-        # A finite sum has finite terms; an overflowing one is checked entry
-        # by entry.
-        if not math.isfinite(logits.sum()):
+        if not _finite(logits):
             errors = [_non_finite("evaluation logits", epoch) if bad else error
                       for bad, error in zip(_nonfinite_rows(logits), errors)]
             ok = np.array([error is None for error in errors])
@@ -674,11 +682,10 @@ def _value_needed(config: TrainConfig, rows: int) -> bool:
 
 
 def _step(stack: MLPStack, grads: MLPStack, batch: _Batch, config: TrainConfig,
-          want_value: bool, buffers=None) -> list[tuple[str, np.ndarray]]:
+          want_value: bool, buffers) -> list[tuple[str, np.ndarray]]:
     """One SGD step of every trial of ``stack`` on its batch in ``batch``,
     in place. ``grads``, a stack of the same shape, is scratch, and so are
-    ``buffers``, the hidden layers' ``_hidden_buffers`` (made here when
-    None).
+    ``buffers``, the hidden layers' ``_hidden_buffers``.
 
     Returns the step's failures: ("logits", flags) when some trial's real
     rows have non-finite logits, then ("loss", flags) when some trial's
@@ -686,8 +693,7 @@ def _step(stack: MLPStack, grads: MLPStack, batch: _Batch, config: TrainConfig,
     garbage, which no other trial's arithmetic reads. The loss value is
     computed only where ``want_value``, the call's ``_value_needed``; a
     trial with non-finite logits has failed on them already. Each array is
-    screened by its sum, which is finite only when every entry is, and
-    checked entry by entry only when the sum is not.
+    screened by ``_finite``.
     """
     inputs = []
     logits = _layers(stack.blocks, batch.x, inputs, buffers)
@@ -702,11 +708,10 @@ def _step(stack: MLPStack, grads: MLPStack, batch: _Batch, config: TrainConfig,
     np.multiply(grads.params, config.learning_rate, out=grads.params)
     np.subtract(stack.params, grads.params, out=stack.params)
     failures = []
-    if not math.isfinite(logits.sum()) and not np.isfinite(logits).all():
+    if not _finite(logits):
         real = np.where(batch.real[:, :, None], logits, 0.0)
         failures.append(("logits", _nonfinite_rows(real)))
-    if (values is not None and not math.isfinite(values.sum())
-            and not np.isfinite(values).all()):
+    if values is not None and not _finite(values):
         failures.append(("loss", ~np.isfinite(values)))
     return failures
 
@@ -747,8 +752,8 @@ def train_stacked(
     invalid-value warnings are silenced, as that arithmetic is expected and
     the trial's error already reports it.
 
-    The trials are first cut into parts, each trained by a call of its own
-    and merged by trial index: a group per class count, batch count and
+    The trials are first cut into parts, each trained as one stack and
+    merged by trial index: a group per class count, batch count and
     batch width P (trials the sampler cannot batch form their own and never
     step), and a pairwise-loss group with P**2 / 4 >= ``losses.PAIR_BLOCK``
     cut into min(``threads``, trials) contiguous parts that run at once, the
@@ -790,9 +795,39 @@ def train_stacked(
         n_parts = min(threads, len(trials)) if split else 1
         cuts = [len(trials) * i // n_parts for i in range(n_parts + 1)]
         parts.append([trials[lo:hi] for lo, hi in zip(cuts, cuts[1:])])
-    if sum(map(len, parts)) > 1:
-        return _train_parts(parts, model, train_x, train_y, val_x, val_y, configs)
 
+    best, errors = np.empty_like(model.params), {}
+    state, errcall = np.geterr(), np.geterrcall()
+
+    def train_part(trials):
+        # Pool threads start with NumPy's default error state, so each part
+        # runs under this call's. Consecutive trials are passed as views.
+        at = slice(trials[0], trials[-1] + 1) if trials[-1] - trials[0] < len(trials) else trials
+        with np.errstate(call=errcall, **state):
+            return _train_stack(MLPStack(model.layer_dims, model.params[at]), train_x[at],
+                                train_y[at], val_x[at], val_y[at],
+                                [configs[t] for t in trials], [groups[t] for t in trials])
+
+    n_pool = max(map(len, parts)) - 1
+    if n_pool:  # imported only here: most runs split no stack
+        from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(n_pool) if n_pool else nullcontext() as pool:
+        for group in parts:
+            later = [pool.submit(train_part, trials) for trials in group[1:]]
+            runs = [train_part(group[0]), *(future.result() for future in later)]
+            for trials, (params, part_errors) in zip(group, runs):
+                best[trials] = params
+                errors.update(zip(trials, part_errors))
+    return StackedTraining(model=MLPStack(model.layer_dims, best),
+                           errors=tuple(errors[t] for t in range(model.n_models)))
+
+
+def _train_stack(model: MLPStack, train_x, train_y, val_x, val_y, configs, groups
+                 ) -> tuple[np.ndarray, list[Optional[RanklossError]]]:
+    """``train_stacked``'s checkpoints and errors of one stack, its trials
+    sharing class count, batch count and width, on its checked arrays and
+    its trials' ``_LabelGroups``. Checks nothing."""
+    config = configs[0]
     train_x = _with_ones(train_x)
     validate = _Scorer(model, val_x, val_y)
     errors: list[Optional[RanklossError]] = [None] * model.n_models
@@ -849,35 +884,7 @@ def train_stacked(
         best_auroc = np.where(improved, aurocs, best_auroc)
 
     best.params[failed] = model.params[failed]
-    return StackedTraining(model=best, errors=tuple(errors))
-
-
-def _train_parts(parts, model, train_x, train_y, val_x, val_y, configs) -> StackedTraining:
-    """``train_stacked`` of each part (trial indices) of each group in ``parts``, merged."""
-    best, errors = np.empty_like(model.params), {}
-    state, errcall = np.geterr(), np.geterrcall()
-
-    def train_part(trials):
-        # Pool threads start with NumPy's default error state, so each part
-        # runs under this call's. Consecutive trials are passed as views.
-        at = slice(trials[0], trials[-1] + 1) if trials[-1] - trials[0] < len(trials) else trials
-        with np.errstate(call=errcall, **state):
-            return train_stacked(MLPStack(model.layer_dims, model.params[at]), train_x[at],
-                                 train_y[at], val_x[at], val_y[at],
-                                 [configs[t] for t in trials])
-
-    n_pool = max(map(len, parts)) - 1
-    if n_pool:  # imported only here: most runs split no stack
-        from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(n_pool) if n_pool else nullcontext() as pool:
-        for group in parts:
-            later = [pool.submit(train_part, trials) for trials in group[1:]]
-            runs = [train_part(group[0]), *(future.result() for future in later)]
-            for trials, run in zip(group, runs):
-                best[trials] = run.model.params
-                errors.update(zip(trials, run.errors))
-    return StackedTraining(model=MLPStack(model.layer_dims, best),
-                           errors=tuple(errors[t] for t in range(model.n_models)))
+    return best.params, errors
 
 
 def train(

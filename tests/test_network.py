@@ -34,8 +34,8 @@ from rankloss import (
 )
 import rankloss.losses
 from rankloss.losses import DEFAULT_SURROGATE, PAIR_BLOCK, _kernel, _targets
-from rankloss.network import (_batch_index, _label_classes, _LabelGroups, _layers, _plan,
-                              _row_generators, _Scorer, _step, _value_needed)
+from rankloss.network import (_batch_index, _hidden_buffers, _label_classes, _LabelGroups,
+                              _layers, _plan, _row_generators, _Scorer, _step, _value_needed)
 
 import oracle
 from conftest import blobs, kernel_loss, train_on_threads
@@ -724,6 +724,19 @@ class TestMLPStack:
         with pytest.raises(ValueError, match=r"^params must be \(18,\) or \(T, 18\), got "):
             MLPStack((5, 3), np.zeros(shape))
 
+    @pytest.mark.parametrize("params, got", [([0.0] * 9, "list"),
+                                             (np.zeros((2, 9), dtype=np.int64), "int64 array"),
+                                             (np.zeros(9, dtype=np.float32), "float32 array")],
+                             ids=["list", "int64", "float32"])
+    def test_params_must_be_a_float64_array(self, params, got):
+        # A list used to end in an AttributeError, an int64 stack in a
+        # UFuncTypeError mid-training, and a float32 one trained in float32.
+        # A float64 view is taken as it is.
+        with pytest.raises(ValueError, match=f"^params must be a float64 array, got {got}$"):
+            MLPStack((2, 3), params)
+        rows = np.zeros((3, 9))
+        assert MLPStack((2, 3), rows[1:]).params.base is rows
+
     @pytest.mark.parametrize("entry", ["forward", "train", "train_stacked",
                                        "evaluate_auroc_stacked"])
     def test_each_entry_takes_its_kind(self, entry):
@@ -992,7 +1005,8 @@ class TestTrainStacked:
             logits = _layers(stack.blocks, step.x)
             assert np.isfinite(logits).all() and logits.sum() == logit * np.inf
             aurocs, errors = _Scorer(stack, x, y)(stack, 0)
-            assert _step(stack.copy(), stack.copy(), step, config, True) == []
+            buffers = _hidden_buffers(stack.blocks, (3, 12))
+            assert _step(stack.copy(), stack.copy(), step, config, True, buffers) == []
         assert errors == (None,) * 3
         assert aurocs.tolist() == [evaluate_auroc(m, x[t], y[t]) for t, m in enumerate(models)]
 
@@ -1114,7 +1128,8 @@ class TestTrainStacked:
         (step,) = _plan(batches, np.concatenate([x, ones], axis=2), y, config.loss_kind, 3)
         stack = MLPStack.of(models)
         want_value = _value_needed(config, 240)
-        failures = dict(_step(stack, stack.copy(), step, config, want_value))
+        buffers = _hidden_buffers(stack.blocks, (3, 240))
+        failures = dict(_step(stack, stack.copy(), step, config, want_value, buffers))
         assert "logits" not in failures
         assert failures.get("loss", np.zeros(3, dtype=bool)).tolist() == expected
         assert expected == [L >= 3e304, L >= 3e306, L >= 3e304]
@@ -1437,7 +1452,7 @@ class TestTrainStacked:
 
     @pytest.mark.blas
     def test_threads_survive_thread_switches(self, monkeypatch, step_threads):
-        # Each part trains as a call of its own, merged by trial index. With
+        # Each part trains as a stack of its own, merged by trial index. With
         # 8 parts, 7 of them on pool threads, more than most machines' CPUs,
         # and the interpreter switching threads every microsecond, a lost or
         # crossed result would change the checkpoints from 1 thread's. Each
@@ -1458,6 +1473,38 @@ class TestTrainStacked:
             sys.setswitchinterval(interval)
         assert threaded == serial
         assert len(step_threads) == 8 * serial_steps and len(set(step_threads)) > 1
+
+    @pytest.mark.blas
+    @pytest.mark.parametrize("case", ["thread-parts", "ragged-groups"])
+    def test_checks_run_once_per_call(self, case, monkeypatch, step_threads):
+        # train_stacked checks its arrays and groups each trial's labels once
+        # per call, however it cuts the trials: two trials of a full 600-row
+        # auc_binary batch, whose P**2 / 4 >= PAIR_BLOCK, train in two thread
+        # parts, and three trials of unequal class counts, as unstratified
+        # splits give them, in three groups of their own batch count and
+        # width. Either way the result is one thread's.
+        rng = np.random.default_rng(6)
+        if case == "thread-parts":
+            kind, batch_size, labels = "auc_binary", None, np.tile(np.arange(600) % 2, (2, 1))
+        else:
+            kind, batch_size = "auc_multiclass", 8
+            labels = rng.permuted([np.repeat([0, 1, 2], counts)
+                                   for counts in ((8, 8, 8), (12, 6, 6), (10, 12, 2))], axis=1)
+            keys = {(g.n_batches, g.width) for g in (_LabelGroups(y, 8) for y in labels)}
+            assert len(keys) == 3
+        features = blobs(rng, labels)
+        serial = train_on_threads(kind, labels, features, 1, batch_size=batch_size)
+        calls = dict.fromkeys(["_LabelGroups", "_check_stacked"], 0)
+        for name in calls:
+            def spy(*args, name=name, original=getattr(rankloss.network, name)):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(rankloss.network, name, spy)
+        step_threads.clear()
+        assert train_on_threads(kind, labels, features, 2, batch_size=batch_size) == serial
+        assert calls == {"_LabelGroups": len(labels), "_check_stacked": 2}
+        assert len(set(step_threads)) == (2 if case == "thread-parts" else 1)
 
     @pytest.mark.blas
     def test_threads_keep_the_callers_errstate(self, monkeypatch, step_threads):
