@@ -345,6 +345,10 @@ def main(argv=None) -> int:
     except RanklossError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # Named as the builtin: NumPy raises a private subclass.
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
+        return 3
 
 
 def entrypoint() -> None:  # console_scripts hook

@@ -140,21 +140,16 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     for c in range(n_classes):
         means[c, c] = scale
 
-    blocks = []
-    labels = []
-    for c, count in enumerate(spec.class_counts):
-        blocks.append(rng.normal(loc=means[c], scale=spec.noise_std, size=(count, spec.dim)))
-        labels.extend([c] * count)
-    features = np.vstack(blocks)
+    features = np.vstack([rng.normal(loc=means[c], scale=spec.noise_std, size=(count, spec.dim))
+                          for c, count in enumerate(spec.class_counts)])
     if not np.isfinite(features).all():
         raise FieldError("noise_std", f"noise_std {spec.noise_std} with class_mean_separation "
                                       f"{spec.class_mean_separation} draws non-finite features")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.repeat(np.arange(n_classes, dtype=np.int64), spec.class_counts)
 
     flip = rng.random(labels.size) < spec.label_flip_prob
     if flip.any():
         offsets = rng.integers(1, n_classes, size=int(flip.sum()))
-        labels = labels.copy()
         labels[flip] = (labels[flip] + offsets) % n_classes
     emptied = np.flatnonzero(np.bincount(labels, minlength=n_classes) == 0)
     if emptied.size:

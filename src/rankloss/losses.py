@@ -331,18 +331,13 @@ class _ClassPairs:
     """Where class c's positives and negatives sit in each trial's padded
     row of scores: flat positions into (T, P + 2) rows whose slot P holds
     -inf and slot P + 1 +inf, which pad each trial's positives and
-    negatives to the widest trial's. Also the counts, the runs of
-    consecutive trials with equal negative counts (``runs``, (lo, hi,
-    n_neg) each, in trial order) and the distinct positive counts of
-    trials with one negative (``singles``)."""
+    negatives to the widest trial's. Also the counts."""
 
     c: int
     pos_at: np.ndarray
     n_pos: np.ndarray
     neg_at: np.ndarray
     n_neg: np.ndarray
-    runs: list
-    singles: list
 
 
 @dataclass(frozen=True, slots=True)
@@ -420,21 +415,11 @@ def _class_pairs(classes, pos_at, n_pos, neg_at, n_neg) -> list[_Targets]:
     flat positions ``pos_at[k, b]`` and ``neg_at[k, b]`` (T, width), cut to
     the widest trial's counts ``n_pos[k, b]`` and ``n_neg[k, b]`` (T,)."""
     w_pos, w_neg = n_pos.max(axis=2).tolist(), n_neg.max(axis=2).tolist()
-    pos_counts, neg_counts = n_pos.tolist(), n_neg.tolist()
-    steps = []
-    for b in range(n_pos.shape[1]):
-        pairs = []
-        for k, c in enumerate(classes):
-            negs = neg_counts[k][b]
-            cuts = [t for t in range(1, len(negs)) if negs[t] != negs[t - 1]]
-            pairs.append(_ClassPairs(
-                c, pos_at[k, b, :, : w_pos[k][b]], n_pos[k, b],
-                neg_at[k, b, :, : w_neg[k][b]], n_neg[k, b],
-                runs=[(lo, hi, negs[lo]) for lo, hi in zip([0, *cuts], [*cuts, len(negs)])],
-                singles=sorted({p for p, q in zip(pos_counts[k][b], negs) if q == 1}),
-            ))
-        steps.append(_Targets(pairs=tuple(pairs)))
-    return steps
+    return [_Targets(pairs=tuple(
+        _ClassPairs(c, pos_at[k, b, :, : w_pos[k][b]], n_pos[k, b],
+                    neg_at[k, b, :, : w_neg[k][b]], n_neg[k, b])
+        for k, c in enumerate(classes)))
+        for b in range(n_pos.shape[1])]
 
 
 def _stacked_cross_entropy(z, targets, want_grad):
@@ -453,15 +438,11 @@ def _stacked_cross_entropy(z, targets, want_grad):
 
 def _stacked_auc(kind, z, targets, params, want_grad, want_value):
     probs = _softmax_rows(z)
-    grids = [_PairGrid(probs[:, :, pairs.c], pairs, want_value, want_grad)
-             for pairs in targets.pairs]
-    size = max(g.block_trials * g.block_rows * g.neg.shape[2] for g in grids)
-    work = np.empty((2 + (want_value and want_grad), size))
-    for grid in grids:
-        grid.walk(params, work)
+    sums = (_pair_sums(probs[:, :, pairs.c], pairs, params, want_value, want_grad)
+            for pairs in targets.pairs)
 
     if kind == "auc_binary":
-        mean, g_p, n_pairs = grids[0].result()
+        mean, g_p, n_pairs = next(sums)
         value = 1.0 - mean if want_value else None
         if not want_grad:
             return value, None
@@ -472,8 +453,7 @@ def _stacked_auc(kind, z, targets, params, want_grad, want_value):
     n_terms = z.shape[2]
     term_sum = np.zeros(z.shape[0])
     g_s = np.zeros_like(probs) if want_grad else None
-    for c, grid in enumerate(grids):
-        mean, g, n_pairs = grid.result()
+    for c, (mean, g, n_pairs) in enumerate(sums):
         if want_value:
             term_sum += mean
         if want_grad:
@@ -486,98 +466,86 @@ def _stacked_auc(kind, z, targets, params, want_grad, want_value):
     return value, probs * (g_s - inner)
 
 
-class _PairGrid:
-    """Class-c positives against every other real row, for each trial.
+def _pair_sums(scores, pairs: _ClassPairs, params, want_value, want_grad):
+    """Class-c positives against every other real row, for each trial of
+    ``scores`` (T, P): the mean surrogate term over each trial's pairs (None
+    without the value), the signed slope sums per row (minus the row sum for
+    a positive, the column sum for a negative, 0 for padding; None without
+    the gradient) and the pair counts.
 
     Positives and negatives are gathered, in batch order, into (T, w_pos)
     and (T, w_neg) blocks whose padding holds -inf and +inf (see
     ``_ClassPairs``): a padded pair then has difference -inf, whose term and
-    slope are exactly 0. ``walk`` computes the sums of every trial, and
-    ``result`` reads them out.
+    slope are exactly 0. The (T, w_pos, w_neg) pair grid is walked in
+    blocks of ``PAIR_BLOCK`` pairs, whole trials or rows of one, computed in
+    place in a workspace of two buffers of a block's size, three for value
+    and slope.
+
+    Slope sums round as NumPy rounds them for one lone batch. NumPy sums a
+    contiguous row pairwise, in an order set by its length, so each row is
+    summed over exactly its trial's n_neg columns, per run of consecutive
+    trials with equal n_neg, into its slice of the row sums. Columns add row
+    by row, so a block's first row takes the running column sums before its
+    rows are added; but a one-column batch NumPy sums pairwise, so such a
+    trial's column is summed at the end from its row sums, each of which is
+    its one slope. A trial's term sum adds one row sum per block, and its
+    blocks hold the same pairs whichever trials share them.
     """
+    n_trials, rows = scores.shape
+    n_pos, n_neg = pairs.n_pos, pairs.n_neg
+    padded = np.empty((n_trials, rows + 2))
+    padded[:, :rows] = scores
+    padded[:, rows] = -np.inf
+    padded[:, rows + 1] = np.inf
+    pos = padded.take(pairs.pos_at)[:, :, None]
+    neg = padded.take(pairs.neg_at)[:, None, :]
+    w_pos, w_neg = pos.shape[1], neg.shape[2]
+    block_rows = min(w_pos, max(1, PAIR_BLOCK // w_neg))
+    block_trials = min(n_trials, max(1, PAIR_BLOCK // (w_pos * w_neg)))
+    work = np.empty((2 + (want_value and want_grad), block_trials * block_rows * w_neg))
+    term_sums = np.zeros(n_trials)
+    row_sums = np.empty((n_trials, w_pos))
+    col_sums = np.zeros((n_trials, w_neg))
+    # Runs of consecutive trials with equal n_neg: (lo, hi, n_neg) each.
+    negs = n_neg.tolist()
+    cuts = [t for t in range(1, n_trials) if negs[t] != negs[t - 1]]
+    runs = [(lo, hi, negs[lo]) for lo, hi in zip([0, *cuts], [*cuts, n_trials])]
+    for t0, r0 in itertools.product(range(0, n_trials, block_trials),
+                                    range(0, w_pos, block_rows)):
+        ts, rs = slice(t0, t0 + block_trials), slice(r0, r0 + block_rows)
+        shape = (min(block_trials, n_trials - t0), min(block_rows, w_pos - r0), w_neg)
+        buf = work[:, : shape[0] * shape[1] * w_neg].reshape(-1, *shape)
+        # The slope overwrites the difference, and so does d when no slope
+        # is asked for; the terms take the last buffer.
+        diff = buf[0]
+        np.copyto(diff, pos[ts, rs])
+        diff -= neg[ts]
+        terms, slope = _block_logistic(
+            diff, diff, buf[1] if want_grad else diff, buf[-1], params, want_value, want_grad,
+        )
+        if want_value:
+            term_sums[ts] += terms.reshape(shape[0], -1).sum(axis=1)
+        if not want_grad:
+            continue
+        for lo, hi, width in runs:
+            lo, hi = max(lo, t0), min(hi, t0 + shape[0])
+            if lo < hi:
+                np.add.reduce(slope[lo - t0:hi - t0, :, :width], axis=2,
+                              out=row_sums[lo:hi, rs])
+        slope[:, 0] += col_sums[ts]
+        np.add.reduce(slope, axis=1, out=col_sums[ts])
 
-    def __init__(self, scores, pairs: _ClassPairs, want_value, want_grad):
-        n_trials, self.rows = scores.shape
-        self.pairs = pairs
-        padded = np.empty((n_trials, self.rows + 2))
-        padded[:, : self.rows] = scores
-        padded[:, self.rows] = -np.inf
-        padded[:, self.rows + 1] = np.inf
-        self.pos = padded.take(pairs.pos_at)[:, :, None]
-        self.neg = padded.take(pairs.neg_at)[:, None, :]
-        w_pos, w_neg = self.pos.shape[1], self.neg.shape[2]
-        # A block holds block_trials whole trials, or block_rows rows of one.
-        self.block_rows = min(w_pos, max(1, PAIR_BLOCK // w_neg))
-        self.block_trials = min(n_trials, max(1, PAIR_BLOCK // (w_pos * w_neg)))
-        self.want_value, self.want_grad = want_value, want_grad
-        self.term_sums = np.zeros(n_trials)
-        self.row_sums = np.empty((n_trials, w_pos))
-        self.col_sums = np.zeros((n_trials, w_neg))
-
-    def walk(self, params, work):
-        """The sums of every trial.
-
-        The (T, w_pos, w_neg) pair grid is walked in blocks of
-        ``PAIR_BLOCK`` pairs, computed in place in ``work``: two buffers of a
-        block's size, three for value and slope. Slope sums round as NumPy
-        rounds them for one lone batch. NumPy sums a contiguous row
-        pairwise, in an order set by its length, so each row is summed over
-        exactly its trial's n_neg columns, per run of consecutive trials
-        with equal n_neg, into its slice of the row sums. Columns add row by
-        row, so a block's first row takes the running column sums before its
-        rows are added. A trial's term sum adds one row sum per block, and
-        its blocks hold the same pairs whichever trials share them.
-        """
-        pos, neg = self.pos, self.neg
-        n_trials, w_pos, w_neg = pos.shape[0], pos.shape[1], neg.shape[2]
-        block_trials, block_rows = self.block_trials, self.block_rows
-        for t0, r0 in itertools.product(range(0, n_trials, block_trials),
-                                        range(0, w_pos, block_rows)):
-            ts, rs = slice(t0, t0 + block_trials), slice(r0, r0 + block_rows)
-            shape = (min(block_trials, n_trials - t0), min(block_rows, w_pos - r0), w_neg)
-            buf = work[:, : shape[0] * shape[1] * w_neg].reshape(-1, *shape)
-            # The slope overwrites the difference, and so does d when no
-            # slope is asked for; the terms take the last buffer.
-            diff = buf[0]
-            np.copyto(diff, pos[ts, rs])
-            diff -= neg[ts]
-            terms, slope = _block_logistic(
-                diff, diff, buf[1] if self.want_grad else diff, buf[-1], params,
-                self.want_value, self.want_grad,
-            )
-            if self.want_value:
-                self.term_sums[ts] += terms.reshape(shape[0], -1).sum(axis=1)
-            if not self.want_grad:
-                continue
-            for lo, hi, width in self.pairs.runs:
-                lo, hi = max(lo, t0), min(hi, t0 + shape[0])
-                if lo < hi:
-                    np.add.reduce(slope[lo - t0:hi - t0, :, :width], axis=2,
-                                  out=self.row_sums[lo:hi, rs])
-            slope[:, 0] += self.col_sums[ts]
-            np.add.reduce(slope, axis=1, out=self.col_sums[ts])
-
-    def result(self):
-        """The mean surrogate term over each trial's pairs (None without the
-        value), the signed slope sums per row (minus the row sum for a
-        positive, the column sum for a negative, 0 for padding; None without
-        the gradient) and the pair counts.
-
-        A one-column batch NumPy sums pairwise: such a trial's column is
-        summed here from its row sums, each of which is its one slope.
-        """
-        n_pos, n_neg = self.pairs.n_pos, self.pairs.n_neg
-        n_pairs = n_pos * n_neg
-        mean = self.term_sums / n_pairs if self.want_value else None
-        if not self.want_grad:
-            return mean, None, n_pairs
-        for r in self.pairs.singles:
-            group = (n_neg == 1) & (n_pos == r)
-            self.col_sums[group, 0] = self.row_sums[group, :r].sum(axis=1)
-        g = np.zeros((n_pos.size, self.rows + 2))
-        g.put(self.pairs.pos_at, -self.row_sums)
-        g.put(self.pairs.neg_at, self.col_sums)
-        return mean, g[:, : self.rows], n_pairs
+    n_pairs = n_pos * n_neg
+    mean = term_sums / n_pairs if want_value else None
+    if not want_grad:
+        return mean, None, n_pairs
+    for r in {p for p, q in zip(n_pos.tolist(), negs) if q == 1}:
+        group = (n_neg == 1) & (n_pos == r)
+        col_sums[group, 0] = row_sums[group, :r].sum(axis=1)
+    g = np.zeros((n_trials, rows + 2))
+    g.put(pairs.pos_at, -row_sums)
+    g.put(pairs.neg_at, col_sums)
+    return mean, g[:, :rows], n_pairs
 
 
 LossFn = Callable[[PredictionBatch, bool], LossOutput]

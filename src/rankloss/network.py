@@ -600,7 +600,7 @@ class _Scorer:
 
 @np.errstate(over="ignore", invalid="ignore")
 def evaluate_auroc_stacked(
-    model: MLPStack, features, labels, epoch: int | None = None
+    model: MLPStack, features, labels
 ) -> tuple[np.ndarray, tuple[Optional[RanklossError], ...]]:
     """Exact AUROC of model t's softmax scores on ``features[t]``, ``labels[t]``,
     for every t.
@@ -608,13 +608,13 @@ def evaluate_auroc_stacked(
     Binary AUROC of the last class for 2-class models, macro one-vs-rest
     otherwise: bit for bit ``auroc_rank`` or ``auroc_multiclass_ovr`` of the
     model's scores. Also returns per model the error scoring it raises, or
-    None: ``NonFiniteError`` for non-finite logits (``epoch`` only labels
-    it), else the ``EmptyClassError`` of labels that leave the AUROC
-    undefined. A failed model's AUROC is NaN. NumPy's overflow and
-    invalid-value warnings are silenced: the ``NonFiniteError`` reports them.
+    None: ``NonFiniteError`` for non-finite logits, else the
+    ``EmptyClassError`` of labels that leave the AUROC undefined. A failed
+    model's AUROC is NaN. NumPy's overflow and invalid-value warnings are
+    silenced: the ``NonFiniteError`` reports them.
     """
     _check_kind(model, True, "evaluate_auroc_stacked")
-    return _Scorer(model, *_check_stacked(model, features, labels, "evaluation"))(model, epoch)
+    return _Scorer(model, *_check_stacked(model, features, labels, "evaluation"))(model)
 
 
 @dataclass(frozen=True, slots=True)

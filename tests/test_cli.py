@@ -459,6 +459,34 @@ print(json.dumps({"codes": codes, "after_import": imported,
 """
 
 
+# Caps the address space at 2 GB before importing the CLI, then runs it on
+# argv[1:] and exits with its code.
+_CAPPED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from rankloss.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_out_of_memory_exits_3(tmp_path):
+    # A hidden layer of 10^7 units needs arrays of hundreds of MB per trial:
+    # under the cap an allocation fails, and the CLI reports it as a runtime
+    # failure, not a traceback.
+    config = small_compare_config(tmp_path)
+    config["model"]["hidden_dims"] = [10_000_000]
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    src = str(Path(rankloss.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", _CAPPED_CLI, "compare", "--config",
+                           str(tmp_path / "c.json"), "--out", str(tmp_path / "m.json")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.startswith("error: MemoryError: ")
+    assert "Traceback" not in done.stderr
+
+
 def test_one_job_loads_no_multiprocessing(tmp_path):
     # Neither importing the CLI nor a --jobs 1 compare on a stratified
     # config imports what such a run never uses: multiprocessing, which
