@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import (CsvError, EmptyFileError, FieldError, MissingColumnError, NonNumericCellError,
-                     _POSITIVE, _check_fields, _check_integers, _integer, _real, _sequence_field)
+                     _POSITIVE, _check_fields, _check_float64_size, _check_integers, _integer,
+                     _real, _sequence_field)
 from .metrics import _class_labels
 
 __all__ = [
@@ -130,8 +131,10 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     are flipped after feature generation, so a flipped sample keeps the
     feature distribution of its original class. Draws that overflow to inf
     raise ``FieldError`` for ``noise_std``, and flips that leave a class
-    with no samples for ``label_flip_prob``.
+    with no samples for ``label_flip_prob``. Features past the largest
+    possible array raise ``MemoryError``, as an allocation failure does.
     """
+    _check_float64_size(sum(spec.class_counts) * int(spec.dim), "the synthetic features")
     rng = np.random.default_rng(spec.seed)
     n_classes = spec.n_classes
     # One-hot corners scaled by sep / sqrt(2) are mutually sep apart.

@@ -169,6 +169,15 @@ def _check_fields(config, rule, /, **lows) -> None:
         _check(rule, low, name, getattr(config, name), field=name)
 
 
+def _check_float64_size(n: int, what: str) -> None:
+    """``MemoryError`` for an array of ``n`` float64 entries whose byte size
+    is past the intp range: no address space holds it, and NumPy would
+    raise ``ValueError`` ("Maximum allowed dimension exceeded", "array is
+    too big") where a smaller impossible size raises its ``MemoryError``."""
+    if n * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"{n} float64 entries for {what} are past the largest possible array")
+
+
 def _sequence_field(config, name: str) -> tuple:
     """Field ``name`` of ``config`` as a tuple, or a ``FieldError`` naming it
     when the value is not a sequence (a bare number, say)."""

@@ -142,8 +142,8 @@ def _last_axis_max(arr: np.ndarray) -> np.ndarray:
     # max(axis=-1, keepdims=True): a max reduction over a short last axis
     # runs one inner loop per row, a running np.maximum over the columns
     # runs one per column. The maximum is the same either way.
-    out = arr[..., 0].copy()
-    for c in range(1, arr.shape[-1]):
+    out = arr[..., 0].copy() if arr.shape[-1] == 1 else np.maximum(arr[..., 0], arr[..., 1])
+    for c in range(2, arr.shape[-1]):
         np.maximum(out, arr[..., c], out=out)
     return out[..., None]
 
@@ -326,12 +326,14 @@ def _kernel(kind, z, targets, params, want_grad, *, want_value=True):
     return _stacked_auc(kind, z, targets, params, want_grad, want_value)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class _ClassPairs:
     """Where class c's positives and negatives sit in each trial's padded
     row of scores: flat positions into (T, P + 2) rows whose slot P holds
     -inf and slot P + 1 +inf, which pad each trial's positives and
-    negatives to the widest trial's. Also the counts."""
+    negatives to the widest trial's. Also the counts. Not frozen, like the
+    other per-step records: a frozen dataclass costs three times as much
+    to build."""
 
     c: int
     pos_at: np.ndarray
@@ -340,16 +342,17 @@ class _ClassPairs:
     n_neg: np.ndarray
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class _Targets:
     """What ``_kernel`` reads off the (T, P) labels of a stack of padded
-    batches. Cross entropy: the real-row mask ``valid`` (T, P, 1), the real
-    rows per trial ``n`` and the one-hot labels ``hit`` (T, P, C). AUC kinds:
-    one ``_ClassPairs`` per class ranked."""
+    batches. Cross entropy: the one-hot labels ``hit`` (T, P, C), the real
+    rows per trial ``n`` (T,), and ``div`` (T, P, 1), which holds its
+    trial's ``n`` on a real row and +inf on a padding row. AUC kinds: one
+    ``_ClassPairs`` per class ranked."""
 
-    valid: Optional[np.ndarray] = None
-    n: Optional[np.ndarray] = None
     hit: Optional[np.ndarray] = None
+    n: Optional[np.ndarray] = None
+    div: Optional[np.ndarray] = None
     pairs: tuple = ()
 
 
@@ -364,8 +367,8 @@ def _targets(kind: str, labels: np.ndarray, n_classes: int) -> list[_Targets]:
     if kind == "cross_entropy":
         valid = labels >= 0
         n, hit = valid.sum(axis=2), labels[..., None] == np.arange(n_classes)
-        return [_Targets(valid[b, :, :, None], n[b], hit[b])
-                for b in range(n_batches)]
+        div = np.where(valid, n[..., None], np.inf)[..., None]
+        return [_Targets(hit[b], n[b], div[b]) for b in range(n_batches)]
     classes = [1] if kind == "auc_binary" else list(range(n_classes))
     key = (labels != np.array(classes)[:, None, None, None]).astype(np.int8)
     key += labels < 0
@@ -423,23 +426,33 @@ def _class_pairs(classes, pos_at, n_pos, neg_at, n_neg) -> list[_Targets]:
 
 
 def _stacked_cross_entropy(z, targets, want_grad):
+    # A padding row's gradient, p - 0 with p in [0, 1] or NaN, is divided by
+    # +inf, which gives (p / n) * 0 bit for bit, +0.0 or the same NaN. The
+    # value keeps its negation apart: s / -n would flip the sign of a NaN.
     zmax = _last_axis_max(z)
     lse = zmax + np.log(_last_axis_sum(np.exp(z - zmax)))
     log_probs = z - lse
-    value = -(np.where(targets.hit, log_probs, 0.0).sum(axis=(1, 2)) / targets.n)
+    value = -(np.add.reduce(np.where(targets.hit, log_probs, 0.0), (1, 2)) / targets.n)
     grad = None
     if want_grad:
         grad = np.exp(log_probs)
         grad -= targets.hit
-        grad /= targets.n[:, None, None]
-        grad *= targets.valid
+        grad /= targets.div
     return value, grad
 
 
 def _stacked_auc(kind, z, targets, params, want_grad, want_value):
     probs = _softmax_rows(z)
-    sums = (_pair_sums(probs[:, :, pairs.c], pairs, params, want_value, want_grad)
-            for pairs in targets.pairs)
+    # Each ranked class's scores, padded as ``_ClassPairs`` reads them, one
+    # (T, P + 2) plane per class. The classes ranked, [1] or all of them,
+    # run to the last.
+    n_trials, rows, n_classes = z.shape
+    first = targets.pairs[0].c
+    padded = np.empty((n_classes - first, n_trials, rows + 2))
+    padded[:, :, :rows] = probs.transpose(2, 0, 1)[first:]
+    padded[:, :, rows:] = (-np.inf, np.inf)
+    sums = (_pair_sums(plane, pairs, params, want_value, want_grad)
+            for plane, pairs in zip(padded, targets.pairs))
 
     if kind == "auc_binary":
         mean, g_p, n_pairs = next(sums)
@@ -450,64 +463,67 @@ def _stacked_auc(kind, z, targets, params, want_grad, want_value):
         jac = probs[:, :, 0] * probs[:, :, 1]
         return value, np.stack([-g_p * jac, g_p * jac], axis=2)
 
-    n_terms = z.shape[2]
-    term_sum = np.zeros(z.shape[0])
+    term_sum = np.zeros(n_trials)
     g_s = np.zeros_like(probs) if want_grad else None
     for c, (mean, g, n_pairs) in enumerate(sums):
         if want_value:
             term_sum += mean
         if want_grad:
-            g /= (n_pairs * n_terms)[:, None]
+            g /= (n_pairs * n_classes)[:, None]
             g_s[:, :, c] = g
-    value = 1.0 - term_sum / n_terms if want_value else None
+    value = 1.0 - term_sum / n_classes if want_value else None
     if not want_grad:
         return value, None
     inner = _last_axis_sum(g_s * probs)
     return value, probs * (g_s - inner)
 
 
-def _pair_sums(scores, pairs: _ClassPairs, params, want_value, want_grad):
+def _pair_sums(padded, pairs: _ClassPairs, params, want_value, want_grad):
     """Class-c positives against every other real row, for each trial of
-    ``scores`` (T, P): the mean surrogate term over each trial's pairs (None
-    without the value), the signed slope sums per row (minus the row sum for
-    a positive, the column sum for a negative, 0 for padding; None without
-    the gradient) and the pair counts.
+    ``padded`` (T, P + 2), the class's scores padded as ``_ClassPairs``
+    reads them: the mean surrogate term over each trial's pairs (None
+    without the value), the signed slope sums per row, (T, P) (minus the
+    row sum for a positive, the column sum for a negative, 0 for padding;
+    None without the gradient) and the pair counts.
 
     Positives and negatives are gathered, in batch order, into (T, w_pos)
-    and (T, w_neg) blocks whose padding holds -inf and +inf (see
-    ``_ClassPairs``): a padded pair then has difference -inf, whose term and
-    slope are exactly 0. The (T, w_pos, w_neg) pair grid is walked in
-    blocks of ``PAIR_BLOCK`` pairs, whole trials or rows of one, computed in
-    place in a workspace of two buffers of a block's size, three for value
-    and slope.
+    and (T, w_neg) blocks whose padding holds -inf and +inf: a padded pair
+    then has difference -inf, whose term and slope are exactly 0. The
+    trials are visited in order of negative count, by a stable argsort of
+    it. The positions carry their trial's offset, so the slope sums go
+    back to their own trials by position, and the means are put back in
+    trial order. The (T, w_pos, w_neg) pair grid is walked in blocks of
+    ``PAIR_BLOCK`` pairs, whole trials or rows of one, computed in place in
+    a workspace of two buffers of a block's size, three for value and
+    slope.
 
     Slope sums round as NumPy rounds them for one lone batch. NumPy sums a
     contiguous row pairwise, in an order set by its length, so each row is
-    summed over exactly its trial's n_neg columns, per run of consecutive
-    trials with equal n_neg, into its slice of the row sums. Columns add row
-    by row, so a block's first row takes the running column sums before its
-    rows are added; but a one-column batch NumPy sums pairwise, so such a
-    trial's column is summed at the end from its row sums, each of which is
-    its one slope. A trial's term sum adds one row sum per block, and its
-    blocks hold the same pairs whichever trials share them.
+    summed over exactly its trial's n_neg columns, per run of trials with
+    equal n_neg (one run per distinct count, in this order), into its slice
+    of the row sums. Columns add row by row, so a block's first row takes
+    the running column sums before its rows are added, unless the block
+    starts its trials' rows: the sums before it would be 0.0, and a slope,
+    never -0.0, plus 0.0 is itself. But a one-column batch NumPy sums
+    pairwise, so such a trial's column is summed at the end from its row
+    sums, each of which is its one slope. A trial's term sum adds one row
+    sum per block, and its blocks hold the same pairs whichever trials
+    share them.
     """
-    n_trials, rows = scores.shape
-    n_pos, n_neg = pairs.n_pos, pairs.n_neg
-    padded = np.empty((n_trials, rows + 2))
-    padded[:, :rows] = scores
-    padded[:, rows] = -np.inf
-    padded[:, rows + 1] = np.inf
-    pos = padded.take(pairs.pos_at)[:, :, None]
-    neg = padded.take(pairs.neg_at)[:, None, :]
+    n_trials, rows = padded.shape[0], padded.shape[1] - 2
+    order = pairs.n_neg.argsort(kind="stable")
+    pos_at, neg_at = pairs.pos_at.take(order, axis=0), pairs.neg_at.take(order, axis=0)
+    pos = padded.take(pos_at)[:, :, None]
+    neg = padded.take(neg_at)[:, None, :]
     w_pos, w_neg = pos.shape[1], neg.shape[2]
     block_rows = min(w_pos, max(1, PAIR_BLOCK // w_neg))
     block_trials = min(n_trials, max(1, PAIR_BLOCK // (w_pos * w_neg)))
     work = np.empty((2 + (want_value and want_grad), block_trials * block_rows * w_neg))
     term_sums = np.zeros(n_trials)
     row_sums = np.empty((n_trials, w_pos))
-    col_sums = np.zeros((n_trials, w_neg))
-    # Runs of consecutive trials with equal n_neg: (lo, hi, n_neg) each.
-    negs = n_neg.tolist()
+    col_sums = np.empty((n_trials, w_neg))
+    # Runs of trials with equal n_neg, in ascending n_neg: (lo, hi, n_neg) each.
+    negs = pairs.n_neg[order].tolist()
     cuts = [t for t in range(1, n_trials) if negs[t] != negs[t - 1]]
     runs = [(lo, hi, negs[lo]) for lo, hi in zip([0, *cuts], [*cuts, n_trials])]
     for t0, r0 in itertools.product(range(0, n_trials, block_trials),
@@ -532,19 +548,26 @@ def _pair_sums(scores, pairs: _ClassPairs, params, want_value, want_grad):
             if lo < hi:
                 np.add.reduce(slope[lo - t0:hi - t0, :, :width], axis=2,
                               out=row_sums[lo:hi, rs])
-        slope[:, 0] += col_sums[ts]
+        if r0:
+            slope[:, 0] += col_sums[ts]
         np.add.reduce(slope, axis=1, out=col_sums[ts])
 
-    n_pairs = n_pos * n_neg
-    mean = term_sums / n_pairs if want_value else None
+    n_pairs = pairs.n_pos * pairs.n_neg
+    mean = None
+    if want_value:
+        mean = np.empty(n_trials)
+        mean[order] = term_sums
+        mean /= n_pairs
     if not want_grad:
         return mean, None, n_pairs
-    for r in {p for p, q in zip(n_pos.tolist(), negs) if q == 1}:
-        group = (n_neg == 1) & (n_pos == r)
-        col_sums[group, 0] = row_sums[group, :r].sum(axis=1)
+    if negs[0] == 1:  # trials with one negative lead the order
+        lone = pairs.n_pos[order[:negs.count(1)]].tolist()
+        for r in set(lone):
+            group = [t for t, p in enumerate(lone) if p == r]
+            col_sums[group, 0] = row_sums[group, :r].sum(axis=1)
     g = np.zeros((n_trials, rows + 2))
-    g.put(pairs.pos_at, -row_sums)
-    g.put(pairs.neg_at, col_sums)
+    g.put(pos_at, -row_sums)
+    g.put(neg_at, col_sums)
     return mean, g[:, :rows], n_pairs
 
 

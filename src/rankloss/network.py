@@ -26,7 +26,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from . import losses
 from .errors import (FieldError, InfeasibleBatchError, NonFiniteError, RanklossError,
-                     _check_fields, _check_integers, _integer, _real)
+                     _check_fields, _check_float64_size, _check_integers, _integer, _real)
 from .losses import (
     DEFAULT_SURROGATE,
     LOSS_KINDS,
@@ -70,7 +70,8 @@ class MLPStack:
     views from ``params``, raises. ``layer_dims`` must be two or more
     positive integers (``ValueError``) and is stored as a tuple of ints;
     ``params`` must be a float64 ``np.ndarray``, or a view of one
-    (``ValueError``).
+    (``ValueError``). Zeros past the largest possible array raise
+    ``MemoryError``, as an allocation failure does.
     """
 
     layer_dims: tuple[int, ...]
@@ -88,7 +89,10 @@ class MLPStack:
         dims = tuple(map(int, dims))
         shapes = [(fan_in + 1, fan_out) for fan_in, fan_out in zip(dims[:-1], dims[1:])]
         ends = list(accumulate(rows * cols for rows, cols in shapes))
-        params = np.zeros(ends[-1]) if self.params is None else self.params
+        params = self.params
+        if params is None:
+            _check_float64_size(ends[-1], f"a net of layer dims {dims}")
+            params = np.zeros(ends[-1])
         if not isinstance(params, np.ndarray) or params.dtype != np.float64:
             got = f"{params.dtype} array" if isinstance(params, np.ndarray) else type(params).__name__
             raise ValueError(f"params must be a float64 array, got {got}")
@@ -308,9 +312,10 @@ def _batch_index(groups: Sequence[_LabelGroups], seeds: Sequence[int], epochs: S
     ends = np.cumsum(counts, axis=1).tolist()
     for rng, order, places, row_ends in zip(_row_generators(seeds, epochs), shuffled,
                                             placement, ends):
+        shuffle = rng.shuffle
         for lo, hi, place in zip([0, *row_ends], row_ends, places):
-            rng.shuffle(order[lo:hi])
-            rng.shuffle(place)
+            shuffle(order[lo:hi])
+            shuffle(place)
     # Class c is cut into chunks as np.array_split cuts it (the first
     # m % n_batches one longer), and chunk j joins batch placement[r, c, j].
     # Each batch lists its classes in label order, each class's rows in the
@@ -518,7 +523,7 @@ class StackedTraining:
 def _finite(a: np.ndarray) -> bool:
     """Whether every entry of ``a`` is finite. A finite sum has finite
     terms, so only a sum that is not finite is checked entry by entry."""
-    return math.isfinite(a.sum()) or bool(np.isfinite(a).all())
+    return math.isfinite(np.add.reduce(a, None)) or bool(np.isfinite(a).all())
 
 
 def _nonfinite_rows(values: np.ndarray) -> np.ndarray:
@@ -617,7 +622,7 @@ def evaluate_auroc_stacked(
     return _Scorer(model, *_check_stacked(model, features, labels, "evaluation"))(model)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class _Batch:
     """One SGD step of a stack of T trials: ``rows`` (T, P) indexes each
     trial's batch, padded to the stack's width P with copies of its first

@@ -472,19 +472,24 @@ sys.exit(main(sys.argv[1:]))
 def test_out_of_memory_exits_3(tmp_path):
     # A hidden layer of 10^7 units needs arrays of hundreds of MB per trial:
     # under the cap an allocation fails, and the CLI reports it as a runtime
-    # failure, not a traceback.
-    config = small_compare_config(tmp_path)
-    config["model"]["hidden_dims"] = [10_000_000]
-    (tmp_path / "c.json").write_text(json.dumps(config))
+    # failure, not a traceback. A net or data set past the largest possible
+    # array, where NumPy raises ValueError, is reported the same way.
     src = str(Path(rankloss.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
                OPENBLAS_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-c", _CAPPED_CLI, "compare", "--config",
-                           str(tmp_path / "c.json"), "--out", str(tmp_path / "m.json")],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert done.returncode == 3, done.stderr
-    assert done.stderr.startswith("error: MemoryError: ")
-    assert "Traceback" not in done.stderr
+    for where, key, value in [("model", "hidden_dims", [10_000_000]),
+                              ("model", "hidden_dims", [2**63]),
+                              ("synthetic", "dim", 2**63),
+                              ("synthetic", "class_counts", [12, 2**63])]:
+        config = small_compare_config(tmp_path)
+        (config["model"] if where == "model" else config["dataset"]["synthetic"])[key] = value
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        done = subprocess.run([sys.executable, "-c", _CAPPED_CLI, "compare", "--config",
+                               str(tmp_path / "c.json"), "--out", str(tmp_path / "m.json")],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 3, (key, value, done.stderr)
+        assert done.stderr.startswith("error: MemoryError: "), (key, value)
+        assert "Traceback" not in done.stderr, (key, value)
 
 
 def test_one_job_loads_no_multiprocessing(tmp_path):

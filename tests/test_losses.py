@@ -447,7 +447,13 @@ def test_stacked_loss_matches_per_batch(data):
         out, one = reference(batch, True), public(batch, True)
         assert abs(values[t] - out.value) <= 1e-12
         assert np.array_equal(grad[t, real], out.grad)
-        assert np.all(grad[t, ~real] == 0.0)
+        # Padding rows get +0.0, not -0.0, which == 0.0 also passes: cross
+        # entropy divides them by +inf, which must keep the sign that
+        # (p / n) * 0 gave. The binary loss's class-0 column is -(g * jac),
+        # and so -0.0 on padding.
+        pad = grad[t, ~real]
+        assert np.all(pad == 0.0)
+        assert not np.signbit(pad[:, 1 if kind == "auc_binary" else 0:]).any()
         assert type(one.value) is float and abs(one.value - out.value) <= 1e-12
         assert np.array_equal(one.grad, out.grad)
 
