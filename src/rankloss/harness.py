@@ -449,9 +449,13 @@ class AggregateReport:
 
     def to_dict(self) -> dict:
         """The report as the manifest's keys: tuples stay tuples, which JSON
-        writes as lists, and each seed entry leads with its trial index."""
+        writes as lists, and each seed entry leads with its trial index.
+        JSON has no infinity, so the t of constant, unequal arms is None."""
         report = asdict(self)
         report["trial_seeds"] = [{"trial": i, **s} for i, s in enumerate(report["trial_seeds"])]
+        for comparison in report["comparisons"]:
+            if comparison["t"] is not None and not math.isfinite(comparison["t"]):
+                comparison["t"] = None
         return report
 
 

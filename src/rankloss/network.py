@@ -348,74 +348,15 @@ def _batch_index(groups: Sequence[_LabelGroups], seeds: Sequence[int], epochs: S
     return index, sizes, rows, starts
 
 
-# NumPy's ``SeedSequence`` hash (O'Neill's ``seed_seq`` design), which
+# NumPy's ``SeedSequence`` (O'Neill's ``seed_seq`` design), which
 # ``default_rng([seed, epoch])`` runs once per row, run for a chunk's rows at
-# once: the same uint32 arithmetic, one array operation per step of the
-# hash for all the rows. A hash step multiplies by a running constant,
-# init * mult**i mod 2**32, the same for every row. NumPy wraps array
-# arithmetic silently but warns when a scalar multiply wraps, so every
-# product here has an array operand.
+# once: ``_row_generators`` follows NumPy's ``mix_entropy`` and
+# ``generate_state(4, np.uint64)`` step for step, each step one uint32 array
+# operation over all the rows. NumPy wraps array arithmetic silently but
+# warns when a scalar multiply wraps, so every product here has an array
+# operand.
 _MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # the pool's hash
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state's
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-
-
-def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
-    """The running constants init * mult**i mod 2**32, i < n, as uint32."""
-    out = [init]
-    while len(out) < n:
-        out.append(out[-1] * mult & _MASK32)
-    return np.array(out, dtype=np.uint32)
-
-
-def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    value = value ^ xor
-    value *= mult
-    value ^= value >> 16
-    return value
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = x * _MIX_L
-    out -= y * _MIX_R
-    out ^= out >> 16
-    return out
-
-
-# The pool's first 17 constants: four to hash the first entropy words into
-# the pool, then three per pool word that mixes into the other three. Those
-# are laid out per source word by destination, with 0 in the source's own
-# slot, whose result is discarded.
-_POOL_CONSTANTS = _hash_constants(_INIT_A, _MULT_A, 17)
-_CROSS_XOR, _CROSS_MULT = (
-    np.array([np.insert(_POOL_CONSTANTS[4 + 3 * src + first:][:3], src, 0) for src in range(4)])
-    for first in (0, 1)
-)
-_STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 9)
-
-
-def _seed_states(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(words).generate_state(4, np.uint64)`` for the uint32
-    words of each row of ``entropy`` (R, L), L >= 4, whose rows of fewer
-    than 4 words are padded with zeros, as the hash pads them: (R, 4)."""
-    a = _POOL_CONSTANTS
-    pool = _hashmix(entropy[:, :4], a[:4], a[1:5])
-    for src in range(4):
-        # Each other pool word in turn mixes in a hash of this one, which
-        # none of them changes.
-        word = pool[:, src].copy()
-        pool = _mix(pool, _hashmix(word[:, None], _CROSS_XOR[src], _CROSS_MULT[src]))
-        pool[:, src] = word
-    if entropy.shape[1] > 4:  # words past the pool mix into each pool word
-        a = _hash_constants(int(a[-1]), _MULT_A, 4 * (entropy.shape[1] - 4) + 1)
-        for src in range(4, entropy.shape[1]):
-            at = 4 * (src - 4)
-            pool = _mix(pool, _hashmix(entropy[:, src, None], a[at:at + 4], a[at + 1:at + 5]))
-    b = _STATE_CONSTANTS
-    state = _hashmix(np.tile(pool, 2), b[:-1], b[1:])
-    # Words 2i and 2i + 1 are the low and high halves of uint64 i.
-    return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
 class _SeedState(ISeedSequence):
@@ -442,18 +383,52 @@ def _uint32_words(n: int) -> list[int]:
 
 def _row_generators(seeds: Sequence[int], epochs: Sequence[int]) -> list[np.random.Generator]:
     """``np.random.default_rng([seed, epoch])`` of each row, the same
-    stream: the rows' seed states come from one ``_seed_states`` call per
-    entropy length (rows whose seed and epoch fit in 32 bits are one)."""
+    stream: the rows' seed states come from one pass of the hash."""
     entropy = [_uint32_words(int(seed)) + _uint32_words(int(epoch))
                for seed, epoch in zip(seeds, epochs)]
-    by_length: dict[int, list[int]] = {}
-    for r, words in enumerate(entropy):
-        by_length.setdefault(max(4, len(words)), []).append(r)
-    states = np.empty((len(entropy), 4), dtype=np.uint64)
-    for length, rows in by_length.items():
-        padded = [entropy[r] + [0] * (length - len(entropy[r])) for r in rows]
-        states[rows] = _seed_states(np.array(padded, dtype=np.uint32))
-    return [np.random.Generator(np.random.PCG64(_SeedState(state))) for state in states]
+    lengths = np.array([len(row) for row in entropy])
+    # words[i] holds word i of every row. The hash reads a row of fewer
+    # than 4 words as if padded with zeros.
+    words = np.zeros((max(4, int(lengths.max())), len(entropy)), dtype=np.uint32)
+    for r, row in enumerate(entropy):
+        words[:len(row), r] = row
+    const, mult = 0x43B0D7E5, 0x931E8875
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        # The constant is the same for every row, and advances at each call.
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value *= const
+        value ^= value >> 16
+        return value
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = x * _MIX_L
+        out -= y * _MIX_R
+        out ^= out >> 16
+        return out
+
+    # mix_entropy: the first 4 words fill the pool, each pool word mixes a
+    # hash of itself into the other three, and each later word mixes into
+    # every pool word. A row without that word skips its steps, whose
+    # constants still advance.
+    pool = [hashmix(word) for word in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, len(words)):
+        has = lengths > src
+        for dst in range(4):
+            pool[dst] = np.where(has, mix(pool[dst], hashmix(words[src])), pool[dst])
+    # generate_state: 8 uint32 words, each a hash of the next pool word in
+    # turn under constants of its own; words 2i and 2i + 1 are the low and
+    # high halves of uint64 i.
+    const, mult = 0x8B51F9DD, 0x58F38DED
+    state = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1)
+    states = state.astype("<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_SeedState(row))) for row in states]
 
 
 def _non_finite(what: str, epoch: int | None = None, batch: int | None = None) -> NonFiniteError:

@@ -187,6 +187,33 @@ class TestCompareCommand:
         row = capsys.readouterr().out.splitlines()[2]
         assert row.split() == ["auc_b16", "1.0000", "[1.0000,", "1.0000]", "n/a"]
 
+    def test_constant_unequal_arms_write_strict_json(self, tmp_path):
+        # Every trial of ce scores 1.0 and every trial of the untrained arm
+        # 0.0, so t_test returns (inf, 0.0). JSON has no infinity: the
+        # manifest parses with no NaN or Infinity literal, t is null and p
+        # is 0.0.
+        config = {
+            "dataset": {"synthetic": {"class_counts": [5, 5], "dim": 2,
+                                      "class_mean_separation": 8.0, "noise_std": 1.0,
+                                      "seed": 3}},
+            "split": {"n_repeats": 2, "base_seed": 3},
+            "arms": [
+                {"name": "ce", "loss_kind": "cross_entropy", "batch_size": 4, "max_epochs": 20},
+                {"name": "still", "loss_kind": "cross_entropy", "batch_size": 4,
+                 "learning_rate": 0.0, "max_epochs": 1},
+            ],
+        }
+        code, out_path = run_compare(tmp_path, config)
+        assert code == 0
+
+        def reject(literal):
+            raise ValueError(f"non-standard JSON literal {literal}")
+
+        manifest = json.loads(out_path.read_text(), parse_constant=reject)
+        assert [arm["aurocs"] for arm in manifest["arms"]] == [[1.0, 1.0], [0.0, 0.0]]
+        assert manifest["comparisons"] == [{"arm_a": "ce", "arm_b": "still",
+                                            "t": None, "p": 0.0}]
+
     def test_unstratified_jobs_do_not_change_bytes(self, tmp_path):
         # The dataset and splits of tests/golden/unstratified_manifest.json:
         # the ce_b8 arm has 4 batches in trials 1 and 3 and 5 in the others,

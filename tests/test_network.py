@@ -350,6 +350,7 @@ class TestStratifiedBatches:
     @given(rows=st.lists(st.tuples(_WORDS, _WORDS), min_size=1, max_size=6))
     @example(rows=[(0, 0), (2**32 - 1, 2**32 - 1), (2**32, 2**32), (2**64 + 1, 2**64 + 1)])
     @example(rows=[(3, 2**64 + 1), (2**32, 0), (0, 7), (2**32 - 1, 2**32), (2**200, 1)])
+    @example(rows=[(2**96, 2**32), (2**200, 1), (5, 6)])
     def test_row_generators_are_default_rng(self, rows):
         # The sampler seeds a chunk's rows from one pass of SeedSequence's
         # hash per entropy length, for seeds and epochs of one, two or more
