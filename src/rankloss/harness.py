@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass
-from functools import lru_cache
-from itertools import repeat
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -30,8 +30,8 @@ from .errors import (DegenerateVarianceError, FieldError, RanklossError, TooSmal
                      _POSITIVE, _bool, _check, _check_fields, _check_integers, _integer, _real,
                      _sequence_field)
 from .losses import SurrogateParams
-from .network import (MLPStack, TrainConfig, _label_classes, evaluate_auroc_stacked, init_model,
-                      train_stacked)
+from .network import (MLPStack, TrainConfig, _label_classes, _run_parts, evaluate_auroc_stacked,
+                      init_model, train_stacked)
 
 __all__ = [
     "SplitSpec",
@@ -248,7 +248,8 @@ def _run_block(
 
     Each engine call gets ``threads``, so a large-batch pairwise-loss arm
     trains its trials in up to that many parts at once, each a stack of its
-    own; no thread outlives the call, so none outlives the block.
+    own, all but the first in child processes; no child outlives the call,
+    so none outlives the block.
     """
     splits, split_error = [], None
     for trial in trials:
@@ -283,6 +284,12 @@ def _run_block(
     if split_error is not None:
         raise _trial_error(*split_error) from split_error[1]
     return results
+
+
+def _lost_block(trials: range, exitcode: int):
+    error = RanklossError(f"the worker process of trials {trials[0]} to {trials[-1]} exited "
+                          f"with code {exitcode} before sending its results")
+    raise _trial_error(trials[0], error) from None
 
 
 def trial_blocks(n_repeats: int, jobs: int, n_cpus: int) -> list[range]:
@@ -466,12 +473,16 @@ def run_experiment(
 ) -> AggregateReport:
     """Run all trials, then aggregate per-arm statistics and arm comparisons.
 
-    Trials run in ``trial_blocks(n_repeats, jobs, <usable CPUs>)``, one
-    worker process per block when there is more than one, and each block
-    has usable CPUs // blocks threads for its engine calls, so workers times
-    threads stays within the CPUs. Results are collected in trial order and
-    are the same bit for bit at any thread count, so the report does not
-    depend on the worker count. Arms that cannot train on
+    Trials run in ``trial_blocks(n_repeats, jobs, <usable CPUs>)``: the
+    first block in the calling process and each other in a worker process
+    of its own (forked on Linux, else by the platform's default start
+    method), none of which outlives the call. Each block has usable CPUs //
+    blocks ``threads`` for its engine calls, so blocks times parts stays
+    within the CPUs. Results are collected in trial order and are the same
+    bit for bit at any part count, so the report does not depend on the
+    worker count. A worker that exits without sending its results raises a
+    ``TrialError`` naming the block's first trial and the worker's exit
+    code. Arms that cannot train on
     the dataset's classes raise ``FieldError`` (a ``ValueError``), and
     ``jobs`` that is not an integer of at least 1 raises ``ValueError``,
     before any trial runs.
@@ -482,16 +493,15 @@ def run_experiment(
     n_cpus = _cpu_count()
     blocks = trial_blocks(n_repeats, jobs, n_cpus)
     threads = max(1, n_cpus // len(blocks))
+    context = None
     if len(blocks) > 1:
         # Imported here, so that a one-block run never loads multiprocessing
         # (about 1 MB of peak RSS).
-        from concurrent.futures import ProcessPoolExecutor
+        import multiprocessing
 
-        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-            parts = list(pool.map(_run_block, repeat(dataset), repeat(config), blocks,
-                                  repeat(threads)))
-    else:
-        parts = [_run_block(dataset, config, blocks[0], threads)]
+        context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+    parts = _run_parts(partial(_run_block, dataset, config, threads=threads), blocks,
+                       _lost_block, context)
 
     matrix = np.concatenate(parts)  # (n_repeats, n_arms)
     arm_results = []

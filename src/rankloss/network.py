@@ -15,8 +15,8 @@ satisfiable; emitted batches then run larger than requested.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from typing import Optional
@@ -453,7 +453,7 @@ def _non_finite(what: str, epoch: int | None = None, batch: int | None = None) -
 # exactly 0 (a copy overflows only where the real row does). "Alone" means
 # padded so, and the oracle pads the same way. ``train_stacked`` trains
 # each group of trials of equal class count, batch count and P_t, or each
-# thread's part of one, as one stack (stratified splits make one group):
+# part of one, as one stack (stratified splits make one group):
 # per step one forward pass, one loss call and one backprop pass. A failed
 # trial steps on, masked; a group of AUC trials missing a class, or of
 # unbatchable ones, never steps. No kernel reduces across trials, so a
@@ -736,11 +736,14 @@ def train_stacked(
     merged by trial index: a group per class count, batch count and
     batch width P (trials the sampler cannot batch form their own and never
     step), and a pairwise-loss group with P**2 / 4 >= ``losses.PAIR_BLOCK``
-    cut into min(``threads``, trials) contiguous parts that run at once, the
-    first on the calling thread and the others on a thread pool shut down
-    before this returns, each under the caller's NumPy error state and
-    handler. A trial trains bit for bit whichever trials share its stack,
-    so the result does not depend on ``threads``.
+    cut into min(``threads``, trials) contiguous parts that run at once
+    (``_run_parts``): the first on the calling thread, the others on Linux
+    each in a child forked from it, which inherits the caller's NumPy error
+    state and handler, and elsewhere one after another on the calling
+    thread. No child outlives the call. A child that exits without sending
+    its part back fails each of the part's trials with a ``RanklossError``
+    naming its exit code. A trial trains bit for bit whichever trials share
+    its stack, so the result does not depend on ``threads``.
 
     Before any work, ``model`` must be a stack, ``configs`` a sequence of
     ``TrainConfig`` ("configs[0] must be a TrainConfig, got None") that fits
@@ -777,29 +780,90 @@ def train_stacked(
         parts.append([trials[lo:hi] for lo, hi in zip(cuts, cuts[1:])])
 
     best, errors = np.empty_like(model.params), {}
-    state, errcall = np.geterr(), np.geterrcall()
 
     def train_part(trials):
-        # Pool threads start with NumPy's default error state, so each part
-        # runs under this call's. Consecutive trials are passed as views.
+        # Consecutive trials are passed as views.
         at = slice(trials[0], trials[-1] + 1) if trials[-1] - trials[0] < len(trials) else trials
-        with np.errstate(call=errcall, **state):
-            return _train_stack(MLPStack(model.layer_dims, model.params[at]), train_x[at],
-                                train_y[at], val_x[at], val_y[at],
-                                [configs[t] for t in trials], [groups[t] for t in trials])
+        return _train_stack(MLPStack(model.layer_dims, model.params[at]), train_x[at],
+                            train_y[at], val_x[at], val_y[at],
+                            [configs[t] for t in trials], [groups[t] for t in trials])
 
-    n_pool = max(map(len, parts)) - 1
-    if n_pool:  # imported only here: most runs split no stack
-        from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(n_pool) if n_pool else nullcontext() as pool:
-        for group in parts:
-            later = [pool.submit(train_part, trials) for trials in group[1:]]
-            runs = [train_part(group[0]), *(future.result() for future in later)]
-            for trials, (params, part_errors) in zip(group, runs):
-                best[trials] = params
-                errors.update(zip(trials, part_errors))
+    def lost(trials, exitcode):
+        error = RanklossError(f"the process training this trial's part exited with code "
+                              f"{exitcode} before sending its result")
+        return model.params[trials], [error] * len(trials)
+
+    context = None
+    if max(map(len, parts)) > 1 and sys.platform == "linux":
+        import multiprocessing  # imported only here: most runs split no stack
+
+        context = multiprocessing.get_context("fork")
+    for group in parts:
+        for trials, (params, part_errors) in zip(group, _run_parts(train_part, group, lost,
+                                                                   context)):
+            best[trials] = params
+            errors.update(zip(trials, part_errors))
     return StackedTraining(model=MLPStack(model.layer_dims, best),
                            errors=tuple(errors[t] for t in range(model.n_models)))
+
+
+def _send_result(writer, run, part) -> None:
+    """A child's side of ``_run_parts``: ``run(part)``, or the exception it
+    raised, sent to the parent. Ended by SIGTERM, the child unwinds, so
+    that the children its own part started end too."""
+    import signal
+
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
+    try:
+        message = True, run(part)
+    except Exception as exc:
+        message = False, exc
+    writer.send(message)
+
+
+def _run_parts(run, parts: Sequence, lost, context) -> list:
+    """``[run(part) for part in parts]``, the parts at once: the first on the
+    calling thread and each other in a child process of the
+    ``multiprocessing`` ``context``, started before the first and sent its
+    result back through a pipe of its own. The results, or the exception a
+    part raised, are taken in part order; a child that exits without sending
+    its result gives ``lost(part, exitcode)``, whose value stands for it or
+    whose exception is raised. No child outlives the call: once a part has
+    raised, the children are terminated and joined, and so are theirs.
+    With ``context`` None the parts run one after another on the calling
+    thread; with a ``spawn`` or ``forkserver`` context, ``run`` and the
+    parts must pickle."""
+    if context is None or len(parts) == 1:
+        return [run(part) for part in parts]
+    children = []
+    try:
+        for part in parts[1:]:
+            reader, writer = context.Pipe(duplex=False)
+            child = context.Process(target=_send_result, args=(writer, run, part))
+            try:
+                child.start()
+            finally:
+                writer.close()  # so the reader meets EOF once the child exits
+            children.append((child, reader))
+        results = [run(parts[0])]
+        for part, (child, reader) in zip(parts[1:], children):
+            try:
+                ok, result = reader.recv()
+            except EOFError:
+                child.join()
+                ok, result = True, lost(part, child.exitcode)
+            if not ok:
+                raise result
+            results.append(result)
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, reader in children:
+            reader.close()
+            child.join()
+    return results
 
 
 def _train_stack(model: MLPStack, train_x, train_y, val_x, val_y, configs, groups

@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -51,23 +54,64 @@ def rng():
     return np.random.default_rng(12345)
 
 
-@pytest.fixture
-def step_threads(monkeypatch):
-    """The ident of the thread that ran each ``network._step`` call, in
-    call order; ``len(set(...))`` counts the threads a run stepped on."""
-    import threading
+class ProcessLog:
+    """Records appended to a file, one line each, so that records made in a
+    process forked from this one are read here too. A record leads with
+    the pid and thread ident that made it; iterating yields those
+    ``(pid, thread)`` places, one per record."""
 
+    def __init__(self, path):
+        self.path = path
+        path.write_text("")
+
+    def record(self, *values) -> None:
+        # One short write in append mode, so records from processes running
+        # at once do not interleave.
+        with open(self.path, "a") as log:
+            log.write(" ".join(map(str, (os.getpid(), threading.get_ident(), *values))) + "\n")
+
+    def records(self) -> list[list[str]]:
+        return [line.split() for line in self.path.read_text().splitlines()]
+
+    def clear(self) -> None:
+        self.path.write_text("")
+
+    def __iter__(self):
+        return iter([(int(pid), int(thread)) for pid, thread, *_ in self.records()])
+
+    def __len__(self) -> int:
+        return len(self.records())
+
+
+def assert_exited(pids) -> None:
+    """Every process of ``pids`` has exited and been reaped: none is
+    left running, nor as a zombie."""
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def here() -> tuple[int, int]:
+    """The ``(pid, thread)`` place of the calling thread."""
+    return os.getpid(), threading.get_ident()
+
+
+@pytest.fixture
+def step_places(monkeypatch, tmp_path):
+    """A ``ProcessLog`` of each ``network._step`` call, made by the process
+    and thread that ran it, in call order per process: ``len(set(...))``
+    counts the places a run stepped on, forked parts included."""
     import rankloss.network
 
-    idents = []
+    log = ProcessLog(tmp_path / "steps.log")
     original = rankloss.network._step
 
     def spy(*args, **kwargs):
-        idents.append(threading.get_ident())
+        log.record()
         return original(*args, **kwargs)
 
     monkeypatch.setattr(rankloss.network, "_step", spy)
-    return idents
+    return log
 
 
 def train_on_threads(kind, labels, features, threads, *, epochs=2, batch_size=None,

@@ -1,5 +1,6 @@
 import itertools
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -14,7 +15,7 @@ import rankloss
 from rankloss import TrialError, auroc_pairwise, generate_synthetic
 from rankloss.cli import _parse_compare_config, main
 
-from conftest import pairwise_oracle, random_pos_neg
+from conftest import ProcessLog, assert_exited, pairwise_oracle, random_pos_neg
 from oracle import run_trial
 
 
@@ -522,8 +523,8 @@ def test_out_of_memory_exits_3(tmp_path):
 def test_one_job_loads_no_multiprocessing(tmp_path):
     # Neither importing the CLI nor a --jobs 1 compare on a stratified
     # config imports what such a run never uses: multiprocessing, which
-    # only --jobs > 1 needs; concurrent.futures, which only a stack split
-    # across threads or --jobs > 1 needs; and numpy.ma, which np.unique
+    # only --jobs > 1 or a stack split into parts needs;
+    # concurrent.futures, which no run needs; and numpy.ma, which np.unique
     # would import.
     (tmp_path / "c.json").write_text(json.dumps(small_compare_config(tmp_path)))
     argvs = [["compare", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "m.json"),
@@ -554,35 +555,44 @@ def large_batch_config(n_repeats=2, epochs=2):
     return config
 
 
-def _compare_with_cpus(monkeypatch, tmp_path, config, cpus, name):
-    # run_compare with the harness seeing ``cpus`` usable CPUs, which at
-    # --jobs 1 gives the block's engine calls that many threads. Returns the
-    # exit code, the manifest path and, per loss kind (one per arm), the
-    # number of threads whose ``network._step`` calls stepped that arm.
-    import threading
-
+def _compare_with_cpus(monkeypatch, tmp_path, config, cpus, name, jobs=1):
+    # run_compare at --jobs ``jobs`` with the harness seeing ``cpus`` usable
+    # CPUs, which gives each block's engine calls cpus // blocks threads.
+    # Returns the exit code, the manifest path and, per loss kind (one per
+    # arm), the number of processes whose ``network._step`` calls stepped
+    # that arm, forked blocks and parts included.
     import rankloss.harness
     import rankloss.network
 
-    stepped = {}
+    log = ProcessLog(tmp_path / f"{name}_steps.log")
     step = rankloss.network._step
 
     def spy(stack, grads, batch, config, *args):
-        stepped.setdefault(config.loss_kind, set()).add(threading.get_ident())
+        log.record(config.loss_kind)
         return step(stack, grads, batch, config, *args)
 
     with monkeypatch.context() as mp:
         mp.setattr(rankloss.harness, "_cpu_count", lambda: cpus)
         mp.setattr(rankloss.network, "_step", spy)
-        code, out_path = run_compare(tmp_path, config, name=name)
-    return code, out_path, {kind: len(idents) for kind, idents in stepped.items()}
+        code, out_path = run_compare(tmp_path, config, ["--jobs", str(jobs)], name=name)
+    stepped = {}
+    for pid, _, kind in log.records():
+        stepped.setdefault(kind, set()).add(int(pid))
+    assert_exited(set().union(*stepped.values()) - {os.getpid()})
+    assert multiprocessing.active_children() == []
+    return code, out_path, {kind: len(pids) for kind, pids in stepped.items()}
+
+
+def _manifest_text(out_path):
+    manifest = json.loads(out_path.read_text())
+    del manifest["duration_seconds"]
+    return json.dumps(manifest)
 
 
 @pytest.mark.blas
 class TestThreadedPairKernel:
-    # Each arm's two trials train in two parts, one per thread. The threads
-    # are counted per arm: the two arms' pools may or may not reuse each
-    # other's thread idents.
+    # Each arm's two trials train in two parts, the second in a forked
+    # child. The processes that stepped are counted per arm.
 
     def test_manifest_bytes_match_one_thread(self, tmp_path, monkeypatch):
         # The manifest is the one-thread manifest.
@@ -592,31 +602,93 @@ class TestThreadedPairKernel:
             code, out_path, stepped = _compare_with_cpus(
                 monkeypatch, tmp_path, config, cpus, f"cpus{cpus}")
             assert code == 0 and stepped == {"auc_binary": cpus, "auc_multiclass": cpus}
-            manifest = json.loads(out_path.read_text())
-            del manifest["duration_seconds"]
-            manifests.append(json.dumps(manifest))
+            manifests.append(_manifest_text(out_path))
         assert manifests[0] == manifests[1]
 
     def test_diverging_arm_reports_as_one_thread(self, tmp_path, capsys, monkeypatch):
         # Each part runs under the engine's errstate: exit 3, the same
-        # one-line error as on one thread, and no NumPy RuntimeWarning.
+        # one-line error as on one thread, and no NumPy RuntimeWarning. A
+        # forked part inherits the warning filter, which turns a warning
+        # into an error that its child would send back and the CLI would
+        # not catch.
         config = large_batch_config(epochs=1)
         config["dataset"]["synthetic"]["class_counts"] = [3000, 1000]
         config["arms"][0]["learning_rate"] = 1e200
         errors = []
         for cpus in (1, 2):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
                 code, _, stepped = _compare_with_cpus(
                     monkeypatch, tmp_path, config, cpus, f"diverge{cpus}")
             assert code == 3 and stepped == {"auc_binary": cpus, "auc_multiclass": cpus}
-            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
             err = capsys.readouterr().err
             assert "RuntimeWarning" not in err
             errors.append(err.strip())
         assert errors[0] == errors[1]
         assert errors[0].startswith("error: trial 0, arm auc_bin_b1024: NonFiniteError: ")
         assert "\n" not in errors[0]
+
+    def test_blocks_fork_their_own_parts(self, tmp_path, monkeypatch):
+        # At --jobs 2 on 4 CPUs the 4 trials run in two blocks, the second
+        # in a forked worker, and each block's engine calls get 2 threads,
+        # so each arm steps in 4 processes. The manifest is a one-CPU run's,
+        # and no child is left running (checked in _compare_with_cpus).
+        config = large_batch_config(n_repeats=4)
+        manifests = []
+        for cpus in (1, 4):
+            code, out_path, stepped = _compare_with_cpus(
+                monkeypatch, tmp_path, config, cpus, f"jobs2_cpus{cpus}", jobs=2)
+            assert code == 0 and stepped == {"auc_binary": cpus, "auc_multiclass": cpus}
+            manifests.append(_manifest_text(out_path))
+        assert manifests[0] == manifests[1]
+
+
+class TestLostProcesses:
+    # A process that exits without sending its results fails the trials it
+    # ran with a RanklossError naming its exit code: the CLI prints one
+    # error line naming a trial and exits 3, and no child is left running.
+
+    def test_lost_worker_exits_3(self, tmp_path, capsys, monkeypatch):
+        # At --jobs 2 trials 0-1 run in the calling process and trials 2-3
+        # in a forked worker, which exits at once.
+        import rankloss.harness
+
+        run_block = rankloss.harness._run_block
+
+        def block(dataset, config, trials, threads=1):
+            if trials[0]:
+                os._exit(1)
+            return run_block(dataset, config, trials, threads)
+
+        monkeypatch.setattr(rankloss.harness, "_run_block", block)
+        monkeypatch.setattr(rankloss.harness, "_cpu_count", lambda: 2)
+        code, out_path = run_compare(tmp_path, small_compare_config(tmp_path), ["--jobs", "2"])
+        assert code == 3 and not out_path.exists()
+        assert capsys.readouterr().err == (
+            "error: trial 2: RanklossError: the worker process of trials 2 to 3 exited with "
+            "code 1 before sending its results (trial 2)\n")
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.blas
+    def test_lost_part_exits_3(self, tmp_path, capsys, monkeypatch):
+        # Each arm's two trials train in two parts; the forked one, trial
+        # 1's, exits with code 7 before it sends its part back.
+        import rankloss.network
+
+        parent, train_part = os.getpid(), rankloss.network._train_stack
+
+        def part(*args):
+            if os.getpid() != parent:
+                os._exit(7)
+            return train_part(*args)
+
+        monkeypatch.setattr(rankloss.network, "_train_stack", part)
+        code, _, stepped = _compare_with_cpus(monkeypatch, tmp_path, large_batch_config(), 2,
+                                              "lost")
+        assert code == 3 and stepped == {"auc_binary": 1, "auc_multiclass": 1}
+        assert capsys.readouterr().err == (
+            "error: trial 1, arm auc_bin_b1024: RanklossError: the process training this "
+            "trial's part exited with code 7 before sending its result (trial 1)\n")
 
 
 def _unstratified_sweep():

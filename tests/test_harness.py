@@ -1,6 +1,8 @@
 import json
 import math
-import threading
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from rankloss import (
 )
 from rankloss.harness import _run_block, _t_two_sided_p
 
+from conftest import ProcessLog, assert_exited
 from oracle import run_trial
 
 
@@ -580,11 +583,11 @@ class TestTrialBatching:
             run_experiment(ds, config)
 
     @pytest.mark.blas
-    def test_thread_pool_ends_with_the_block(self, monkeypatch, step_threads):
+    def test_thread_pool_ends_with_the_block(self, monkeypatch, step_places):
         # With a CPU left over at --jobs 1 the block's engine calls get 2
-        # threads, so the arm's 3 trials train in 2 parts, whose threads are
-        # gone once run_experiment returns; the report is the one-thread
-        # report.
+        # threads, so the arm's 3 trials train in 2 parts, the second in a
+        # child process, which is gone once run_experiment returns; the
+        # report is the one-thread report.
         import rankloss.harness
         import rankloss.losses
 
@@ -595,9 +598,45 @@ class TestTrialBatching:
         monkeypatch.setattr(rankloss.harness, "_cpu_count", lambda: 1)
         serial = run_experiment(ds, config)
         monkeypatch.setattr(rankloss.harness, "_cpu_count", lambda: 2)
-        step_threads.clear()
-        before = threading.active_count()
+        step_places.clear()
         threaded = run_experiment(ds, config)
-        assert threading.active_count() == before
-        assert len(set(step_threads)) == 2
+        pids = {pid for pid, _ in step_places}
+        assert len(pids) == 2 and multiprocessing.active_children() == []
+        assert_exited(pids - {os.getpid()})
         assert threaded.to_dict() == serial.to_dict()
+
+    def test_no_process_outlives_a_failing_block(self, monkeypatch, tmp_path):
+        # At --jobs 2 on 4 CPUs both blocks split their engine call into two
+        # parts, so four processes train: this one, its part's child, the
+        # second block's worker and that worker's part's child. Once all
+        # four have started, this process's part raises; the others wait
+        # until ended. Each is ended, its own children first, before the
+        # error leaves run_experiment.
+        import rankloss.harness
+        import rankloss.losses
+        import rankloss.network
+
+        started = ProcessLog(tmp_path / "started.log")
+        parent = os.getpid()
+
+        def part(*args):
+            started.record()
+            if os.getpid() != parent:
+                time.sleep(60)
+            deadline = time.monotonic() + 20
+            while len(started) < 4 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise RuntimeError("the calling process's part failed")
+
+        monkeypatch.setattr(rankloss.network, "_train_stack", part)
+        monkeypatch.setattr(rankloss.losses, "PAIR_BLOCK", 7)
+        monkeypatch.setattr(rankloss.harness, "_cpu_count", lambda: 4)
+        config = tiny_experiment((ArmConfig("auc", "auc_binary", 16, max_epochs=2),), n_repeats=4)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="^the calling process's part failed$"):
+            run_experiment(tiny_dataset(), config, jobs=2)
+        assert time.monotonic() - start < 30  # no sleeping child was waited for
+        assert multiprocessing.active_children() == []
+        pids = {pid for pid, _ in started} - {parent}
+        assert len(pids) == 3  # every part had started
+        assert_exited(pids)

@@ -1,10 +1,16 @@
+import multiprocessing
+import os
 import pickle
+import subprocess
 import sys
+import tempfile
 import threading
+import time
 import tracemalloc
 import warnings
 from copy import deepcopy
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +44,7 @@ from rankloss.network import (_batch_index, _hidden_buffers, _label_classes, _La
                               _layers, _plan, _row_generators, _Scorer, _step, _value_needed)
 
 import oracle
-from conftest import blobs, kernel_loss, train_on_threads
+from conftest import ProcessLog, assert_exited, blobs, here, kernel_loss, train_on_threads
 from oracle import evaluate_auroc, multiclass_auc_loss, train
 
 
@@ -353,8 +359,8 @@ class TestStratifiedBatches:
     @example(rows=[(2**96, 2**32), (2**200, 1), (5, 6)])
     def test_row_generators_are_default_rng(self, rows):
         # The sampler seeds a chunk's rows from one pass of SeedSequence's
-        # hash per entropy length, for seeds and epochs of one, two or more
-        # uint32 words, mixed in one chunk. Each row's generator is
+        # hash shared by every entropy length, for seeds and epochs of one,
+        # two or more uint32 words, mixed in one chunk. Each row's generator is
         # default_rng([seed, epoch]), state and stream, and the hash's
         # wrapping uint32 arithmetic raises no warning.
         seeds, epochs = zip(*rows)
@@ -796,21 +802,22 @@ STACKED_CASES = [
 def chunked(monkeypatch, budget, train):
     """``train()`` with the engine's plan budget ``network.PLAN_ROWS`` at
     ``budget`` (None keeps the default): its result, and how many epochs
-    each of the ``_batch_index`` calls sampled."""
+    each of the ``_batch_index`` calls sampled, in forked parts too."""
     import rankloss.network
 
-    lengths = []
     sample = rankloss.network._batch_index
+    with tempfile.TemporaryDirectory() as scratch, monkeypatch.context() as mp:
+        log = ProcessLog(Path(scratch) / "chunks.log")
 
-    def spy(groups, seeds, epochs):
-        lengths.append(len(set(epochs)))
-        return sample(groups, seeds, epochs)
+        def spy(groups, seeds, epochs):
+            log.record(len(set(epochs)))
+            return sample(groups, seeds, epochs)
 
-    with monkeypatch.context() as mp:
         if budget is not None:
             mp.setattr(rankloss.network, "PLAN_ROWS", budget)
         mp.setattr(rankloss.network, "_batch_index", spy)
-        return train(), lengths
+        result = train()
+        return result, [int(length) for _, _, length in log.records()]
 
 
 def outcome(run):
@@ -1069,7 +1076,7 @@ class TestTrainStacked:
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.parametrize("budget", [1, None])
-    def test_failures_inside_a_chunk(self, budget, monkeypatch, step_threads):
+    def test_failures_inside_a_chunk(self, budget, monkeypatch, step_places):
         # Each trial's training features are scaled up until an SGD step
         # overflows its logits, trial t's in epoch 1 + t. At the default
         # budget all 8 epochs are one chunk, so every trial fails inside it.
@@ -1093,7 +1100,7 @@ class TestTrainStacked:
             assert np.array_equal(run.model.params[t], models[t].params)
         assert [e.epoch for e in run.errors] == [1, 2, 3]
         n_batches = len(stratified_batches(y[tr[0]], 8, 0, 0))
-        assert len(step_threads) == 4 * n_batches
+        assert len(step_places) == 4 * n_batches
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -1326,8 +1333,8 @@ class TestTrainStacked:
             rankloss.train(*args, replace(config, learning_rate=1e200))
 
     # A pairwise-loss stack whose steps hold PAIR_BLOCK pairs per trial and
-    # class trains in parts of its trials, one per thread. Training on
-    # threads changes no bit.
+    # class trains in parts of its trials, all but the first in forked
+    # children. Training in parts changes no bit.
 
     @pytest.mark.blas
     @settings(max_examples=40, deadline=None)
@@ -1358,41 +1365,54 @@ class TestTrainStacked:
     @pytest.mark.blas
     @pytest.mark.parametrize("n_trials", [1, 2, 3, 4])
     @pytest.mark.parametrize("kind", ["auc_binary", "auc_multiclass"])
-    def test_threads_split_large_batches(self, kind, n_trials, step_threads):
+    def test_threads_split_large_batches(self, kind, n_trials, step_places):
         # At the default block size a full batch of 720 rows holds PAIR_BLOCK
-        # pairs per class, so 2 threads cut the stack into min(2, trials) parts.
-        # Their threads are gone when train_stacked returns, and the
+        # pairs per class, so 2 threads cut the stack into min(2, trials)
+        # parts, the first on the calling thread and the second in a child
+        # process. The child is gone when train_stacked returns, and the
         # checkpoints are 1 thread's byte for byte.
         n_classes = 2 if kind == "auc_binary" else 3
         rng = np.random.default_rng(n_trials)
         labels = np.tile(np.arange(720) % n_classes, (n_trials, 1))
         features = blobs(rng, labels)
         serial = train_on_threads(kind, labels, features, 1)
-        step_threads.clear()
+        step_places.clear()
         before = threading.active_count()
         assert train_on_threads(kind, labels, features, 2) == serial
-        assert threading.active_count() == before
-        assert len(set(step_threads)) == min(2, n_trials)
-        assert threading.get_ident() in step_threads
+        assert threading.active_count() == before and multiprocessing.active_children() == []
+        assert len(set(step_places)) == len({pid for pid, _ in step_places}) == min(2, n_trials)
+        assert here() in step_places
 
     @pytest.mark.blas
     @pytest.mark.parametrize("kind", ["auc_binary", "auc_multiclass"])
-    def test_threads_temporaries_bounded(self, kind, step_threads):
+    def test_threads_temporaries_bounded(self, kind, monkeypatch, tmp_path, step_places):
         # Each part's kernel works in one block-sized workspace, so two trials
-        # of the full 2400-row batch trained on two threads stay under the
-        # bound of one kernel call (test_losses.py's
-        # test_stacked_loss_temporaries_bounded).
+        # of the full 2400-row batch trained in two parts stay, in each
+        # process, under the bound of one kernel call (test_losses.py's
+        # test_stacked_loss_temporaries_bounded). The child inherits the
+        # call's tracing, and its traced peak, from the fork, so its peak,
+        # read once its part has trained, counts the call's arrays too.
         rng = np.random.default_rng(0)
         labels = np.tile((np.arange(2400) % 4 == 0).astype(np.int64), (2, 1))
         features = blobs(rng, labels, dim=2)
+        peaks = ProcessLog(tmp_path / "peaks.log")
+        train_part = rankloss.network._train_stack
+
+        def spy(*args):
+            result = train_part(*args)
+            peaks.record(tracemalloc.get_traced_memory()[1])
+            return result
+
+        monkeypatch.setattr(rankloss.network, "_train_stack", spy)
         tracemalloc.start()
         try:
             train_on_threads(kind, labels, features, 2, epochs=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(set(step_threads)) == 2
-        assert peak < 8e6
+        child_peaks = [int(p) for pid, _, p in peaks.records() if int(pid) != os.getpid()]
+        assert len(set(step_places)) == 2 and len(child_peaks) == 1
+        assert peak < 8e6 and child_peaks[0] < 8e6
 
     @pytest.mark.parametrize("kind, batch_size", [("cross_entropy", 8), ("auc_multiclass", 64)])
     def test_chunk_temporaries_bounded(self, kind, batch_size, monkeypatch):
@@ -1422,18 +1442,18 @@ class TestTrainStacked:
 
     @pytest.mark.blas
     @pytest.mark.parametrize("n_trials", [4, 100])
-    def test_threads_skip_small_batches(self, n_trials, step_threads):
+    def test_threads_skip_small_batches(self, n_trials, step_places):
         # A stack of the reference protocol's shape, B=64 batches of 203
         # training rows with ~1k pairs per trial and class, steps on the
         # calling thread alone, however many trials it holds.
         rng = np.random.default_rng(2)
         labels = np.tile(np.arange(203) % 3, (n_trials, 1))
         train_on_threads("auc_multiclass", labels, blobs(rng, labels), 2, epochs=1, batch_size=64)
-        assert set(step_threads) == {threading.get_ident()}
+        assert set(step_places) == {here()}
 
     @pytest.mark.blas
     @pytest.mark.parametrize("kind", ["auc_binary", "auc_multiclass"])
-    def test_threads_name_the_same_trial(self, kind, monkeypatch, step_threads):
+    def test_threads_name_the_same_trial(self, kind, monkeypatch, step_places):
         # Trial 2's training labels lack class 1, so it fails before any step
         # with the loss's EmptyClassError, and the other three train in two
         # parts: the same errors, at the same trials, and the same bytes as on
@@ -1443,28 +1463,28 @@ class TestTrainStacked:
         monkeypatch.setattr(rankloss.losses, "PAIR_BLOCK", 7)
         features = blobs(np.random.default_rng(0), labels)
         serial = train_on_threads(kind, labels, features, 1)
-        step_threads.clear()
+        step_places.clear()
         assert train_on_threads(kind, labels, features, 2) == serial
-        assert len(set(step_threads)) == 2
+        assert len({pid for pid, _ in step_places}) == 2
         missing = ("batch has no positive (label 1) samples" if kind == "auc_binary"
                    else "batch has no samples of class 1")
         assert serial[1] == [None, None, f"EmptyClassError: {missing}", None]
 
     @pytest.mark.blas
-    def test_threads_survive_thread_switches(self, monkeypatch, step_threads):
+    def test_threads_survive_thread_switches(self, monkeypatch, step_places):
         # Each part trains as a stack of its own, merged by trial index. With
-        # 8 parts, 7 of them on pool threads, more than most machines' CPUs,
-        # and the interpreter switching threads every microsecond, a lost or
-        # crossed result would change the checkpoints from 1 thread's. Each
-        # part takes every step for its trial, so there are 8 times the
-        # serial steps.
+        # 8 parts, 7 of them in child processes, more than most machines'
+        # CPUs, and the interpreter switching threads every microsecond, a
+        # lost or crossed result would change the checkpoints from 1
+        # thread's. Each part takes every step for its trial, so there are 8
+        # times the serial steps, in 8 processes.
         rng = np.random.default_rng(4)
         labels = rng.permuted(np.tile(np.arange(48) % 3, (8, 1)), axis=1)
         features = blobs(rng, labels)
         monkeypatch.setattr(rankloss.losses, "PAIR_BLOCK", 7)
         serial = train_on_threads("auc_multiclass", labels, features, 1, epochs=20, batch_size=12)
-        serial_steps = len(step_threads)
-        step_threads.clear()
+        serial_steps = len(step_places)
+        step_places.clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -1472,17 +1492,19 @@ class TestTrainStacked:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
-        assert len(step_threads) == 8 * serial_steps and len(set(step_threads)) > 1
+        assert len(step_places) == 8 * serial_steps
+        assert len({pid for pid, _ in step_places}) == 8
 
     @pytest.mark.blas
     @pytest.mark.parametrize("case", ["thread-parts", "ragged-groups"])
-    def test_checks_run_once_per_call(self, case, monkeypatch, step_threads):
+    def test_checks_run_once_per_call(self, case, monkeypatch, tmp_path, step_places):
         # train_stacked checks its arrays and groups each trial's labels once
         # per call, however it cuts the trials: two trials of a full 600-row
-        # auc_binary batch, whose P**2 / 4 >= PAIR_BLOCK, train in two thread
-        # parts, and three trials of unequal class counts, as unstratified
-        # splits give them, in three groups of their own batch count and
-        # width. Either way the result is one thread's.
+        # auc_binary batch, whose P**2 / 4 >= PAIR_BLOCK, train in two
+        # parts, one in a child process, and three trials of unequal class
+        # counts, as unstratified splits give them, in three groups of their
+        # own batch count and width. Either way the result is one thread's,
+        # and every check runs in the calling process.
         rng = np.random.default_rng(6)
         if case == "thread-parts":
             kind, batch_size, labels = "auc_binary", None, np.tile(np.arange(600) % 2, (2, 1))
@@ -1494,44 +1516,170 @@ class TestTrainStacked:
             assert len(keys) == 3
         features = blobs(rng, labels)
         serial = train_on_threads(kind, labels, features, 1, batch_size=batch_size)
-        calls = dict.fromkeys(["_LabelGroups", "_check_stacked"], 0)
-        for name in calls:
+        log = ProcessLog(tmp_path / "checks.log")
+        for name in ["_LabelGroups", "_check_stacked"]:
             def spy(*args, name=name, original=getattr(rankloss.network, name)):
-                calls[name] += 1
+                log.record(name)
                 return original(*args)
 
             monkeypatch.setattr(rankloss.network, name, spy)
-        step_threads.clear()
+        step_places.clear()
         assert train_on_threads(kind, labels, features, 2, batch_size=batch_size) == serial
-        assert calls == {"_LabelGroups": len(labels), "_check_stacked": 2}
-        assert len(set(step_threads)) == (2 if case == "thread-parts" else 1)
+        calls = [(int(pid), name) for pid, _, name in log.records()]
+        assert sorted(calls) == sorted([(os.getpid(), "_LabelGroups")] * len(labels)
+                                       + [(os.getpid(), "_check_stacked")] * 2)
+        assert len({pid for pid, _ in step_places}) == (2 if case == "thread-parts" else 1)
 
     @pytest.mark.blas
-    def test_threads_keep_the_callers_errstate(self, monkeypatch, step_threads):
+    def test_threads_keep_the_callers_errstate(self, monkeypatch, tmp_path, step_places):
         # With k L beyond the float range, slopes that underflow to 0 become
-        # 0 * inf, NaN weights that the validation pass reports. Pool threads
-        # start with NumPy's default error state, so each part runs under the
-        # call's: the engine's silenced overflow and invalid values, so no
-        # RuntimeWarning from any thread and the same failure as on one thread,
-        # and the caller's own settings, so its underflow handler hears every
-        # part. The nets rank every positive below every negative, so the
-        # initial loss is finite and each trial underflows in its first step.
+        # 0 * inf, NaN weights that the validation pass reports. A forked
+        # part inherits the calling thread's NumPy error state, so each part
+        # runs under the call's: the engine's silenced overflow and invalid
+        # values, so no RuntimeWarning from any part and the same failure as
+        # on one thread, and the caller's own settings, so its underflow
+        # handler runs in every part's process, which writes each call to a
+        # log read here. The nets rank every positive below every negative,
+        # so the initial loss is finite and each trial underflows in its
+        # first step.
         params = SurrogateParams(k=1000.0, L=1e308)
         labels = np.tile(np.arange(12) % 2, (2, 1))
         features = np.where(labels == 1, -1.0, 1.0)[..., None]
         model = MLPStack.of([MLPStack((1, 2))] * 2)
         model.weights[0][:, 0, 1] = 40.0
         monkeypatch.setattr(rankloss.losses, "PAIR_BLOCK", 7)
-        runs, heard = [], []
+        runs, heard = [], ProcessLog(tmp_path / "heard.log")
         for threads in (1, 2):
-            step_threads.clear()
+            step_places.clear()
             heard.clear()
             with warnings.catch_warnings(), np.errstate(
-                    under="call", call=lambda *_: heard.append(threading.get_ident())):
+                    under="call", call=lambda *_: heard.record()):
                 warnings.simplefilter("error")
                 runs.append(train_on_threads("auc_binary", labels, features, threads, params=params,
                                    model=model))
-            assert len(set(step_threads)) == threads
-            assert set(heard) == set(step_threads)
+            assert len(set(step_places)) == threads
+            assert set(heard) == set(step_places)
         assert runs[0] == runs[1]
         assert runs[0][1] == ["NonFiniteError: evaluation logits became non-finite at epoch 0"] * 2
+
+    # No child outlives train_stacked, and a child that exits without
+    # sending its part back fails that part's trials, not the call.
+
+    @pytest.mark.parametrize("where", ["calling thread", "child"])
+    def test_no_child_outlives_a_raising_part(self, where, monkeypatch, tmp_path):
+        # One of two parts raises. When it is the calling thread's, the
+        # child is still in its part (it sleeps until ended) and is ended
+        # before the error leaves the call; when it is the child's, its
+        # error is sent back and raised here.
+        labels = np.tile(np.arange(12) % 2, (2, 1))
+        features = blobs(np.random.default_rng(0), labels)
+        started = ProcessLog(tmp_path / "started.log")
+        parent, train_part = os.getpid(), rankloss.network._train_stack
+
+        def part(*args):
+            started.record()
+            if (os.getpid() == parent) == (where == "calling thread"):
+                deadline = time.monotonic() + 20
+                while where == "calling thread" and len(started) < 2:
+                    assert time.monotonic() < deadline, "the child's part never started"
+                    time.sleep(0.01)
+                raise RuntimeError(f"the {where}'s part failed")
+            if where == "calling thread":
+                time.sleep(60)
+            return train_part(*args)
+
+        monkeypatch.setattr(rankloss.network, "_train_stack", part)
+        monkeypatch.setattr(rankloss.losses, "PAIR_BLOCK", 7)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match=f"^the {where}'s part failed$"):
+            train_on_threads("auc_binary", labels, features, 2)
+        assert time.monotonic() - start < 30  # the sleeping child was not waited for
+        assert multiprocessing.active_children() == []
+        children = {pid for pid, _ in started} - {parent}
+        assert len(children) == 1
+        assert_exited(children)
+
+    def test_parts_run_in_turn_off_linux(self, monkeypatch, step_places):
+        # Elsewhere than on Linux the parts run one after another on the
+        # calling thread, through the same loop: the same bytes, stepped
+        # here alone.
+        labels = np.tile(np.arange(12) % 2, (3, 1))
+        features = blobs(np.random.default_rng(1), labels)
+        monkeypatch.setattr(rankloss.losses, "PAIR_BLOCK", 7)
+        serial = train_on_threads("auc_binary", labels, features, 1)
+        serial_steps = len(step_places)
+        step_places.clear()
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert train_on_threads("auc_binary", labels, features, 2) == serial
+        assert set(step_places) == {here()} and len(step_places) == 2 * serial_steps
+
+    def test_lost_part_fails_its_trials(self, monkeypatch):
+        # Trials 2 and 3 train in a child that exits with code 7 before it
+        # sends them back: each fails with the exit code and keeps its
+        # initial weights, and trials 0 and 1 train as on one thread.
+        labels = np.tile(np.arange(12) % 2, (4, 1))
+        features = blobs(np.random.default_rng(0), labels)
+        model = MLPStack.of([init_model((3, 4, 2), t) for t in range(4)])
+        monkeypatch.setattr(rankloss.losses, "PAIR_BLOCK", 7)
+        serial = train_on_threads("auc_binary", labels, features, 1, model=model)
+        parent, train_part = os.getpid(), rankloss.network._train_stack
+
+        def part(*args):
+            if os.getpid() != parent:
+                os._exit(7)
+            return train_part(*args)
+
+        monkeypatch.setattr(rankloss.network, "_train_stack", part)
+        params, errors = train_on_threads("auc_binary", labels, features, 2, model=model)
+        lost = ("RanklossError: the process training this trial's part exited with code 7 "
+                "before sending its result")
+        assert errors == [None, None, lost, lost]
+        halves = len(params) // 2
+        assert params[:halves] == serial[0][:halves]
+        assert params[halves:] == model.params[2:].tobytes()
+        assert multiprocessing.active_children() == []
+
+    def test_text_printed_before_a_split_appears_once(self):
+        # A piped stdout is block-buffered, so text printed before the call
+        # is still in the buffer when the part's child is forked; it is
+        # written once, by the caller. The spy writes each part's pid to
+        # stderr, to show that the call did fork, and the split loads no
+        # concurrent.futures.
+        src = str(Path(rankloss.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", _PRINT_THEN_SPLIT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "printed before the call\ntrained False\n"
+        assert len(set(done.stderr.split())) == 2
+
+
+_PRINT_THEN_SPLIT = """
+import os
+import sys
+
+import numpy as np
+
+import rankloss.losses
+import rankloss.network
+from rankloss import MLPStack, TrainConfig, init_model, train_stacked
+
+rankloss.losses.PAIR_BLOCK = 7
+train_part = rankloss.network._train_stack
+
+
+def part(*args):
+    print(os.getpid(), file=sys.stderr, flush=True)
+    return train_part(*args)
+
+
+rankloss.network._train_stack = part
+print("printed before the call")
+labels = np.tile(np.arange(12) % 2, (2, 1))
+x = labels[..., None] + np.random.default_rng(0).normal(size=(2, 12, 3))
+model = MLPStack.of([init_model((3, 4, 2), t) for t in range(2)])
+configs = [TrainConfig(batch_size=12, loss_kind="auc_binary", max_epochs=2, seed=t)
+           for t in range(2)]
+train_stacked(model, x, labels, x, labels, configs, threads=2)
+print("trained", "concurrent.futures" in sys.modules)
+"""
